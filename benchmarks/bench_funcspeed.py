@@ -18,7 +18,7 @@ tiling) through the functional simulator five ways:
 Each leg re-seeds its own RNG (identical inputs no matter how legs are
 added or reordered), builds its own program, and runs ``reps`` times on
 fresh memory images: ``cold`` is the first run (decode included), ``warm``
-the best of the rest (decode served by the cross-run predecode cache --
+the best of the rest (decode served by the process-wide code cache --
 the paper's figure sweeps replay one kernel many times, so warm is the
 steady state that matters).  All legs must produce bit-identical C
 matrices and identical retired-opcode counts -- the throughput layer's

@@ -728,25 +728,28 @@ def _cmd_disasm(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .robust.guard import MODES
+    from .sim.functional import ENGINES as FUNC_ENGINES
+    from .sim.timing import ENGINES as TIMING_ENGINES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Tensor Core HGEMM reproduction (IPDPS 2020)")
     parser.add_argument(
-        "--timing-engine", choices=["event", "reference"], default=None,
+        "--timing-engine", choices=TIMING_ENGINES, default=None,
         help="cycle-level simulator engine (default: $REPRO_TIMING_ENGINE "
-             "or 'event'; the engines are bit-identical, 'event' is faster)")
+             f"or '{TIMING_ENGINES[0]}'; the engines are bit-identical, "
+             "'event' is faster)")
     parser.add_argument(
-        "--func-engine",
-        choices=["lockstep", "gridlock", "predecoded", "reference"],
-        default=None,
+        "--func-engine", choices=FUNC_ENGINES, default=None,
         help="functional simulator engine (default: $REPRO_FUNC_ENGINE or "
-             "'lockstep'; the engines are bit-identical, 'gridlock' stacks "
-             "the whole grid into one process)")
+             f"'{FUNC_ENGINES[0]}'; the engines are bit-identical, "
+             "'gridlock' stacks the whole grid into one process)")
     parser.add_argument(
-        "--guard", choices=["off", "sample", "full"], default=None,
+        "--guard", choices=MODES, default=None,
         help="divergence watchdog: re-run fast-engine launches on the "
              "reference engines and degrade on mismatch (default: "
-             "$REPRO_GUARD or 'off'; 'sample' bounds overhead by "
+             f"$REPRO_GUARD or '{MODES[0]}'; 'sample' bounds overhead by "
              "$REPRO_GUARD_BUDGET)")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -205,8 +205,11 @@ def hgemm_batched(a, b, kernel="ours", spec: GpuSpec = RTX2070,
 
     The paper's related work (Li et al. [16]) targets batched small GEMMs;
     this wrapper provides the API surface by launching one grid per batch
-    entry (each entry re-uses the same generated kernel, so the builder
-    cost is paid once per shape).
+    entry.  Every entry calls :func:`hgemm`, which builds its kernel
+    afresh, so the builder cost is paid per entry; the entries' programs
+    are equal, so predecode serves all but the first from the process-wide
+    code cache of decoded slots and fused windows
+    (:func:`repro.sim.decode.predecode`).
     """
     a_s = np.ascontiguousarray(a, dtype=np.float16)
     b_s = np.ascontiguousarray(b, dtype=np.float16)

@@ -235,8 +235,8 @@ def _window_col_tables(n_warps: int):
 def hmma_1688_window(d_base, a_base, b_base, c_base, f32: bool):
     """Compile an in-place executor for a fused window of *g* HMMA.1688s.
 
-    Returns ``run(regs)`` operating directly on the ``(256, lanes)`` uint32
-    register file.  Each operand is one fancy-index gather with a fully
+    Returns ``run(regs, cache)`` operating directly on the ``(256, lanes)``
+    uint32 register file.  Each operand is one fancy-index gather with a fully
     materialised flat index (the window row gather fused with the fragment
     permutation of :func:`_batch_index_tables`) -- NumPy's single-index take
     beats both the two-index broadcast form and a row gather followed by a
@@ -248,6 +248,12 @@ def hmma_1688_window(d_base, a_base, b_base, c_base, f32: bool):
     against the reference engine).  Windows whose tables would exceed
     ``_WINDOW_FLAT_MAX_ELEMS`` fall back to the row-gather + batch-kernel
     path, as do big-endian hosts.
+
+    The flat tables take 8 bytes per gathered element, so the caller owns
+    them: ``cache`` is a dict ``run`` fills on its first call and reuses
+    whenever it is passed again.  A code cache can thus keep ``run`` for
+    the life of the process while each launch's tables die with the
+    launch.
     """
     from . import fragments as frag
     from .fp16 import HALF
@@ -269,7 +275,7 @@ def hmma_1688_window(d_base, a_base, b_base, c_base, f32: bool):
     d_idx2 = d_rows[:, None] + np.arange(nreg, dtype=np.intp)
     batch = hmma_1688_f32_batch if f32 else hmma_1688_f16_batch
 
-    def run_blocks(regs):
+    def run_blocks(regs, cache=None):
         regs[d_idx2] = batch(regs[a_idx2], regs[b_idx1], regs[c_idx2])
 
     if not frag._LITTLE_ENDIAN:
@@ -277,10 +283,8 @@ def hmma_1688_window(d_base, a_base, b_base, c_base, f32: bool):
 
     # Flat tables depend on the lane count, known only once the first
     # register file arrives; one decoded program has exactly one lane count,
-    # so this cache holds a single entry in practice.
-    cache: dict = {}
-
-    def tables(lanes):
+    # so its cache holds a single entry in practice.
+    def tables(cache, lanes):
         tab = cache.get(lanes)
         if tab is not None:
             return tab
@@ -307,8 +311,8 @@ def hmma_1688_window(d_base, a_base, b_base, c_base, f32: bool):
         return tab
 
     if f32:
-        def run(regs):
-            tab = tables(regs.shape[1])
+        def run(regs, cache):
+            tab = tables(cache, regs.shape[1])
             if tab is None:
                 return run_blocks(regs)
             nw, iA, iB, iC, iD = tab
@@ -323,8 +327,8 @@ def hmma_1688_window(d_base, a_base, b_base, c_base, f32: bool):
             d = np.matmul(a32, b32) + c32
             f32v[iD] = d.reshape(-1)
     else:
-        def run(regs):
-            tab = tables(regs.shape[1])
+        def run(regs, cache):
+            tab = tables(cache, regs.shape[1])
             if tab is None:
                 return run_blocks(regs)
             nw, iA, iB, iC, iD = tab

@@ -32,6 +32,12 @@ Counter names use dotted namespaces by convention:
   non-uniform stacked closure) and the grid de-stacks to per-CTA runs.
 * ``func.wall`` (a timer, seconds) -- wall time inside functional
   ``run()``, including predecode and any worker fan-out.
+* ``decode.slot_hits`` / ``decode.slot_misses`` /
+  ``decode.window_hits`` / ``decode.window_misses`` -- added once per
+  :func:`~repro.sim.decode.predecode` call that assembles a program: its
+  slots found in or compiled into the process-wide code cache, and
+  likewise its fused windows (only recorded when nonzero; relaunching
+  the same program object adds nothing).
 * ``cache.mem_hits`` / ``cache.disk_hits`` / ``cache.misses`` /
   ``cache.stores`` -- maintained by :mod:`repro.perf.cache`.
 * ``cache.integrity_fails`` / ``cache.store_errors`` /

@@ -71,6 +71,7 @@ __all__ = [
 _ENV_MODE = "REPRO_GUARD"
 _ENV_BUDGET = "REPRO_GUARD_BUDGET"
 
+#: Watchdog modes; the first is the default.
 MODES = ("off", "sample", "full")
 
 #: Functional engine ladder, fastest first.  A divergence on one rung
@@ -99,7 +100,7 @@ def reset() -> None:
 
 def guard_mode(override: str = None) -> str:
     """Resolve the guard mode: explicit override, else ``REPRO_GUARD``."""
-    mode = override if override is not None else os.environ.get(_ENV_MODE, "off")
+    mode = override if override is not None else os.environ.get(_ENV_MODE, MODES[0])
     if mode not in MODES:
         raise ValueError(f"guard mode must be one of {MODES}, got {mode!r}")
     return mode

@@ -74,6 +74,7 @@ from .shared import SharedMemory, StackedSharedMemory
 
 __all__ = ["FunctionalSimulator", "FunctionalResult", "SimLimitError"]
 
+#: Selectable engines; the first is the default.
 ENGINES = ("lockstep", "gridlock", "predecoded", "reference")
 
 #: Largest CTA count stacked into one grid-lockstep state.  Bounds the
@@ -83,7 +84,7 @@ _GRIDLOCK_MAX_CTAS = 64
 
 
 def _default_engine() -> str:
-    engine = os.environ.get("REPRO_FUNC_ENGINE", "lockstep")
+    engine = os.environ.get("REPRO_FUNC_ENGINE", ENGINES[0])
     if engine not in ENGINES:
         raise ValueError(
             f"REPRO_FUNC_ENGINE must be one of {ENGINES}, got {engine!r}")

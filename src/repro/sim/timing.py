@@ -95,7 +95,7 @@ ALU_LATENCY = 5
 #: Simulation fuel: cycles after which we declare the kernel hung.
 DEFAULT_MAX_CYCLES = 30_000_000
 
-#: Recognised timing engines, fastest first.
+#: Recognised timing engines, fastest first; the first is the default.
 ENGINES = ("event", "reference")
 
 _INF = float("inf")

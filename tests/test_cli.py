@@ -26,6 +26,26 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
+    def test_engine_and_guard_choices_are_the_registries(self, monkeypatch):
+        from repro.robust import guard
+        from repro.sim import functional, timing
+
+        monkeypatch.delenv("REPRO_FUNC_ENGINE", raising=False)
+        monkeypatch.delenv("REPRO_TIMING_ENGINE", raising=False)
+        monkeypatch.delenv("REPRO_GUARD", raising=False)
+
+        options = {action.dest: action
+                   for action in build_parser()._actions}
+        for dest, registry in (("func_engine", functional.ENGINES),
+                               ("timing_engine", timing.ENGINES),
+                               ("guard", guard.MODES)):
+            assert tuple(options[dest].choices) == registry
+            assert f"'{registry[0]}'" in options[dest].help
+        # The help text's default is the one the simulators resolve.
+        assert functional._default_engine() == functional.ENGINES[0]
+        assert timing._default_engine() == timing.ENGINES[0]
+        assert guard.guard_mode() == guard.MODES[0]
+
 
 class TestCommands:
     def test_hgemm_ok(self, capsys):
