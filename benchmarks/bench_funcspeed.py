@@ -1,19 +1,14 @@
-"""Functional-simulator speed benchmark: the engine ladder, digest-checked.
+"""Functional-simulator speed benchmark: both engines, digest-checked.
 
-Runs one full-grid HGEMM (512x512x64 -- the 16-CTA 512^2 problem, cublas
-tiling) through the functional simulator five ways:
+Runs one full-grid HGEMM (512x512x512 -- the 16-CTA 512^2 problem,
+cublas tiling) through the functional simulator three ways:
 
-* **reference** -- the seed instruction-at-a-time interpreter
-  (``REPRO_FUNC_ENGINE=reference`` path), the baseline;
-* **predecoded** -- the decoded-op engine with window-scheduled batched
-  fast paths, serial, one warp at a time;
-* **lockstep** -- the warp-lockstep engine: all warps of a CTA execute
-  each decoded slot as one stacked NumPy operation, CTAs serial;
+* **reference** -- the instruction-at-a-time interpreter
+  (``REPRO_FUNC_ENGINE=reference``), the baseline;
+* **lockstep** -- the default engine: all warps of a CTA execute each
+  decoded slot as one stacked NumPy operation, CTAs serial;
 * **parallel** -- the lockstep engine with CTAs sharded over one worker
-  process per CPU (``max_workers=0``), the incumbent way to spend more
-  silicon on one grid;
-* **gridlock** -- the grid-lockstep engine: the whole grid stacked into
-  one process-local state, every decoded slot one NumPy op.
+  process per CPU (``max_workers=0``).
 
 Each leg re-seeds its own RNG (identical inputs no matter how legs are
 added or reordered), builds its own program, and runs ``reps`` times on
@@ -24,20 +19,12 @@ steady state that matters).  All legs must produce bit-identical C
 matrices and identical retired-opcode counts -- the throughput layer's
 core invariant.
 
-Gates: the decoded engines must beat the reference interpreter by at
-least 3x, lockstep must beat predecoded by at least 1.5x, and gridlock
-must beat warp-lockstep by at least 2x on the warm 16-CTA run -- one
-grid-wide NumPy call per decoded slot amortises per-call overhead that
-warp-lockstep pays once per CTA.  The ratio against the CTA-sharded
-multiprocessing path (the mode gridlock replaces for grids this size,
-where fork + pickle + per-worker decode swallow the parallel gain) is
-recorded alongside.  Results go to ``BENCH_funcspeed.json``.
+Gate: the fast legs must beat the reference interpreter by at least 3x.
+Results go to ``BENCH_funcspeed.json``.
 
-A cross-generation leg re-runs the same problem on a non-Turing device
-(``XGEN_DEVICE``, Ampere's HMMA.16816 pipeline): lockstep and gridlock
-must match the precision-model oracle digest bit-for-bit and gridlock
-must hold >= 1.5x over warp-lockstep there too, so the engine ladder's
-gates cover more than the paper's native generation.
+A cross-generation leg re-runs the same problem with lockstep on a
+non-Turing device (``XGEN_DEVICE``, Ampere's HMMA.16816 pipeline), where
+it must match the precision-model oracle digest bit for bit.
 
 Usage::
 
@@ -135,10 +122,8 @@ def _oracle_digest(device):
 def main() -> int:
     legs = {
         "reference": _run_leg("reference", None, 1),
-        "predecoded": _run_leg("predecoded", None, 2),
         "lockstep": _run_leg("lockstep", None, 4),
         "parallel": _run_leg("lockstep", 0, 3),
-        "gridlock": _run_leg("gridlock", None, 4),
     }
 
     ref = legs["reference"]
@@ -152,16 +137,12 @@ def main() -> int:
     # Cross-generation leg: the same problem on a non-Turing device (the
     # Ampere HMMA.16816 pipeline).  Too slow for the reference interpreter
     # twice over, so the correctness anchor is the precision-model oracle
-    # digest; lockstep and gridlock must match it and each other.
-    xgen = {
-        "lockstep": _run_leg("lockstep", None, 3, device=XGEN_DEVICE),
-        "gridlock": _run_leg("gridlock", None, 3, device=XGEN_DEVICE),
-    }
+    # digest.
+    xgen = _run_leg("lockstep", None, 3, device=XGEN_DEVICE)
     xgen_want = _oracle_digest(XGEN_DEVICE)
-    xgen_ok = all(leg[2] == xgen_want for leg in xgen.values()) and (
-        xgen["lockstep"][3].opcode_counts == xgen["gridlock"][3].opcode_counts)
+    xgen_ok = xgen[2] == xgen_want
     if not xgen_ok:
-        print(f"FAIL: {XGEN_DEVICE} legs disagree with the oracle digest",
+        print(f"FAIL: {XGEN_DEVICE} lockstep disagrees with the oracle digest",
               file=sys.stderr)
         return 1
 
@@ -175,22 +156,12 @@ def main() -> int:
         "digest_sha256": ref[2],
         "cold_seconds": {k: round(v, 4) for k, v in cold.items()},
         "warm_seconds": {k: round(v, 4) for k, v in warm.items()},
-        "predecoded_speedup": round(cold["reference"] / cold["predecoded"], 2),
         "lockstep_speedup": round(cold["reference"] / cold["lockstep"], 2),
-        "lockstep_over_predecoded": round(
-            cold["predecoded"] / cold["lockstep"], 2),
         "parallel_speedup": round(cold["reference"] / cold["parallel"], 2),
-        "gridlock_speedup": round(cold["reference"] / cold["gridlock"], 2),
-        "gridlock_over_lockstep": round(
-            warm["lockstep"] / warm["gridlock"], 2),
-        "gridlock_over_sharded_lockstep": round(
-            warm["parallel"] / warm["gridlock"], 2),
         "bit_identical": ok,
         "xgen_device": XGEN_DEVICE,
         "xgen_digest_sha256": xgen_want,
-        "xgen_warm_seconds": {k: round(v[1], 4) for k, v in xgen.items()},
-        "xgen_gridlock_over_lockstep": round(
-            xgen["lockstep"][1] / xgen["gridlock"][1], 2),
+        "xgen_warm_seconds": {"lockstep": round(xgen[1], 4)},
         "xgen_bit_identical": xgen_ok,
     }
 
@@ -199,23 +170,9 @@ def main() -> int:
     print(json.dumps(payload, indent=2))
     print(f"wrote {out}")
 
-    best = max(payload["predecoded_speedup"], payload["lockstep_speedup"],
-               payload["parallel_speedup"], payload["gridlock_speedup"])
+    best = max(payload["lockstep_speedup"], payload["parallel_speedup"])
     if best < 3.0:
         print(f"FAIL: best speedup {best:.2f}x < 3x target", file=sys.stderr)
-        return 1
-    if payload["lockstep_over_predecoded"] < 1.5:
-        print(f"FAIL: lockstep only {payload['lockstep_over_predecoded']}x "
-              "over predecoded (< 1.5x target)", file=sys.stderr)
-        return 1
-    if payload["gridlock_over_lockstep"] < 2.0:
-        print(f"FAIL: gridlock only {payload['gridlock_over_lockstep']}x "
-              "over warp-lockstep (< 2x target)", file=sys.stderr)
-        return 1
-    if payload["xgen_gridlock_over_lockstep"] < 1.5:
-        print(f"FAIL: {XGEN_DEVICE} gridlock only "
-              f"{payload['xgen_gridlock_over_lockstep']}x over warp-lockstep "
-              "(< 1.5x target)", file=sys.stderr)
         return 1
     return 0
 

@@ -72,9 +72,9 @@ class PerfOptions:
     #: enter any profile-cache key.
     timing_engine: str = None
     #: Functional engine for launches run on the model consumer's behalf
-    #: ("lockstep"/"gridlock"/"predecoded"/"reference"); None defers to
-    #: ``REPRO_FUNC_ENGINE``.  The CLI plumbs ``--func-engine`` here and
-    #: into :func:`repro.core.hgemm`/``igemm``/``verify_kernel``.  Engines
+    #: ("lockstep"/"reference"); None defers to ``REPRO_FUNC_ENGINE``.  The
+    #: CLI plumbs ``--func-engine`` here and into
+    #: :func:`repro.core.hgemm`/``igemm``/``verify_kernel``.  The engines
     #: are bit-identical, so it never enters a cache key either.
     func_engine: str = None
     #: Divergence-watchdog mode for the SM-profile runs ("off"/"sample"/

@@ -744,7 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--func-engine", choices=FUNC_ENGINES, default=None,
         help="functional simulator engine (default: $REPRO_FUNC_ENGINE or "
              f"'{FUNC_ENGINES[0]}'; the engines are bit-identical, "
-             "'gridlock' stacks the whole grid into one process)")
+             "'reference' is the instruction-at-a-time oracle)")
     parser.add_argument(
         "--guard", choices=MODES, default=None,
         help="divergence watchdog: re-run fast-engine launches on the "

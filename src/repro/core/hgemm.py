@@ -144,9 +144,9 @@ def hgemm(a, b, kernel="ours", spec: GpuSpec = RTX2070,
         return_run: also return kernel statistics.
         max_workers: CTA-parallel worker processes for the functional run
            (``None``/1 serial, 0 one per CPU, ``REPRO_FUNC_JOBS`` default).
-        engine: functional execution engine ("lockstep", "gridlock",
-           "predecoded", "reference"); ``None`` defers to
-           ``REPRO_FUNC_ENGINE``.  All engines are bit-identical.
+        engine: functional execution engine ("lockstep" or
+           "reference"); ``None`` defers to ``REPRO_FUNC_ENGINE``.  Both
+           engines are bit-identical.
         guard: divergence-watchdog mode ("off", "sample", "full");
            ``None`` defers to ``REPRO_GUARD`` (see
            :mod:`repro.robust.guard`).

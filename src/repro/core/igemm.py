@@ -65,9 +65,8 @@ def igemm(a, b, kernel=None, spec: GpuSpec = RTX2070,
         spec: target device.
         return_run: also return kernel statistics.
         max_workers: CTA-parallel worker processes for the functional run.
-        engine: functional execution engine ("lockstep", "gridlock",
-            "predecoded", "reference"); ``None`` defers to
-            ``REPRO_FUNC_ENGINE``.
+        engine: functional execution engine ("lockstep" or
+            "reference"); ``None`` defers to ``REPRO_FUNC_ENGINE``.
 
     Returns:
         (m, n) int32 array, or an :class:`IgemmRun` when *return_run*.

@@ -132,7 +132,7 @@ def hmma_1688_f32(a_regs, b_reg, c_regs) -> np.ndarray:
 #: fragment permutation moves each operand register-file -> matrix form in
 #: ONE fancy-index gather (and the result back in one scatter) instead of a
 #: transpose copy plus a take copy per operand -- the batch kernels are the
-#: functional engines' hottest path, so the copies matter.
+#: lockstep engine's hottest path, so the copies matter.
 _BATCH_IDX_CACHE: dict = {}
 
 
@@ -187,8 +187,8 @@ _WINDOW_COL_CACHE: dict = {}
 #: Ceiling on a window's flat index tables (int64 elements).  Above it the
 #: window falls back to the row-gather + batch-kernel path: the tables cost
 #: 8 bytes per gathered element, which stops being a good trade against a
-#: few-MB register file somewhere around the grid-lockstep engine's largest
-#: CTA chunks.
+#: few-MB register file.  A 64-HMMA window of an 8-warp lockstep CTA needs
+#: about 143k elements, so the generated kernels stay well below it.
 _WINDOW_FLAT_MAX_ELEMS = 1 << 21
 
 

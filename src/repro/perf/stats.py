@@ -27,17 +27,13 @@ Counter names use dotted namespaces by convention:
 * ``func.destacks`` -- incremented by the warp-lockstep engine each time
   a CTA hits a stacked closure that returns ``DIVERGED`` and falls back
   to the per-warp interleave path (see :mod:`repro.sim.decode`).
-* ``func.grid_destacks`` -- incremented by the grid-lockstep engine each
-  time grid-uniform execution refuses (CTA-divergent control flow or a
-  non-uniform stacked closure) and the grid de-stacks to per-CTA runs.
 * ``func.wall`` (a timer, seconds) -- wall time inside functional
   ``run()``, including predecode and any worker fan-out.
 * ``decode.slot_hits`` / ``decode.slot_misses`` /
   ``decode.window_hits`` / ``decode.window_misses`` -- added once per
   :func:`~repro.sim.decode.predecode` call that assembles a program: its
   slots found in or compiled into the process-wide code cache, and
-  likewise its fused windows (only recorded when nonzero; relaunching
-  the same program object adds nothing).
+  likewise its fused windows (only recorded when nonzero).
 * ``cache.mem_hits`` / ``cache.disk_hits`` / ``cache.misses`` /
   ``cache.stores`` -- maintained by :mod:`repro.perf.cache`.
 * ``cache.integrity_fails`` / ``cache.store_errors`` /

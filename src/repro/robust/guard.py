@@ -1,7 +1,7 @@
 """Divergence watchdog: runtime re-validation against the reference engines.
 
-The fast engines (functional gridlock/lockstep/predecoded, the event
-timing engine, steady-state fast-forward) are pinned bit-identical to the
+The fast engines (functional lockstep, the event timing engine,
+steady-state fast-forward) are pinned bit-identical to the
 reference implementations by goldens and differential fuzz -- *at test
 time*.  A long-running service cannot assume that invariant survives every
 input forever, and silent numeric divergence is the failure mode a tensor
@@ -25,7 +25,7 @@ time:
 
 **Degradation ladders** (process-wide, monotone):
 
-* functional: ``gridlock -> lockstep -> predecoded -> reference``
+* functional: ``lockstep -> reference``
 * timing: ``event(+fast-forward) -> event(REPRO_TIMING_FF off) ->
   reference``
 
@@ -58,7 +58,6 @@ from ..perf.stats import STATS
 
 __all__ = [
     "MODES",
-    "FUNC_LADDER",
     "guard_mode",
     "effective_func_engine",
     "effective_timing_engine",
@@ -74,15 +73,11 @@ _ENV_BUDGET = "REPRO_GUARD_BUDGET"
 #: Watchdog modes; the first is the default.
 MODES = ("off", "sample", "full")
 
-#: Functional engine ladder, fastest first.  A divergence on one rung
-#: degrades the process to the next; ``reference`` is never guarded.
-FUNC_LADDER = ("gridlock", "lockstep", "predecoded", "reference")
-
-#: Process-wide watchdog state.  ``func_cap`` / ``timing_ref`` / ``ff_off``
+#: Process-wide watchdog state.  ``func_ref`` / ``ff_off`` / ``timing_ref``
 #: implement the monotone degradation ladders; the wall accumulators and
 #: the learned check/run cost ratio drive the sampling budget.
 _state = {
-    "func_cap": 0,        # minimum FUNC_LADDER index new runs may use
+    "func_ref": False,    # functional rung: force the reference engine
     "ff_off": False,      # timing rung 1: force REPRO_TIMING_FF off
     "timing_ref": False,  # timing rung 2: force the reference engine
     "total_wall": 0.0,    # accumulated guarded fast-run wall (seconds)
@@ -94,7 +89,7 @@ _state = {
 
 def reset() -> None:
     """Forget all degradation and sampling state (test isolation)."""
-    _state.update(func_cap=0, ff_off=False, timing_ref=False,
+    _state.update(func_ref=False, ff_off=False, timing_ref=False,
                   total_wall=0.0, guard_wall=0.0, ratio=4.0, bundles=0)
 
 
@@ -109,14 +104,10 @@ def guard_mode(override: str = None) -> str:
 # --------------------------------------------------------------- degradation
 
 def effective_func_engine(engine: str) -> str:
-    """The functional engine actually allowed to run *engine*'s request.
-
-    Degradation only ever moves runs toward ``reference``; a request that
-    is already at or below the degraded rung is unchanged.
-    """
-    if engine not in FUNC_LADDER:
-        return engine
-    return FUNC_LADDER[max(FUNC_LADDER.index(engine), _state["func_cap"])]
+    """The functional engine allowed to run *engine*'s request."""
+    if _state["func_ref"]:
+        return "reference"
+    return engine
 
 
 def effective_timing_engine(engine: str) -> str:
@@ -131,11 +122,9 @@ def ff_allowed() -> bool:
     return not _state["ff_off"]
 
 
-def _degrade(kind: str, engine: str) -> None:
+def _degrade(kind: str) -> None:
     if kind == "functional":
-        rung = FUNC_LADDER.index(engine) if engine in FUNC_LADDER else 0
-        _state["func_cap"] = max(_state["func_cap"],
-                                 min(rung + 1, len(FUNC_LADDER) - 1))
+        _state["func_ref"] = True
     elif not _state["ff_off"]:
         _state["ff_off"] = True
     else:
@@ -146,7 +135,7 @@ def _degrade(kind: str, engine: str) -> None:
 def degradation_report() -> dict:
     """Current watchdog state for ``repro doctor`` and tests."""
     return {
-        "func_engine_floor": FUNC_LADDER[_state["func_cap"]],
+        "func_engine_floor": "reference" if _state["func_ref"] else "lockstep",
         "timing_fast_forward": "off (degraded)" if _state["ff_off"] else "allowed",
         "timing_engine_floor": "reference" if _state["timing_ref"] else "event",
         "bundles_written": _state["bundles"],
@@ -293,6 +282,6 @@ class GuardContext:
         STATS.count("guard.divergences")
         _write_bundle(self.kind, self.engine, program, self.pre, words,
                       ref_words, result, ref_result, context or {})
-        _degrade(self.kind, self.engine)
+        _degrade(self.kind)
         np.copyto(words, ref_words)
         return ref_result

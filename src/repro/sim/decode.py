@@ -1,4 +1,4 @@
-"""Predecoded execution engine for the functional simulator.
+"""Decoded execution for the functional simulator's lockstep engine.
 
 The reference interpreter (:func:`repro.sim.exec_units.execute`) re-examines
 every ``Instruction`` each time it retires: operand descriptors evaluated
@@ -25,13 +25,13 @@ closure returns the control signal for the interval loop in
 * :data:`DIVERGED` -- (stacked decodings only, see below) the warps of a CTA
   stopped agreeing and lockstep execution must de-stack.
 
-``predecode(program, lanes)`` compiles for any lane count: the default 32
-serves one warp, while the lockstep engine passes ``n_warps * 32`` so every
-closure operates on all of a CTA's warps as one stacked array.  Stacked
+``predecode(program, lanes)`` compiles for any lane count: the lockstep
+engine passes ``n_warps * 32`` so every closure operates on all of a CTA's
+warps as one stacked array, and the default 32 serves one warp.  Stacked
 closures must be warp-uniform; wherever per-warp behaviour could differ
 (partial predicates, divergent branches, reference-only paths) the closure
-returns :data:`DIVERGED` *before* mutating any state, and the caller falls
-back to per-warp interleaving.
+returns :data:`DIVERGED` *before* mutating any state, and the caller
+de-stacks the CTA onto the 32-lane decoding, run warp by warp.
 
 On top of the per-slot closures, maximal runs of consecutive independent
 same-shape instructions (HMMA/IMMA, LDS/LDG, STS/STG, MOV, IADD3/IMAD --
@@ -47,8 +47,7 @@ replay a few fixed instruction streams while every ``hgemm`` call, batched
 entry and daemon job builds a new ``Program``.  A slot compiles once per
 distinct (instruction, lanes) pair and a fused window once per distinct
 sequence of member slots, keyed by the members' slot ids plus the lane
-count, so a predecode of known code only assembles the program's tables
-(and a repeated predecode of one program object returns them again).
+count, so a predecode of known code only assembles the program's tables.
 The cache holds at most ``SLOT_CACHE_BOUND`` slots and
 ``WINDOW_CACHE_BOUND`` windows, evicting the oldest first.  Slots keep
 their lane-sized constant operands (the operand readers are shared, so
@@ -73,7 +72,6 @@ from __future__ import annotations
 import functools
 import itertools
 import threading
-import weakref
 from collections import OrderedDict
 
 import numpy as np
@@ -842,45 +840,15 @@ def _window_run(parts):
 
 # ---------------------------------------------------------------- predecode
 
-#: Per-program layer: id(program) -> (weakref, {lanes: DecodedProgram}).
-#: Repeated launches of one Program object reuse its decoded tables, and
-#: with them the flat index tables its Turing HMMA windows built on the
-#: first launch (``benchmarks/bench_funcspeed.py``'s warm gridlock leg,
-#: 16 CTAs on a 2-vCPU Xeon VM: 0.41-0.50 s with this layer, 0.61-0.70 s
-#: without).  Held *outside* the Program object so programs stay
-#: picklable for the CTA-parallel worker path, keyed by identity because
-#: Program's dataclass equality makes it unhashable; the weakref callback
-#: evicts the entry when the program dies, so a recycled id can never
-#: alias and nothing outlives it.
-_PREDECODE_CACHE: dict = {}
-
-
 def predecode(program, lanes: int = WARP_LANES) -> DecodedProgram:
     """Decode *program* into slot-indexed closures plus fused windows.
 
     ``lanes`` selects the lane count the closures operate on: 32 (default)
-    for per-warp execution, ``n_warps * 32`` for the lockstep engine and
-    ``n_ctas * n_warps * 32`` for the grid-lockstep engine.  The result is
-    memoised per (program object, lanes).  A new program's slots and
-    windows come from the process-wide code cache (see the module
-    docstring): only code not seen before compiles, and the call adds its
-    slot and window hits and misses to ``STATS`` once.
+    for per-warp execution, ``n_warps * 32`` for the lockstep engine.
+    Slots and windows come from the process-wide code cache (see the
+    module docstring): only code not seen before compiles, and the call
+    adds its slot and window hits and misses to ``STATS`` once.
     """
-    key = id(program)
-    entry = _PREDECODE_CACHE.get(key)
-    if entry is None or entry[0]() is not program:
-        ref = weakref.ref(
-            program, lambda _ref, _key=key: _PREDECODE_CACHE.pop(_key, None))
-        entry = _PREDECODE_CACHE[key] = (ref, {})
-    hit = entry[1].get(lanes)
-    if hit is not None:
-        return hit
-    decoded = entry[1][lanes] = _assemble(program, lanes)
-    return decoded
-
-
-def _assemble(program, lanes: int) -> DecodedProgram:
-    """A program's decoded tables, from cached or newly compiled code."""
     slots, windows = _SLOTS, _WINDOWS
     entries = []
     slot_misses = 0

@@ -14,8 +14,9 @@ returns an :class:`Effects` record describing *what would change*:
 The per-opcode behaviour itself lives in :mod:`repro.sim.uop`
 (``SEMANTICS``): this module only evaluates the decoded operand
 descriptors against the context, runs the lane kernel, and packages the
-result.  The batched engines in :mod:`repro.sim.decode` compile the same
-descriptors, so there is exactly one definition of each opcode.
+result.  The lockstep engine's closures in :mod:`repro.sim.decode`
+compile the same descriptors, so there is exactly one definition of each
+opcode.
 
 The context must provide: ``regs`` / ``preds`` (register files), ``tid``
 (per-lane x-index within the CTA), ``ctaid`` (3-tuple), ``lane_ids``,

@@ -9,38 +9,22 @@ This is exact for well-synchronised programs (all cross-warp communication
 through shared memory must be separated by barriers -- which is also the
 hardware's own correctness contract).
 
-Four execution engines share those semantics (all compiled from the one
-µop table in :mod:`repro.sim.uop`, so they cannot drift apart):
+Two execution engines share those semantics (both built on the one µop
+table in :mod:`repro.sim.uop`, so they cannot drift apart):
 
-* ``"gridlock"`` -- the grid-lockstep engine: the program is decoded once
-  for ``n_ctas * n_warps * 32`` stacked lanes and *the whole grid* executes
-  each slot as one NumPy operation in one process.  Shared memory becomes a
-  stacked :class:`~repro.sim.shared.StackedSharedMemory` (one segment per
-  CTA, constant per-lane word offsets) and ``CTAID`` reads become per-chunk
-  constant arrays.  Divergence de-stacks down a refusal ladder: a closure
-  that cannot keep all CTAs in lockstep returns ``DIVERGED`` *before*
-  mutating state (``STATS`` counter ``func.grid_destacks``), the grid
-  splits into per-CTA lockstep states which can in turn de-stack to the
-  per-warp interleave path (``func.destacks``).  Grids larger than
-  ``_GRIDLOCK_MAX_CTAS`` run in uniform chunks; this replaces
-  ``multiprocessing`` sharding for small/medium grids where fork+pickle
-  dominates (``REPRO_FUNC_ENGINE=gridlock``).
-* ``"lockstep"`` (the default) -- the program is decoded once for
-  ``n_warps * 32`` stacked lanes and, between barriers, all warps of a CTA
-  execute each slot as one warp-lockstep NumPy operation.  Wherever the
-  warps could stop agreeing (cross-warp-divergent predicates or branches,
-  reference-only paths) the closure returns ``DIVERGED`` *before* mutating
-  state and the CTA de-stacks onto the per-warp interleave loop
-  (``STATS`` counter ``func.destacks``).  Well-synchronised GEMM kernels
-  never de-stack.  Select explicitly with ``REPRO_FUNC_ENGINE=lockstep``.
-* ``"predecoded"`` -- programs are decoded once by
-  :func:`repro.sim.decode.predecode` into 32-lane slot-indexed closures with
-  fused NumPy fast paths for the hot opcode runs; warps run round-robin in
-  barrier intervals (``REPRO_FUNC_ENGINE=predecoded``).
+* ``"lockstep"`` (the default and the one fast path) -- the program is
+  decoded once for ``n_warps * 32`` stacked lanes and, between barriers,
+  all warps of a CTA execute each slot as one warp-lockstep NumPy
+  operation.  Wherever the warps could stop agreeing (cross-warp-divergent
+  predicates or branches, reference-only paths) the closure returns
+  ``DIVERGED`` *before* mutating state and the CTA de-stacks onto 32-lane
+  decoded closures run warp by warp in barrier intervals (``STATS``
+  counter ``func.destacks``).  Well-synchronised GEMM kernels never
+  de-stack.
 * ``"reference"`` -- the instruction-at-a-time interpreter through
   :func:`repro.sim.exec_units.execute`, kept as the semantic ground
-  truth for differential tests and benchmark baselines
-  (``REPRO_FUNC_ENGINE=reference``).
+  truth for differential tests, the divergence watchdog and benchmark
+  baselines (``REPRO_FUNC_ENGINE=reference``).
 
 Because barrier intervals never cross CTAs, CTAs are architecturally
 independent and a grid can run CTA-parallel: pass ``max_workers`` (or set
@@ -56,6 +40,7 @@ cycle-accurate clocks use :class:`repro.sim.timing.TimingSimulator`.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory as _shm_mod
@@ -70,17 +55,12 @@ from ..robust import guard as _guard
 from .decode import DIVERGED, EXITED, predecode
 from .exec_units import ExecError, execute
 from .memory import GlobalMemory
-from .shared import SharedMemory, StackedSharedMemory
+from .shared import SharedMemory
 
 __all__ = ["FunctionalSimulator", "FunctionalResult", "SimLimitError"]
 
 #: Selectable engines; the first is the default.
-ENGINES = ("lockstep", "gridlock", "predecoded", "reference")
-
-#: Largest CTA count stacked into one grid-lockstep state.  Bounds the
-#: register-file footprint (256 rows x n_ctas*n_warps*32 lanes x 4 bytes,
-#: ~8 MiB at the cap for 8-warp CTAs); bigger grids run in uniform chunks.
-_GRIDLOCK_MAX_CTAS = 64
+ENGINES = ("lockstep", "reference")
 
 
 def _default_engine() -> str:
@@ -162,62 +142,6 @@ class _CtaState:
         return warps
 
 
-class _GridState:
-    """Stacked execution context for a *uniform chunk of CTAs*: all warps of
-    all CTAs as ``n_ctas * n_warps * 32`` lanes, laid out CTA-major then
-    warp-major.
-
-    Duck-types the same closure-facing surface as :class:`_CtaState`; the two
-    deliberate differences are ``ctaid`` (a tuple of three per-lane arrays
-    rather than scalars -- ``np.full`` in the decoded ``S2R SR_CTAID``
-    getters broadcasts them, so the decode layer needs no grid awareness)
-    and ``shared_mem`` (a :class:`StackedSharedMemory` whose per-lane word
-    offsets route each lane to its own CTA's segment).
-    """
-
-    def __init__(self, ctaids, n_warps: int, block_dim: int,
-                 global_mem: GlobalMemory,
-                 shared_mem: StackedSharedMemory):
-        self.ctaids = list(ctaids)
-        self.n_ctas = len(self.ctaids)
-        self.n_warps = n_warps
-        self.block_dim = block_dim
-        lanes_per_cta = n_warps * WARP_LANES
-        lanes = self.n_ctas * lanes_per_cta
-        self.lane_ids = np.tile(
-            np.arange(WARP_LANES, dtype=np.uint32), n_warps * self.n_ctas)
-        self.tid = np.tile(
-            np.arange(lanes_per_cta, dtype=np.uint32), self.n_ctas)
-        self.ctaid = tuple(
-            np.repeat(
-                np.array([c[axis] for c in self.ctaids], dtype=np.uint32),
-                lanes_per_cta)
-            for axis in range(3))
-        self.regs = RegisterFile(lanes)
-        self.preds = PredicateFile(lanes)
-        self.global_mem = global_mem
-        self.shared_mem = shared_mem
-        self.retired = 0
-
-    def split_ctas(self, pc: int, retired: int) -> list:
-        """De-stack into per-CTA lockstep states (column-slice copies plus a
-        private copy of each CTA's shared segment), all resuming at *pc*
-        with *retired* instructions already counted per warp."""
-        lanes_per_cta = self.n_warps * WARP_LANES
-        ctas = []
-        for c, ctaid in enumerate(self.ctaids):
-            shared = SharedMemory(self.shared_mem.size)
-            shared._words[:] = self.shared_mem.segment(c)
-            cta = _CtaState(self.n_warps, ctaid, self.block_dim,
-                            self.global_mem, shared)
-            cols = slice(c * lanes_per_cta, (c + 1) * lanes_per_cta)
-            cta.regs._data[:] = self.regs._data[:, cols]
-            cta.preds._data[:] = self.preds._data[:, cols]
-            cta.retired = retired
-            ctas.append(cta)
-        return ctas
-
-
 @dataclass
 class FunctionalResult:
     """Statistics of one functional launch."""
@@ -245,8 +169,8 @@ class FunctionalSimulator:
     :func:`repro.perf.parallel.parallel_map` conventions (``None``/1 serial,
     0 auto, ``REPRO_FUNC_JOBS`` supplying the default); ``guard`` the
     divergence-watchdog mode (``None`` -> ``REPRO_GUARD``, see
-    :mod:`repro.robust.guard`).  A watchdog degradation may run the launch
-    on a slower rung than ``engine`` requests -- never a faster one.
+    :mod:`repro.robust.guard`).  After a watchdog degradation a lockstep
+    request runs on the reference engine.
     """
 
     def __init__(self, max_instructions_per_warp: int = 5_000_000,
@@ -318,17 +242,6 @@ class FunctionalSimulator:
                 self._run_cta(program, global_mem, ctaid, result)
                 result.ctas_run += 1
             return result
-        if engine == "predecoded":
-            decoded = predecode(program)
-            counts = decoded.new_counts()
-            for ctaid in ctaids:
-                self._run_cta_decoded(program, decoded, counts, global_mem,
-                                      ctaid)
-                result.ctas_run += 1
-            decoded.accumulate(counts, result)
-            return result
-        if engine == "gridlock":
-            return self._run_grid(program, global_mem, ctaids, result)
         # lockstep: one stacked decoding for the whole run, plus a lazily
         # built 32-lane decoding for CTAs that de-stack.  Each decoding
         # keeps its own counters because their window structures can differ.
@@ -375,19 +288,16 @@ class FunctionalSimulator:
             result._merge(partial)
         return result
 
-    def _run_cta(self, program: Program, global_mem: GlobalMemory,
-                 ctaid, result: FunctionalResult) -> None:
-        shared = SharedMemory(program.meta.smem_bytes)
-        warps = [
-            _WarpState(w, ctaid, program.meta.block_dim, global_mem, shared)
-            for w in range(program.meta.warps_per_cta)
-        ]
+    @staticmethod
+    def _interleave(warps, ctaid, run_interval) -> None:
+        """Round-robin barrier-interval loop over per-warp states;
+        ``run_interval(warp)`` runs one warp to its next barrier or exit."""
         while True:
             progressed = False
             for warp in warps:
                 if warp.exited or warp.at_barrier:
                     continue
-                self._run_warp_interval(program, warp, result)
+                run_interval(warp)
                 progressed = True
             live = [w for w in warps if not w.exited]
             if not live:
@@ -401,6 +311,19 @@ class FunctionalSimulator:
                     f"CTA {ctaid} deadlocked: some warps wait at a barrier "
                     "that the others never reach"
                 )
+
+    # ------------------------------------------------------ reference engine
+
+    def _run_cta(self, program: Program, global_mem: GlobalMemory,
+                 ctaid, result: FunctionalResult) -> None:
+        shared = SharedMemory(program.meta.smem_bytes)
+        warps = [
+            _WarpState(w, ctaid, program.meta.block_dim, global_mem, shared)
+            for w in range(program.meta.warps_per_cta)
+        ]
+        self._interleave(
+            warps, ctaid,
+            lambda warp: self._run_warp_interval(program, warp, result))
 
     def _run_warp_interval(self, program: Program, warp: _WarpState,
                            result: FunctionalResult) -> None:
@@ -437,41 +360,65 @@ class FunctionalSimulator:
                 warp.at_barrier = True
                 return
 
-    # ----------------------------------------------------- predecoded engine
+    # ------------------------------------------------------- lockstep engine
 
-    def _run_cta_decoded(self, program: Program, decoded, counts,
-                         global_mem: GlobalMemory, ctaid) -> None:
-        shared = SharedMemory(program.meta.smem_bytes)
-        warps = [
-            _WarpState(w, ctaid, program.meta.block_dim, global_mem, shared)
-            for w in range(program.meta.warps_per_cta)
-        ]
-        self._interleave_decoded(decoded, counts, warps, ctaid)
+    def _run_cta_lockstep(self, program: Program, decoded, counts, fallback,
+                          global_mem: GlobalMemory, ctaid) -> None:
+        """Run one CTA with all warps stacked into a single lane dimension.
 
-    def _interleave_decoded(self, decoded, counts, warps, ctaid) -> None:
-        """Round-robin barrier-interval loop over per-warp states."""
+        Between barriers every warp executes the same slot simultaneously,
+        so barriers release instantly and the interval machinery disappears;
+        the loop is a straight signal dispatch.  On ``DIVERGED`` the CTA
+        de-stacks (no state was mutated) and finishes warp by warp on the
+        32-lane decoding, which owns all per-warp semantics.
+        """
+        cta = _CtaState(program.meta.warps_per_cta, ctaid,
+                        program.meta.block_dim, global_mem,
+                        SharedMemory(program.meta.smem_bytes))
+        n_warps = cta.n_warps
+        run_fns = decoded.run_fns
+        next_pc = decoded.next_pc
+        lens = decoded.lens
+        reads_clock = decoded.reads_clock
+        n = decoded.n
+        limit = self.max_instructions_per_warp
+        pc = 0
+        retired = 0  # per-warp count (identical across warps here)
         while True:
-            progressed = False
-            for warp in warps:
-                if warp.exited or warp.at_barrier:
-                    continue
-                self._run_warp_interval_decoded(decoded, counts, warp)
-                progressed = True
-            live = [w for w in warps if not w.exited]
-            if not live:
-                return
-            if all(w.at_barrier for w in live):
-                for w in live:  # release the barrier
-                    w.at_barrier = False
-                continue
-            if not progressed:
+            if retired >= limit:
                 raise SimLimitError(
-                    f"CTA {ctaid} deadlocked: some warps wait at a barrier "
-                    "that the others never reach"
-                )
+                    f"CTA {ctaid} exceeded {limit} instructions per warp")
+            if pc >= n:
+                raise ExecError(
+                    f"CTA {ctaid} ran off the end of the program "
+                    f"(pc={pc}); missing EXIT?")
+            if reads_clock[pc]:
+                cta.retired = retired  # CS2R reads the pre-retire count
+            signal = run_fns[pc](cta)
+            if signal == DIVERGED:
+                STATS.count("func.destacks")
+                if fallback[0] is None:
+                    fallback[0] = predecode(program)
+                    fallback[1] = fallback[0].new_counts()
+                self._interleave(
+                    cta.split(pc, retired), ctaid,
+                    functools.partial(self._run_warp_interval_decoded,
+                                      fallback[0], fallback[1]))
+                return
+            counts[pc] += n_warps
+            retired += lens[pc]
+            if signal is None:
+                pc = next_pc[pc]
+            elif signal >= 0:
+                pc = signal
+            elif signal == EXITED:
+                return  # warp-uniform by construction: all warps exit
+            else:  # BARRIER: every warp arrived together; release instantly
+                pc = next_pc[pc]
 
     def _run_warp_interval_decoded(self, decoded, counts, warp) -> None:
-        """Decoded interval loop: dispatch closures until barrier/exit/fuel."""
+        """Decoded interval loop of a de-stacked warp: dispatch 32-lane
+        closures until barrier/exit/fuel."""
         run_fns = decoded.run_fns
         next_pc = decoded.next_pc
         lens = decoded.lens
@@ -508,164 +455,6 @@ class FunctionalSimulator:
         finally:
             warp.pc = pc
             warp.retired = retired
-
-    # ------------------------------------------------------- lockstep engine
-
-    def _run_cta_lockstep(self, program: Program, decoded, counts, fallback,
-                          global_mem: GlobalMemory, ctaid) -> None:
-        """Run one CTA with all warps stacked into a single lane dimension."""
-        shared = SharedMemory(program.meta.smem_bytes)
-        cta = _CtaState(program.meta.warps_per_cta, ctaid,
-                        program.meta.block_dim, global_mem, shared)
-        self._lockstep_loop(program, decoded, counts, fallback, cta, 0, 0)
-
-    def _lockstep_loop(self, program: Program, decoded, counts, fallback,
-                       cta: _CtaState, pc: int, retired: int) -> None:
-        """Signal-dispatch loop over a stacked per-CTA state from (pc,
-        retired).
-
-        Between barriers every warp executes the same slot simultaneously,
-        so barriers release instantly and the interval machinery disappears;
-        the loop is a straight signal dispatch.  On ``DIVERGED`` the CTA
-        de-stacks (no state was mutated) and finishes on the 32-lane
-        interleave path, which owns all per-warp semantics.  Starting from a
-        nonzero ``pc`` resumes a CTA the grid-lockstep engine de-stacked.
-        """
-        ctaid = cta.ctaid
-        n_warps = cta.n_warps
-        run_fns = decoded.run_fns
-        next_pc = decoded.next_pc
-        lens = decoded.lens
-        reads_clock = decoded.reads_clock
-        n = decoded.n
-        limit = self.max_instructions_per_warp
-        # ``retired`` is the per-warp count (identical across warps here).
-        while True:
-            if retired >= limit:
-                raise SimLimitError(
-                    f"CTA {ctaid} exceeded {limit} instructions per warp")
-            if pc >= n:
-                raise ExecError(
-                    f"CTA {ctaid} ran off the end of the program "
-                    f"(pc={pc}); missing EXIT?")
-            if reads_clock[pc]:
-                cta.retired = retired  # CS2R reads the pre-retire count
-            signal = run_fns[pc](cta)
-            if signal == DIVERGED:
-                STATS.count("func.destacks")
-                if fallback[0] is None:
-                    fallback[0] = predecode(program)
-                    fallback[1] = fallback[0].new_counts()
-                warps = cta.split(pc, retired)
-                self._interleave_decoded(fallback[0], fallback[1], warps,
-                                         ctaid)
-                return
-            counts[pc] += n_warps
-            retired += lens[pc]
-            if signal is None:
-                pc = next_pc[pc]
-            elif signal >= 0:
-                pc = signal
-            elif signal == EXITED:
-                return  # warp-uniform by construction: all warps exit
-            else:  # BARRIER: every warp arrived together; release instantly
-                pc = next_pc[pc]
-
-    # ------------------------------------------------------- gridlock engine
-
-    def _run_grid(self, program: Program, global_mem: GlobalMemory,
-                  ctaids, result: FunctionalResult) -> FunctionalResult:
-        """Grid-lockstep driver: stack uniform chunks of CTAs and run each
-        chunk as one state.
-
-        Each distinct chunk size needs its own stacked decoding (closures
-        are lane-count-specialised), so chunks are uniform except possibly
-        the last; the common case (grid <= ``_GRIDLOCK_MAX_CTAS``) decodes
-        exactly once.  De-stacked CTAs share one lazily built per-CTA
-        decoding, whose own fallback is the 32-lane interleave path --
-        slot indices are lane-count invariant, so a (pc, retired) resume
-        point means the same thing at every rung of the ladder.
-        """
-        n_warps = program.meta.warps_per_cta
-        cta_fallback = [None, None]   # per-CTA lockstep decoding + counts
-        warp_fallback = [None, None]  # 32-lane interleave decoding + counts
-        decodings = {}                # chunk size -> (DecodedProgram, counts)
-        for start in range(0, len(ctaids), _GRIDLOCK_MAX_CTAS):
-            chunk = ctaids[start:start + _GRIDLOCK_MAX_CTAS]
-            entry = decodings.get(len(chunk))
-            if entry is None:
-                dp = predecode(program,
-                               lanes=len(chunk) * n_warps * WARP_LANES)
-                entry = decodings[len(chunk)] = (dp, dp.new_counts())
-            self._run_grid_chunk(program, entry[0], entry[1], cta_fallback,
-                                 warp_fallback, global_mem, chunk)
-            result.ctas_run += len(chunk)
-        for decoded, counts in decodings.values():
-            decoded.accumulate(counts, result)
-        for fb in (cta_fallback, warp_fallback):
-            if fb[0] is not None:
-                fb[0].accumulate(fb[1], result)
-        return result
-
-    def _run_grid_chunk(self, program: Program, decoded, counts,
-                        cta_fallback, warp_fallback,
-                        global_mem: GlobalMemory, ctaids) -> None:
-        """Run one uniform chunk of CTAs as a single grid-stacked state.
-
-        Identical in shape to :meth:`_lockstep_loop` one level up: barriers
-        release instantly (every warp of every CTA arrives together -- each
-        CTA's barrier is independent, and lockstep means they all arrive in
-        the same slot), ``EXITED``/branches are grid-uniform by
-        construction, and ``DIVERGED`` is a pure refusal that splits the
-        chunk into per-CTA lockstep states resuming at the refusal point.
-        """
-        n_warps = program.meta.warps_per_cta
-        shared = StackedSharedMemory(program.meta.smem_bytes, len(ctaids),
-                                     n_warps * WARP_LANES)
-        grid = _GridState(ctaids, n_warps, program.meta.block_dim,
-                          global_mem, shared)
-        run_fns = decoded.run_fns
-        next_pc = decoded.next_pc
-        lens = decoded.lens
-        reads_clock = decoded.reads_clock
-        n = decoded.n
-        limit = self.max_instructions_per_warp
-        warps_in_chunk = len(ctaids) * n_warps
-        pc = 0
-        retired = 0  # per-warp count (identical across the whole chunk)
-        while True:
-            if retired >= limit:
-                raise SimLimitError(
-                    f"grid chunk {ctaids[0]}..{ctaids[-1]} exceeded "
-                    f"{limit} instructions per warp")
-            if pc >= n:
-                raise ExecError(
-                    f"grid chunk {ctaids[0]}..{ctaids[-1]} ran off the end "
-                    f"of the program (pc={pc}); missing EXIT?")
-            if reads_clock[pc]:
-                grid.retired = retired  # CS2R reads the pre-retire count
-            signal = run_fns[pc](grid)
-            if signal == DIVERGED:
-                STATS.count("func.grid_destacks")
-                if cta_fallback[0] is None:
-                    cta_fallback[0] = predecode(
-                        program, lanes=n_warps * WARP_LANES)
-                    cta_fallback[1] = cta_fallback[0].new_counts()
-                for cta in grid.split_ctas(pc, retired):
-                    self._lockstep_loop(program, cta_fallback[0],
-                                        cta_fallback[1], warp_fallback,
-                                        cta, pc, retired)
-                return
-            counts[pc] += warps_in_chunk
-            retired += lens[pc]
-            if signal is None:
-                pc = next_pc[pc]
-            elif signal >= 0:
-                pc = signal
-            elif signal == EXITED:
-                return  # grid-uniform by construction: everything exits
-            else:  # BARRIER: all warps of all CTAs arrived; release instantly
-                pc = next_pc[pc]
 
 
 def _opt_mask(mask: np.ndarray):

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SharedMemory", "StackedSharedMemory", "bank_conflict_degree",
-           "conflict_multiplier"]
+__all__ = ["SharedMemory", "bank_conflict_degree", "conflict_multiplier"]
 
 #: Turing shared memory geometry.
 NUM_BANKS = 32
@@ -156,108 +155,3 @@ class SharedMemory:
         if mask is not None:
             base = np.where(mask, base, 0)
         return base[None, :] + np.arange(words, dtype=np.int64)[:, None]
-
-
-class StackedSharedMemory:
-    """All per-CTA shared segments of a grid-stacked run as one array.
-
-    The grid-lockstep functional engine stacks ``n_ctas * lanes_per_cta``
-    lanes into a single state; each lane still addresses *its own CTA's*
-    shared segment with CTA-relative byte addresses.  This class backs those
-    accesses with a flat ``(n_ctas * seg_words,)`` word array plus a constant
-    per-lane word offset (``cta_index * seg_words``), so every warp-level
-    entry point of :class:`SharedMemory` keeps its exact semantics -- same
-    alignment/bounds error messages (bounds are *per segment*), same
-    C-order scatter resolution -- while a grid-wide LDS/STS stays one NumPy
-    gather/scatter.
-
-    ``segment(c)`` exposes CTA *c*'s words for the de-stack path, which
-    copies them into a plain :class:`SharedMemory` of identical shape.
-    """
-
-    def __init__(self, size_bytes: int, n_ctas: int, lanes_per_cta: int):
-        if size_bytes < 0 or size_bytes % 4:
-            raise ValueError(
-                f"size must be a non-negative multiple of 4, got {size_bytes}")
-        if n_ctas < 1 or lanes_per_cta < 1:
-            raise ValueError("need at least one CTA and one lane per CTA")
-        self.size = size_bytes  # per-CTA segment size: bounds semantics
-        self.n_ctas = n_ctas
-        self.seg_words = max(1, size_bytes // 4)
-        self._segments = np.zeros((n_ctas, self.seg_words), dtype=np.uint32)
-        self._words = self._segments.reshape(-1)
-        self._lane_base = np.repeat(
-            np.arange(n_ctas, dtype=np.int64) * self.seg_words, lanes_per_cta)
-
-    def segment(self, cta_index: int) -> np.ndarray:
-        """CTA ``cta_index``'s own words (a view, for de-stack copies)."""
-        return self._segments[cta_index]
-
-    def load_warp(self, addresses: np.ndarray, width_bytes: int,
-                  mask: np.ndarray) -> np.ndarray:
-        idx = self._word_indices(addresses, width_bytes, mask)
-        if mask is None:
-            return self._words[idx]
-        out = np.zeros((width_bytes // 4, addresses.shape[0]), dtype=np.uint32)
-        out[:, mask] = self._words[idx[:, mask]]
-        return out
-
-    def store_warp(self, addresses: np.ndarray, data: np.ndarray,
-                   width_bytes: int, mask: np.ndarray) -> None:
-        idx = self._word_indices(addresses, width_bytes, mask)
-        if mask is None:
-            self._words[idx] = data
-            return
-        self._words[idx[:, mask]] = data[:, mask]
-
-    def load_warp_batch(self, addresses: np.ndarray, width_bytes: int) -> np.ndarray:
-        idx = self._batch_indices(addresses, width_bytes)
-        return self._words[idx]
-
-    def store_warp_batch(self, addresses: np.ndarray, data: np.ndarray,
-                         width_bytes: int) -> None:
-        idx = self._batch_indices(addresses, width_bytes)
-        self._words[idx] = data
-
-    def _word_indices(self, addresses: np.ndarray, width_bytes: int,
-                      mask: np.ndarray) -> np.ndarray:
-        active = addresses if mask is None else addresses[mask]
-        if active.size:
-            if np.any(active % width_bytes):
-                bad = int(active[active % width_bytes != 0][0])
-                raise ValueError(
-                    f"misaligned {width_bytes}-byte shared access at {bad:#x}"
-                )
-            if int(active.min()) < 0 or int(active.max()) + width_bytes > self.size:
-                raise IndexError(
-                    f"shared access outside the {self.size}-byte allocation: "
-                    f"[{int(active.min()):#x}, {int(active.max()) + width_bytes:#x})"
-                )
-        words = width_bytes // 4
-        base = (addresses // 4).astype(np.int64)
-        if mask is not None:
-            base = np.where(mask, base, 0)
-        base = base + self._lane_base
-        return base[None, :] + np.arange(words, dtype=np.int64)[:, None]
-
-    def _batch_indices(self, addresses: np.ndarray, width_bytes: int) -> np.ndarray:
-        misaligned = addresses % width_bytes != 0
-        if misaligned.any():
-            bad = int(addresses[misaligned][0])
-            raise ValueError(
-                f"misaligned {width_bytes}-byte shared access at {bad:#x}"
-            )
-        per_row_max = addresses.max(axis=1)
-        per_row_min = addresses.min(axis=1)
-        oob = (per_row_min < 0) | (per_row_max + width_bytes > self.size)
-        if oob.any():
-            row = int(np.argmax(oob))
-            lo, hi = int(per_row_min[row]), int(per_row_max[row])
-            raise IndexError(
-                f"shared access outside the {self.size}-byte allocation: "
-                f"[{lo:#x}, {hi + width_bytes:#x})"
-            )
-        words = width_bytes // 4
-        return (addresses[:, None, :] // 4
-                + np.arange(words, dtype=np.int64)[None, :, None]
-                + self._lane_base[None, None, :])

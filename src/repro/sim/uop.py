@@ -28,7 +28,8 @@ Consumers:
   descriptors against a warp context and wraps the kernel result in an
   ``Effects`` record (reference engine + timing simulator);
 * :mod:`repro.sim.decode` -- compiles the same descriptors into slot
-  closures and window-scheduler groups (predecoded and lockstep engines).
+  closures and window-scheduler groups (the lockstep engine and its
+  32-lane de-stack path).
 
 Kernels never mutate their inputs and return exact ``uint32`` (``bool`` for
 predicate dests): integer ops wrap modulo 2**32, compares run on int32 views

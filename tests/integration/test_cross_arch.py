@@ -1,11 +1,11 @@
 """Cross-generation pinning: one simulator, three Tensor Core families.
 
 Every engine family must agree *per generation* -- the functional engines
-(lockstep / gridlock / predecoded / reference) bit-for-bit on the GEMM
-result, and the timing engines (event / reference) cycle-for-cycle -- on
-a Volta (V100, HMMA.884), a Turing (RTX2070, HMMA.1688) and an Ampere
-(A100, HMMA.16816) device.  Golden digests freeze the V100 and A100
-results the same way ``test_golden_cycles.py`` freezes Turing.
+(lockstep / reference) bit-for-bit on the GEMM result, and the timing
+engines (event / reference) cycle-for-cycle -- on a Volta (V100,
+HMMA.884), a Turing (RTX2070, HMMA.1688) and an Ampere (A100, HMMA.16816)
+device.  Golden digests freeze the V100 and A100 results the same way
+``test_golden_cycles.py`` freezes Turing.
 """
 
 import hashlib

@@ -70,25 +70,27 @@ class TestModeResolution:
 
 class TestLadders:
     def test_monotone_functional_degradation(self):
-        assert guard.effective_func_engine("gridlock") == "gridlock"
-        guard._degrade("functional", "gridlock")
-        assert guard.effective_func_engine("gridlock") == "lockstep"
-        # Requests already below the floor are unchanged.
+        assert guard.effective_func_engine("lockstep") == "lockstep"
         assert guard.effective_func_engine("reference") == "reference"
-        guard._degrade("functional", "lockstep")
-        guard._degrade("functional", "predecoded")
-        assert guard.effective_func_engine("gridlock") == "reference"
-        # The ladder never resets upward on its own.
-        guard._degrade("functional", "gridlock")
+        assert guard.degradation_report()["func_engine_floor"] == "lockstep"
+        guard._degrade("functional")
         assert guard.effective_func_engine("lockstep") == "reference"
+        assert guard.effective_func_engine("reference") == "reference"
+        assert guard.degradation_report()["func_engine_floor"] == "reference"
+        # The ladder never resets upward on its own, and a functional
+        # degradation leaves the timing rungs alone.
+        guard._degrade("functional")
+        assert guard.effective_func_engine("lockstep") == "reference"
+        assert guard.ff_allowed()
+        assert guard.effective_timing_engine("event") == "event"
 
     def test_timing_two_rung_degradation(self):
         assert guard.ff_allowed()
         assert guard.effective_timing_engine("event") == "event"
-        guard._degrade("timing", "event")
+        guard._degrade("timing")
         assert not guard.ff_allowed()
         assert guard.effective_timing_engine("event") == "event"
-        guard._degrade("timing", "event")
+        guard._degrade("timing")
         assert guard.effective_timing_engine("event") == "reference"
 
 
@@ -125,9 +127,9 @@ class TestFunctionalWatchdog:
         assert STATS.counters.get("guard.checks") == 1
         assert STATS.counters.get("guard.divergences") == 1
         assert STATS.counters.get("guard.degraded") == 1
-        # 3. The process degraded one rung (default lockstep -> predecoded).
+        # 3. The process degraded its one rung (lockstep -> reference).
         report = guard.degradation_report()
-        assert report["func_engine_floor"] == "predecoded"
+        assert report["func_engine_floor"] == "reference"
         assert report["bundles_written"] == 1
         # 4. A replayable reproducer bundle exists.
         bundles = list((tmp_path / "divergence").iterdir())
@@ -148,7 +150,7 @@ class TestFunctionalWatchdog:
         assert np.array_equal(out, hgemm_reference(a, b))
         assert STATS.counters.get("guard.checks") == 1
         assert "guard.divergences" not in STATS.counters
-        assert guard.degradation_report()["func_engine_floor"] == "gridlock"
+        assert guard.degradation_report()["func_engine_floor"] == "lockstep"
 
     def test_guard_off_param_overrides_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_GUARD", "full")
@@ -157,12 +159,11 @@ class TestFunctionalWatchdog:
         assert "guard.checks" not in STATS.counters
 
     def test_degraded_engine_actually_used(self, monkeypatch):
-        # After a full functional degradation the floor is the reference
+        # After a functional degradation the floor is the reference
         # engine; runs still work and are no longer guarded (guarding the
         # ground truth would be circular).
         monkeypatch.setenv("REPRO_GUARD", "full")
-        for rung in ("gridlock", "lockstep", "predecoded"):
-            guard._degrade("functional", rung)
+        guard._degrade("functional")
         a, b = _operands(3)
         out = hgemm(a, b)
         assert np.array_equal(out, hgemm_reference(a, b))

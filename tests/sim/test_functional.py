@@ -141,12 +141,12 @@ class TestBarriers:
         )
 
 
-class TestGridLockstep:
-    def test_cta_divergent_branch_destacks(self):
-        # CTAs 0-1 take the @P0 branch, CTAs 2-3 fall through: grid-uniform
-        # execution must refuse at the divergent BRA, de-stack to per-CTA
-        # runs, and still produce memory bit-identical to the lockstep
-        # engine.
+class TestCtaDivergence:
+    def test_cta_divergent_branch_matches_reference(self):
+        # CTAs 0-1 take the @P0 branch, CTAs 2-3 fall through.  Each CTA's
+        # branch is warp-uniform, so lockstep runs every CTA stacked
+        # (no de-stack) and must match the reference engine's memory and
+        # retire counts exactly.
         src = """
         .block 32
           S2R R1, SR_CTAID.X
@@ -166,47 +166,20 @@ class TestGridLockstep:
         from repro.perf.stats import STATS
 
         program = assemble(src)
-        results = {}
-        for engine in ("lockstep", "gridlock"):
+        runs = {}
+        for engine in ("lockstep", "reference"):
             gm = GlobalMemory(4096)
-            STATS.counters.pop("func.grid_destacks", None)
-            FunctionalSimulator(engine=engine).run(program, gm,
-                                                   grid_dim=(4, 1))
-            results[engine] = (gm.read_array(0, np.uint32, 128),
-                               STATS.counters.get("func.grid_destacks", 0))
+            STATS.counters.pop("func.destacks", None)
+            result = FunctionalSimulator(engine=engine).run(
+                program, gm, grid_dim=(4, 1))
+            runs[engine] = (gm._words.copy(), result)
+            if engine == "lockstep":
+                assert STATS.counters.get("func.destacks", 0) == 0
         want = np.repeat([111, 111, 777, 777], 32).astype(np.uint32)
-        np.testing.assert_array_equal(results["gridlock"][0], want)
-        np.testing.assert_array_equal(results["lockstep"][0],
-                                      results["gridlock"][0])
-        assert results["lockstep"][1] == 0
-        assert results["gridlock"][1] >= 1
-
-    def test_uniform_grid_stays_stacked(self):
-        # Identical control flow in every CTA: the grid-lockstep engine
-        # should never fall back, and memory must match lockstep exactly.
-        src = """
-        .block 32
-          S2R R1, SR_CTAID.X
-          S2R R2, SR_TID.X
-          IMAD R3, R1, 128, RZ
-          IMAD R4, R2, 4, R3
-          IADD3 R5, R1, R2, RZ
-          STG.E.32 [R4], R5
-          EXIT
-        """
-        from repro.perf.stats import STATS
-
-        program = assemble(src)
-        images = {}
-        for engine in ("lockstep", "gridlock"):
-            gm = GlobalMemory(4096)
-            STATS.counters.pop("func.grid_destacks", None)
-            FunctionalSimulator(engine=engine).run(program, gm,
-                                                   grid_dim=(6, 1))
-            images[engine] = gm.read_array(0, np.uint32, 192)
-            if engine == "gridlock":
-                assert STATS.counters.get("func.grid_destacks", 0) == 0
-        np.testing.assert_array_equal(images["lockstep"], images["gridlock"])
+        np.testing.assert_array_equal(runs["reference"][0][:128], want)
+        np.testing.assert_array_equal(runs["lockstep"][0],
+                                      runs["reference"][0])
+        assert runs["lockstep"][1] == runs["reference"][1]
 
 
 class TestErrors:

@@ -189,7 +189,7 @@ def test_parallel_matches_serial():
 
 def test_engine_env_override(monkeypatch):
     """``REPRO_FUNC_ENGINE=reference`` opts the whole stack out of the
-    predecoded engine, with identical results."""
+    lockstep engine, with identical results."""
     monkeypatch.setenv("REPRO_FUNC_ENGINE", "reference")
     kernel, m, n, k = "ours", 256, 256, 32
     digest, retired, _, opcodes = GOLDEN[(kernel, m, n, k)]
@@ -203,3 +203,23 @@ def test_bad_engine_env_rejected(monkeypatch):
     monkeypatch.setenv("REPRO_FUNC_ENGINE", "turbo")
     with pytest.raises(ValueError, match="REPRO_FUNC_ENGINE"):
         functional.FunctionalSimulator()
+
+
+def _names_both_engines(message):
+    return "'lockstep'" in message and "'reference'" in message
+
+
+def test_removed_engine_env_rejected(monkeypatch):
+    monkeypatch.setenv("REPRO_FUNC_ENGINE", "predecoded")
+    with pytest.raises(ValueError, match="REPRO_FUNC_ENGINE") as err:
+        functional.FunctionalSimulator()
+    assert _names_both_engines(str(err.value))
+
+
+def test_removed_engine_job_rejected():
+    from repro.serve.jobs import run_job
+
+    removed = "grid" "lock"  # the deleted grid-lockstep engine
+    with pytest.raises(ValueError, match=f"'{removed}'") as err:
+        run_job("hgemm", {"m": 64, "n": 64, "k": 32, "engine": removed})
+    assert _names_both_engines(str(err.value))

@@ -1,15 +1,16 @@
-"""Differential fuzz: one semantics table, three bit-identical engines.
+"""Differential fuzz: one semantics table, three bit-identical paths.
 
 For every opcode in the ISA, execute representative instruction forms
 against randomized register files, predicate files and memory images on
 
 * the reference adapter (:func:`repro.sim.exec_units.execute`),
-* the 32-lane predecoded closure (:func:`repro.sim.decode.predecode`), and
+* the 32-lane decoded closure (:func:`repro.sim.decode.predecode`, the
+  lockstep engine's de-stack path), and
 * the stacked warp-lockstep closure (``predecode(program, lanes=W*32)``),
 
 and require the complete post-state -- all 256 register rows, all 8
 predicate rows, global memory, shared memory, and the control signal -- to
-be bit-identical across engines for every warp.  Because all three compile
+be bit-identical across paths for every warp.  Because all three compile
 from the same ``SEMANTICS`` table, any divergence is a bug in the
 compilation layers, not an ambiguity in the semantics.
 

