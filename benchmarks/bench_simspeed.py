@@ -10,16 +10,6 @@ Two families of legs, written to ``BENCH_simspeed.json`` in the repo root:
 across engines (the event engine's core invariant) and the event engine
 must finish the sweep at least 3x faster end-to-end.
 
-**Fast-forward leg**: the deep-k end of the ladder -- the cublas-like
-kernel at k=16384, where the main loop's steady state dominates -- run on
-the event engine with steady-state fast-forward disabled
-(``REPRO_TIMING_FF=0``) and enabled.  Both runs must produce equal
-:class:`TimingResult` payloads and bit-identical memory images, and the
-fast-forwarding run must finish at least 2x faster -- the gate for the
-period-detection/replay layer actually paying for its bookkeeping.  The
-same leg repeats on V100 (Volta, HMMA.884) so the gate covers a
-non-Turing generation.
-
 **Guard-sample leg**: the engine sweep re-run on the event engine with the
 divergence watchdog in ``sample`` mode.  The watchdog's wall-clock budget
 (``REPRO_GUARD_BUDGET``, default 5%) must keep the sweep's end-to-end
@@ -59,76 +49,9 @@ SWEEP_KS = (64, 128, 256, 512)
 #: Required end-to-end event-over-reference speedup on the sweep leg.
 EVENT_SPEEDUP_TARGET = 3.0
 
-#: k depth of the fast-forward leg: deep enough that the k-loop steady
-#: state dominates the run (the figure sweeps' long-k estimates).
-FF_K = 16384
-
-#: Required fast-forward-over-exact speedup on the deep-k leg.
-FF_SPEEDUP_TARGET = 2.0
-
 #: Maximum tolerated end-to-end overhead of the sample-mode watchdog on
 #: the event sweep (the budget sampler targets 5%; 10% leaves noise room).
 GUARD_OVERHEAD_MAX = 0.10
-
-
-def _ff_leg(spec, prefix=""):
-    """Time the event engine with and without steady-state fast-forward on
-    the deep-k leg; returns a payload fragment with the identity verdict.
-    The kernel config is adapted to *spec*'s generation, so the same leg
-    runs on non-Turing devices (``prefix`` keeps their keys apart)."""
-    from repro.core import cublas_like
-    from repro.core.builder import HgemmProblem, build_hgemm
-    from repro.core.config import adapt_for_arch
-    from repro.perf import STATS
-    from repro.sim.memory import GlobalMemory
-    from repro.sim.timing import TimingSimulator
-
-    config = adapt_for_arch(cublas_like(), spec.arch)
-    problem = HgemmProblem(m=config.b_m, n=config.b_n, k=FF_K,
-                           a_addr=0, b_addr=16 << 20, c_addr=32 << 20)
-    program = build_hgemm(config, problem, spec)
-
-    # Interleaved best-of-3 pairs: shared-box wall clocks swing enough
-    # between runs that a single (exact, fast-forward) pair measures the
-    # tenant next door as much as the replay layer.  The simulator is
-    # deterministic, so the identity verdict holds for every pair alike.
-    runs = {}
-    for _ in range(3):
-        for name, flag in (("exact", "0"), ("fast_forward", "1")):
-            os.environ["REPRO_TIMING_FF"] = flag
-            try:
-                STATS.counters.pop("sim.ff_periods", None)
-                STATS.counters.pop("sim.ff_cycles", None)
-                sim = TimingSimulator(spec, engine="event")
-                memory = GlobalMemory(40 << 20)
-                # Garbage left by the earlier sweep legs otherwise bleeds
-                # into the wall-clock pair and flattens the ratio.
-                gc.collect()
-                start = time.perf_counter()
-                result = sim.run(program, memory, num_ctas=1)
-                wall = time.perf_counter() - start
-            finally:
-                os.environ.pop("REPRO_TIMING_FF", None)
-            best = runs.get(name)
-            wall = wall if best is None else min(wall, best[0])
-            runs[name] = (wall, result, memory._words,
-                          STATS.counters.get("sim.ff_periods", 0),
-                          STATS.counters.get("sim.ff_cycles", 0))
-
-    import numpy as np
-
-    exact, ff = runs["exact"], runs["fast_forward"]
-    identical = exact[1] == ff[1] and np.array_equal(exact[2], ff[2])
-    return {
-        f"{prefix}ff_leg": f"{spec.name}/{config.name}/k{FF_K}/ctas1",
-        f"{prefix}ff_exact_seconds": round(exact[0], 4),
-        f"{prefix}ff_seconds": round(ff[0], 4),
-        f"{prefix}ff_speedup": round(exact[0] / ff[0], 2) if ff[0] else None,
-        f"{prefix}ff_periods": ff[3],
-        f"{prefix}ff_cycles_skipped": ff[4],
-        f"{prefix}ff_total_cycles": ff[1].cycles,
-        f"{prefix}ff_bit_identical": identical,
-    }
 
 
 def _build_legs(spec):
@@ -243,7 +166,6 @@ def main() -> int:
     os.environ.pop("REPRO_NO_CACHE", None)
 
     from repro.arch import RTX2070
-    from repro.arch.turing import V100
     from repro.core import cublas_like, ours
     from repro.perf import PROFILE_CACHE, STATS
 
@@ -252,10 +174,6 @@ def main() -> int:
         legs = _build_legs(RTX2070)
         engine_times, engines_identical, sweep_legs = _engine_sweep(
             RTX2070, legs)
-        ff_payload = _ff_leg(RTX2070)
-        # Same fast-forward gate on a non-Turing device: the period
-        # detector must hold for Volta's HMMA.884 main loop too.
-        ff_v100_payload = _ff_leg(V100, prefix="v100_")
         guard_payload = _guard_leg(RTX2070, legs)
 
         STATS.reset()
@@ -272,14 +190,6 @@ def main() -> int:
     if not engines_identical:
         print("FAIL: event engine results differ from reference",
               file=sys.stderr)
-        return 1
-    if not ff_payload["ff_bit_identical"]:
-        print("FAIL: fast-forward leg differs from exact event simulation",
-              file=sys.stderr)
-        return 1
-    if not ff_v100_payload["v100_ff_bit_identical"]:
-        print("FAIL: V100 fast-forward leg differs from exact event "
-              "simulation", file=sys.stderr)
         return 1
     if not (cold == warm_disk == warm_mem):
         print("FAIL: cached profiles differ from simulated ones", file=sys.stderr)
@@ -305,8 +215,6 @@ def main() -> int:
         "event_engine_seconds": round(evt_s, 4),
         "event_engine_speedup": round(event_speedup, 2) if event_speedup else None,
         "engines_bit_identical": engines_identical,
-        **ff_payload,
-        **ff_v100_payload,
         **guard_payload,
         "cold_seconds": round(cold_s, 4),
         "warm_disk_seconds": round(disk_s, 4),
@@ -328,16 +236,6 @@ def main() -> int:
     if (event_speedup or 0.0) < EVENT_SPEEDUP_TARGET:
         print(f"FAIL: event engine only {event_speedup:.2f}x over reference "
               f"(< {EVENT_SPEEDUP_TARGET}x target)", file=sys.stderr)
-        return 1
-    if (ff_payload["ff_speedup"] or 0.0) < FF_SPEEDUP_TARGET:
-        print(f"FAIL: fast-forward only {ff_payload['ff_speedup']}x over "
-              f"exact event simulation (< {FF_SPEEDUP_TARGET}x target)",
-              file=sys.stderr)
-        return 1
-    if (ff_v100_payload["v100_ff_speedup"] or 0.0) < FF_SPEEDUP_TARGET:
-        print(f"FAIL: V100 fast-forward only "
-              f"{ff_v100_payload['v100_ff_speedup']}x over exact event "
-              f"simulation (< {FF_SPEEDUP_TARGET}x target)", file=sys.stderr)
         return 1
     if guard_payload["guard_overhead"] > GUARD_OVERHEAD_MAX:
         print(f"FAIL: sample-mode watchdog overhead "

@@ -13,11 +13,6 @@ Counter names use dotted namespaces by convention:
   engine when a straight-line MMA issue plan fires: plans executed as one
   stacked batch kernel, and the instructions those plans covered (only
   recorded when nonzero, so a reference-engine run leaves them absent).
-* ``sim.ff_periods`` / ``sim.ff_cycles`` -- incremented by the event
-  engine's steady-state fast-forward layer: loop periods committed via
-  verified replay, and the simulated cycles those commits skipped past
-  the exact cycle-by-cycle path (absent when fast-forward never engages
-  or is disabled with ``REPRO_TIMING_FF=0``).
 * ``sim.wall`` (a timer, seconds) -- wall time inside ``run()``.
 * ``func.runs`` / ``func.ctas`` / ``func.instructions`` /
   ``func.workers`` -- incremented by

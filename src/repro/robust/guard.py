@@ -1,12 +1,11 @@
 """Divergence watchdog: runtime re-validation against the reference engines.
 
-The fast engines (functional lockstep, the event timing engine,
-steady-state fast-forward) are pinned bit-identical to the
-reference implementations by goldens and differential fuzz -- *at test
-time*.  A long-running service cannot assume that invariant survives every
-input forever, and silent numeric divergence is the failure mode a tensor
-core model must fear most.  This watchdog defends the invariant at run
-time:
+The fast engines (functional lockstep, the event timing engine) are
+pinned bit-identical to the reference implementations by goldens and
+differential fuzz -- *at test time*.  A long-running service cannot
+assume that invariant survives every input forever, and silent numeric
+divergence is the failure mode a tensor core model must fear most.  This
+watchdog defends the invariant at run time:
 
 * **Modes** (``REPRO_GUARD`` or a per-simulator ``guard=`` override /
   ``PerfOptions.guard``): ``off`` (default, zero overhead), ``sample``
@@ -18,26 +17,26 @@ time:
   (``FunctionalResult`` / ``TimingResult`` observables).
 * **On divergence**: a reproducer bundle (program bytes, run context,
   digests, initial memory) is written to ``$REPRO_CACHE_DIR/divergence/``,
-  the process degrades one rung down the engine ladder, the reference
-  result (and memory) replaces the bad one, and the run *completes
-  correctly* -- callers never see the divergence, only the ``guard.*``
-  counters and the slower rung do.
+  the process degrades to the reference engine, the reference result
+  (and memory) replaces the bad one, and the run *completes correctly*
+  -- callers never see the divergence, only the ``guard.*`` counters and
+  the slower engine do.
 
-**Degradation ladders** (process-wide, monotone):
+**Degradation ladders** (process-wide, monotone, one rung each):
 
 * functional: ``lockstep -> reference``
-* timing: ``event(+fast-forward) -> event(REPRO_TIMING_FF off) ->
-  reference``
+* timing: ``event -> reference``
 
 **Sampling** is wall-clock-budgeted rather than every-Nth: the guard
 tracks the accumulated wall of guarded fast runs and of its own reference
 re-runs, and verifies a run only while the re-run budget
-(``REPRO_GUARD_BUDGET``, default 5% of accumulated fast wall) stays
-unspent.  The reference engines are several times slower than the fast
-paths, so a fixed 1-in-N rate would cost whatever the slowdown happens to
-be; the budget form bounds overhead by construction and adapts the check
-rate to however expensive the checks turn out.  ``full`` mode ignores the
-budget.
+(``REPRO_GUARD_BUDGET``, a fraction in [0, 1], default 0.05 of the
+accumulated fast wall) stays unspent; any other value raises
+``ValueError``.  The reference engines are several times slower than the
+fast paths, so a fixed 1-in-N rate would cost whatever the slowdown
+happens to be; the budget form bounds overhead by construction and adapts
+the check rate to however expensive the checks turn out.  ``full`` mode
+ignores the budget.
 
 STATS counters: ``guard.checks`` (reference re-executions),
 ``guard.divergences`` (mismatches caught), ``guard.degraded`` (ladder
@@ -61,7 +60,6 @@ __all__ = [
     "guard_mode",
     "effective_func_engine",
     "effective_timing_engine",
-    "ff_allowed",
     "degradation_report",
     "reset",
     "GuardContext",
@@ -73,13 +71,12 @@ _ENV_BUDGET = "REPRO_GUARD_BUDGET"
 #: Watchdog modes; the first is the default.
 MODES = ("off", "sample", "full")
 
-#: Process-wide watchdog state.  ``func_ref`` / ``ff_off`` / ``timing_ref``
-#: implement the monotone degradation ladders; the wall accumulators and
-#: the learned check/run cost ratio drive the sampling budget.
+#: Process-wide watchdog state.  ``func_ref`` / ``timing_ref`` implement
+#: the monotone degradation ladders; the wall accumulators and the learned
+#: check/run cost ratio drive the sampling budget.
 _state = {
     "func_ref": False,    # functional rung: force the reference engine
-    "ff_off": False,      # timing rung 1: force REPRO_TIMING_FF off
-    "timing_ref": False,  # timing rung 2: force the reference engine
+    "timing_ref": False,  # timing rung: force the reference engine
     "total_wall": 0.0,    # accumulated guarded fast-run wall (seconds)
     "guard_wall": 0.0,    # accumulated reference re-run wall (seconds)
     "ratio": 4.0,         # learned (re-run wall / fast wall) estimate
@@ -89,15 +86,20 @@ _state = {
 
 def reset() -> None:
     """Forget all degradation and sampling state (test isolation)."""
-    _state.update(func_ref=False, ff_off=False, timing_ref=False,
+    _state.update(func_ref=False, timing_ref=False,
                   total_wall=0.0, guard_wall=0.0, ratio=4.0, bundles=0)
 
 
 def guard_mode(override: str = None) -> str:
-    """Resolve the guard mode: explicit override, else ``REPRO_GUARD``."""
+    """Resolve the guard mode: explicit override, else ``REPRO_GUARD``.
+
+    A guarded mode also validates ``REPRO_GUARD_BUDGET``, so a bad budget
+    fails here, before any guarded simulation runs."""
     mode = override if override is not None else os.environ.get(_ENV_MODE, MODES[0])
     if mode not in MODES:
         raise ValueError(f"guard mode must be one of {MODES}, got {mode!r}")
+    if mode != "off":
+        _budget()
     return mode
 
 
@@ -117,18 +119,8 @@ def effective_timing_engine(engine: str) -> str:
     return engine
 
 
-def ff_allowed() -> bool:
-    """False once the watchdog has degraded steady-state fast-forward off."""
-    return not _state["ff_off"]
-
-
 def _degrade(kind: str) -> None:
-    if kind == "functional":
-        _state["func_ref"] = True
-    elif not _state["ff_off"]:
-        _state["ff_off"] = True
-    else:
-        _state["timing_ref"] = True
+    _state["func_ref" if kind == "functional" else "timing_ref"] = True
     STATS.count("guard.degraded")
 
 
@@ -136,7 +128,6 @@ def degradation_report() -> dict:
     """Current watchdog state for ``repro doctor`` and tests."""
     return {
         "func_engine_floor": "reference" if _state["func_ref"] else "lockstep",
-        "timing_fast_forward": "off (degraded)" if _state["ff_off"] else "allowed",
         "timing_engine_floor": "reference" if _state["timing_ref"] else "event",
         "bundles_written": _state["bundles"],
         "guarded_wall_s": round(_state["total_wall"], 4),
@@ -147,10 +138,18 @@ def degradation_report() -> dict:
 # ------------------------------------------------------------------ sampling
 
 def _budget() -> float:
-    try:
-        return float(os.environ.get(_ENV_BUDGET, "") or 0.05)
-    except ValueError:
+    """``REPRO_GUARD_BUDGET`` as a fraction in [0, 1] (unset: 0.05)."""
+    raw = os.environ.get(_ENV_BUDGET, "")
+    if not raw:
         return 0.05
+    try:
+        budget = float(raw)
+    except ValueError:
+        budget = None
+    if budget is None or not 0.0 <= budget <= 1.0:
+        raise ValueError(
+            f"{_ENV_BUDGET} must be a number in [0, 1], got {raw!r}")
+    return budget
 
 
 def _decide(mode: str, run_wall: float) -> bool:

@@ -18,7 +18,7 @@ the simulator is the stand-in for the silicon, so its DRAM ceiling is the
 
 from __future__ import annotations
 
-import heapq
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,86 +187,32 @@ class AccessSummary:
 
 
 class _LruLineSet:
-    """Fully-associative LRU set of cache lines (capacity in bytes).
-
-    Recency lives in a per-line use stamp (a monotonic tick) plus a lazy
-    min-heap of ``(stamp, line)`` pairs: eviction pops stale heap entries
-    until one matches the live stamp, which names exactly the
-    least-recently-used line -- the same choice an ordered-dict LRU makes.
-    The stamp representation is *journalable*: every mutation touches only
-    the stamp dict (stale heap entries are harmless and re-pushing old
-    stamps is always safe), so a journal of ``(line, previous_stamp)``
-    pairs can undo a burst of accesses bit-exactly.  The timing engine's
-    fast-forward replay uses that to abandon a speculative loop iteration
-    without copying the (possibly huge) L2 set.
-    """
+    """Fully-associative LRU set of cache lines (capacity in bytes)."""
 
     def __init__(self, capacity_bytes: int, line_bytes: int):
         self.line_bytes = line_bytes
         self.capacity_lines = max(0, capacity_bytes // line_bytes)
-        self._stamp: dict = {}
-        self._heap: list = []
-        self._tick = 0
-        self._journal = None
+        self._lines: OrderedDict = OrderedDict()
 
     def lookup(self, line: int) -> bool:
-        if line in self._stamp:
-            self._touch(line)
+        if line in self._lines:
+            self._lines.move_to_end(line)
             return True
         return False
 
     def insert(self, line: int) -> None:
         if self.capacity_lines == 0:
             return
-        stamp = self._stamp
-        was_present = line in stamp
-        self._touch(line)
-        if not was_present and len(stamp) > self.capacity_lines:
-            heap = self._heap
-            while True:
-                t, victim = heapq.heappop(heap)
-                if stamp.get(victim) == t:
-                    if self._journal is not None:
-                        self._journal.append((victim, t))
-                    del stamp[victim]
-                    break
-
-    def _touch(self, line: int) -> None:
-        stamp = self._stamp
-        if self._journal is not None:
-            self._journal.append((line, stamp.get(line)))
-        self._tick += 1
-        stamp[line] = self._tick
-        heap = self._heap
-        heapq.heappush(heap, (self._tick, line))
-        # Lazy deletion lets stale entries pile up; rebuild occasionally so
-        # the heap stays proportional to the live set.
-        if len(heap) > 4 * len(stamp) + 64:
-            self._heap = [(t, ln) for ln, t in stamp.items()]
-            heapq.heapify(self._heap)
-
-    def begin_journal(self) -> None:
-        """Record every stamp mutation until rollback/commit."""
-        self._journal = []
-        self._journal_tick = self._tick
-
-    def rollback_journal(self) -> None:
-        """Undo all journaled mutations, restoring the exact LRU state."""
-        stamp = self._stamp
-        for line, old in reversed(self._journal):
-            if old is None:
-                del stamp[line]
-            else:
-                stamp[line] = old
-                heapq.heappush(self._heap, (old, line))
-        self._tick = self._journal_tick
-        self._journal = None
-
-    def commit_journal(self) -> None:
-        self._journal = None
+        lines = self._lines
+        if line in lines:
+            lines.move_to_end(line)
+        else:
+            lines[line] = True
+            if len(lines) > self.capacity_lines:
+                lines.popitem(last=False)
 
     def __len__(self) -> int:
-        return len(self._stamp)
+        return len(self._lines)
 
 
 @dataclass
@@ -364,28 +310,6 @@ class MemorySubsystem:
             ready = self._serve(cycle, nbytes, dram=True)
             level = "dram"
         return AccessSummary(level=level, sectors=len(sector_list), ready_cycle=ready)
-
-    def begin_journal(self) -> None:
-        """Record all timing-state mutations (LRU stamps, byte counters,
-        port free-cycles) until rollback or commit."""
-        self.l1.begin_journal()
-        self.l2.begin_journal()
-        c = self.counters
-        self._journal_scalars = (self._l2_free, self._dram_free,
-                                 c.l1_hit_bytes, c.l2_hit_bytes,
-                                 c.dram_bytes, c.store_bytes)
-
-    def rollback_journal(self) -> None:
-        """Undo every access since :meth:`begin_journal`, bit-exactly."""
-        self.l1.rollback_journal()
-        self.l2.rollback_journal()
-        c = self.counters
-        (self._l2_free, self._dram_free, c.l1_hit_bytes, c.l2_hit_bytes,
-         c.dram_bytes, c.store_bytes) = self._journal_scalars
-
-    def commit_journal(self) -> None:
-        self.l1.commit_journal()
-        self.l2.commit_journal()
 
     def _serve(self, cycle: int, nbytes: int, dram: bool) -> int:
         base_latency = self.spec.ldg_latency_cycles

@@ -44,18 +44,6 @@ Two interchangeable engines drive the model (``REPRO_TIMING_ENGINE`` or the
   latency/CPI bookkeeping unchanged); and the MIO queue retires by
   advancing a head index over a monotone completion list.
 
-On top of the ``event`` engine sits **steady-state fast-forward**
-(``REPRO_TIMING_FF``, default on): at every loop-boundary of the watch
-warp the engine snapshots a cycle-rebased digest of all timing state,
-detects when the digests repeat with period ``p <= 8``, records one full
-period of issue events, proves it replayable (digest / cycle-delta /
-scheduler-phase equality plus the symbolic deferred-write hazard walk in
-:meth:`_FastForward._hazards_ok`), and then commits whole periods through
-compiled per-event closures with analytic counter extrapolation -- rolling
-back to exact simulation at the last boundary the moment any guard fails.
-``sim.ff_periods`` / ``sim.ff_cycles`` count the committed periods and the
-cycles they skipped.
-
 The engines are **bit-identical** on every :class:`TimingResult` field and
 on final memory/register state (pinned by
 ``tests/sim/test_timing_differential.py`` and the per-engine goldens in
@@ -767,985 +755,6 @@ def _compile_event(decoded):
     return kinds, fns, aux, _build_plans(decoded, kinds)
 
 
-def _ff_enabled() -> bool:
-    """Steady-state fast-forward gate (``REPRO_TIMING_FF``, default on).
-
-    The divergence watchdog's first timing degradation rung forces it off
-    process-wide (see :mod:`repro.robust.guard`)."""
-    if not _guard.ff_allowed():
-        return False
-    return os.environ.get("REPRO_TIMING_FF", "1").lower() not in (
-        "0", "off", "no", "false")
-
-
-class _FastForward:
-    """Steady-state fast-forward for the event engine.
-
-    A kernel's inner loop makes the simulator trace the same schedule over
-    and over.  This controller detects that steady state, replays one
-    *recorded* iteration's event schedule directly (no scheduler scans, no
-    deferred-write queues, no scoreboard bookkeeping), and accounts the
-    skipped work analytically -- while keeping every architecturally
-    visible quantity bit-identical to the plain engine.
-
-    **Boundaries** are cycle-aligned: the first main-loop top after the
-    watch warp (the first warp seen taking a backward BRA) takes that
-    branch.  At each boundary a *relative snapshot* is built -- per-warp
-    pc / barrier flag / next-issue and scoreboard releases relative to the
-    boundary cycle (stale values clamped, they are behaviourally
-    equivalent), pending-write queue shapes, MMA-plan queue positions, plus
-    round-robin pointers, pipe/MIO/DRAM free-times relative to the cycle,
-    and the cycle's scheduler-rotation phase (issue order depends on
-    ``cycle % n_sched``, so a period must preserve it).  Two consecutive
-    boundary intervals with identical snapshots, identical cycle deltas and
-    identical stall/issue-counter deltas trigger **recording** of one full
-    iteration; if the next boundary confirms the period, replay starts.
-
-    **Replay** executes the recorded schedule as compiled closures: lane
-    math, shared/global stores, MMA plan batching, MIO pushes, memory-
-    subsystem accesses and pipe busy-time all run for real (floats evolve
-    through the exact same operations), while register results apply
-    immediately -- sound because an offline hazard walk over the recorded
-    trace proved no event reads or overwrites a register while a deferred
-    write to it would still be in flight.  Writes whose due-cycle crosses
-    the iteration boundary are tracked as *survivors* so the pending queues
-    can be reconstructed exactly on exit.  Every dynamic issue precondition
-    is guarded per event (pipe free, MIO acceptance, memory service level
-    and ready-cycle, branch direction); any mismatch rolls the current
-    iteration back -- register/shared snapshots, a global-store undo log
-    and the memory subsystem's LRU journal make that bit-exact -- and
-    resumes the plain engine at the last committed boundary.  The loop's
-    final, schedule-divergent iteration exits through exactly that path,
-    so at most one iteration is ever re-simulated.
-
-    Stall counters, per-opcode issue counts and retire counts advance by
-    the verified per-iteration deltas; CS2R clock reads inside the replay
-    compute from the analytic cycle, so clock witnesses stay exact.
-    """
-
-    def __init__(self, sim, warps, cta_warps, decoded, kinds, fns, aux,
-                 plans, pipes, pipe_keys, mio, memsys, pipe_busy_total,
-                 opcode_counts, rr, st_code, st_expiry, sched_sum, plan_stats,
-                 n_sched, max_cycles):
-        self.sim = sim
-        self.warps = warps
-        self.decoded = decoded
-        self.kinds = kinds
-        self.fns = fns
-        self.aux = aux
-        self.plans = plans
-        self.pipes = pipes
-        self.pipe_keys = pipe_keys
-        self.mio = mio
-        self.memsys = memsys
-        self.pipe_busy_total = pipe_busy_total
-        self.opcode_counts = opcode_counts
-        self.rr = rr
-        self.st_code = st_code
-        self.st_expiry = st_expiry
-        self.sched_sum = sched_sum
-        self.plan_stats = plan_stats
-        self.n_sched = n_sched
-        self.max_cycles = max_cycles
-        self.shared_mems = list(
-            {id(w.shared_mem): w.shared_mem for w in warps}.values())
-
-        self.watch_wid = None
-        self.recording = False
-        self.disabled = False
-        self.periods = 0          # committed fast-forwarded iterations
-        self.cycles_skipped = 0
-        self._max_period = 8      # longest orbit searched, in boundaries
-        self._hist = []           # (cycle, snap, stats) of recent boundaries
-        self._trace = None
-        self._trace_bad = False
-        self._rec_base = 0
-        self._rec_left = 0
-        self._rec_snap = None
-        self._rec_stats = None
-        self._period_delta = 0
-        self._period_sdelta = None
-        self._fail_streak = 0
-        self.surv = []            # (warp, tensor?, due, first, values, mask, old)
-        self.gundo = []           # (words, idx, old) global-store undo log
-        self._evs = None
-
-    # ------------------------------------------------------------- detection
-
-    def _snapshot(self, cycle):
-        """Relative state fingerprint at a boundary.
-
-        Values at or below ``cycle`` are clamped to sentinels: a stale
-        next-issue / scoreboard / pipe-free time influences nothing once it
-        has passed, so clamping keeps steady loops recognisable even when
-        such leftovers carry unrelated absolute cycles.
-        """
-        c = cycle
-        mio = self.mio
-        mio._retire(c)
-        memsys = self.memsys
-        parts = [
-            c % self.n_sched,
-            tuple(self.rr),
-            tuple(v - c if v > c else -1.0 for v in self.pipes.values()),
-            mio.drain_free - c if mio.drain_free > c else -1.0,
-            tuple(d - c for d in mio._done[mio._head:]),
-            memsys._l2_free - c if memsys._l2_free > c else -1.0,
-            memsys._dram_free - c if memsys._dram_free > c else -1.0,
-        ]
-        for w in self.warps:
-            if w.exited:
-                parts.append(("x",))
-                continue
-            parts.append((
-                w.pc,
-                w.at_barrier,
-                w.next_issue - c if w.next_issue > c else -1,
-                tuple(sb - c if sb > c else -1 for sb in w.scoreboards),
-                tuple((d - c, f, v.shape[0], m is None)
-                      for d, f, v, m in w.pending_writes),
-                tuple((d - c, f, v.shape[0], m is None)
-                      for d, f, v, m in w.pending_tensor_writes),
-                None if w.plan_queue is None
-                else tuple(p for p, _ in w.plan_queue[w.plan_qi:]),
-            ))
-        return tuple(parts)
-
-    def _stats(self, n_stall, n_score, n_pipe, retired):
-        return (n_stall, n_score, n_pipe, retired, dict(self.opcode_counts),
-                tuple(w.retired for w in self.warps))
-
-    @staticmethod
-    def _stats_delta(cur, prev):
-        opc = {}
-        for k, v in cur[4].items():
-            d = v - prev[4].get(k, 0)
-            if d:
-                opc[k] = d
-        return (cur[0] - prev[0], cur[1] - prev[1], cur[2] - prev[2],
-                cur[3] - prev[3], opc,
-                tuple(a - b for a, b in zip(cur[5], prev[5])))
-
-    def _note_failure(self):
-        self._fail_streak += 1
-        if self._fail_streak >= 6:
-            self.disabled = True
-
-    def at_boundary(self, cycle, n_stall, n_score, n_pipe, retired):
-        """Called at the first main-loop top after a watch-warp backward
-        branch.  Returns ``None`` to continue normally, or the replay
-        outcome ``(new_cycle, d_stall, d_score, d_pipe, d_retired)``.
-
-        An orbit may span several boundaries (multi-buffered loops and
-        cache-state cycles repeat every few iterations), so detection looks
-        for a snapshot equal to one seen ``p`` boundaries ago for the
-        smallest ``p <= _max_period``; recording then spans ``p`` boundary
-        intervals, and the verify at the recording's end enforces a third
-        snapshot match plus cycle-delta and stats-delta equality before any
-        replay happens.
-        """
-        if self.disabled:
-            return None
-        snap = self._snapshot(cycle)
-        stats = self._stats(n_stall, n_score, n_pipe, retired)
-        if self.recording:
-            self._rec_left -= 1
-            if self._rec_left > 0:
-                self._hist.append((cycle, snap, stats))
-                del self._hist[:-self._max_period]
-                return None
-            trace = self._trace
-            self._trace = None
-            self.recording = False
-            delta = cycle - self._rec_base
-            sdelta = self._stats_delta(stats, self._rec_stats)
-            if (snap == self._rec_snap and delta == self._period_delta
-                    and sdelta == self._period_sdelta
-                    and not self._trace_bad
-                    and self._compile(trace, snap, delta)):
-                del self._hist[:]
-                return self._replay(cycle)
-            self._note_failure()
-        else:
-            hist = self._hist
-            n = len(hist)
-            for p in range(1, n + 1):
-                prev_c, prev_snap, prev_stats = hist[n - p]
-                if prev_snap == snap:
-                    self.recording = True
-                    self._trace = []
-                    self._trace_bad = False
-                    self._rec_base = cycle
-                    self._rec_left = p
-                    self._rec_snap = snap
-                    self._rec_stats = stats
-                    self._period_delta = cycle - prev_c
-                    self._period_sdelta = self._stats_delta(stats, prev_stats)
-                    break
-        self._hist.append((cycle, snap, stats))
-        del self._hist[:-self._max_period]
-        return None
-
-    def record(self, warp, pc, dec, kindc, cycle):
-        """Trace one issued event (post-issue) during the recording pass."""
-        if warp.exited or (kindc == 0 and dec.is_mma):
-            # An exit ends the steady state; a generic (predicated) MMA
-            # would need deferred-half semantics the replay does not model.
-            self._trace_bad = True
-            return
-        sim = self.sim
-        rel = sim._last_release
-        self._trace.append((
-            warp, pc, dec, kindc, cycle - self._rec_base, warp.pc,
-            None if rel is None else rel - cycle,
-            sim._last_level if dec.is_memory else None,
-            sim._last_mask_full if dec.is_memory else None,
-        ))
-
-    # ----------------------------------------------------------- compilation
-
-    def _hazards_ok(self, trace, delta):
-        """Offline proof that immediate register apply is equivalent.
-
-        Walks the recorded schedule twice (one period and its successor,
-        seeded with the boundary's pending-queue shapes) maintaining
-        symbolic per-warp deferred-write queues, and refuses fast-forward
-        if any event reads or writes a register while an earlier deferred
-        write to it is still in flight.  Register targets and due offsets
-        are static per slot (memory dues are pinned by the per-event ready
-        guards), so one verified walk covers every replayed iteration.
-        """
-        spec = self.sim.spec
-        h2 = spec.hmma_latency_second_half
-        info = []
-        for (warp, pc, dec, kindc, crel, post_pc, rel, level,
-             mask_full) in trace:
-            op = dec.opcode
-            if op in ("BRA", "BAR", "NOP"):
-                info.append((warp, crel, kindc, frozenset(), frozenset(), ()))
-                continue
-            try:
-                u = decode_uop(dec.inst)
-            except ExecError:
-                info.append((warp, crel, kindc, None, None, ()))
-                continue
-            reads = frozenset(r for r in u.reads if isinstance(r, int))
-            writes = frozenset(r for r in u.writes if isinstance(r, int))
-            if kindc == _K_MMA:
-                defers = ((crel + h2, writes, True),)
-            elif dec.is_memory:
-                if dec.mem_store or rel is None:
-                    defers = ()
-                else:
-                    defers = ((crel + rel, writes, False),)
-            elif kindc == _K_PRED:
-                defers = ()
-            else:
-                defers = ((crel + ALU_LATENCY, writes, False),)
-            info.append((warp, crel, kindc, reads, writes, defers))
-
-        # Seed with the entry boundary's in-flight writes, relative to the
-        # replay entry cycle (= recording base + one period).
-        entry = self._rec_base + delta
-        queues = {id(w): [] for w in self.warps}
-        tqueues = {id(w): [] for w in self.warps}
-        for w in self.warps:
-            if w.exited:
-                continue
-            for d, f, v, m in w.pending_writes:
-                queues[id(w)].append((d - entry,
-                                      frozenset(range(f, f + v.shape[0]))))
-            for d, f, v, m in w.pending_tensor_writes:
-                tqueues[id(w)].append((d - entry,
-                                       frozenset(range(f, f + v.shape[0]))))
-        for off in (0, delta):
-            for warp, crel, kindc, reads, writes, defers in info:
-                c = crel + off
-                q = queues[id(warp)]
-                tq = tqueues[id(warp)]
-                if q:
-                    q[:] = [e for e in q if e[0] > c]
-                if kindc == _K_MMA:
-                    del tq[:]
-                elif tq:
-                    tq[:] = [e for e in tq if e[0] > c]
-                if reads is None:  # opaque generic op: be strict
-                    if q or tq:
-                        return False
-                    continue
-                for _, regs in q:
-                    if not (reads.isdisjoint(regs) and writes.isdisjoint(regs)):
-                        return False
-                for _, regs in tq:
-                    if not (reads.isdisjoint(regs) and writes.isdisjoint(regs)):
-                        return False
-                for due, regs, tensor in defers:
-                    (tq if tensor else q).append((due + off, regs))
-        return True
-
-    def _compile(self, trace, snap, delta):
-        """Build one replay closure per recorded event.  Returns False when
-        the trace cannot be replayed soundly (hazard walk refusal)."""
-        if not trace or not self._hazards_ok(trace, delta):
-            return False
-        sim = self.sim
-        spec = sim.spec
-        pipes = self.pipes
-        mio = self.mio
-        memsys = self.memsys
-        pbt = self.pipe_busy_total
-        plans = self.plans
-        plan_stats = self.plan_stats
-        surv = self.surv
-        gundo = self.gundo
-        lds_lat = spec.lds_latency_cycles
-        h1 = spec.hmma_latency_first_half
-        h2 = spec.hmma_latency_second_half
-
-        # Shared builders for load/store events.  ``pidx`` guards a
-        # predicated (generic-path) access: the recorded iteration ran with
-        # a fully-active mask, so replay just verifies the predicate is
-        # still fully active and then reuses the unpredicated fast path.
-        def mk_load(warp, fn, dest, nw, crel, rel, shared, cpi, cpi_l2,
-                    width, bypass, level, stash, pidx, pneg):
-            rows = warp.regs._data
-            pdata = warp.preds._data
-
-            def ev(base):
-                if pidx is not None:
-                    pd = pdata[pidx]
-                    if pd.any() if pneg else not pd.all():
-                        return True
-                c = base + crel
-                if not mio.can_accept(c):
-                    return True
-                addrs, data, mult = fn(warp)
-                if shared:
-                    occ = cpi * mult
-                    done = mio.push(c, occ)
-                    ready = int(done) + lds_lat
-                else:
-                    summary = memsys.access(c, addrs, width, _FULL_MASK,
-                                            is_store=False, bypass_l1=bypass)
-                    if summary.level != level:
-                        return True
-                    occ = cpi if level == "l1" else cpi_l2
-                    done = mio.push(c, occ)
-                    r2 = int(done) + 1
-                    ready = summary.ready_cycle \
-                        if summary.ready_cycle > r2 else r2
-                if ready - c != rel:
-                    return True
-                pbt["lsu"] += occ
-                if stash:
-                    surv.append((warp, 0, ready, dest, data, None,
-                                 rows[dest:dest + nw].copy()))
-                rows[dest:dest + nw] = data
-                return False
-
-            return ev
-
-        def mk_store(warp, fn, crel, rel, shared, cpi, width, sbase, soff,
-                     pidx, pneg):
-            rows = warp.regs._data
-            pdata = warp.preds._data
-
-            def ev(base):
-                if pidx is not None:
-                    pd = pdata[pidx]
-                    if pd.any() if pneg else not pd.all():
-                        return True
-                c = base + crel
-                if not mio.can_accept(c):
-                    return True
-                if shared:
-                    addrs, mult = fn(warp)
-                    occ = cpi * mult
-                    done = mio.push(c, occ)
-                else:
-                    # Shared segments are restored wholesale on abort;
-                    # global words need an explicit undo entry, captured
-                    # before the store closure scatters into memory.
-                    if sbase == RZ_INDEX:
-                        addrs0 = np.full(WARP_LANES, soff, dtype=np.int64)
-                    else:
-                        addrs0 = rows[sbase].astype(np.int64)
-                        addrs0 += soff
-                    gm = warp.global_mem
-                    idx = gm._word_indices(addrs0, width, None)
-                    gundo.append((gm._words, idx, gm._words[idx].copy()))
-                    addrs, mult = fn(warp)
-                    occ = cpi
-                    done = mio.push(c, occ)
-                    memsys.access(int(done), addrs, width, _FULL_MASK,
-                                  is_store=True, bypass_l1=False)
-                if int(done) + 1 - c != rel:
-                    return True
-                pbt["lsu"] += occ
-                return False
-
-            return ev
-
-        evs = []
-        # MMA plan-queue evolution is static over a verified trace: heads
-        # compute a batch into a shared cell, tails index it, and the queue
-        # itself never needs materializing -- provided every warp enters
-        # and leaves the unit with an empty queue (refused otherwise, and
-        # warps that enter mid-group fall back to the dynamic closure).
-        mma_dyn = {id(w) for w in self.warps if w.plan_queue is not None}
-        mma_state = {}
-        for (warp, pc, dec, kindc, crel, post_pc, rel, level,
-             mask_full) in trace:
-            rows = warp.regs._data
-            pk = None
-            if dec.pipe_class is not None:
-                pk = self.pipe_keys[dec.pipe_class][warp.wid % self.n_sched]
-            fn = self.fns[pc]
-            auxv = self.aux[pc]
-
-            if kindc == _K_ALU:
-                stash = crel + ALU_LATENCY > delta
-                occ = dec.occupancy
-
-                def ev(base, warp=warp, rows=rows, fn=fn, dest=auxv,
-                       crel=crel, occ=occ, pk=pk, cls=dec.pipe_class,
-                       stash=stash):
-                    c = base + crel
-                    if occ:
-                        v = pipes[pk]
-                        if v >= c + 1:
-                            return True
-                        pipes[pk] = (v if v > c else float(c)) + occ
-                        pbt[cls] += occ
-                    out = fn(warp)
-                    if stash:
-                        surv.append((warp, 0, c + ALU_LATENCY, dest,
-                                     out[None, :], None, rows[dest].copy()[None, :]))
-                    if out.dtype == _U32:
-                        rows[dest] = out
-                    else:
-                        warp.regs.write_group(dest, out[None, :], mask=None)
-                    return False
-
-            elif kindc == _K_PRED:
-                occ = dec.occupancy
-
-                def ev(base, warp=warp, fn=fn, dest=auxv, crel=crel,
-                       occ=occ, pk=pk, cls=dec.pipe_class):
-                    c = base + crel
-                    if occ:
-                        v = pipes[pk]
-                        if v >= c + 1:
-                            return True
-                        pipes[pk] = (v if v > c else float(c)) + occ
-                        pbt[cls] += occ
-                    warp.preds.write(dest, fn(warp), mask=None)
-                    return False
-
-            elif kindc == _K_MMA:
-                stash1 = crel + h1 > delta
-                stash2 = crel + h2 > delta
-                occ = dec.occupancy
-                plan = plans.get(pc)
-
-                if id(warp) not in mma_dyn:
-                    st = mma_state.setdefault(id(warp), [None, 0, None])
-                    tailpcs, qi, cell = st
-                    if tailpcs is not None and tailpcs[qi] == pc:
-                        # Tail member: read slot qi+1 of the head's batch.
-                        idx = qi + 1
-                        st[1] = qi + 1
-                        if st[1] == len(tailpcs):
-                            st[0] = None
-                            st[1] = 0
-                        if stash1 or stash2:
-
-                            def ev(base, warp=warp, rows=rows, dest=auxv,
-                                   crel=crel, occ=occ, pk=pk, cell=cell,
-                                   idx=idx, stash1=stash1, stash2=stash2):
-                                c = base + crel
-                                v = pipes[pk]
-                                if v >= c + 1:
-                                    return True
-                                out = cell[0][idx]
-                                self._mma_write(warp, rows, dest, out, c,
-                                                stash1, stash2)
-                                pipes[pk] = (v if v > c else float(c)) + occ
-                                pbt["tensor"] += occ
-                                return False
-
-                        else:
-
-                            def ev(base, warp=warp, rows=rows, dest=auxv,
-                                   crel=crel, occ=occ, pk=pk, cell=cell,
-                                   idx=idx):
-                                c = base + crel
-                                v = pipes[pk]
-                                if v >= c + 1:
-                                    return True
-                                out = cell[0][idx]
-                                if out.ndim == 2 and out.dtype == _U32:
-                                    rows[dest:dest + out.shape[0]] = out
-                                else:
-                                    if out.ndim != 2:
-                                        out = out[None, :]
-                                    warp.regs.write_group(dest, out,
-                                                          mask=None)
-                                pipes[pk] = (v if v > c else float(c)) + occ
-                                pbt["tensor"] += occ
-                                return False
-
-                        evs.append(ev)
-                        continue
-                    # Head (or queue-mismatch restart, which the dynamic
-                    # engine resolves by clearing the queue first).
-                    if plan is not None:
-                        cell = [None]
-                        st[0] = list(plan.tail)
-                        st[1] = 0
-                        st[2] = cell
-
-                        def ev(base, warp=warp, rows=rows, dest=auxv,
-                               crel=crel, occ=occ, pk=pk, plan=plan,
-                               cell=cell, stash1=stash1, stash2=stash2):
-                            c = base + crel
-                            v = pipes[pk]
-                            if v >= c + 1:
-                                return True
-                            batch = plan.fn(rows[plan.a_idx],
-                                            rows[plan.b_idx],
-                                            rows[plan.c_idx])
-                            cell[0] = batch
-                            plan_stats[0] += 1
-                            plan_stats[1] += len(plan.members)
-                            out = batch[0]
-                            if (out.ndim == 2 and out.dtype == _U32
-                                    and not stash1 and not stash2):
-                                rows[dest:dest + out.shape[0]] = out
-                            else:
-                                self._mma_write(warp, rows, dest, out, c,
-                                                stash1, stash2)
-                            pipes[pk] = (v if v > c else float(c)) + occ
-                            pbt["tensor"] += occ
-                            return False
-
-                    else:
-                        st[0] = None
-                        st[1] = 0
-                        st[2] = None
-
-                        def ev(base, warp=warp, rows=rows, fn=fn, dest=auxv,
-                               crel=crel, occ=occ, pk=pk, stash1=stash1,
-                               stash2=stash2):
-                            c = base + crel
-                            v = pipes[pk]
-                            if v >= c + 1:
-                                return True
-                            out = fn(warp)
-                            if (out.ndim == 2 and out.dtype == _U32
-                                    and not stash1 and not stash2):
-                                rows[dest:dest + out.shape[0]] = out
-                            else:
-                                self._mma_write(warp, rows, dest, out, c,
-                                                stash1, stash2)
-                            pipes[pk] = (v if v > c else float(c)) + occ
-                            pbt["tensor"] += occ
-                            return False
-
-                    evs.append(ev)
-                    continue
-
-                def ev(base, warp=warp, rows=rows, fn=fn, dest=auxv, pc=pc,
-                       crel=crel, occ=occ, pk=pk, plan=plan, stash1=stash1,
-                       stash2=stash2):
-                    c = base + crel
-                    v = pipes[pk]
-                    if v >= c + 1:
-                        return True
-                    out = None
-                    queue = warp.plan_queue
-                    if queue is not None:
-                        plan_pc, values = queue[warp.plan_qi]
-                        if plan_pc == pc:
-                            out = values
-                            warp.plan_qi += 1
-                            if warp.plan_qi == len(queue):
-                                warp.plan_queue = None
-                                warp.plan_qi = 0
-                        else:
-                            warp.plan_queue = None
-                            warp.plan_qi = 0
-                    if out is None:
-                        if plan is not None:
-                            batch = plan.fn(rows[plan.a_idx], rows[plan.b_idx],
-                                            rows[plan.c_idx])
-                            out = batch[0]
-                            warp.plan_queue = list(zip(plan.tail, batch[1:]))
-                            warp.plan_qi = 0
-                            plan_stats[0] += 1
-                            plan_stats[1] += len(plan.members)
-                        else:
-                            out = fn(warp)
-                    if out.ndim != 2:
-                        out = out[None, :]
-                    half = (out.shape[0] + 1) // 2
-                    first = out[:half]
-                    if stash1:
-                        surv.append((warp, 1, c + h1, dest, first, None,
-                                     rows[dest:dest + half].copy()))
-                    if first.dtype == _U32:
-                        rows[dest:dest + half] = first
-                    else:
-                        warp.regs.write_group(dest, first, mask=None)
-                    if out.shape[0] > half:
-                        second = out[half:]
-                        if stash2:
-                            surv.append((warp, 1, c + h2, dest + half, second,
-                                         None,
-                                         rows[dest + half:dest + out.shape[0]]
-                                         .copy()))
-                        if second.dtype == _U32:
-                            rows[dest + half:dest + out.shape[0]] = second
-                        else:
-                            warp.regs.write_group(dest + half, second,
-                                                  mask=None)
-                    pipes[pk] = (v if v > c else float(c)) + occ
-                    pbt["tensor"] += occ
-                    return False
-
-            elif kindc == _K_LOAD:
-                dest, width, bypass = auxv
-                ev = mk_load(warp, fn, dest, width // 4, crel, rel,
-                             dec.mem_shared, dec.mem_cpi, dec.mem_cpi_l2,
-                             width, bypass, level,
-                             rel is not None and crel + rel > delta,
-                             None, False)
-
-            elif kindc == _K_STORE:
-                width = auxv
-                if dec.mem_shared:
-                    sbase = soff_ = None
-                else:
-                    u = decode_uop(dec.inst)
-                    sbase, soff_ = u.mem.base_index, u.mem.offset
-                ev = mk_store(warp, fn, crel, rel, dec.mem_shared,
-                              dec.mem_cpi, width, sbase, soff_, None, False)
-
-            else:  # generic
-                inst = dec.inst
-                op = dec.opcode
-                if op in ("BAR", "NOP"):
-                    # No functional effect; barrier wake-ups live in the
-                    # (verified) schedule and the exit fabrication.
-                    continue
-                is_bra = op == "BRA"
-                is_mem = dec.is_memory
-                occ = dec.occupancy
-                stash = (crel + (rel if rel is not None else ALU_LATENCY)
-                         > delta)
-
-                # The common generic events in GEMM steady states are
-                # predicated branches and predicated (but fully-active)
-                # guard loads/stores -- specialize those to skip the full
-                # interpreter; anything else falls through to execute().
-                pred = inst.pred
-                pidx = pneg = None
-                if pred is not None and not pred.is_pt:
-                    pidx, pneg = pred.index, pred.negated
-                u = None
-                try:
-                    u = decode_uop(inst)
-                except ExecError:
-                    pass
-                if is_bra and u is not None and occ == 0:
-                    tgt = u.target
-                    if pidx is None:
-                        # Unconditional branch: the recorded target is the
-                        # only outcome, so there is nothing to replay.
-                        if tgt != post_pc:
-                            return False
-                        continue
-
-                    def ev(base, pdata=warp.preds._data, pidx=pidx,
-                           pneg=pneg, tgt=tgt, pc=pc, post_pc=post_pc):
-                        pd = pdata[pidx]
-                        any_set = bool(pd.any())
-                        all_set = bool(pd.all())
-                        if pneg:
-                            taken = not all_set
-                            if taken and any_set:  # divergent: abort
-                                return True
-                        else:
-                            taken = any_set
-                            if taken and not all_set:
-                                return True
-                        return (tgt if taken else pc + 1) != post_pc
-
-                    evs.append(ev)
-                    continue
-                if (u is not None and is_mem and mask_full and pidx is not None
-                        and u.kind in ("load", "store")):
-                    m = u.mem
-                    if u.kind == "load":
-                        ev = mk_load(warp, _load_fn(m), u.dest[1],
-                                     m.width // 4, crel, rel, dec.mem_shared,
-                                     dec.mem_cpi, dec.mem_cpi_l2, m.width,
-                                     m.bypass_l1, level,
-                                     rel is not None and crel + rel > delta,
-                                     pidx, pneg)
-                    else:
-                        ev = mk_store(warp, _store_fn(m), crel, rel,
-                                      dec.mem_shared, dec.mem_cpi, m.width,
-                                      m.base_index, m.offset, pidx, pneg)
-                    evs.append(ev)
-                    continue
-
-                def ev(base, warp=warp, rows=rows, inst=inst, dec=dec,
-                       crel=crel, rel=rel, level=level, is_bra=is_bra,
-                       is_mem=is_mem, occ=occ, pk=pk, cls=dec.pipe_class,
-                       target=post_pc, pc=pc, stash=stash, sim=sim):
-                    c = base + crel
-                    if is_mem and not mio.can_accept(c):
-                        return True
-                    if occ and pk is not None:
-                        v = pipes[pk]
-                        if v >= c + 1:
-                            return True
-                    warp._clock_now = c
-                    eff = execute(inst, warp)
-                    if eff.exited:
-                        return True
-                    if is_bra:
-                        newpc = eff.branch_target \
-                            if eff.branch_target is not None else pc + 1
-                        return newpc != target
-                    if is_mem:
-                        sim._last_level = None
-                        occ2, ready = sim._price_memory(dec, eff, c, memsys,
-                                                        mio)
-                        if ready - c != rel or sim._last_level != level:
-                            return True
-                        pbt["lsu"] += occ2
-                        due = ready
-                    else:
-                        due = c + ALU_LATENCY
-                    for first, values, mask in eff.reg_writes:
-                        if stash:
-                            n = values.shape[0]
-                            surv.append((warp, 0, due, first, values, mask,
-                                         rows[first:first + n].copy()))
-                        if mask is None and values.dtype == _U32:
-                            rows[first:first + values.shape[0]] = values
-                        else:
-                            warp.regs.write_group(
-                                first, values,
-                                mask=None if mask is None or mask.all()
-                                else mask)
-                    for index, values, mask in eff.pred_writes:
-                        warp.preds.write(index, values,
-                                         mask=None if mask.all() else mask)
-                    if occ and pk is not None:
-                        v = pipes[pk]
-                        pipes[pk] = (v if v > c else float(c)) + occ
-                        pbt[cls] += occ
-                    return False
-
-            evs.append(ev)
-        if any(st[0] is not None for st in mma_state.values()):
-            # A plan group straddles the unit boundary; the slim MMA
-            # closures never materialize ``warp.plan_queue``, so refuse.
-            return False
-        self._evs = evs
-        self._delta = delta
-        return True
-
-    def _mma_write(self, warp, rows, dest, out, c, stash1, stash2):
-        """Slow-path MMA register apply: half-split with survivor stashes
-        (events whose write latency crosses the unit boundary)."""
-        if out.ndim != 2:
-            out = out[None, :]
-        spec = self.sim.spec
-        h1 = spec.hmma_latency_first_half
-        h2 = spec.hmma_latency_second_half
-        surv = self.surv
-        half = (out.shape[0] + 1) // 2
-        first = out[:half]
-        if stash1:
-            surv.append((warp, 1, c + h1, dest, first, None,
-                         rows[dest:dest + half].copy()))
-        if first.dtype == _U32:
-            rows[dest:dest + half] = first
-        else:
-            warp.regs.write_group(dest, first, mask=None)
-        if out.shape[0] > half:
-            second = out[half:]
-            if stash2:
-                surv.append((warp, 1, c + h2, dest + half, second, None,
-                             rows[dest + half:dest + out.shape[0]].copy()))
-            if second.dtype == _U32:
-                rows[dest + half:dest + out.shape[0]] = second
-            else:
-                warp.regs.write_group(dest + half, second, mask=None)
-
-    # ---------------------------------------------------------------- replay
-
-    def _unit_checkpoint(self):
-        mio = self.mio
-        return (
-            [(w.regs._data.copy(), w.preds._data.copy(), w.plan_queue,
-              w.plan_qi) for w in self.warps],
-            [sm._words.copy() for sm in self.shared_mems],
-            dict(self.pipes),
-            dict(self.pipe_busy_total),
-            (mio.drain_free, list(mio._done), mio._head, mio._head_done),
-            (self.plan_stats[0], self.plan_stats[1]),
-        )
-
-    def _unit_rollback(self, ck, glen, slen):
-        wck, sck, pck, bck, mck, plck = ck
-        for w, (rd, pd, pq, qi) in zip(self.warps, wck):
-            w.regs._data[:] = rd
-            w.preds._data[:] = pd
-            w.plan_queue = pq
-            w.plan_qi = qi
-        for sm, words in zip(self.shared_mems, sck):
-            sm._words[:] = words
-        self.pipes.update(pck)
-        self.pipe_busy_total.update(bck)
-        mio = self.mio
-        mio.drain_free, done, mio._head, mio._head_done = mck
-        mio._done[:] = done
-        self.plan_stats[0], self.plan_stats[1] = plck
-        g = self.gundo
-        for words, idx, old in reversed(g[glen:]):
-            words[idx] = old
-        del g[glen:]
-        del self.surv[slen:]
-
-    def _replay(self, base0):
-        """Replay committed iterations from the verified boundary; returns
-        ``(new_cycle, d_stall, d_score, d_pipe, d_retired)``."""
-        evs = self._evs
-        delta = self._delta
-        memsys = self.memsys
-        surv = self.surv
-        gundo = self.gundo
-        del surv[:]
-        del gundo[:]
-
-        # Flush in-flight writes: sound per the hazard walk (nothing reads
-        # their targets before their due), tracked as survivors so the
-        # queues reconstruct exactly on exit.
-        for warp in self.warps:
-            if warp.exited:
-                continue
-            entries = ([(d, f, v, m, 0) for d, f, v, m in warp.pending_writes]
-                       + [(d, f, v, m, 1)
-                          for d, f, v, m in warp.pending_tensor_writes])
-            entries.sort(key=lambda e: e[0])
-            rows = warp.regs._data
-            for d, f, v, m, kindf in entries:
-                n = v.shape[0]
-                surv.append((warp, kindf, d, f, v, m, rows[f:f + n].copy()))
-                if m is None and v.dtype == _U32:
-                    rows[f:f + n] = v
-                else:
-                    warp.regs.write_group(
-                        f, v, mask=None if m is None or m.all() else m)
-            warp.pending_writes = []
-            warp.pending_tensor_writes = []
-            warp.min_due = _INF
-            warp.tensor_min_due = _INF
-
-        # Exit scheduling state is fabricated from these entry-time
-        # relatives: every component is integer-exact and shift-invariant
-        # over a verified period.
-        wsnap = []
-        for w in self.warps:
-            if w.exited:
-                wsnap.append(None)
-            else:
-                wsnap.append((w.pc, w.at_barrier, w.next_issue - base0,
-                              tuple(sb - base0 for sb in w.scoreboards)))
-        rr_snap = tuple(self.rr)
-
-        committed = 0
-        base = base0
-        mio = self.mio
-        while base + delta <= self.max_cycles:
-            ck = self._unit_checkpoint()
-            memsys.begin_journal()
-            glen = len(gundo)
-            slen = len(surv)
-            ok = True
-            for ev in evs:
-                if ev(base):
-                    ok = False
-                    break
-            if not ok:
-                self._unit_rollback(ck, glen, slen)
-                memsys.rollback_journal()
-                break
-            memsys.commit_journal()
-            committed += 1
-            base += delta
-            del gundo[:]
-            if surv:
-                surv[:] = [e for e in surv if e[2] > base]
-            mio._retire(base)
-
-        self._fabricate(base, wsnap, rr_snap)
-        if committed:
-            self._fail_streak = 0
-        else:
-            self._note_failure()
-        del self._hist[:]
-
-        d = self._period_sdelta
-        u = committed
-        opc = self.opcode_counts
-        for k, v in d[4].items():
-            opc[k] = opc.get(k, 0) + v * u
-        for warp, wd in zip(self.warps, d[5]):
-            warp.retired += wd * u
-        self.periods += u
-        self.cycles_skipped += delta * u
-        return (base, d[0] * u, d[1] * u, d[2] * u, d[3] * u)
-
-    def _fabricate(self, base, wsnap, rr_snap):
-        """Rebuild scheduling state at a committed boundary.  Registers,
-        memories, pipes, MIO and the memory subsystem are already real."""
-        st_code = self.st_code
-        st_expiry = self.st_expiry
-        for w, ws in zip(self.warps, wsnap):
-            if ws is None:
-                st_code[w.wid] = 6
-                continue
-            pc, bar, ni_rel, sb_rels = ws
-            w.pc = pc
-            w.at_barrier = bar
-            w.next_issue = base + ni_rel
-            w.scoreboards = [base + r for r in sb_rels]
-            w.pending_writes = []
-            w.pending_tensor_writes = []
-            w.min_due = _INF
-            w.tensor_min_due = _INF
-            st_code[w.wid] = 5 if bar else 0
-            st_expiry[w.wid] = 0
-        surv = self.surv
-        for warp, kindf, due, first, values, mask, old in reversed(surv):
-            warp.regs._data[first:first + old.shape[0]] = old
-        for warp, kindf, due, first, values, mask, old in surv:
-            if kindf:
-                warp.defer_tensor_write(due, first, values, mask)
-            else:
-                warp.defer_write(due, first, values, mask)
-        del surv[:]
-        self.rr[:] = rr_snap
-        for s in range(self.n_sched):
-            self.sched_sum[s] = None
-
-
 class TimingSimulator:
     """Simulates *num_ctas* CTAs of one program resident on one SM."""
 
@@ -1761,14 +770,9 @@ class TimingSimulator:
                 f"engine must be one of {ENGINES}, got {self.engine!r}"
             )
         # Divergence-watchdog mode (None -> REPRO_GUARD); a degraded
-        # watchdog may run this simulator on the reference engine or with
-        # fast-forward disabled regardless of what was requested.
+        # watchdog may run this simulator on the reference engine regardless
+        # of what was requested.
         self.guard = guard
-        # Last issued event's write-release cycle / memory service level /
-        # mask fullness, stashed for the fast-forward recorder.
-        self._last_release = None
-        self._last_level = None
-        self._last_mask_full = None
 
     def run(self, program: Program, global_mem: GlobalMemory = None,
             num_ctas: int = 1, first_ctaid=(0, 0, 0),
@@ -1806,7 +810,7 @@ class TimingSimulator:
             outcome = self._run_event(
                 warps, cta_warps, decoded, memsys, max_cycles)
         cycle, retired, opcode_counts, pipe_busy_total, stall_reasons, \
-            plan_stats, ff_stats = outcome
+            plan_stats = outcome
 
         for w in warps:
             w.flush_writes()
@@ -1817,9 +821,6 @@ class TimingSimulator:
         if plan_stats[0]:
             STATS.count("sim.plans", plan_stats[0])
             STATS.count("sim.plan_insts", plan_stats[1])
-        if ff_stats[0]:
-            STATS.count("sim.ff_periods", ff_stats[0])
-            STATS.count("sim.ff_cycles", ff_stats[1])
         STATS.add_time("sim.wall", time.perf_counter() - start_wall)
 
         result = TimingResult(
@@ -1902,7 +903,7 @@ class TimingSimulator:
                 "kernel appears hung"
             )
         return (cycle, retired, opcode_counts, pipe_busy_total,
-                stall_reasons, (0, 0), (0, 0))
+                stall_reasons, (0, 0))
 
     # ---------------------------------------------------------------- issue
 
@@ -1982,7 +983,6 @@ class TimingSimulator:
             due = cycle + ALU_LATENCY
             for first_reg, values, mask in eff.reg_writes:
                 warp.defer_write(due, first_reg, values, mask)
-        self._last_release = write_bar_release
 
         # Predicates use the ALU latency as well.
         for index, values, mask in eff.pred_writes:
@@ -2047,12 +1047,9 @@ class TimingSimulator:
         access consumes, and when its result (load data / store-complete)
         is architecturally visible.
         """
-        self._last_level = None
-        self._last_mask_full = None
         txn = eff.transaction
         if txn is None:  # fully predicated-off access
             return 0.0, cycle + 1
-        self._last_mask_full = txn.mask is None or bool(txn.mask.all())
 
         if dec.mem_shared:
             mult = conflict_multiplier(txn.addresses, txn.width_bytes, txn.mask)
@@ -2074,7 +1071,6 @@ class TimingSimulator:
         summary = memsys.access(cycle, txn.addresses, txn.width_bytes,
                                 txn.mask, is_store=False,
                                 bypass_l1=txn.bypass_l1)
-        self._last_level = summary.level
         occupancy = dec.mem_cpi if summary.level == "l1" else dec.mem_cpi_l2
         done = mio.push(cycle, occupancy)
         ready = max(summary.ready_cycle, int(done) + 1)
@@ -2174,33 +1170,8 @@ class TimingSimulator:
         floor = math.floor
         ceil = math.ceil
 
-        ff = None
-        ff_rec = False
-        ff_flag = False
-        self._last_release = None
-        self._last_level = None
-        self._last_mask_full = None
-        if _ff_enabled():
-            ff = _FastForward(self, warps, cta_warps, decoded, kinds, fns,
-                              aux, plans, pipes, pipe_keys, mio, memsys,
-                              pipe_busy_total, opcode_counts, rr, st_code,
-                              st_expiry, sched_sum, plan_stats, n_sched,
-                              max_cycles)
-
         cycle = 0
         while cycle < max_cycles:
-            if ff_flag:
-                ff_flag = False
-                res = ff.at_boundary(cycle, n_stall, n_score, n_pipe,
-                                     retired)
-                ff_rec = ff.recording
-                if res is not None:
-                    cycle, d_st, d_sc, d_pi, d_re = res
-                    n_stall += d_st
-                    n_score += d_sc
-                    n_pipe += d_pi
-                    retired += d_re
-                    ff_rec = False
             if live == 0:
                 break
             issued_any = False
@@ -2311,23 +1282,9 @@ class TimingSimulator:
                             pipes, pipe_key, mio, pipe_busy_total, memsys,
                             plans, plan_stats,
                         )
-                        if ff_rec:
-                            ff.record(warp, pc, dec, kindc, cycle)
                     else:
                         self._issue(warp, dec, cycle, pipes, pipe_key, mio,
                                     pipe_busy_total, memsys, cta_warps)
-                        if ff is not None:
-                            if ff_rec:
-                                ff.record(warp, pc, dec, 0, cycle)
-                            if dec.opcode == "BRA" and warp.pc <= pc:
-                                # A taken backward branch by the watch warp
-                                # marks the next loop top as a fast-forward
-                                # boundary.
-                                if ff.watch_wid is None:
-                                    ff.watch_wid = wid
-                                    ff_flag = True
-                                elif ff.watch_wid == wid:
-                                    ff_flag = True
                     opcode_counts[dec.opcode] = (
                         opcode_counts.get(dec.opcode, 0) + 1
                     )
@@ -2416,8 +1373,7 @@ class TimingSimulator:
             "barrier": 0,
         }
         return (cycle, retired, opcode_counts, pipe_busy_total,
-                stall_reasons, plan_stats,
-                (ff.periods, ff.cycles_skipped) if ff is not None else (0, 0))
+                stall_reasons, plan_stats)
 
     def _issue_fast(self, warp, dec, kindc, fn, aux, cycle, pipes, pipe_key,
                     mio, pipe_busy_total, memsys, plans, plan_stats) -> None:
@@ -2497,7 +1453,6 @@ class TimingSimulator:
             else:
                 summary = memsys.access(cycle, addrs, width, _FULL_MASK,
                                         is_store=False, bypass_l1=bypass_l1)
-                self._last_level = summary.level
                 occupancy = (dec.mem_cpi if summary.level == "l1"
                              else dec.mem_cpi_l2)
                 done = mio.push(cycle, occupancy)
@@ -2542,7 +1497,6 @@ class TimingSimulator:
                 scoreboards[dec.read_bar] = cycle + 2
         warp.pc += 1
         warp.next_issue = cycle + dec.issue_stall
-        self._last_release = release
 
 
 def _guard_rerun(spec, bandwidth_share, l1_bytes, program, pre_words,
