@@ -46,7 +46,7 @@ from .mma import (
     hmma_1688_f16,
     hmma_1688_f32,
     hmma_884_f16,
-    mma_16x8x8,
+    mma_reference,
 )
 
 __all__ = [
@@ -84,5 +84,5 @@ __all__ = [
     "hmma_1688_f16",
     "hmma_1688_f32",
     "hmma_884_f16",
-    "mma_16x8x8",
+    "mma_reference",
 ]

@@ -1,95 +1,104 @@
-"""Functional semantics of the ``HMMA.1688`` Tensor Core instruction.
+"""Functional semantics of the ``HMMA`` Tensor Core instructions.
 
-One ``HMMA.1688`` computes ``D[16x8] = A[16x8] @ B[8x8] + C[16x8]`` (paper
-Eq. (2)) on warp-register fragments whose layout is defined in
-:mod:`repro.hmma.fragments`.
+One HMMA computes ``D[m x n] = A[m x k] @ B[k x n] + C[m x n]`` (paper
+Eq. (2)) on warp-register fragments.  The shape ``(m, n, k)`` is the
+generation's :attr:`~repro.arch.ArchSpec.hmma_shape`: ``.884`` (Volta),
+``.1688`` (Turing, the paper's instruction) or ``.16816`` (Ampere).
+
+Operand layout
+--------------
+Every operand is a grid of 8x8 tiles, each tile one warp register in the
+layouts of :mod:`repro.hmma.fragments` (paper Figs. 1-2).  In an operand
+``R`` tiles tall, tile ``(i, j)`` sits in register ``i + R*j``; A, C and D
+tiles are row-major, B tiles column-major.  ``.F32`` accumulators promote
+the low and high half of each register to a full register: element
+(lane, half) of tile ``t`` sits in lane ``lane`` of register ``2t + half``
+(``fragments._INV_F32`` is the 16x8 instance).  :func:`_operand_offsets`
+is the one place that rule is written; :func:`mma_batch` and
+:func:`mma_window` gather through its offsets, so every generation's
+kernels come from the same code.
 
 Precision model
 ---------------
-Tensor Cores multiply FP16 operands exactly (each product of two FP16 values
-is representable in FP32) and accumulate in higher precision *within* one
-instruction; the accumulator register type then determines the rounding of
-the result:
+Each FP16 product is exact in float32.  The k-reduction and the addition
+of C run in float32, in NumPy matmul's summation order, so each addition
+rounds to float32.  The accumulator type then decides the result:
 
-* ``.F16`` -- the 16x8 result is rounded to half precision once per HMMA.
-* ``.F32`` -- the result stays in single precision.
+* ``.F16`` -- D is rounded once more, to half precision;
+* ``.F32`` -- D stays in single precision.
 
-This matches the paper's observation (Section I) that Tensor Core results are
-*more accurate* than a chain of FP16 FMA operations, while a long K reduction
-performed by many chained ``.F16`` HMMAs still accumulates FP16 rounding
-error once per instruction.
+:func:`_accumulate` is the one place this happens; the matrix reference,
+the batch kernel and the fused window all call it.  A long K reduction
+chained over many ``.F16`` HMMAs still rounds to FP16 once per
+instruction, which is why Tensor Core results are more accurate than a
+chain of FP16 FMAs (paper Section I) but not exact.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..arch.family import GENERATIONS
+from . import fragments as frag
+from .fp16 import HALF
 from .fragments import (
+    COL_MAJOR,
+    ROW_MAJOR,
     fragment_to_matrix,
     fragments_f32_to_matrix16x8,
     fragments_to_matrix16x8,
     matrix16x8_to_fragments,
     matrix16x8_to_fragments_f32,
-    COL_MAJOR,
+    matrix_to_fragment,
 )
 
 __all__ = [
-    "mma_16x8x8",
-    "mma_16x8x16",
+    "mma_reference",
+    "mma_batch",
+    "mma_window",
     "hmma_1688_f16",
     "hmma_1688_f32",
     "hmma_884_f16",
     "hmma_16816_f16",
     "hmma_16816_f32",
-    "hmma_1688_f16_batch",
-    "hmma_1688_f32_batch",
-    "hmma_884_f16_batch",
-    "hmma_16816_f16_batch",
-    "hmma_16816_f32_batch",
-    "hmma_1688_window",
     "HMMA_1688_FLOPS",
 ]
 
 #: Floating point operations performed by one HMMA.1688 (2 * 16 * 8 * 8).
 HMMA_1688_FLOPS = 2 * 16 * 8 * 8
 
-
-def mma_16x8x16(a, b, c, accumulate_f32: bool) -> np.ndarray:
-    """Matrix-level reference for Ampere's ``HMMA.16816``:
-    ``A[16x16] @ B[16x8] + C[16x8]``, one rounding per instruction."""
-    a32 = np.asarray(a, dtype=np.float32)
-    b32 = np.asarray(b, dtype=np.float32)
-    c32 = np.asarray(c, dtype=np.float32)
-    if a32.shape != (16, 16) or b32.shape != (16, 8) or c32.shape != (16, 8):
-        raise ValueError(
-            f"mma_16x8x16 expects A(16x16), B(16x8), C(16x8); got "
-            f"{a32.shape}, {b32.shape}, {c32.shape}"
-        )
-    d = a32 @ b32 + c32
-    if accumulate_f32:
-        return d
-    return d.astype(np.float16)
+#: Every ``(m, n, k)`` HMMA shape in the generation registry.
+_SHAPES = frozenset(arch.hmma_shape for arch in GENERATIONS.values())
 
 
-def mma_16x8x8(a, b, c, accumulate_f32: bool) -> np.ndarray:
-    """Matrix-level reference: ``A[16x8] @ B[8x8] + C``.
+def _accumulate(a32, b32, c32, f32: bool) -> np.ndarray:
+    """``A @ B + C`` on float32 operands (any leading batch dimensions),
+    rounded to float16 unless the accumulator is ``.F32``."""
+    d = np.matmul(a32, b32) + c32
+    return d if f32 else d.astype(np.float16)
 
-    Products and the intra-instruction reduction happen in float32; the
-    result is rounded to float16 once iff ``accumulate_f32`` is false.
+
+def mma_reference(a, b, c, accumulate_f32: bool) -> np.ndarray:
+    """Matrix-level reference: ``A[m x k] @ B[k x n] + C[m x n]`` for any
+    registry HMMA shape, with the precision model of the module docstring.
     """
     a32 = np.asarray(a, dtype=np.float32)
     b32 = np.asarray(b, dtype=np.float32)
     c32 = np.asarray(c, dtype=np.float32)
-    if a32.shape != (16, 8) or b32.shape != (8, 8) or c32.shape != (16, 8):
+    got = (a32.shape, b32.shape, c32.shape)
+    if not any(got == ((m, k), (k, n), (m, n)) for m, n, k in _SHAPES):
         raise ValueError(
-            f"mma_16x8x8 expects A(16x8), B(8x8), C(16x8); got "
+            f"mma_reference expects A(m x k), B(k x n), C(m x n) for an HMMA "
+            f"shape (m, n, k) in {sorted(_SHAPES)}; got "
             f"{a32.shape}, {b32.shape}, {c32.shape}"
         )
-    d = a32 @ b32 + c32
-    if accumulate_f32:
-        return d
-    return d.astype(np.float16)
+    return _accumulate(a32, b32, c32, accumulate_f32)
 
+
+# ------------------------------------------------------ single-warp references
+#
+# Built on the per-register conversions of repro.hmma.fragments, not on the
+# flat offsets below, so the generator is checked against independent code.
 
 def hmma_1688_f16(a_regs, b_reg, c_regs) -> np.ndarray:
     """Execute ``HMMA.1688.F16`` on warp registers.
@@ -105,8 +114,7 @@ def hmma_1688_f16(a_regs, b_reg, c_regs) -> np.ndarray:
     a = fragments_to_matrix16x8(a_regs)
     b = fragment_to_matrix(b_reg, COL_MAJOR)
     c = fragments_to_matrix16x8(c_regs)
-    d = mma_16x8x8(a, b, c, accumulate_f32=False)
-    return matrix16x8_to_fragments(d)
+    return matrix16x8_to_fragments(mma_reference(a, b, c, accumulate_f32=False))
 
 
 def hmma_1688_f32(a_regs, b_reg, c_regs) -> np.ndarray:
@@ -123,311 +131,7 @@ def hmma_1688_f32(a_regs, b_reg, c_regs) -> np.ndarray:
     a = fragments_to_matrix16x8(a_regs)
     b = fragment_to_matrix(b_reg, COL_MAJOR)
     c = fragments_f32_to_matrix16x8(c_regs)
-    d = mma_16x8x8(a, b, c, accumulate_f32=True)
-    return matrix16x8_to_fragments_f32(d)
-
-
-#: Fused gather/scatter index tables for the batch kernels, keyed by the
-#: number of stacked warps.  Composing the warp-major de-interleave with the
-#: fragment permutation moves each operand register-file -> matrix form in
-#: ONE fancy-index gather (and the result back in one scatter) instead of a
-#: transpose copy plus a take copy per operand -- the batch kernels are the
-#: lockstep engine's hottest path, so the copies matter.
-_BATCH_IDX_CACHE: dict = {}
-
-
-def _batch_index_tables(n_warps: int):
-    """(a_idx, b_idx, d_idx, c32_idx, d32_idx) for ``n_warps`` stacked warps.
-
-    All tables index the flat u16 (fp16 operands) or f32 (``.F32``
-    accumulators) view of a warp-major ``(g, regs, total)`` uint32 block:
-
-    * ``a_idx``/``b_idx`` -- (nw, 16, 8) / (nw, 8, 8) gathers producing the
-      A (and C, same layout) and B matrices per warp;
-    * ``d_idx`` -- (nw, 128) scatter from flat D matrices back to fragment
-      pairs;
-    * ``c32_idx``/``d32_idx`` -- the float32-accumulator equivalents.
-    """
-    hit = _BATCH_IDX_CACHE.get(n_warps)
-    if hit is not None:
-        return hit
-    from . import fragments as frag
-
-    total = n_warps * 32
-    w3 = np.arange(n_warps, dtype=np.intp).reshape(n_warps, 1, 1)
-    w2 = np.arange(n_warps, dtype=np.intp).reshape(n_warps, 1)
-    # fp16 16x8 operands: u16 element e of pair-register c of warp w sits at
-    # flat offset c*2*total + 64*w + e of the (2, total)-u32 block.
-    c, e = np.divmod(np.asarray(frag._GATHER_16X8, dtype=np.intp), 64)
-    a_idx = c * (2 * total) + 64 * w3 + e
-    b_idx = 64 * w2.reshape(n_warps, 1, 1) + np.asarray(
-        frag._PERMS[COL_MAJOR][0], dtype=np.intp)
-    # D fp16: matrix element m of warp w lands in fragment slot
-    # Sinv[m] = argsort(S)[m], at the offset scheme above.
-    t = np.argsort(np.asarray(frag._SCATTER_16X8, dtype=np.intp))
-    c, e = np.divmod(t, 64)
-    d_idx = c * (2 * total) + 64 * w2 + e
-    # .F32 accumulators: f32 word q = r*32 + l of warp w sits at flat
-    # offset r*total + 32*w + l of the (4, total)-u32 block.
-    r, lane = np.divmod(np.asarray(frag._INV_F32, dtype=np.intp), 32)
-    c32_idx = r * total + 32 * w3 + lane
-    perm = np.asarray(frag._PERM_F32, dtype=np.intp).ravel()
-    q_off = (np.repeat(np.arange(4, dtype=np.intp), 32) * total
-             + np.tile(np.arange(32, dtype=np.intp), 4))
-    d32_idx = np.empty((n_warps, 128), dtype=np.intp)
-    d32_idx[:, perm] = 32 * w2 + q_off
-    tables = (a_idx, b_idx, d_idx, c32_idx, d32_idx)
-    _BATCH_IDX_CACHE[n_warps] = tables
-    return tables
-
-
-#: Per-warp column tables for :func:`hmma_1688_window`, keyed by n_warps.
-_WINDOW_COL_CACHE: dict = {}
-
-#: Ceiling on a window's flat index tables (int64 elements).  Above it the
-#: window falls back to the row-gather + batch-kernel path: the tables cost
-#: 8 bytes per gathered element, which stops being a good trade against a
-#: few-MB register file.  A 64-HMMA window of an 8-warp lockstep CTA needs
-#: about 143k elements, so the generated kernels stay well below it.
-_WINDOW_FLAT_MAX_ELEMS = 1 << 21
-
-
-def _window_col_tables(n_warps: int):
-    """Column tables indexing the register file's u16/f32 views directly.
-
-    Where :func:`_batch_index_tables` indexes an already-gathered
-    ``(g, regs, total)`` operand block, these carry the *column* part of a
-    composed index straight into the ``(256, lanes)`` register file: element
-    (i, j) of warp *w*'s A matrix sits at row ``a_base + cA[i, j]``, u16
-    column ``colA[w, i, j]``.  The caller folds in the per-payload register
-    rows and flattens.
-    """
-    hit = _WINDOW_COL_CACHE.get(n_warps)
-    if hit is not None:
-        return hit
-    from . import fragments as frag
-
-    w = np.arange(n_warps, dtype=np.intp)
-    # fp16 operands: warp w's u16 element e of pair-register c sits at
-    # register row base+c, u16 column 64*w + e.
-    cA, eA = np.divmod(np.asarray(frag._GATHER_16X8, dtype=np.intp), 64)
-    colA = 64 * w[:, None, None] + eA
-    colB = 64 * w[:, None, None] + np.asarray(
-        frag._PERMS[COL_MAJOR][0], dtype=np.intp)
-    t = np.argsort(np.asarray(frag._SCATTER_16X8, dtype=np.intp))
-    cD, eD = np.divmod(t, 64)
-    colD = 64 * w[:, None] + eD
-    # .F32 accumulators: f32 word q = r*32 + l of warp w sits at register
-    # row base+r, f32 column 32*w + l.
-    r32, l32 = np.divmod(np.asarray(frag._INV_F32, dtype=np.intp), 32)
-    colC32 = 32 * w[:, None, None] + l32
-    perm = np.asarray(frag._PERM_F32, dtype=np.intp).ravel()
-    rD32 = np.empty(128, dtype=np.intp)
-    lD32 = np.empty(128, dtype=np.intp)
-    rD32[perm] = np.repeat(np.arange(4, dtype=np.intp), 32)
-    lD32[perm] = np.tile(np.arange(32, dtype=np.intp), 4)
-    colD32 = 32 * w[:, None] + lD32
-    tables = (cA, colA, colB, cD, colD, r32, colC32, rD32, colD32)
-    _WINDOW_COL_CACHE[n_warps] = tables
-    return tables
-
-
-def hmma_1688_window(d_base, a_base, b_base, c_base, f32: bool):
-    """Compile an in-place executor for a fused window of *g* HMMA.1688s.
-
-    Returns ``run(regs, cache)`` operating directly on the ``(256, lanes)``
-    uint32 register file.  Each operand is one fancy-index gather with a fully
-    materialised flat index (the window row gather fused with the fragment
-    permutation of :func:`_batch_index_tables`) -- NumPy's single-index take
-    beats both the two-index broadcast form and a row gather followed by a
-    block gather.  GEMM windows reuse fragments (each A row block multiplies
-    several B column blocks and vice versa), so A and B are gathered and
-    converted per *unique* register base only, then expanded to per-product
-    form with a float32 row gather -- a pure copy, so results stay
-    bit-identical to the batch kernels (the uop differential suite pins this
-    against the reference engine).  Windows whose tables would exceed
-    ``_WINDOW_FLAT_MAX_ELEMS`` fall back to the row-gather + batch-kernel
-    path, as do big-endian hosts.
-
-    The flat tables take 8 bytes per gathered element, so the caller owns
-    them: ``cache`` is a dict ``run`` fills on its first call and reuses
-    whenever it is passed again.  A code cache can thus keep ``run`` for
-    the life of the process while each launch's tables die with the
-    launch.
-    """
-    from . import fragments as frag
-    from .fp16 import HALF
-
-    g = len(d_base)
-    nreg = 4 if f32 else 2
-    d_rows = np.asarray(d_base, dtype=np.intp)
-    c_rows = np.asarray(c_base, dtype=np.intp)
-    a_uniq, a_inv = np.unique(np.asarray(a_base, dtype=np.intp),
-                              return_inverse=True)
-    b_uniq, b_inv = np.unique(np.asarray(b_base, dtype=np.intp),
-                              return_inverse=True)
-    ua, ub = a_uniq.size, b_uniq.size
-
-    a_idx2 = np.asarray(a_base, dtype=np.intp)[:, None] + np.arange(
-        2, dtype=np.intp)
-    b_idx1 = np.asarray(b_base, dtype=np.intp)
-    c_idx2 = c_rows[:, None] + np.arange(nreg, dtype=np.intp)
-    d_idx2 = d_rows[:, None] + np.arange(nreg, dtype=np.intp)
-    batch = hmma_1688_f32_batch if f32 else hmma_1688_f16_batch
-
-    def run_blocks(regs, cache=None):
-        regs[d_idx2] = batch(regs[a_idx2], regs[b_idx1], regs[c_idx2])
-
-    if not frag._LITTLE_ENDIAN:
-        return run_blocks
-
-    # Flat tables depend on the lane count, known only once the first
-    # register file arrives; one decoded program has exactly one lane count,
-    # so its cache holds a single entry in practice.
-    def tables(cache, lanes):
-        tab = cache.get(lanes)
-        if tab is not None:
-            return tab
-        nw = lanes // 32
-        elems = nw * (128 * ua + 64 * ub + 2 * 128 * g)
-        if elems > _WINDOW_FLAT_MAX_ELEMS:
-            tab = cache[lanes] = None
-            return tab
-        (cA, colA, colB, cD, colD,
-         r32, colC32, rD32, colD32) = _window_col_tables(nw)
-        s16 = 2 * lanes   # u16 row stride of the (256, lanes) u32 file
-        iA = ((a_uniq[:, None, None] + cA)[:, None] * s16 + colA[None]).ravel()
-        iB = (b_uniq[:, None, None, None] * s16 + colB[None]).ravel()
-        if f32:
-            iC = ((c_rows[:, None, None] + r32)[:, None] * lanes
-                  + colC32[None]).ravel()
-            iD = ((d_rows[:, None] + rD32)[:, None] * lanes
-                  + colD32[None]).ravel()
-        else:
-            iC = ((c_rows[:, None, None] + cA)[:, None] * s16
-                  + colA[None]).ravel()
-            iD = ((d_rows[:, None] + cD)[:, None] * s16 + colD[None]).ravel()
-        tab = cache[lanes] = (nw, iA, iB, iC, iD)
-        return tab
-
-    if f32:
-        def run(regs, cache):
-            tab = tables(cache, regs.shape[1])
-            if tab is None:
-                return run_blocks(regs)
-            nw, iA, iB, iC, iD = tab
-            gw = g * nw
-            f16 = regs.view(np.uint16).reshape(-1)
-            f32v = regs.view(np.float32).reshape(-1)
-            a32 = (f16[iA].view(HALF).reshape(ua, nw, 16, 8)
-                   .astype(np.float32)[a_inv].reshape(gw, 16, 8))
-            b32 = (f16[iB].view(HALF).reshape(ub, nw, 8, 8)
-                   .astype(np.float32)[b_inv].reshape(gw, 8, 8))
-            c32 = f32v[iC].reshape(gw, 16, 8)
-            d = np.matmul(a32, b32) + c32
-            f32v[iD] = d.reshape(-1)
-    else:
-        def run(regs, cache):
-            tab = tables(cache, regs.shape[1])
-            if tab is None:
-                return run_blocks(regs)
-            nw, iA, iB, iC, iD = tab
-            gw = g * nw
-            f16 = regs.view(np.uint16).reshape(-1)
-            a32 = (f16[iA].view(HALF).reshape(ua, nw, 16, 8)
-                   .astype(np.float32)[a_inv].reshape(gw, 16, 8))
-            b32 = (f16[iB].view(HALF).reshape(ub, nw, 8, 8)
-                   .astype(np.float32)[b_inv].reshape(gw, 8, 8))
-            c32 = f16[iC].view(HALF).reshape(gw, 16, 8).astype(np.float32)
-            d16 = (np.matmul(a32, b32) + c32).astype(np.float16)
-            f16[iD] = d16.view(np.uint16).reshape(-1)
-    return run
-
-
-def _hmma_1688_batch_fallback(a_regs, b_regs, c_regs, f32: bool) -> np.ndarray:
-    """Per-(product, warp) scalar path (big-endian hosts)."""
-    g, _, total = a_regs.shape
-    n_warps = total // 32
-    fn = hmma_1688_f32 if f32 else hmma_1688_f16
-    out = np.empty_like(c_regs)
-    for i in range(g):
-        for w in range(n_warps):
-            lanes = slice(32 * w, 32 * (w + 1))
-            out[i][:, lanes] = fn(
-                a_regs[i][:, lanes], b_regs[i][lanes], c_regs[i][:, lanes])
-    return out
-
-
-def hmma_1688_f16_batch(a_regs, b_regs, c_regs) -> np.ndarray:
-    """Stacked ``HMMA.1688.F16``: *g* independent products over *w* warps.
-
-    Args:
-        a_regs: (g, 2, L) uint32 -- A fragments, L = 32 * n_warps lanes
-            laid out warp-major (warp 0's 32 lanes first).
-        b_regs: (g, L) uint32 -- B fragments.
-        c_regs: (g, 2, L) uint32 -- C accumulators.
-
-    Returns:
-        (g, 2, L) uint32 -- D fragments.
-
-    The ``g * n_warps`` products run as one stacked (gw,16,8) @ (gw,8,8)
-    float32 matmul; NumPy applies the same per-slice BLAS kernel as the 2-D
-    ``a @ b`` in :func:`hmma_1688_f16`, so rounding stays bit-identical on
-    every warp slice -- the golden functional digests pin this equivalence.
-    """
-    from . import fragments as frag
-    from .fp16 import HALF
-
-    a_regs = np.ascontiguousarray(a_regs, dtype=np.uint32)
-    b_regs = np.ascontiguousarray(b_regs, dtype=np.uint32)
-    c_regs = np.ascontiguousarray(c_regs, dtype=np.uint32)
-    if not frag._LITTLE_ENDIAN:
-        return _hmma_1688_batch_fallback(a_regs, b_regs, c_regs, f32=False)
-    g, _, total = a_regs.shape
-    n_warps = total // 32
-    gw = g * n_warps
-    a_idx, b_idx, d_idx, _, _ = _batch_index_tables(n_warps)
-    af = a_regs.view(np.uint16).reshape(g, 4 * total)
-    bf = b_regs.view(np.uint16).reshape(g, 2 * total)
-    cf = c_regs.view(np.uint16).reshape(g, 4 * total)
-    a32 = af[:, a_idx].view(HALF).reshape(gw, 16, 8).astype(np.float32)
-    b32 = bf[:, b_idx].view(HALF).reshape(gw, 8, 8).astype(np.float32)
-    c32 = cf[:, a_idx].view(HALF).reshape(gw, 16, 8).astype(np.float32)
-    d16 = (np.matmul(a32, b32) + c32).astype(np.float16)
-    out = np.empty((g, 2, total), dtype=np.uint32)
-    out.view(np.uint16).reshape(g, 4 * total)[:, d_idx] = (
-        d16.view(np.uint16).reshape(g, n_warps, 128))
-    return out
-
-
-def hmma_1688_f32_batch(a_regs, b_regs, c_regs) -> np.ndarray:
-    """Stacked ``HMMA.1688.F32`` (see :func:`hmma_1688_f16_batch`).
-
-    ``c_regs`` / result are (g, 4, L) uint32 float32 fragment pairs.
-    """
-    from . import fragments as frag
-    from .fp16 import HALF
-
-    a_regs = np.ascontiguousarray(a_regs, dtype=np.uint32)
-    b_regs = np.ascontiguousarray(b_regs, dtype=np.uint32)
-    c_regs = np.ascontiguousarray(c_regs, dtype=np.uint32)
-    if not frag._LITTLE_ENDIAN:
-        return _hmma_1688_batch_fallback(a_regs, b_regs, c_regs, f32=True)
-    g, _, total = a_regs.shape
-    n_warps = total // 32
-    gw = g * n_warps
-    a_idx, b_idx, _, c32_idx, d32_idx = _batch_index_tables(n_warps)
-    af = a_regs.view(np.uint16).reshape(g, 4 * total)
-    bf = b_regs.view(np.uint16).reshape(g, 2 * total)
-    a32 = af[:, a_idx].view(HALF).reshape(gw, 16, 8).astype(np.float32)
-    b32 = bf[:, b_idx].view(HALF).reshape(gw, 8, 8).astype(np.float32)
-    c32 = (c_regs.view(np.float32).reshape(g, 4 * total)[:, c32_idx]
-           .reshape(gw, 16, 8))
-    d = np.matmul(a32, b32) + c32
-    out = np.empty((g, 4, total), dtype=np.uint32)
-    out.view(np.float32).reshape(g, 4 * total)[:, d32_idx] = (
-        d.reshape(g, n_warps, 128))
-    return out
+    return matrix16x8_to_fragments_f32(mma_reference(a, b, c, accumulate_f32=True))
 
 
 def hmma_884_f16(a_reg, b_reg, c_reg) -> np.ndarray:
@@ -437,15 +141,11 @@ def hmma_884_f16(a_reg, b_reg, c_reg) -> np.ndarray:
     because it is "more succinct"); A, D and C are row-major single warp
     registers, B is column-major.
     """
-    from .fragments import matrix_to_fragment, ROW_MAJOR
-
     a = fragment_to_matrix(a_reg, ROW_MAJOR)
     b = fragment_to_matrix(b_reg, COL_MAJOR)
     c = fragment_to_matrix(c_reg, ROW_MAJOR)
-    a32 = a.astype(np.float32)
-    b32 = b.astype(np.float32)
-    d = (a32 @ b32 + c.astype(np.float32)).astype(np.float16)
-    return matrix_to_fragment(d, ROW_MAJOR)
+    return matrix_to_fragment(mma_reference(a, b, c, accumulate_f32=False),
+                              ROW_MAJOR)
 
 
 def _matrix16x16_from_a_fragments(a_regs) -> np.ndarray:
@@ -480,8 +180,7 @@ def hmma_16816_f16(a_regs, b_regs, c_regs) -> np.ndarray:
     a = _matrix16x16_from_a_fragments(a_regs)
     b = _matrix16x8_from_b_fragments(b_regs)
     c = fragments_to_matrix16x8(c_regs)
-    d = mma_16x8x16(a, b, c, accumulate_f32=False)
-    return matrix16x8_to_fragments(d)
+    return matrix16x8_to_fragments(mma_reference(a, b, c, accumulate_f32=False))
 
 
 def hmma_16816_f32(a_regs, b_regs, c_regs) -> np.ndarray:
@@ -489,188 +188,225 @@ def hmma_16816_f32(a_regs, b_regs, c_regs) -> np.ndarray:
     a = _matrix16x16_from_a_fragments(a_regs)
     b = _matrix16x8_from_b_fragments(b_regs)
     c = fragments_f32_to_matrix16x8(c_regs)
-    d = mma_16x8x16(a, b, c, accumulate_f32=True)
-    return matrix16x8_to_fragments_f32(d)
+    return matrix16x8_to_fragments_f32(mma_reference(a, b, c, accumulate_f32=True))
 
 
-#: Gather/scatter tables for the SM70/SM80 batch kernels, keyed by warps.
-_BATCH_IDX_CACHE_884: dict = {}
-_BATCH_IDX_CACHE_16816: dict = {}
+#: The single-warp reference of each ``(shape, f32)``, for hosts where the
+#: flat offsets below do not apply.
+_WARP_REFERENCES = {
+    ((8, 8, 8), False): hmma_884_f16,
+    ((16, 8, 8), False): hmma_1688_f16,
+    ((16, 8, 8), True): hmma_1688_f32,
+    ((16, 8, 16), False): hmma_16816_f16,
+    ((16, 8, 16), True): hmma_16816_f32,
+}
 
 
-def _batch_index_tables_884(n_warps: int):
-    """(row_idx, col_idx, d_idx) for stacked ``HMMA.884`` warps.
+# ------------------------------------------------------------ the generator
 
-    All tables index the flat u16 view of a ``(g, total)`` uint32 register
-    row: u16 element e of warp w sits at offset ``64*w + e``.  ``row_idx``
-    and ``col_idx`` are (nw, 8, 8) gathers producing the row-major (A/C)
-    and column-major (B) 8x8 matrices; ``d_idx`` is the (nw, 64) scatter
-    from flat D matrices back to fragments.
+def _operand_offsets(rows: int, cols: int, order: str, f32: bool,
+                     n_warps: int) -> np.ndarray:
+    """(n_warps, rows, cols) flat offsets of one operand's elements.
+
+    The offsets index a ``(regs, 32 * n_warps)`` uint32 register block
+    (warp *w* in columns ``32w .. 32w + 31``) viewed flat as uint16 for
+    FP16 operands or as float32 for ``.F32`` accumulators.  Tile ``(i, j)``
+    of the operand is register ``i + (rows // 8) * j``; within it, element
+    (r, c) is u16 ``2 * lane + half`` of the tile's 8x8 layout, and an
+    ``.F32`` accumulator moves it to lane ``lane`` of register
+    ``2 * tile + half``.
     """
-    hit = _BATCH_IDX_CACHE_884.get(n_warps)
-    if hit is not None:
-        return hit
-    from . import fragments as frag
+    total = 32 * n_warps
+    r = np.arange(rows, dtype=np.intp)[:, None]
+    c = np.arange(cols, dtype=np.intp)[None, :]
+    tile = r // 8 + (rows // 8) * (c // 8)
+    u16 = frag._PERMS[order][0][r % 8, c % 8]
+    warp = np.arange(n_warps, dtype=np.intp)[:, None, None]
+    if not f32:
+        return tile * (2 * total) + 64 * warp + u16
+    lane, half = np.divmod(u16, 2)
+    return (2 * tile + half) * total + 32 * warp + lane
 
-    w3 = np.arange(n_warps, dtype=np.intp).reshape(n_warps, 1, 1)
-    w2 = np.arange(n_warps, dtype=np.intp).reshape(n_warps, 1)
-    row_idx = 64 * w3 + np.asarray(frag._PERMS[frag.ROW_MAJOR][0], dtype=np.intp)
-    col_idx = 64 * w3 + np.asarray(frag._PERMS[frag.COL_MAJOR][0], dtype=np.intp)
-    inv = np.argsort(np.asarray(frag._PERMS[frag.ROW_MAJOR][1], dtype=np.intp))
-    d_idx = 64 * w2 + inv
-    tables = (row_idx, col_idx, d_idx)
-    _BATCH_IDX_CACHE_884[n_warps] = tables
+
+#: (A, B, C/D) offsets of :func:`_operand_offsets`, keyed by
+#: ``(shape, f32, n_warps)``.  The batch kernel indexes with them as they
+#: are; the fused window adds each member's register row to them.
+_OPERAND_TABLES: dict = {}
+
+
+def _operand_tables(shape, f32: bool, n_warps: int):
+    key = (shape, f32, n_warps)
+    tables = _OPERAND_TABLES.get(key)
+    if tables is None:
+        m, n, k = shape
+        tables = _OPERAND_TABLES[key] = (
+            _operand_offsets(m, k, ROW_MAJOR, False, n_warps),
+            _operand_offsets(k, n, COL_MAJOR, False, n_warps),
+            _operand_offsets(m, n, ROW_MAJOR, f32, n_warps),
+        )
     return tables
 
 
-def _batch_index_tables_16816(n_warps: int):
-    """(a_idx, b_idx) for stacked ``HMMA.16816`` warps.
+def _mma_batch_fallback(shape, f32, a_regs, b_regs, c_regs) -> np.ndarray:
+    """Per-(product, warp) loop over the single-warp reference (big-endian
+    hosts, where a uint32 register's u16 view is not (lo, hi) ordered)."""
+    warp_fn = _WARP_REFERENCES[shape, f32]
+    g, total = a_regs.shape[0], a_regs.shape[-1]
 
-    ``a_idx`` -- (nw, 16, 16) gather over the flat u16 view of a
-    ``(g, 4, total)`` uint32 block (regs 0-1: k 0-7 via the 1688 A tables;
-    regs 2-3: k 8-15); ``b_idx`` -- (nw, 16, 8) over a ``(g, 2, total)``
-    block (one column-major register per k-half).  C/D reuse the 1688
-    accumulator tables from :func:`_batch_index_tables`.
-    """
-    hit = _BATCH_IDX_CACHE_16816.get(n_warps)
-    if hit is not None:
-        return hit
-    from . import fragments as frag
+    def one_warp(regs, i, lanes):
+        block = regs[i].reshape(-1, total)[:, lanes]
+        return block[0] if block.shape[0] == 1 else block
 
-    total = n_warps * 32
-    w3 = np.arange(n_warps, dtype=np.intp).reshape(n_warps, 1, 1)
-    c, e = np.divmod(np.asarray(frag._GATHER_16X8, dtype=np.intp), 64)
-    a_lo = c * (2 * total) + 64 * w3 + e
-    a_hi = (c + 2) * (2 * total) + 64 * w3 + e
-    a_idx = np.concatenate([a_lo, a_hi], axis=2)
-    col = np.asarray(frag._PERMS[frag.COL_MAJOR][0], dtype=np.intp)
-    b_lo = 64 * w3 + col
-    b_hi = 2 * total + 64 * w3 + col
-    b_idx = np.concatenate([b_lo, b_hi], axis=1)
-    tables = (a_idx, b_idx)
-    _BATCH_IDX_CACHE_16816[n_warps] = tables
-    return tables
-
-
-def hmma_884_f16_batch(a_regs, b_regs, c_regs) -> np.ndarray:
-    """Stacked ``HMMA.884``: *g* independent 8x8x8 products over *w* warps.
-
-    Args:
-        a_regs: (g, L) uint32 -- A fragments (row-major), L = 32 * n_warps.
-        b_regs: (g, L) uint32 -- B fragments (column-major).
-        c_regs: (g, L) uint32 -- C accumulators (row-major).
-
-    Returns:
-        (g, L) uint32 -- D fragments.
-    """
-    from . import fragments as frag
-    from .fp16 import HALF
-
-    a_regs = np.ascontiguousarray(a_regs, dtype=np.uint32)
-    b_regs = np.ascontiguousarray(b_regs, dtype=np.uint32)
-    c_regs = np.ascontiguousarray(c_regs, dtype=np.uint32)
-    g, total = a_regs.shape
-    n_warps = total // 32
-    if not frag._LITTLE_ENDIAN:
-        out = np.empty_like(c_regs)
-        for i in range(g):
-            for w in range(n_warps):
-                lanes = slice(32 * w, 32 * (w + 1))
-                out[i][lanes] = hmma_884_f16(
-                    a_regs[i][lanes], b_regs[i][lanes], c_regs[i][lanes])
-        return out
-    gw = g * n_warps
-    row_idx, col_idx, d_idx = _batch_index_tables_884(n_warps)
-    af = a_regs.view(np.uint16).reshape(g, 2 * total)
-    bf = b_regs.view(np.uint16).reshape(g, 2 * total)
-    cf = c_regs.view(np.uint16).reshape(g, 2 * total)
-    a32 = af[:, row_idx].view(HALF).reshape(gw, 8, 8).astype(np.float32)
-    b32 = bf[:, col_idx].view(HALF).reshape(gw, 8, 8).astype(np.float32)
-    c32 = cf[:, row_idx].view(HALF).reshape(gw, 8, 8).astype(np.float32)
-    d16 = (np.matmul(a32, b32) + c32).astype(np.float16)
-    out = np.empty((g, total), dtype=np.uint32)
-    out.view(np.uint16).reshape(g, 2 * total)[:, d_idx] = (
-        d16.view(np.uint16).reshape(g, n_warps, 64))
-    return out
-
-
-def _hmma_16816_batch_fallback(a_regs, b_regs, c_regs, f32: bool) -> np.ndarray:
-    """Per-(product, warp) scalar path (big-endian hosts)."""
-    g, _, total = a_regs.shape
-    n_warps = total // 32
-    fn = hmma_16816_f32 if f32 else hmma_16816_f16
     out = np.empty_like(c_regs)
     for i in range(g):
-        for w in range(n_warps):
+        for w in range(total // 32):
             lanes = slice(32 * w, 32 * (w + 1))
-            out[i][:, lanes] = fn(
-                a_regs[i][:, lanes], b_regs[i][:, lanes], c_regs[i][:, lanes])
+            out[i][..., lanes] = warp_fn(one_warp(a_regs, i, lanes),
+                                         one_warp(b_regs, i, lanes),
+                                         one_warp(c_regs, i, lanes))
     return out
 
 
-def hmma_16816_f16_batch(a_regs, b_regs, c_regs) -> np.ndarray:
-    """Stacked ``HMMA.16816.F16``: *g* independent products over *w* warps.
+def mma_batch(shape, f32: bool, a_regs, b_regs, c_regs) -> np.ndarray:
+    """Stacked HMMA: *g* independent products of ``shape`` over *w* warps.
 
     Args:
-        a_regs: (g, 4, L) uint32 -- A[16x16] fragments, L = 32 * n_warps.
-        b_regs: (g, 2, L) uint32 -- B[16x8] fragments.
-        c_regs: (g, 2, L) uint32 -- C accumulators (the 1688 layout).
+        shape: ``(m, n, k)``, an :attr:`~repro.arch.ArchSpec.hmma_shape`.
+        f32: ``.F32`` accumulators (C and D), else ``.F16``.
+        a_regs, b_regs, c_regs: (g, regs, L) uint32 operand registers,
+            L = 32 * n_warps lanes laid out warp-major (warp 0's 32 lanes
+            first); an operand held in one register may be (g, L).
 
     Returns:
-        (g, 2, L) uint32 -- D fragments.
-    """
-    from . import fragments as frag
-    from .fp16 import HALF
+        D, uint32, shaped like ``c_regs``.
 
+    The ``g * n_warps`` products run as one stacked ``(gw, m, k) @
+    (gw, k, n)`` float32 matmul, bit-identical to the single-warp
+    references on every warp slice (``tests/hmma/test_generations.py``).
+    """
     a_regs = np.ascontiguousarray(a_regs, dtype=np.uint32)
     b_regs = np.ascontiguousarray(b_regs, dtype=np.uint32)
     c_regs = np.ascontiguousarray(c_regs, dtype=np.uint32)
     if not frag._LITTLE_ENDIAN:
-        return _hmma_16816_batch_fallback(a_regs, b_regs, c_regs, f32=False)
-    g, _, total = a_regs.shape
+        return _mma_batch_fallback(shape, f32, a_regs, b_regs, c_regs)
+    m, n, k = shape
+    g, total = a_regs.shape[0], a_regs.shape[-1]
     n_warps = total // 32
     gw = g * n_warps
-    a_idx, b_idx = _batch_index_tables_16816(n_warps)
-    cd_idx, _, d_idx, _, _ = _batch_index_tables(n_warps)
-    af = a_regs.view(np.uint16).reshape(g, 8 * total)
-    bf = b_regs.view(np.uint16).reshape(g, 4 * total)
-    cf = c_regs.view(np.uint16).reshape(g, 4 * total)
-    a32 = af[:, a_idx].view(HALF).reshape(gw, 16, 16).astype(np.float32)
-    b32 = bf[:, b_idx].view(HALF).reshape(gw, 16, 8).astype(np.float32)
-    c32 = cf[:, cd_idx].view(HALF).reshape(gw, 16, 8).astype(np.float32)
-    d16 = (np.matmul(a32, b32) + c32).astype(np.float16)
-    out = np.empty((g, 2, total), dtype=np.uint32)
-    out.view(np.uint16).reshape(g, 4 * total)[:, d_idx] = (
-        d16.view(np.uint16).reshape(g, n_warps, 128))
+    a_idx, b_idx, c_idx = _operand_tables(shape, f32, n_warps)
+    a32 = (a_regs.view(np.uint16).reshape(g, -1)[:, a_idx].view(HALF)
+           .reshape(gw, m, k).astype(np.float32))
+    b32 = (b_regs.view(np.uint16).reshape(g, -1)[:, b_idx].view(HALF)
+           .reshape(gw, k, n).astype(np.float32))
+    # D scatters through the C offsets as (n_warps, m*n): the 3-D index is
+    # measurably slower for .F32.
+    d_idx = c_idx.reshape(n_warps, m * n)
+    out = np.empty(c_regs.shape, dtype=np.uint32)
+    if f32:
+        c32 = (c_regs.view(np.float32).reshape(g, -1)[:, c_idx]
+               .reshape(gw, m, n))
+        d = _accumulate(a32, b32, c32, True)
+        out.view(np.float32).reshape(g, -1)[:, d_idx] = (
+            d.reshape(g, n_warps, m * n))
+    else:
+        c32 = (c_regs.view(np.uint16).reshape(g, -1)[:, c_idx].view(HALF)
+               .reshape(gw, m, n).astype(np.float32))
+        d16 = _accumulate(a32, b32, c32, False)
+        out.view(np.uint16).reshape(g, -1)[:, d_idx] = (
+            d16.view(np.uint16).reshape(g, n_warps, m * n))
     return out
 
 
-def hmma_16816_f32_batch(a_regs, b_regs, c_regs) -> np.ndarray:
-    """Stacked ``HMMA.16816.F32`` (see :func:`hmma_16816_f16_batch`).
+#: Ceiling on a window's flat index tables (int64 elements).  Above it the
+#: window falls back to the row-gather + batch-kernel path: the tables cost
+#: 8 bytes per gathered element, which stops being a good trade against a
+#: few-MB register file.  A 64-HMMA.1688 window of an 8-warp lockstep CTA
+#: needs about 143k elements, so the generated kernels stay well below it.
+_WINDOW_FLAT_MAX_ELEMS = 1 << 21
 
-    ``c_regs`` / result are (g, 4, L) uint32 float32 fragment pairs.
+
+def mma_window(shape, f32: bool, d_base, a_base, b_base, c_base):
+    """Compile an in-place executor for a fused window of *g* HMMAs.
+
+    The bases are the members' first D/A/B/C registers.  Returns
+    ``run(regs, cache)`` operating directly on the ``(256, lanes)``
+    uint32 register file.  Each operand is one fancy-index gather with a
+    fully materialised flat index (a member's register row added to the
+    :func:`_operand_offsets` of its operand) -- NumPy's single-index take
+    beats both the two-index broadcast form and a row gather followed by
+    a block gather.  GEMM windows reuse fragments (each A row block
+    multiplies several B column blocks and vice versa), so A and B are
+    gathered and converted per *unique* register base only, then expanded
+    to per-product form with a float32 row gather -- a pure copy, so
+    results stay bit-identical to :func:`mma_batch`.  Windows whose
+    tables would exceed ``_WINDOW_FLAT_MAX_ELEMS`` fall back to the
+    row-gather + :func:`mma_batch` path, as do big-endian hosts.
+
+    The flat tables take 8 bytes per gathered element, so the caller owns
+    them: ``cache`` is a dict ``run`` fills on its first call and reuses
+    whenever it is passed again.  A code cache can thus keep ``run`` for
+    the life of the process while each launch's tables die with the
+    launch.
     """
-    from . import fragments as frag
-    from .fp16 import HALF
+    m, n, k = shape
+    g = len(d_base)
+    c_words = m * n // (32 if f32 else 64)
+    d_rows, a_rows, b_rows, c_rows = (np.asarray(base, dtype=np.intp) for base
+                                      in (d_base, a_base, b_base, c_base))
+    a_uniq, a_inv = np.unique(a_rows, return_inverse=True)
+    b_uniq, b_inv = np.unique(b_rows, return_inverse=True)
+    ua, ub = a_uniq.size, b_uniq.size
+    # (g, words) register rows of each operand, for the row-gather path.
+    d_blk, a_blk, b_blk, c_blk = (
+        rows[:, None] + np.arange(words, dtype=np.intp)
+        for rows, words in ((d_rows, c_words), (a_rows, m * k // 64),
+                            (b_rows, k * n // 64), (c_rows, c_words)))
 
-    a_regs = np.ascontiguousarray(a_regs, dtype=np.uint32)
-    b_regs = np.ascontiguousarray(b_regs, dtype=np.uint32)
-    c_regs = np.ascontiguousarray(c_regs, dtype=np.uint32)
+    def run_blocks(regs, cache=None):
+        regs[d_blk] = mma_batch(shape, f32, regs[a_blk], regs[b_blk],
+                                regs[c_blk])
+
     if not frag._LITTLE_ENDIAN:
-        return _hmma_16816_batch_fallback(a_regs, b_regs, c_regs, f32=True)
-    g, _, total = a_regs.shape
-    n_warps = total // 32
-    gw = g * n_warps
-    a_idx, b_idx = _batch_index_tables_16816(n_warps)
-    _, _, _, c32_idx, d32_idx = _batch_index_tables(n_warps)
-    af = a_regs.view(np.uint16).reshape(g, 8 * total)
-    bf = b_regs.view(np.uint16).reshape(g, 4 * total)
-    a32 = af[:, a_idx].view(HALF).reshape(gw, 16, 16).astype(np.float32)
-    b32 = bf[:, b_idx].view(HALF).reshape(gw, 16, 8).astype(np.float32)
-    c32 = (c_regs.view(np.float32).reshape(g, 4 * total)[:, c32_idx]
-           .reshape(gw, 16, 8))
-    d = np.matmul(a32, b32) + c32
-    out = np.empty((g, 4, total), dtype=np.uint32)
-    out.view(np.float32).reshape(g, 4 * total)[:, d32_idx] = (
-        d.reshape(g, n_warps, 128))
-    return out
+        return run_blocks
+
+    # Flat tables depend on the lane count, known only once the first
+    # register file arrives; one decoded program has exactly one lane count,
+    # so its cache holds a single entry in practice.
+    def tables(cache, lanes):
+        if lanes in cache:
+            return cache[lanes]
+        nw = lanes // 32
+        elems = nw * (m * k * ua + k * n * ub + 2 * m * n * g)
+        if elems > _WINDOW_FLAT_MAX_ELEMS:
+            cache[lanes] = None
+            return None
+        a_off, b_off, c_off = _operand_tables(shape, f32, nw)
+        s16 = 2 * lanes   # u16 row stride of the (256, lanes) u32 file
+        sc = lanes if f32 else s16
+        i_a = (a_uniq[:, None, None, None] * s16 + a_off).ravel()
+        i_b = (b_uniq[:, None, None, None] * s16 + b_off).ravel()
+        i_c = (c_rows[:, None, None, None] * sc + c_off).ravel()
+        i_d = (d_rows[:, None, None, None] * sc + c_off).ravel()
+        tab = cache[lanes] = (nw, i_a, i_b, i_c, i_d)
+        return tab
+
+    def run(regs, cache):
+        tab = tables(cache, regs.shape[1])
+        if tab is None:
+            return run_blocks(regs)
+        nw, i_a, i_b, i_c, i_d = tab
+        gw = g * nw
+        u16 = regs.view(np.uint16).reshape(-1)
+        a32 = (u16[i_a].view(HALF).reshape(ua, nw, m, k)
+               .astype(np.float32)[a_inv].reshape(gw, m, k))
+        b32 = (u16[i_b].view(HALF).reshape(ub, nw, k, n)
+               .astype(np.float32)[b_inv].reshape(gw, k, n))
+        if f32:
+            acc = regs.view(np.float32).reshape(-1)
+            c32 = acc[i_c].reshape(gw, m, n)
+            acc[i_d] = _accumulate(a32, b32, c32, True).reshape(-1)
+        else:
+            c32 = u16[i_c].view(HALF).reshape(gw, m, n).astype(np.float32)
+            d16 = _accumulate(a32, b32, c32, False)
+            u16[i_d] = d16.view(np.uint16).reshape(-1)
+    return run

@@ -185,6 +185,11 @@ def _parse_instruction(body: str, line_no: int, line: str) -> Instruction:
         raise AssemblyError(
             f"{opcode} needs at least {n_dest} destination operand(s)", line_no, line
         )
+    if opcode in ("HMMA", "IMMA") and len(operands) != 4:
+        raise AssemblyError(
+            f"{opcode} takes 4 register operands (D, A, B, C), got {len(operands)}",
+            line_no, line,
+        )
     return Instruction(
         opcode=opcode,
         dests=tuple(operands[:n_dest]),

@@ -101,6 +101,11 @@ class ServeDaemon:
         self._conn_lock = threading.Lock()
         self._tenants: dict = {}
         self._tenant_lock = threading.Lock()
+        #: Spans a submission's cache lookup and its admission, and a
+        #: finished job's cache store and completion: a twin that finished
+        #: in between would leave the in-flight index after the lookup
+        #: missed, and the submission would run it again.
+        self._admit_lock = threading.Lock()
 
     # ------------------------------------------------------------ lifecycle
 
@@ -265,16 +270,17 @@ class ServeDaemon:
         payload = message.get("payload") or {}
         tenant = str(message.get("tenant") or "anon")
         key = job_key(kind, payload)
-        if cacheable(kind, payload):
-            hit = self.cache.get(key)
-            if hit is not None:
-                job = self.queue.record_cached(kind, key, payload,
-                                               hit["result"], tenant=tenant)
-                self._account(tenant, "cache_hits", {})
-                return {"ok": True, "coalesced": False, **job.public()}
-        job, outcome = self.queue.submit(
-            kind, key, payload, priority=int(message.get("priority", 0)),
-            tenant=tenant)
+        with self._admit_lock:
+            if cacheable(kind, payload):
+                hit = self.cache.get(key)
+                if hit is not None:
+                    job = self.queue.record_cached(kind, key, payload,
+                                                   hit["result"], tenant=tenant)
+                    self._account(tenant, "cache_hits", {})
+                    return {"ok": True, "coalesced": False, **job.public()}
+            job, outcome = self.queue.submit(
+                kind, key, payload, priority=int(message.get("priority", 0)),
+                tenant=tenant)
         self._account(tenant, "coalesced" if outcome == "coalesced"
                       else "jobs", {})
         return {"ok": True, "coalesced": outcome == "coalesced",
@@ -324,9 +330,10 @@ class ServeDaemon:
                 self._account(job.tenant, None, delta)
                 return
         delta = scope.snapshot()
-        if cacheable(job.kind, job.payload):
-            self.cache.put(job.key, {"result": result})
-        self.queue.complete(job, result, delta)
+        with self._admit_lock:
+            if cacheable(job.kind, job.payload):
+                self.cache.put(job.key, {"result": result})
+            self.queue.complete(job, result, delta)
         self._account(job.tenant, None, delta)
 
     def _account(self, tenant: str, event: str, delta: dict) -> None:

@@ -51,18 +51,18 @@ count, so a predecode of known code only assembles the program's tables.
 The cache holds at most ``SLOT_CACHE_BOUND`` slots and
 ``WINDOW_CACHE_BOUND`` windows, evicting the oldest first.  Slots keep
 their lane-sized constant operands (the operand readers are shared, so
-equal immediates and zero rows are stored once per lane count); the Turing
-HMMA windows' flat index tables, 8 bytes per gathered element, are rebuilt
-for each decoded program and die with it.  ``STATS`` counts
+equal immediates and zero rows are stored once per lane count); the HMMA
+windows' flat index tables, 8 bytes per gathered element, are rebuilt for
+each decoded program and die with it.  ``STATS`` counts
 ``decode.slot_hits``/``slot_misses`` and ``decode.window_hits``/
 ``window_misses``.
 
 Bit-exactness contract: every fast path runs the same lane kernels as the
 reference executor -- integer ops wrap modulo 2**32 either way, permutation
-gathers reorder but never transform values, and the per-HMMA ``(16, 8) @
-(8, 8)`` float32 matmuls are kept as individual 2-D products (only their
-fragment gathers and the accumulate/round stages are batched) so the BLAS
-dispatch and rounding sequence match the reference exactly.  The golden
+gathers reorder but never transform values, and a fused HMMA window runs
+its products as one stacked 3-D float32 matmul, each product one slice,
+which NumPy computes with the same BLAS kernel as a 2-D product, so the
+rounding sequence matches the reference exactly.  The golden
 tests in ``tests/sim/test_golden_functional.py`` and the differential fuzz
 suite in ``tests/sim/test_uop_differential.py`` pin this equivalence.
 """
@@ -89,6 +89,7 @@ from .uop import (
     decode_uop,
     k_iadd3,
     k_imad,
+    mma_row_index,
 )
 
 __all__ = ["BARRIER", "DIVERGED", "EXITED", "DecodedProgram", "predecode"]
@@ -541,45 +542,31 @@ class _PerProgram:
 
 
 def _build_hmma_group(key, payloads):
-    if key[1] in ("f16", "f32"):
-        # Turing HMMA.1688: in-place fused-window executor -- composed
-        # flat-index gathers straight from the register file,
-        # unique-fragment dedup, one scatter for D (see hmma_1688_window
-        # for the strategy and its size-capped fallback).  Its flat index
-        # tables are lane-sized, so each decoded program gets its own.
-        window = mma_ops.hmma_1688_window(
-            [p[0] for p in payloads], [p[1] for p in payloads],
-            [p[2] for p in payloads], [p[3] for p in payloads],
-            f32=key[1] == "f32")
+    """Every HMMA shape: :func:`~repro.hmma.mma.mma_window`'s in-place
+    executor -- composed flat-index gathers straight from the register
+    file, unique-fragment dedup, one scatter for D (see ``mma_window`` for
+    its size-capped fallback).  Its flat index tables are lane-sized, so
+    each decoded program gets its own."""
+    _, shape, f32 = key
+    window = mma_ops.mma_window(shape, f32, *zip(*payloads))
 
-        def new_run():
-            tables = {}
+    def new_run():
+        tables = {}
 
-            def run(warp):
-                window(warp.regs._data, tables)
-            return run
-        return _PerProgram(new_run)
-    # Other generations (HMMA.884 / HMMA.16816): generic row-gather over
-    # the arch's batch kernel from the shared MMA_BATCH_KERNELS table.
-    return _build_mma_group(key, payloads)
-
-
-def _mma_row_index(payloads, col, words):
-    base = np.array([p[col] for p in payloads], dtype=np.intp)
-    if words == 1:
-        return base
-    return base[:, None] + np.arange(words, dtype=np.intp)
+        def run(warp):
+            window(warp.regs._data, tables)
+        return run
+    return _PerProgram(new_run)
 
 
 def _build_mma_group(key, payloads):
-    """Generic batched MMA executor: gather operand register rows, run the
-    fuse key's batch kernel, scatter D -- the shape-agnostic core every
-    non-1688 tensor op (IMMA.8816, HMMA.884, HMMA.16816) compiles to."""
+    """Row-gather batched MMA executor (IMMA.8816): gather operand register
+    rows, run the fuse key's batch kernel, scatter D."""
     batch_fn, a_words, b_words, c_words = MMA_BATCH_KERNELS[key]
-    d_idx = _mma_row_index(payloads, 0, c_words)
-    a_idx = _mma_row_index(payloads, 1, a_words)
-    b_idx = _mma_row_index(payloads, 2, b_words)
-    c_idx = _mma_row_index(payloads, 3, c_words)
+    d_idx = mma_row_index(payloads, 0, c_words)
+    a_idx = mma_row_index(payloads, 1, a_words)
+    b_idx = mma_row_index(payloads, 2, b_words)
+    c_idx = mma_row_index(payloads, 3, c_words)
 
     def run(warp):
         regs = warp.regs._data

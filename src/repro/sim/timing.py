@@ -73,7 +73,8 @@ from ..robust import guard as _guard
 from .exec_units import ExecError, execute
 from .memory import GlobalMemory, MemorySubsystem
 from .shared import SharedMemory, conflict_multiplier
-from .uop import MMA_BATCH_KERNELS, decode_uop, k_iadd3, special_value
+from .uop import (MMA_BATCH_KERNELS, decode_uop, k_iadd3, mma_row_index,
+                  special_value)
 
 __all__ = ["TimingSimulator", "TimingResult", "ALU_LATENCY", "ENGINES"]
 
@@ -696,16 +697,9 @@ def _build_plans(decoded, kinds):
             j += 1
         if len(members) < 2:
             continue
-        # fuse_payload is (d, a, b, c); gather index arrays over reg rows.
-        def _rows(col, words):
-            base = np.array([p[col] for p in payloads], dtype=np.intp)
-            if words == 1:
-                return base
-            return base[:, None] + np.arange(words, dtype=np.intp)
-
-        a_idx = _rows(1, a_words)
-        b_idx = _rows(2, b_words)
-        c_idx = _rows(3, c_words)
+        a_idx = mma_row_index(payloads, 1, a_words)
+        b_idx = mma_row_index(payloads, 2, b_words)
+        c_idx = mma_row_index(payloads, 3, c_words)
         read_regs = sorted(r for r in member_reads if isinstance(r, int))
         read_mask = np.zeros(256, dtype=bool)
         read_mask[read_regs] = True

@@ -35,17 +35,20 @@ Kernels never mutate their inputs and return exact ``uint32`` (``bool`` for
 predicate dests): integer ops wrap modulo 2**32, compares run on int32 views
 (bit-identical to sign-extended int64 compares for every 32-bit pattern),
 and the MMA kernels delegate to the batched fragment math in
-:mod:`repro.hmma` which keeps per-product 2-D float32 matmuls so BLAS
-dispatch and rounding match the scalar reference bit-for-bit.
+:mod:`repro.hmma`, where every product is one slice of a stacked 3-D
+float32 matmul.  NumPy runs each slice through the same BLAS kernel as a
+2-D product, so rounding matches the single-warp references bit for bit
+(the per-generation golden digests pin this).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
+from ..arch.family import GENERATIONS
 from ..arch.registers import WARP_LANES
 from ..hmma import int8 as int8_ops
 from ..hmma import mma as mma_ops
@@ -60,6 +63,7 @@ __all__ = [
     "SEMANTICS",
     "SOLO",
     "MMA_BATCH_KERNELS",
+    "mma_row_index",
     "decode_uop",
     "special_value",
     "k_iadd3",
@@ -232,37 +236,52 @@ def _k_hfma2(a, b, c):
     return pack_half2(d_lo, d_hi)
 
 
-# MMA kernels: single-slot adapters over the stacked batch math in
-# repro.hmma, which is also what the window group builders call -- one site.
+# MMA kernels: the stacked batch math in repro.hmma, which is also what the
+# window group builders and the timing simulator's issue plans call.
 
-def _k_hmma_1688_f16(a_regs, b_reg, c_regs):
-    return mma_ops.hmma_1688_f16_batch(
-        a_regs[None], b_reg[None], c_regs[None])[0]
+def mma_row_index(payloads, col, words):
+    """Register-row gather index of one MMA operand over a batch.
 
-
-def _k_hmma_1688_f32(a_regs, b_reg, c_regs):
-    return mma_ops.hmma_1688_f32_batch(
-        a_regs[None], b_reg[None], c_regs[None])[0]
-
-
-def _k_hmma_884(a_reg, b_reg, c_reg):
-    return mma_ops.hmma_884_f16_batch(
-        a_reg[None], b_reg[None], c_reg[None])[0]
+    *payloads* are fuse payloads ``(d, a, b, c)``; *col* picks the operand
+    and *words* is its register count.  One register gives a ``(g,)``
+    index (a ``(g, lanes)`` gather), more a ``(g, words)`` one."""
+    base = np.array([p[col] for p in payloads], dtype=np.intp)
+    if words == 1:
+        return base
+    return base[:, None] + np.arange(words, dtype=np.intp)
 
 
-def _k_hmma_16816_f16(a_regs, b_regs, c_regs):
-    return mma_ops.hmma_16816_f16_batch(
-        a_regs[None], b_regs[None], c_regs[None])[0]
+#: Stacked batch kernels by MMA fuse key, shared by every engine that
+#: groups independent MMA ops (the functional window scheduler and the
+#: timing simulator's issue plans).  A batch call over ``g`` gathered
+#: operand sets is bit-identical to ``g`` sequential single-op kernel
+#: calls: every product is its own slice of one stacked 3-D matmul.
+#: Values are ``(batch_fn, a_words, b_words, c_words)``: the per-member
+#: register counts of the A, B and accumulator/dest operands (1 means a
+#: single ``(g, lanes)`` gather instead of ``(g, words, lanes)``).  The
+#: HMMA rows come from :data:`~repro.arch.GENERATIONS`, one per
+#: ``(shape, accumulator)``, keyed ``("hmma", shape, f32)``; which keys a
+#: program produces depends on the device's :class:`~repro.arch.ArchSpec`.
+MMA_BATCH_KERNELS = {
+    ("hmma", arch.hmma_shape, f32): (
+        partial(mma_ops.mma_batch, arch.hmma_shape, f32),
+        arch.a_regs, arch.b_regs,
+        arch.c_regs_f32 if f32 else arch.c_regs_f16)
+    for arch in GENERATIONS.values()
+    for f32 in ((False, True) if arch.supports_f32_accum else (False,))
+}
+MMA_BATCH_KERNELS[("imma", "8816")] = (int8_ops.imma_8816_batch, 1, 1, 2)
 
 
-def _k_hmma_16816_f32(a_regs, b_regs, c_regs):
-    return mma_ops.hmma_16816_f32_batch(
-        a_regs[None], b_regs[None], c_regs[None])[0]
+def _single_op(batch_fn):
+    """The lane kernel of one MMA: *batch_fn* over a batch of one."""
+    def kernel(a, b, c):
+        return batch_fn(a[None], b[None], c[None])[0]
+    return kernel
 
 
-def _k_imma_8816(a_reg, b_reg, c_regs):
-    return int8_ops.imma_8816_batch(
-        a_reg[None], b_reg[None], c_regs[None])[0]
+_MMA_KERNELS = {key: _single_op(entry[0])
+                for key, entry in MMA_BATCH_KERNELS.items()}
 
 
 # ------------------------------------------------------- special registers
@@ -443,6 +462,10 @@ def _dec_hfma2(inst):
 
 
 def _mma_operand_regs(inst):
+    if len(inst.dests) != 1 or len(inst.srcs) != 3:
+        raise ExecError(
+            f"{inst.opcode} takes 4 register operands (D, A, B, C), got "
+            f"{len(inst.dests) + len(inst.srcs)}: {inst}")
     for op in (inst.dests[0], *inst.srcs):
         if not isinstance(op, Reg) or op.is_rz:
             raise ExecError(f"HMMA operands must be general registers: {inst}")
@@ -450,39 +473,30 @@ def _mma_operand_regs(inst):
             inst.srcs[1].index, inst.srcs[2].index)
 
 
+#: HMMA generations by the shape token an instruction names ("1688", ...).
+_HMMA_ARCHS = {arch.hmma_mods: arch for arch in GENERATIONS.values()}
+
+
+def _regs_desc(first, words):
+    return ("reg", first) if words == 1 else ("regs", first, words)
+
+
 def _dec_hmma(inst):
     d, a, b, c = _mma_operand_regs(inst)
-    if "1688" in inst.mods:
-        f32 = "F32" in inst.mods
-        c_regs = 4 if f32 else 2
-        ok = (a + 2 <= RZ_INDEX and c + c_regs <= RZ_INDEX
-              and d + c_regs <= RZ_INDEX)
-        key = ("hmma", "f32" if f32 else "f16") if ok else None
-        return _uop(inst, "alu",
-                    srcs=(("regs", a, 2), ("reg", b), ("regs", c, c_regs)),
-                    dest=("reg", d, c_regs),
-                    kernel=_k_hmma_1688_f32 if f32 else _k_hmma_1688_f16,
-                    warp_wide=True, groups_ok=ok,
-                    fuse_key=key, fuse_payload=(d, a, b, c))
-    if "884" in inst.mods:
-        return _uop(inst, "alu",
-                    srcs=(("reg", a), ("reg", b), ("reg", c)),
-                    dest=("reg", d, 1), kernel=_k_hmma_884,
-                    warp_wide=True, fuse_key=("hmma", "884"),
-                    fuse_payload=(d, a, b, c))
-    if "16816" in inst.mods:
-        f32 = "F32" in inst.mods
-        c_regs = 4 if f32 else 2
-        ok = (a + 4 <= RZ_INDEX and b + 2 <= RZ_INDEX
-              and c + c_regs <= RZ_INDEX and d + c_regs <= RZ_INDEX)
-        key = ("hmma", "16816_f32" if f32 else "16816_f16") if ok else None
-        return _uop(inst, "alu",
-                    srcs=(("regs", a, 4), ("regs", b, 2), ("regs", c, c_regs)),
-                    dest=("reg", d, c_regs),
-                    kernel=_k_hmma_16816_f32 if f32 else _k_hmma_16816_f16,
-                    warp_wide=True, groups_ok=ok,
-                    fuse_key=key, fuse_payload=(d, a, b, c))
-    raise ExecError(f"unknown HMMA shape: {inst}")
+    arch = next((_HMMA_ARCHS[m] for m in inst.mods if m in _HMMA_ARCHS), None)
+    f32 = "F32" in inst.mods
+    if arch is None or (f32 and not arch.supports_f32_accum):
+        raise ExecError(f"unknown HMMA shape or accumulator: {inst}")
+    c_words = arch.c_regs_f32 if f32 else arch.c_regs_f16
+    ok = all(first + words <= RZ_INDEX for first, words in (
+        (a, arch.a_regs), (b, arch.b_regs), (c, c_words), (d, c_words)))
+    key = ("hmma", arch.hmma_shape, f32)
+    return _uop(inst, "alu",
+                srcs=(_regs_desc(a, arch.a_regs), _regs_desc(b, arch.b_regs),
+                      _regs_desc(c, c_words)),
+                dest=("reg", d, c_words), kernel=_MMA_KERNELS[key],
+                warp_wide=True, groups_ok=ok,
+                fuse_key=key if ok else None, fuse_payload=(d, a, b, c))
 
 
 def _dec_imma(inst):
@@ -490,11 +504,12 @@ def _dec_imma(inst):
     if "8816" not in inst.mods:
         raise ExecError(f"unknown IMMA shape: {inst}")
     ok = c + 2 <= RZ_INDEX and d + 2 <= RZ_INDEX
+    key = ("imma", "8816")
     return _uop(inst, "alu",
                 srcs=(("reg", a), ("reg", b), ("regs", c, 2)),
-                dest=("reg", d, 2), kernel=_k_imma_8816,
+                dest=("reg", d, 2), kernel=_MMA_KERNELS[key],
                 warp_wide=True, groups_ok=ok,
-                fuse_key=("imma", "8816") if ok else None,
+                fuse_key=key if ok else None,
                 fuse_payload=(d, a, b, c))
 
 
@@ -570,23 +585,3 @@ def decode_uop(inst) -> Uop:
     except KeyError:
         raise ExecError(f"no executor for opcode {inst.opcode}") from None
     return decoder(inst)
-
-
-#: Stacked batch kernels by MMA fuse key, shared by every engine that
-#: groups independent MMA ops (the functional window scheduler and the
-#: timing simulator's issue plans).  Each batch call over ``g`` gathered
-#: operand sets is bit-identical to ``g`` sequential single-op kernel
-#: calls because the kernels compute every product as an individual 2-D
-#: matmul.  Values are ``(batch_fn, a_words, b_words, c_words)``: the
-#: per-member register counts of the A, B and accumulator/dest operands
-#: (1 means a single ``(g, lanes)`` gather instead of ``(g, words,
-#: lanes)``).  Every generation's HMMA shape batches; which keys a
-#: program produces depends on the device's :class:`~repro.arch.ArchSpec`.
-MMA_BATCH_KERNELS = {
-    ("hmma", "884"): (mma_ops.hmma_884_f16_batch, 1, 1, 1),
-    ("hmma", "f16"): (mma_ops.hmma_1688_f16_batch, 2, 1, 2),
-    ("hmma", "f32"): (mma_ops.hmma_1688_f32_batch, 2, 1, 4),
-    ("hmma", "16816_f16"): (mma_ops.hmma_16816_f16_batch, 4, 2, 2),
-    ("hmma", "16816_f32"): (mma_ops.hmma_16816_f32_batch, 4, 2, 4),
-    ("imma", "8816"): (int8_ops.imma_8816_batch, 1, 1, 2),
-}

@@ -1,10 +1,11 @@
-"""Per-generation HMMA semantics: 884 (SM70) and 16816 (SM80).
+"""Per-generation HMMA semantics: 884 (SM70), 1688 (SM75) and 16816 (SM80).
 
-The 1688 path (SM75, the source paper's generation) is covered by
-``test_mma.py``; this file pins the other two generations the same way --
-per-warp kernels against the matrix-level oracles, the stacked batch
-kernels against per-warp loops, and golden digests that freeze the exact
-bit patterns the functional engines produce.
+The single-warp 1688 references (SM75, the source paper's generation) are
+covered by ``test_mma.py``.  This file pins the 16816 references against
+the matrix-level oracle, and for every ``(arch, accumulator)`` in
+``GENERATIONS`` checks the generator: the stacked batch kernel against
+per-warp loops, the fused window against the batch kernel, and golden
+digests that freeze the exact bit patterns the functional engines produce.
 """
 
 import hashlib
@@ -12,6 +13,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.arch import GENERATIONS, SM70, SM75, SM80
 from repro.hmma import (
     COL_MAJOR,
     ROW_MAJOR,
@@ -56,7 +58,7 @@ class TestHmma16816:
         b = rand_half((16, 8), 2)
         c = rand_half((16, 8), 3)
         np.testing.assert_array_equal(
-            self._run_f16(a, b, c), mma.mma_16x8x16(a, b, c, accumulate_f32=False))
+            self._run_f16(a, b, c), mma.mma_reference(a, b, c, accumulate_f32=False))
 
     def test_single_rounding_per_instruction(self):
         # One 16816 rounds ONCE over k=16; two chained 1688 steps round
@@ -65,9 +67,9 @@ class TestHmma16816:
         a = rand_half((16, 16), 40)
         b = rand_half((16, 8), 41)
         c = rand_half((16, 8), 42)
-        one = mma.mma_16x8x16(a, b, c, accumulate_f32=False)
-        lo = mma.mma_16x8x8(a[:, :8], b[:8], c, accumulate_f32=False)
-        two = mma.mma_16x8x8(a[:, 8:], b[8:], lo, accumulate_f32=False)
+        one = mma.mma_reference(a, b, c, accumulate_f32=False)
+        lo = mma.mma_reference(a[:, :8], b[:8], c, accumulate_f32=False)
+        two = mma.mma_reference(a[:, 8:], b[8:], lo, accumulate_f32=False)
         exact = (a.astype(np.float32) @ b.astype(np.float32)
                  + c.astype(np.float32)).astype(np.float16)
         np.testing.assert_array_equal(one, exact)
@@ -89,7 +91,7 @@ class TestHmma16816:
 
     def test_reference_shape_check(self):
         with pytest.raises(ValueError):
-            mma.mma_16x8x16(np.zeros((16, 8)), np.zeros((16, 8)),
+            mma.mma_reference(np.zeros((16, 8)), np.zeros((16, 8)),
                             np.zeros((16, 8)), False)
 
 
@@ -98,38 +100,103 @@ def _rand_regs(shape, seed):
         0, 1 << 32, shape, dtype=np.uint32)
 
 
+#: Every (arch, accumulator) the registry defines.
+ARCH_ACCUMULATORS = [
+    pytest.param(arch, f32, id=f"{arch.name}-{'f32' if f32 else 'f16'}")
+    for arch in GENERATIONS.values()
+    for f32 in ((False, True) if arch.supports_f32_accum else (False,))
+]
+
+#: The single-warp references, built on the per-register conversions.
+_PER_WARP = {
+    ("884", False): mma.hmma_884_f16,
+    ("1688", False): mma.hmma_1688_f16,
+    ("1688", True): mma.hmma_1688_f32,
+    ("16816", False): mma.hmma_16816_f16,
+    ("16816", True): mma.hmma_16816_f32,
+}
+
+
+def _c_words(arch, f32):
+    return arch.c_regs_f32 if f32 else arch.c_regs_f16
+
+
 class TestBatchKernelsMatchPerWarp:
     """The engines' vectorised batch kernels vs per-warp scalar loops."""
 
     G, NW = 5, 3
     L = NW * 32
 
-    def test_884(self):
-        a = _rand_regs((self.G, self.L), 10)
-        b = _rand_regs((self.G, self.L), 11)
-        c = _rand_regs((self.G, self.L), 12)
-        got = mma.hmma_884_f16_batch(a, b, c)
-        for i in range(self.G):
-            for w in range(self.NW):
-                lanes = slice(32 * w, 32 * (w + 1))
-                np.testing.assert_array_equal(
-                    got[i][lanes],
-                    mma.hmma_884_f16(a[i][lanes], b[i][lanes], c[i][lanes]))
+    def _operands(self, arch, f32):
+        # A one-register operand is a (g, L) block, as the engines gather it.
+        return tuple(
+            _rand_regs((self.G, self.L) if words == 1
+                       else (self.G, words, self.L), seed)
+            for words, seed in ((arch.a_regs, 13), (arch.b_regs, 14),
+                                (_c_words(arch, f32), 15)))
 
-    @pytest.mark.parametrize("f32", [False, True], ids=["f16", "f32"])
-    def test_16816(self, f32):
-        a = _rand_regs((self.G, 4, self.L), 13)
-        b = _rand_regs((self.G, 2, self.L), 14)
-        c = _rand_regs((self.G, 4 if f32 else 2, self.L), 15)
-        batch = mma.hmma_16816_f32_batch if f32 else mma.hmma_16816_f16_batch
-        warp = mma.hmma_16816_f32 if f32 else mma.hmma_16816_f16
-        got = batch(a, b, c)
+    @pytest.mark.parametrize("arch, f32", ARCH_ACCUMULATORS)
+    def test_matches_per_warp(self, arch, f32):
+        a, b, c = self._operands(arch, f32)
+        warp = _PER_WARP[arch.hmma_mods, f32]
+        got = mma.mma_batch(arch.hmma_shape, f32, a, b, c)
         for i in range(self.G):
             for w in range(self.NW):
                 lanes = slice(32 * w, 32 * (w + 1))
                 np.testing.assert_array_equal(
-                    got[i][:, lanes],
-                    warp(a[i][:, lanes], b[i][:, lanes], c[i][:, lanes]))
+                    got[i][..., lanes],
+                    warp(a[i][..., lanes], b[i][..., lanes], c[i][..., lanes]))
+
+    @pytest.mark.parametrize("arch, f32", ARCH_ACCUMULATORS)
+    def test_big_endian_fallback(self, arch, f32, monkeypatch):
+        # The byte-order-independent path loops over the per-warp
+        # references; it must agree with the flat-offset kernel.
+        a, b, c = self._operands(arch, f32)
+        want = mma.mma_batch(arch.hmma_shape, f32, a, b, c)
+        monkeypatch.setattr(mma.frag, "_LITTLE_ENDIAN", False)
+        got = mma.mma_batch(arch.hmma_shape, f32, a, b, c)
+        np.testing.assert_array_equal(got, want)
+
+
+class TestWindowMatchesBatch:
+    """``mma_window`` on a register file equals ``mma_batch`` over the
+    same register rows, with the flat tables and with the size-capped
+    row-gather fallback."""
+
+    G, NW = 6, 3
+
+    @pytest.mark.parametrize("capped", [False, True], ids=["flat", "capped"])
+    @pytest.mark.parametrize("bases", ["distinct", "repeated"])
+    @pytest.mark.parametrize("arch, f32", ARCH_ACCUMULATORS)
+    def test_window(self, arch, f32, bases, capped, monkeypatch):
+        if capped:
+            monkeypatch.setattr(mma, "_WINDOW_FLAT_MAX_ELEMS", 0)
+        c_words = _c_words(arch, f32)
+        member = np.arange(self.G)
+        # Repeated: each A base serves two non-adjacent products, each B
+        # base three adjacent ones.
+        a_slot, b_slot = ((member, member) if bases == "distinct"
+                          else (member % 3, member // 3))
+        a = arch.a_regs * a_slot
+        b = 32 + arch.b_regs * b_slot
+        c = 64 + c_words * member
+        d = 128 + c_words * member
+        regs = _rand_regs((256, 32 * self.NW), 16)
+
+        def rows(base, words):
+            return base[:, None] + np.arange(words)
+
+        want = regs.copy()
+        want[rows(d, c_words)] = mma.mma_batch(
+            arch.hmma_shape, f32, regs[rows(a, arch.a_regs)],
+            regs[rows(b, arch.b_regs)], regs[rows(c, c_words)])
+        run = mma.mma_window(arch.hmma_shape, f32, d, a, b, c)
+        cache = {}
+        for _ in range(2):   # the second call reuses the cached tables
+            got = regs.copy()
+            run(got, cache)
+            np.testing.assert_array_equal(got, want)
+        assert (cache[regs.shape[1]] is None) == capped
 
 
 class TestGoldenDigests:
@@ -155,21 +222,27 @@ class TestGoldenDigests:
 
     def test_sm70_884(self):
         a, b, c, *_ = self._operands()
-        assert _digest(mma.hmma_884_f16_batch(a, b, c)) == "02a3bcaf963cf6f5"
+        got = mma.mma_batch(SM70.hmma_shape, False, a, b, c)
+        assert _digest(got) == "02a3bcaf963cf6f5"
 
     def test_sm75_1688(self):
         _, _, _, a4, b2, c2, _ = self._operands()
-        got = mma.hmma_1688_f16_batch(a4[:, :2], b2[:, 0], c2)
+        got = mma.mma_batch(SM75.hmma_shape, False, a4[:, :2], b2[:, 0], c2)
         assert _digest(got) == "ca23627da355fa6a"
+
+    def test_sm75_1688_f32(self):
+        _, _, _, a4, b2, _, c4 = self._operands()
+        got = mma.mma_batch(SM75.hmma_shape, True, a4[:, :2], b2[:, 0], c4)
+        assert _digest(got) == "9919ecff07fc2e03"
 
     def test_sm80_16816_f16(self):
         _, _, _, a4, b2, c2, _ = self._operands()
-        got = mma.hmma_16816_f16_batch(a4, b2, c2)
+        got = mma.mma_batch(SM80.hmma_shape, False, a4, b2, c2)
         assert _digest(got) == "df8cb18ec902e903"
 
     def test_sm80_16816_f32(self):
         _, _, _, a4, b2, _, c4 = self._operands()
-        got = mma.hmma_16816_f32_batch(a4, b2, c4)
+        got = mma.mma_batch(SM80.hmma_shape, True, a4, b2, c4)
         assert _digest(got) == "fc43badb9244f3a1"
 
 
@@ -178,7 +251,7 @@ class TestCrossGenerationConsistency:
         a = rand_half((16, 8), 20)
         b = rand_half((8, 8), 21)
         c = rand_half((16, 8), 22)
-        d1688 = mma.mma_16x8x8(a, b, c, accumulate_f32=False)
+        d1688 = mma.mma_reference(a, b, c, accumulate_f32=False)
         for half in range(2):
             rows = slice(8 * half, 8 * half + 8)
             d884 = fragment_to_matrix(
@@ -197,7 +270,7 @@ class TestCrossGenerationConsistency:
         a = rand_half((16, 16), 30)
         b = rand_half((16, 8), 31)
         c = np.random.default_rng(32).normal(size=(16, 8)).astype(np.float32)
-        one = mma.mma_16x8x16(a, b, c, accumulate_f32=True)
-        lo = mma.mma_16x8x8(a[:, :8], b[:8], c, accumulate_f32=True)
-        two = mma.mma_16x8x8(a[:, 8:], b[8:], lo, accumulate_f32=True)
+        one = mma.mma_reference(a, b, c, accumulate_f32=True)
+        lo = mma.mma_reference(a[:, :8], b[:8], c, accumulate_f32=True)
+        two = mma.mma_reference(a[:, 8:], b[8:], lo, accumulate_f32=True)
         np.testing.assert_allclose(one, two, rtol=1e-5)

@@ -26,14 +26,14 @@ class TestMatrixReference:
     def test_identity_b(self):
         a = rand_half((16, 8), 0)
         c = np.zeros((16, 8), np.float16)
-        d = mma.mma_16x8x8(a, np.eye(8, dtype=np.float16), c, accumulate_f32=False)
+        d = mma.mma_reference(a, np.eye(8, dtype=np.float16), c, accumulate_f32=False)
         np.testing.assert_array_equal(d, a)
 
     def test_accumulation(self):
         a = np.ones((16, 8), np.float16)
         b = np.ones((8, 8), np.float16)
         c = np.full((16, 8), 2.0, np.float16)
-        d = mma.mma_16x8x8(a, b, c, accumulate_f32=False)
+        d = mma.mma_reference(a, b, c, accumulate_f32=False)
         assert np.all(d == 10.0)  # 8 + 2
 
     def test_f32_keeps_precision(self):
@@ -43,14 +43,14 @@ class TestMatrixReference:
         b = np.zeros((8, 8), np.float16)
         b[0, 0] = 1.0
         c = np.full((16, 8), 2048.0, np.float32)
-        d32 = mma.mma_16x8x8(a, b, c, accumulate_f32=True)
+        d32 = mma.mma_reference(a, b, c, accumulate_f32=True)
         assert d32[0, 0] == 2049.0
-        d16 = mma.mma_16x8x8(a, b, c.astype(np.float16), accumulate_f32=False)
+        d16 = mma.mma_reference(a, b, c.astype(np.float16), accumulate_f32=False)
         assert d16[0, 0] == 2048.0  # rounded back to f16
 
     def test_shape_check(self):
         with pytest.raises(ValueError):
-            mma.mma_16x8x8(
+            mma.mma_reference(
                 np.zeros((8, 8)), np.zeros((8, 8)), np.zeros((16, 8)), False
             )
 
@@ -69,7 +69,7 @@ class TestHmma1688F16:
         b = rand_half((8, 8), 2)
         c = rand_half((16, 8), 3)
         np.testing.assert_array_equal(
-            self._run(a, b, c), mma.mma_16x8x8(a, b, c, accumulate_f32=False)
+            self._run(a, b, c), mma.mma_reference(a, b, c, accumulate_f32=False)
         )
 
     def test_zero_inputs(self):

@@ -72,7 +72,8 @@ class TestWorkerCrashRecovery:
 
 class TestCacheCorruptionRecovery:
     def test_corrupted_store_is_resimulated_not_served(self, monkeypatch,
-                                                       tmp_path, fault_free):
+                                                       tmp_path, cache_enabled,
+                                                       fault_free):
         want_profile, _ = fault_free
         # Corrupt the first disk entry this process writes; the next cold
         # read must quarantine it and re-simulate to the same numbers.
@@ -92,7 +93,8 @@ class TestCacheCorruptionRecovery:
         assert got == want_profile
         assert STATS.counters.get("cache.integrity_fails", 0) >= 1
 
-    def test_quarantined_entry_not_rescanned(self, monkeypatch, tmp_path):
+    def test_quarantined_entry_not_rescanned(self, monkeypatch, tmp_path,
+                                             cache_enabled):
         store = ResultCache(subdir="it")
         key = content_key(b"chaos-it")
         monkeypatch.setenv("REPRO_CHAOS", "corrupt_entry:0")

@@ -175,3 +175,13 @@ class TestAssemble:
     def test_guard_must_be_predicate(self):
         with pytest.raises(AssemblyError, match="guard"):
             assemble("@R0 NOP")
+
+    @pytest.mark.parametrize("line, got", [
+        ("HMMA.1688.F16 R0, R2, R4", 3),
+        ("IMMA.8816.S8.S8 R0, R2, R4", 3),
+        ("HMMA.1688.F16 R0, R2, R4, R6, R8", 5),
+    ])
+    def test_mma_takes_four_register_operands(self, line, got):
+        with pytest.raises(AssemblyError,
+                           match=rf"line 2: .*4 register operands .*got {got}"):
+            assemble(f"NOP\n{line}\nEXIT")

@@ -106,6 +106,34 @@ class TestCoalescing:
         assert done["waiters"] == 3
         assert done["result"] == {"value": 7}
 
+    def test_twin_finishing_during_cache_lookup_runs_once(self, scratch_env,
+                                                          monkeypatch):
+        # The twin's job finishes (stores its result, leaves the in-flight
+        # index) while the second submission is between its cache miss and
+        # its admission.  That submission must share the job, not rerun it.
+        import repro.serve.daemon as daemon_mod
+
+        monkeypatch.setattr(daemon_mod, "run_job", lambda kind, p: {"v": 1})
+        d = ServeDaemon(str(scratch_env / "race.sock"), workers=1)
+        message = {"kind": "hgemm", "payload": _hgemm_payload()}
+        first = d._submit_one(dict(message))
+        lookup, workers = d.cache.get, []
+
+        def lookup_while_twin_finishes(key):
+            miss = lookup(key)
+            workers.append(threading.Thread(
+                target=lambda: d._execute(d.queue.next_job(timeout=5))))
+            workers[0].start()
+            workers[0].join(timeout=0.5)
+            return miss
+
+        monkeypatch.setattr(d.cache, "get", lookup_while_twin_finishes)
+        second = d._submit_one(dict(message))
+        workers[0].join(timeout=5)
+        assert not workers[0].is_alive()
+        assert second["coalesced"] and second["job_id"] == first["job_id"]
+        assert d.queue.executed == 1
+
     def test_cache_hit_on_resubmit(self, daemon):
         payload = _hgemm_payload()
         with ServeClient(daemon.socket_path) as client:

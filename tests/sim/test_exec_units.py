@@ -10,7 +10,7 @@ from repro.hmma import (
     matrix16x8_to_fragments,
     matrix_to_fragment,
 )
-from repro.isa import assemble
+from repro.isa import Instruction, Reg, assemble
 from repro.sim.exec_units import ExecError, execute
 from repro.sim.memory import GlobalMemory
 from repro.sim.shared import SharedMemory
@@ -202,6 +202,15 @@ class TestHmmaExec:
         prog = assemble("HMMA.1688.F16 R0, RZ, R10, R4\nEXIT")
         with pytest.raises(ExecError, match="general registers"):
             execute(prog[0], ctx)
+
+    @pytest.mark.parametrize("opcode, mods", [
+        ("HMMA", ("1688", "F16")), ("IMMA", ("8816", "S8", "S8"))])
+    def test_mma_built_without_c_operand_is_refused(self, opcode, mods):
+        inst = Instruction(opcode, dests=(Reg(0),), srcs=(Reg(2), Reg(4)),
+                           mods=mods)
+        with pytest.raises(ExecError,
+                           match=rf"{opcode} takes 4 register operands .*got 3"):
+            execute(inst, Ctx())
 
 
 class TestMemoryExec:

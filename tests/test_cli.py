@@ -143,12 +143,11 @@ class TestServeCli:
         assert "running in-process" in captured.err
         assert "bit-exact vs precision model: True" in captured.out
 
-    def test_remote_round_trip_against_daemon(self, tmp_path, monkeypatch,
+    def test_remote_round_trip_against_daemon(self, tmp_path, cache_enabled,
                                               capsys):
         """Full thin-client path against an embedded daemon."""
         from repro.serve import ServeDaemon
 
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         daemon = ServeDaemon(str(tmp_path / "cli.sock"), workers=1)
         daemon.start()
         try:
@@ -190,10 +189,9 @@ class TestWorkloadsCommand:
         out = capsys.readouterr().out
         assert "TFLOPS" in out and "speedup" in out
 
-    def test_remote_run_against_daemon(self, tmp_path, monkeypatch, capsys):
+    def test_remote_run_against_daemon(self, tmp_path, cache_enabled, capsys):
         from repro.serve import ServeDaemon
 
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         daemon = ServeDaemon(str(tmp_path / "wl.sock"), workers=1)
         daemon.start()
         try:
