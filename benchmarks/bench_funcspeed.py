@@ -1,25 +1,23 @@
 """Functional-simulator speed benchmark: both engines, digest-checked.
 
 Runs one full-grid HGEMM (512x512x512 -- the 16-CTA 512^2 problem,
-cublas tiling) through the functional simulator three ways:
+cublas tiling) through the functional simulator two ways:
 
 * **reference** -- the instruction-at-a-time interpreter
   (``REPRO_FUNC_ENGINE=reference``), the baseline;
 * **lockstep** -- the default engine: all warps of a CTA execute each
-  decoded slot as one stacked NumPy operation, CTAs serial;
-* **parallel** -- the lockstep engine with CTAs sharded over one worker
-  process per CPU (``max_workers=0``).
+  decoded slot as one stacked NumPy operation, CTAs in order.
 
 Each leg re-seeds its own RNG (identical inputs no matter how legs are
 added or reordered), builds its own program, and runs ``reps`` times on
 fresh memory images: ``cold`` is the first run (decode included), ``warm``
 the best of the rest (decode served by the process-wide code cache --
 the paper's figure sweeps replay one kernel many times, so warm is the
-steady state that matters).  All legs must produce bit-identical C
+steady state that matters).  Both legs must produce bit-identical C
 matrices and identical retired-opcode counts -- the throughput layer's
 core invariant.
 
-Gate: the fast legs must beat the reference interpreter by at least 3x.
+Gate: lockstep must beat the reference interpreter by at least 3x.
 Results go to ``BENCH_funcspeed.json``.
 
 A cross-generation leg re-runs the same problem with lockstep on a
@@ -49,7 +47,7 @@ KERNEL = "cublas"
 XGEN_DEVICE = "A100"
 
 
-def _run_leg(engine, max_workers, reps, device="RTX2070"):
+def _run_leg(engine, reps, device="RTX2070"):
     """Time one engine: build inputs + program from a fresh seed, run
     ``reps`` times on fresh memory.  Returns (cold, warm, digest, stats)."""
     import numpy as np
@@ -89,8 +87,7 @@ def _run_leg(engine, max_workers, reps, device="RTX2070"):
             memory.write_array(b_addr, bt)
             start = time.perf_counter()
             stats = FunctionalSimulator().run(
-                program, memory, grid_dim=config.grid_dim(M, N),
-                max_workers=max_workers)
+                program, memory, grid_dim=config.grid_dim(M, N))
             times.append(time.perf_counter() - start)
     finally:
         os.environ.pop("REPRO_FUNC_ENGINE", None)
@@ -121,9 +118,8 @@ def _oracle_digest(device):
 
 def main() -> int:
     legs = {
-        "reference": _run_leg("reference", None, 1),
-        "lockstep": _run_leg("lockstep", None, 4),
-        "parallel": _run_leg("lockstep", 0, 3),
+        "reference": _run_leg("reference", 1),
+        "lockstep": _run_leg("lockstep", 4),
     }
 
     ref = legs["reference"]
@@ -138,7 +134,7 @@ def main() -> int:
     # Ampere HMMA.16816 pipeline).  Too slow for the reference interpreter
     # twice over, so the correctness anchor is the precision-model oracle
     # digest.
-    xgen = _run_leg("lockstep", None, 3, device=XGEN_DEVICE)
+    xgen = _run_leg("lockstep", 3, device=XGEN_DEVICE)
     xgen_want = _oracle_digest(XGEN_DEVICE)
     xgen_ok = xgen[2] == xgen_want
     if not xgen_ok:
@@ -157,7 +153,6 @@ def main() -> int:
         "cold_seconds": {k: round(v, 4) for k, v in cold.items()},
         "warm_seconds": {k: round(v, 4) for k, v in warm.items()},
         "lockstep_speedup": round(cold["reference"] / cold["lockstep"], 2),
-        "parallel_speedup": round(cold["reference"] / cold["parallel"], 2),
         "bit_identical": ok,
         "xgen_device": XGEN_DEVICE,
         "xgen_digest_sha256": xgen_want,
@@ -170,9 +165,10 @@ def main() -> int:
     print(json.dumps(payload, indent=2))
     print(f"wrote {out}")
 
-    best = max(payload["lockstep_speedup"], payload["parallel_speedup"])
-    if best < 3.0:
-        print(f"FAIL: best speedup {best:.2f}x < 3x target", file=sys.stderr)
+    speedup = payload["lockstep_speedup"]
+    if speedup < 3.0:
+        print(f"FAIL: lockstep speedup {speedup:.2f}x < 3x target",
+              file=sys.stderr)
         return 1
     return 0
 

@@ -23,9 +23,7 @@ def main() -> None:
 
     print(f"C[{m}x{n}] = A[{m}x{k}] @ B[{k}x{n}], half precision")
 
-    # max_workers shards the grid's CTAs over worker processes (0 = one
-    # per CPU) -- bit-identical to the serial run, just faster on big grids.
-    run = hgemm(a, b, return_run=True, max_workers=0)
+    run = hgemm(a, b, return_run=True)
     c = run.c
     print(f"kernel: {run.config.describe()}")
     print(f"executed {run.stats.instructions_retired} instructions "

@@ -247,8 +247,6 @@ def _cmd_hgemm(args) -> int:
         payload = {"m": args.m, "n": args.n, "k": args.k,
                    "kernel": args.kernel, "accumulate": args.accumulate,
                    "seed": args.seed, "spec": spec_to_dict(spec)}
-        if args.jobs is not None:
-            payload["jobs"] = args.jobs
         if args.func_engine is not None:
             payload["engine"] = args.func_engine
         view = _remote_run(remote, "hgemm", payload)
@@ -260,8 +258,7 @@ def _cmd_hgemm(args) -> int:
     a = rng.uniform(-1, 1, (args.m, args.k)).astype(np.float16)
     b = rng.uniform(-1, 1, (args.k, args.n)).astype(np.float16)
     run = hgemm(a, b, kernel=args.kernel, spec=spec,
-                accumulate=args.accumulate,
-                return_run=True, max_workers=args.jobs,
+                accumulate=args.accumulate, return_run=True,
                 engine=args.func_engine)
     reference = hgemm_reference(a, b, w_k=run.config.w_k,
                                 accumulate=args.accumulate)
@@ -286,8 +283,6 @@ def _cmd_igemm(args) -> int:
 
         payload = {"m": args.m, "n": args.n, "k": args.k, "seed": args.seed,
                    "spec": spec_to_dict(spec)}
-        if args.jobs is not None:
-            payload["jobs"] = args.jobs
         if args.func_engine is not None:
             payload["engine"] = args.func_engine
         view = _remote_run(remote, "igemm", payload)
@@ -298,8 +293,7 @@ def _cmd_igemm(args) -> int:
     rng = np.random.default_rng(args.seed)
     a = rng.integers(-128, 128, (args.m, args.k), dtype=np.int8)
     b = rng.integers(-128, 128, (args.k, args.n), dtype=np.int8)
-    run = igemm(a, b, return_run=True, spec=spec, max_workers=args.jobs,
-                engine=args.func_engine)
+    run = igemm(a, b, return_run=True, spec=spec, engine=args.func_engine)
     reference = igemm_reference(a, b)
     exact = np.array_equal(run.c, reference)
     print(f"kernel: {run.config.describe()}")
@@ -355,14 +349,13 @@ def _cmd_perfstats(args) -> int:
         profiles = pm.profile_many(kernels[args.kernel],
                                    max_workers=args.jobs)
         # One functional launch per kernel so the func.* counters
-        # (CTAs, retired instructions, worker fan-out) have data too.
+        # (CTAs, retired instructions) have data too.
         rng = np.random.default_rng(0)
         a = rng.uniform(-1, 1, (256, 32)).astype(np.float16)
         b = rng.uniform(-1, 1, (32, 256)).astype(np.float16)
         for name in ("ours", "cublas"):
             if args.kernel in (name, "both"):
-                hgemm(a, b, kernel=name, spec=spec, max_workers=args.jobs,
-                      engine=options.func_engine)
+                hgemm(a, b, kernel=name, spec=spec, engine=options.func_engine)
     state = ("enabled" if cache_enabled()
              else "DISABLED (REPRO_NO_CACHE set)")
     print(f"result cache: {state}")
@@ -431,8 +424,6 @@ def _cmd_verify(args) -> int:
 
         payload = {"config": config_to_dict(config), "seeds": args.seeds,
                    "spec": spec_to_dict(spec)}
-        if args.jobs is not None:
-            payload["jobs"] = args.jobs
         if args.func_engine is not None:
             payload["engine"] = args.func_engine
         view = _remote_run(remote, "verify", payload)
@@ -444,8 +435,7 @@ def _cmd_verify(args) -> int:
         return 0 if view["result"]["passed"] else 1
 
     report = verify_kernel(config, seeds=tuple(range(args.seeds)),
-                           spec=spec, max_workers=args.jobs,
-                           engine=args.func_engine)
+                           spec=spec, engine=args.func_engine)
     print(report.summary())
     return 0 if report.passed else 1
 
@@ -476,8 +466,6 @@ def _cmd_workloads(args) -> int:
             payload = {"suite": args.suite, "spec": spec_to_dict(spec),
                        "scale": scale, "kernel": args.kernel,
                        "seed": args.seed}
-            if args.jobs is not None:
-                payload["jobs"] = args.jobs
             if args.func_engine is not None:
                 payload["engine"] = args.func_engine
             view = _remote_run(remote, "workloads", payload)
@@ -492,7 +480,7 @@ def _cmd_workloads(args) -> int:
 
         result = run_suite(args.suite, spec=spec, scale=scale,
                            kernel=args.kernel, seed=args.seed,
-                           max_workers=args.jobs, engine=args.func_engine)
+                           engine=args.func_engine)
         print(result.summary())
         return 0 if result.passed else 1
 
@@ -529,8 +517,6 @@ def _cmd_numerics(args) -> int:
                    "n": args.n, "seed": args.seed}
         if ks:
             payload["ks"] = list(ks)
-        if args.jobs is not None:
-            payload["jobs"] = args.jobs
         if args.func_engine is not None:
             payload["engine"] = args.func_engine
         view = _remote_run(remote, "numerics", payload)
@@ -547,7 +533,7 @@ def _cmd_numerics(args) -> int:
 
     common = dict(ks=ks or DEFAULT_KS, m=args.m, n=args.n,
                   distribution=args.distribution, seed=args.seed,
-                  max_workers=args.jobs, engine=args.func_engine)
+                  engine=args.func_engine)
     f16 = error_curve(spec, accumulate="f16", **common)
     f32 = (error_curve(spec, accumulate="f32", **common)
            if supports(spec, "f32") else None)
@@ -776,8 +762,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["ours", "cublas"])
     p.add_argument("--accumulate", default="f16", choices=["f16", "f32"])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (0 = one per CPU; default serial)")
 
     p = sub.add_parser("igemm", help="run one simulated int8 GEMM")
     p.add_argument("m", type=int)
@@ -786,8 +770,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--device", default="RTX2070",
                    help="registry device name (see 'repro devices')")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (0 = one per CPU; default serial)")
 
     p = sub.add_parser("autotune", help="pick the best kernel config")
     p.add_argument("m", type=int)
@@ -819,8 +801,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", default="ours",
                    choices=["ours", "cublas", "f32", "int8"])
     p.add_argument("--seeds", type=int, default=2)
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (0 = one per CPU; default serial)")
 
     p = sub.add_parser("workloads",
                        help="deep-learning workload suites (run/estimate/"
@@ -838,7 +818,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--accumulate", default="f16", choices=["f16", "f32"],
                    help="accumulator for 'autotune'")
     p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (0 = one per CPU; default serial)")
+                   help="worker processes for 'estimate'/'autotune' "
+                        "(0 = one per CPU; default serial)")
 
     p = sub.add_parser("numerics",
                        help="mixed-precision error curves (FP16 vs FP32 "
@@ -852,8 +833,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distribution", default="positive",
                    choices=["uniform", "positive", "normal"])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (0 = one per CPU; default serial)")
 
     sub.add_parser("devices",
                    help="list registered devices and their generations")

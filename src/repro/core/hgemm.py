@@ -125,8 +125,8 @@ class HgemmRun:
 
 def hgemm(a, b, kernel="ours", spec: GpuSpec = RTX2070,
           accumulate: str = "f16", alpha: float = 1.0, beta: float = 0.0,
-          c=None, return_run: bool = False, max_workers: int = None,
-          engine: str = None, guard: str = None):
+          c=None, return_run: bool = False, engine: str = None,
+          guard: str = None):
     """Compute ``C = alpha * A @ B + beta * C`` on the simulated GPU.
 
     Args:
@@ -142,8 +142,6 @@ def hgemm(a, b, kernel="ours", spec: GpuSpec = RTX2070,
            evaluation uses alpha=1, beta=0).  FP16 path only.
         c: (m, n) float16 input, required when ``beta != 0``.
         return_run: also return kernel statistics.
-        max_workers: CTA-parallel worker processes for the functional run
-           (``None``/1 serial, 0 one per CPU, ``REPRO_FUNC_JOBS`` default).
         engine: functional execution engine ("lockstep" or
            "reference"); ``None`` defers to ``REPRO_FUNC_ENGINE``.  Both
            engines are bit-identical.
@@ -191,8 +189,7 @@ def hgemm(a, b, kernel="ours", spec: GpuSpec = RTX2070,
                            c_addr=c_addr, alpha=alpha, beta=beta)
     program = build_hgemm(config, problem, spec)
     stats = FunctionalSimulator(engine=engine, guard=guard).run(
-        program, memory, grid_dim=config.grid_dim(m, n),
-        max_workers=max_workers)
+        program, memory, grid_dim=config.grid_dim(m, n))
     out = memory.read_array(c_addr, c_dtype, m * n).reshape(m, n)
     if return_run:
         return HgemmRun(out, config, stats)

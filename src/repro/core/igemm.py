@@ -53,8 +53,7 @@ class IgemmRun:
 
 
 def igemm(a, b, kernel=None, spec: GpuSpec = RTX2070,
-          return_run: bool = False, max_workers: int = None,
-          engine: str = None):
+          return_run: bool = False, engine: str = None):
     """Compute ``C = A @ B`` on int8 operands with s32 accumulation.
 
     Args:
@@ -64,7 +63,6 @@ def igemm(a, b, kernel=None, spec: GpuSpec = RTX2070,
             :func:`ours_int8` preset (shrunk to fit the problem).
         spec: target device.
         return_run: also return kernel statistics.
-        max_workers: CTA-parallel worker processes for the functional run.
         engine: functional execution engine ("lockstep" or
             "reference"); ``None`` defers to ``REPRO_FUNC_ENGINE``.
 
@@ -98,8 +96,7 @@ def igemm(a, b, kernel=None, spec: GpuSpec = RTX2070,
                            c_addr=c_addr)
     program = build_hgemm(config, problem, spec)
     stats = FunctionalSimulator(engine=engine).run(
-        program, memory, grid_dim=config.grid_dim(m, n),
-        max_workers=max_workers)
+        program, memory, grid_dim=config.grid_dim(m, n))
     out = memory.read_array(c_addr, np.int32, m * n).reshape(m, n)
     if return_run:
         return IgemmRun(out, config, stats)

@@ -67,16 +67,13 @@ class VerificationReport:
 
 def verify_kernel(config: KernelConfig, shapes=DEFAULT_SHAPES,
                   seeds=(0, 1), spec: GpuSpec = RTX2070,
-                  max_workers: int = None,
                   engine: str = None) -> VerificationReport:
     """Run *config* over a shape/seed grid against the oracle.
 
     Shapes that the configuration cannot tile are skipped (they are not
     this kernel's job); everything it accepts must be bit-exact.
-    ``max_workers`` shards each launch's CTAs over worker processes
-    (``None``/1 serial, 0 one per CPU) -- results are bit-identical either
-    way, the parallel path only changes wall time.  ``engine`` picks the
-    functional execution engine (``None`` -> ``REPRO_FUNC_ENGINE``).
+    ``engine`` picks the functional execution engine (``None`` ->
+    ``REPRO_FUNC_ENGINE``).
     """
     report = VerificationReport(kernel_name=config.name or "custom")
     is_int8 = config.ab_dtype == "s8"
@@ -93,13 +90,12 @@ def verify_kernel(config: KernelConfig, shapes=DEFAULT_SHAPES,
                 b = rng.uniform(-2, 2, (k, n)).astype(np.float16)
             try:
                 if is_int8:
-                    got = igemm(a, b, kernel=config, spec=spec,
-                                max_workers=max_workers, engine=engine)
+                    got = igemm(a, b, kernel=config, spec=spec, engine=engine)
                     want = igemm_reference(a, b)
                 else:
                     got = hgemm(a, b, kernel=config, spec=spec,
                                 accumulate="f32" if config.accum_f32 else "f16",
-                                max_workers=max_workers, engine=engine)
+                                engine=engine)
                     want = hgemm_reference(
                         a, b, w_k=config.w_k,
                         accumulate="f32" if config.accum_f32 else "f16")

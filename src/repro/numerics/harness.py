@@ -119,8 +119,7 @@ class ErrorCurve:
 def measure_point(spec: GpuSpec = RTX2070, m: int = 64, n: int = 64,
                   k: int = 64, accumulate: str = "f16",
                   distribution: str = "uniform", seed: int = 0,
-                  kernel="ours", max_workers: int = None,
-                  engine: str = None) -> ErrorSample:
+                  kernel="ours", engine: str = None) -> ErrorSample:
     """Run one GEMM through the functional simulator and measure error.
 
     The float64 product of the (already FP16-rounded) operands is the
@@ -137,7 +136,7 @@ def measure_point(spec: GpuSpec = RTX2070, m: int = 64, n: int = 64,
     b = draw(rng, (k, n)).astype(np.float16)
 
     run = hgemm(a, b, kernel=kernel, spec=spec, accumulate=accumulate,
-                return_run=True, max_workers=max_workers, engine=engine)
+                return_run=True, engine=engine)
     oracle = hgemm_reference(a, b, w_k=run.config.w_k, accumulate=accumulate)
     model_exact = bool(np.array_equal(run.c, oracle))
 
@@ -158,8 +157,7 @@ def measure_point(spec: GpuSpec = RTX2070, m: int = 64, n: int = 64,
 def error_curve(spec: GpuSpec = RTX2070, ks=DEFAULT_KS, m: int = 64,
                 n: int = 64, accumulate: str = "f16",
                 distribution: str = "uniform", seed: int = 0,
-                kernel="ours", max_workers: int = None,
-                engine: str = None) -> ErrorCurve:
+                kernel="ours", engine: str = None) -> ErrorCurve:
     """Error versus the contracted dimension K, everything else fixed."""
     curve = ErrorCurve(device=spec.name, accumulate=accumulate,
                        distribution=distribution)
@@ -167,7 +165,7 @@ def error_curve(spec: GpuSpec = RTX2070, ks=DEFAULT_KS, m: int = 64,
         curve.samples.append(measure_point(
             spec, m=m, n=n, k=k, accumulate=accumulate,
             distribution=distribution, seed=seed, kernel=kernel,
-            max_workers=max_workers, engine=engine))
+            engine=engine))
     return curve
 
 

@@ -41,6 +41,7 @@ a sweep's workers did exactly as if it had run serially.
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
 import os
 import pickle
@@ -51,11 +52,15 @@ from collections import deque
 from ..robust import chaos
 from .stats import STATS
 
-__all__ = ["default_workers", "parallel_map", "WorkerTaskError"]
+__all__ = ["default_workers", "parallel_map", "supervisor_settings",
+           "WorkerTaskError"]
 
-_ENV_TIMEOUT = "REPRO_TASK_TIMEOUT"
-_ENV_RETRIES = "REPRO_TASK_RETRIES"
-_ENV_BACKOFF = "REPRO_RETRY_BACKOFF"
+#: Supervisor knobs: setting -> (environment variable, default).
+_KNOBS = {
+    "timeout": ("REPRO_TASK_TIMEOUT", 600.0),
+    "retries": ("REPRO_TASK_RETRIES", 2),
+    "backoff": ("REPRO_RETRY_BACKOFF", 0.25),
+}
 
 #: Supervisor poll granularity (seconds): the latency of noticing a death
 #: or deadline, traded against idle wakeups.
@@ -67,14 +72,22 @@ def default_workers() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "")
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        return default
+def supervisor_settings() -> dict:
+    """``timeout``, ``retries`` and ``backoff`` from their ``REPRO_*``
+    variables (the defaults when unset).  A value that is not a finite
+    number >= 0 raises a ``ValueError`` naming the variable."""
+    settings = {}
+    for key, (name, default) in _KNOBS.items():
+        raw = os.environ.get(name, "")
+        try:
+            value = float(raw) if raw else default
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"{name} must be a finite number >= 0 "
+                             f"(unset for {default}), got {raw!r}")
+        settings[key] = type(default)(value)
+    return settings
 
 
 class WorkerTaskError(RuntimeError):
@@ -92,14 +105,8 @@ def _dump_exc(exc: BaseException):
         return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
-def _worker_main(worker_id, task_q, result_q, fn, initializer, initargs):
-    """Worker loop: init once, then run assigned (task, attempt) pairs."""
-    try:
-        if initializer is not None:
-            initializer(*initargs)
-    except BaseException as exc:  # noqa: BLE001 - must cross the process gap
-        result_q.put((worker_id, None, "init_error", _dump_exc(exc)))
-        return
+def _worker_main(worker_id, task_q, result_q, fn):
+    """Worker loop: report ready, then run assigned (task, attempt) pairs."""
     result_q.put((worker_id, None, "ready", None))
     while True:
         message = task_q.get()
@@ -150,11 +157,11 @@ class _Worker:
 
     __slots__ = ("proc", "task_q", "ready", "task", "deadline")
 
-    def __init__(self, ctx, worker_id, result_q, fn, initializer, initargs):
+    def __init__(self, ctx, worker_id, result_q, fn):
         self.task_q = ctx.SimpleQueue()
         self.proc = ctx.Process(
             target=_worker_main,
-            args=(worker_id, self.task_q, result_q, fn, initializer, initargs),
+            args=(worker_id, self.task_q, result_q, fn),
             daemon=True,
         )
         self.ready = False
@@ -166,11 +173,8 @@ class _Worker:
 class _Supervisor:
     """Owns the worker fleet for one :func:`parallel_map` call."""
 
-    def __init__(self, fn, initializer, initargs, workers, timeout, retries,
-                 backoff):
+    def __init__(self, fn, workers, timeout, retries, backoff):
         self.fn = fn
-        self.initializer = initializer
-        self.initargs = initargs
         self.n_workers = workers
         self.timeout = timeout
         self.retries = retries
@@ -185,8 +189,7 @@ class _Supervisor:
     def _spawn(self) -> None:
         wid = self._next_wid
         self._next_wid += 1
-        self.workers[wid] = _Worker(self.ctx, wid, self.result_q, self.fn,
-                                    self.initializer, self.initargs)
+        self.workers[wid] = _Worker(self.ctx, wid, self.result_q, self.fn)
 
     def _assign(self, worker: _Worker, task: _Task) -> None:
         worker.task = task
@@ -254,8 +257,6 @@ class _Supervisor:
         if failures:
             # Last rung: run what the fleet could not finish in-process.
             STATS.count("par.serial_fallbacks", len(failures))
-            if self.initializer is not None:
-                self.initializer(*self.initargs)
             for idx in sorted(failures):
                 results[idx] = self.fn(items[idx])
         return [results[i] for i in range(n)]
@@ -293,8 +294,6 @@ class _Supervisor:
             if worker is not None:
                 worker.ready = True
             return None
-        if kind == "init_error":
-            return payload
         if worker is not None and worker.task is not None \
                 and worker.task.idx == task_id:
             worker.task = None
@@ -332,8 +331,8 @@ class _Supervisor:
 
 # ---------------------------------------------------------------- public API
 
-def parallel_map(fn, items, max_workers=None, initializer=None, initargs=(),
-                 timeout=None, retries=None, backoff=None) -> list:
+def parallel_map(fn, items, max_workers=None, timeout=None, retries=None,
+                 backoff=None) -> list:
     """``[fn(x) for x in items]``, optionally across supervised workers.
 
     ``max_workers`` semantics:
@@ -343,15 +342,11 @@ def parallel_map(fn, items, max_workers=None, initializer=None, initargs=(),
     * ``0`` -- auto: one worker per CPU;
     * ``n > 1`` -- at most *n* workers.
 
-    ``initializer(*initargs)`` runs once per worker before any item (e.g. to
-    attach shared memory); on the serial path it runs once in this process.
-
-    ``timeout`` (seconds per task, default ``REPRO_TASK_TIMEOUT`` or 600;
-    0 disables), ``retries`` (extra attempts after a crash or timeout,
-    default ``REPRO_TASK_RETRIES`` or 2) and ``backoff`` (base retry delay
-    in seconds, default ``REPRO_RETRY_BACKOFF`` or 0.25, doubled per
-    retry) tune the supervisor; see the module docstring for the recovery
-    ladder.
+    ``timeout`` (seconds per task, 0 disables), ``retries`` (extra
+    attempts after a crash or timeout) and ``backoff`` (base retry delay in
+    seconds, doubled per retry) tune the supervisor; each defaults to
+    :func:`supervisor_settings`.  See the module docstring for the
+    recovery ladder.
 
     Order of results always matches the order of *items*.  Exceptions
     raised by *fn* propagate to the caller, as they would serially;
@@ -362,14 +357,12 @@ def parallel_map(fn, items, max_workers=None, initializer=None, initargs=(),
     if max_workers == 0:
         max_workers = default_workers()
     if max_workers is None or max_workers <= 1 or len(items) <= 1:
-        if initializer is not None:
-            initializer(*initargs)
         return [fn(item) for item in items]
-    timeout = _env_float(_ENV_TIMEOUT, 600.0) if timeout is None else timeout
-    retries = int(_env_float(_ENV_RETRIES, 2)) if retries is None else retries
-    backoff = _env_float(_ENV_BACKOFF, 0.25) if backoff is None else backoff
+    settings = supervisor_settings()
+    timeout = settings["timeout"] if timeout is None else timeout
+    retries = settings["retries"] if retries is None else retries
+    backoff = settings["backoff"] if backoff is None else backoff
     workers = min(max_workers, len(items))
-    supervisor = _Supervisor(fn, initializer, initargs, workers,
-                             max(0.0, timeout), max(0, retries),
+    supervisor = _Supervisor(fn, workers, max(0.0, timeout), max(0, retries),
                              max(0.0, backoff))
     return supervisor.run(items)

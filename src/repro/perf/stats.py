@@ -14,16 +14,14 @@ Counter names use dotted namespaces by convention:
   stacked batch kernel, and the instructions those plans covered (only
   recorded when nonzero, so a reference-engine run leaves them absent).
 * ``sim.wall`` (a timer, seconds) -- wall time inside ``run()``.
-* ``func.runs`` / ``func.ctas`` / ``func.instructions`` /
-  ``func.workers`` -- incremented by
-  :class:`~repro.sim.functional.FunctionalSimulator` per ``run()``
-  (grid launches, CTAs executed, instructions retired, and worker
-  processes used for CTA-parallel sharding).
+* ``func.runs`` / ``func.ctas`` / ``func.instructions`` -- incremented
+  by :class:`~repro.sim.functional.FunctionalSimulator` per ``run()``
+  (grid launches, CTAs executed, instructions retired).
 * ``func.destacks`` -- incremented by the warp-lockstep engine each time
   a CTA hits a stacked closure that returns ``DIVERGED`` and falls back
   to the per-warp interleave path (see :mod:`repro.sim.decode`).
 * ``func.wall`` (a timer, seconds) -- wall time inside functional
-  ``run()``, including predecode and any worker fan-out.
+  ``run()``, including predecode.
 * ``decode.slot_hits`` / ``decode.slot_misses`` /
   ``decode.window_hits`` / ``decode.window_misses`` -- added once per
   :func:`~repro.sim.decode.predecode` call that assembles a program: its

@@ -6,8 +6,8 @@ The report covers the four robustness surfaces:
   (:func:`repro.robust.guard.degradation_report`);
 * **cache** -- location, layer sizes, quarantine count, configured size
   bound;
-* **workers** -- CPU count and the supervisor's timeout/retry/backoff
-  configuration;
+* **workers** -- CPU count and the timeout/retry/backoff the supervisor
+  will use (a bad ``REPRO_TASK_*``/``REPRO_RETRY_BACKOFF`` value raises);
 * **chaos** -- any active ``REPRO_CHAOS`` directives (so a forgotten env
   var cannot masquerade as a real fault).
 
@@ -33,7 +33,7 @@ from __future__ import annotations
 import os
 
 from ..perf import cache as cache_mod
-from ..perf.parallel import default_workers, parallel_map
+from ..perf.parallel import default_workers, parallel_map, supervisor_settings
 from ..perf.stats import STATS
 from . import chaos, guard
 
@@ -72,11 +72,12 @@ def _section_cache() -> dict:
 
 
 def _section_workers() -> dict:
+    settings = supervisor_settings()
     return {
         "cpus": default_workers(),
-        "task_timeout_s": _env("REPRO_TASK_TIMEOUT", "600 (default)"),
-        "task_retries": _env("REPRO_TASK_RETRIES", "2 (default)"),
-        "retry_backoff_s": _env("REPRO_RETRY_BACKOFF", "0.25 (default)"),
+        "task_timeout_s": settings["timeout"],
+        "task_retries": settings["retries"],
+        "retry_backoff_s": settings["backoff"],
     }
 
 

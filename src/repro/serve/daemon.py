@@ -7,11 +7,11 @@ One long-running process owns:
 * the **job queue** (:class:`repro.serve.queue.JobQueue`) with in-flight
   coalescing;
 * one **worker pool** -- executor threads that claim jobs and run them
-  through :func:`repro.serve.jobs.run_job`.  Jobs that ask for process
-  parallelism (``"jobs": N`` in their payload) fan out through the
-  supervised :func:`repro.perf.parallel.parallel_map` exactly as an
-  in-process run would, inheriting its timeout/retry/serial-fallback
-  ladder;
+  through :func:`repro.serve.jobs.run_job`.  Sweep and autotune jobs
+  that ask for process parallelism (``"jobs": N`` in their payload) fan
+  out through the supervised :func:`repro.perf.parallel.parallel_map`
+  exactly as an in-process run would, inheriting its
+  timeout/retry/serial-fallback ladder;
 * the **shared hot cache**: the process-wide ``repro.perf`` caches plus
   a ``serve/`` result store, so every completed job warms later tenants.
 
@@ -319,11 +319,11 @@ class ServeDaemon:
             self._execute(job)
 
     def _execute(self, job) -> None:
-        from .protocol import decode_payload
-
+        # Payloads run as received: no job kind takes an array, and
+        # decoding would open (and unlink) any spool path a client names.
         with STATS.scoped() as scope:
             try:
-                result = run_job(job.kind, decode_payload(job.payload))
+                result = run_job(job.kind, job.payload)
             except Exception as exc:  # noqa: BLE001 - job faults must not
                 delta = scope.snapshot()  # kill the worker thread
                 self.queue.fail(job, f"{type(exc).__name__}: {exc}", delta)

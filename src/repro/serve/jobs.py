@@ -83,6 +83,11 @@ def spec_to_dict(spec: GpuSpec) -> dict:
 
 def spec_from_dict(data: dict) -> GpuSpec:
     if "device" in data:
+        extra = sorted(set(data) - {"device"})
+        if extra:
+            raise ValueError(
+                f"spec dict names a device and also sets {extra}; send a "
+                "registry name alone ({'device': name}) or a full spec dict")
         name = data["device"]
         try:
             return get_device(name)
@@ -208,7 +213,6 @@ def _run_hgemm(payload: dict) -> dict:
     accumulate = payload.get("accumulate", "f16")
     run = hgemm(a, b, kernel=payload.get("kernel", "ours"), spec=spec,
                 accumulate=accumulate, return_run=True,
-                max_workers=payload.get("jobs"),
                 engine=payload.get("engine"))
     exact = bool(np.array_equal(
         run.c, hgemm_reference(a, b, w_k=run.config.w_k,
@@ -227,7 +231,6 @@ def _run_igemm(payload: dict) -> dict:
     a = rng.integers(-128, 128, (m, k), dtype=np.int8)
     b = rng.integers(-128, 128, (k, n), dtype=np.int8)
     run = igemm(a, b, return_run=True, spec=spec,
-                max_workers=payload.get("jobs"),
                 engine=payload.get("engine"))
     exact = bool(np.array_equal(run.c, igemm_reference(a, b)))
     return _gemm_result(run, exact, "IMMA", payload)
@@ -243,7 +246,6 @@ def _run_verify(payload: dict) -> dict:
     seeds = payload.get("seeds", 2)
     seeds = tuple(seeds) if isinstance(seeds, list) else tuple(range(seeds))
     report = verify_kernel(config, seeds=seeds, spec=spec,
-                           max_workers=payload.get("jobs"),
                            engine=payload.get("engine"))
     return {"passed": report.passed, "summary": report.summary(),
             "cases": len(report.cases)}
@@ -259,7 +261,6 @@ def _run_workloads(payload: dict) -> dict:
                        scale=payload.get("scale", "sim"),
                        kernel=payload.get("kernel", "ours"),
                        seed=int(payload.get("seed", 0)),
-                       max_workers=payload.get("jobs"),
                        engine=payload.get("engine"))
     return {
         "suite": result.suite,
@@ -286,7 +287,6 @@ def _run_numerics(payload: dict) -> dict:
                   distribution=payload.get("distribution", "positive"),
                   seed=int(payload.get("seed", 0)),
                   kernel=payload.get("kernel", "ours"),
-                  max_workers=payload.get("jobs"),
                   engine=payload.get("engine"))
     f16 = error_curve(spec, accumulate="f16", **common)
     f32 = (error_curve(spec, accumulate="f32", **common)
@@ -355,7 +355,8 @@ def job_key(kind: str, payload: dict) -> str:
     will store under, so a daemon profile and a local
     ``PerformanceModel.sm_profile`` of the same work share one identity.
     Every other kind hashes (kind, canonical payload) under the same
-    ``SIM_VERSION``-salted scheme.
+    ``SIM_VERSION``-salted scheme, leaving out ``jobs``: a worker fan-out
+    never changes the result.
     """
     kind_of(kind)  # validate early: a bad kind must fail at submit time
     if kind == "profile":
@@ -364,6 +365,9 @@ def job_key(kind: str, payload: dict) -> str:
         lo, hi = options.profile_iters
         return content_key(b"sm-profile", SIM_VERSION, spec, config,
                            (lo, hi), model.ctas_per_sm(config))
+    if isinstance(payload, dict) and "jobs" in payload:
+        payload = {name: value for name, value in payload.items()
+                   if name != "jobs"}
     return content_key(b"serve-job", SIM_VERSION, kind, payload)
 
 

@@ -8,8 +8,9 @@ ambiguity) and JSON keeps the protocol inspectable with ``socat`` and a
 hex dump.
 
 NumPy payloads do not fit JSON natively, so :func:`encode_payload` walks
-a request/response tree and replaces every ``ndarray`` (and ``bytes``)
-with a tagged dict:
+a job result and replaces every ``ndarray`` (and ``bytes``) with a
+tagged dict (the daemon runs request payloads as received and never
+decodes them):
 
 * small arrays travel **inline** as base64 (``{"__nd__": ...}``);
 * arrays above :data:`SPOOL_LIMIT_BYTES` are **file-spooled**: written as

@@ -26,13 +26,7 @@ table in :mod:`repro.sim.uop`, so they cannot drift apart):
   truth for differential tests, the divergence watchdog and benchmark
   baselines (``REPRO_FUNC_ENGINE=reference``).
 
-Because barrier intervals never cross CTAs, CTAs are architecturally
-independent and a grid can run CTA-parallel: pass ``max_workers`` (or set
-``REPRO_FUNC_JOBS``) and the grid is sharded over worker processes that
-scatter into one ``multiprocessing.shared_memory`` block backing
-:class:`GlobalMemory`, each CTA writing its own C tile.  Results (instruction
-retire counts per opcode) merge deterministically, so serial and parallel
-runs are bit-identical -- ``tests/sim/test_golden_functional.py`` pins this.
+A grid's CTAs run in order, one after another, in this process.
 
 ``CS2R SR_CLOCKLO`` returns the warp's retired-instruction count here; for
 cycle-accurate clocks use :class:`repro.sim.timing.TimingSimulator`.
@@ -43,13 +37,12 @@ from __future__ import annotations
 import functools
 import os
 from dataclasses import dataclass, field
-from multiprocessing import shared_memory as _shm_mod
 
 import numpy as np
 
 from ..arch.registers import PredicateFile, RegisterFile, WARP_LANES
 from ..isa.program import Program
-from ..perf import STATS, default_workers, parallel_map
+from ..perf import STATS
 from ..robust import chaos
 from ..robust import guard as _guard
 from .decode import DIVERGED, EXITED, predecode
@@ -69,11 +62,6 @@ def _default_engine() -> str:
         raise ValueError(
             f"REPRO_FUNC_ENGINE must be one of {ENGINES}, got {engine!r}")
     return engine
-
-
-def _default_jobs():
-    jobs = os.environ.get("REPRO_FUNC_JOBS")
-    return int(jobs) if jobs else None
 
 
 class SimLimitError(RuntimeError):
@@ -154,41 +142,29 @@ class FunctionalResult:
         self.instructions_retired += 1
         self.opcode_counts[opcode] = self.opcode_counts.get(opcode, 0) + 1
 
-    def _merge(self, other: "FunctionalResult") -> None:
-        self.instructions_retired += other.instructions_retired
-        self.ctas_run += other.ctas_run
-        for opcode, count in other.opcode_counts.items():
-            self.opcode_counts[opcode] = self.opcode_counts.get(opcode, 0) + count
-
 
 class FunctionalSimulator:
     """Executes programs functionally over an (x, y) grid of CTAs.
 
     ``engine`` selects the execution engine (``None`` -> ``REPRO_FUNC_ENGINE``
-    or lockstep); ``max_workers`` the CTA-parallel worker count with the
-    :func:`repro.perf.parallel.parallel_map` conventions (``None``/1 serial,
-    0 auto, ``REPRO_FUNC_JOBS`` supplying the default); ``guard`` the
-    divergence-watchdog mode (``None`` -> ``REPRO_GUARD``, see
-    :mod:`repro.robust.guard`).  After a watchdog degradation a lockstep
-    request runs on the reference engine.
+    or lockstep); ``guard`` the divergence-watchdog mode (``None`` ->
+    ``REPRO_GUARD``, see :mod:`repro.robust.guard`).  After a watchdog
+    degradation a lockstep request runs on the reference engine.
     """
 
     def __init__(self, max_instructions_per_warp: int = 5_000_000,
-                 engine: str = None, max_workers: int = None,
-                 guard: str = None):
+                 engine: str = None, guard: str = None):
         self.max_instructions_per_warp = max_instructions_per_warp
         self.engine = engine if engine is not None else _default_engine()
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
-        self.max_workers = max_workers
         self.guard = guard
 
     def run(self, program: Program, global_mem: GlobalMemory,
-            grid_dim=(1, 1), max_workers: int = None) -> FunctionalResult:
+            grid_dim=(1, 1)) -> FunctionalResult:
         """Launch *program* over ``grid_dim`` CTAs against *global_mem*."""
         gx, gy = (grid_dim if len(grid_dim) == 2 else (*grid_dim, 1)[:2])
         ctaids = [(bx, by, 0) for by in range(gy) for bx in range(gx)]
-        workers = self._resolve_workers(max_workers, len(ctaids))
         mode = _guard.guard_mode(self.guard)
         engine = _guard.effective_func_engine(self.engine)
         ctx = None
@@ -196,13 +172,8 @@ class FunctionalSimulator:
             ctx = _guard.GuardContext("functional", engine, mode,
                                       global_mem._words)
         STATS.count("func.runs")
-        STATS.count("func.workers", workers)
         with STATS.timer("func.wall"):
-            if workers > 1:
-                result = self._run_parallel(program, global_mem, ctaids,
-                                            workers, engine)
-            else:
-                result = self._run_ctas(program, global_mem, ctaids, engine)
+            result = self._run_ctas(program, global_mem, ctaids, engine)
         if ctx is not None:
             # Chaos flip fires only on guarded runs: a synthetic fast-engine
             # bug for the watchdog to catch, never silent corruption.
@@ -212,8 +183,7 @@ class FunctionalSimulator:
                 lambda: _reference_rerun(program, ctx.pre, grid_dim,
                                          self.max_instructions_per_warp),
                 program=program,
-                context={"grid_dim": [gx, gy], "engine": engine,
-                         "workers": workers},
+                context={"grid_dim": [gx, gy], "engine": engine},
             )
         STATS.count("func.ctas", result.ctas_run)
         STATS.count("func.instructions", result.instructions_retired)
@@ -221,21 +191,8 @@ class FunctionalSimulator:
 
     # ------------------------------------------------------------ internals
 
-    def _resolve_workers(self, max_workers, n_ctas: int) -> int:
-        workers = max_workers
-        if workers is None:
-            workers = self.max_workers
-        if workers is None:
-            workers = _default_jobs()
-        if workers is None:
-            return 1
-        if workers == 0:
-            workers = default_workers()
-        return max(1, min(int(workers), n_ctas))
-
     def _run_ctas(self, program: Program, global_mem: GlobalMemory,
-                  ctaids, engine: str = None) -> FunctionalResult:
-        engine = engine or self.engine
+                  ctaids, engine: str) -> FunctionalResult:
         result = FunctionalResult()
         if engine == "reference":
             for ctaid in ctaids:
@@ -256,36 +213,6 @@ class FunctionalSimulator:
         decoded.accumulate(counts, result)
         if fallback[0] is not None:
             fallback[0].accumulate(fallback[1], result)
-        return result
-
-    def _run_parallel(self, program: Program, global_mem: GlobalMemory,
-                      ctaids, workers: int,
-                      engine: str = None) -> FunctionalResult:
-        engine = engine or self.engine
-        # Back device memory with a shared block; each worker attaches and
-        # scatters its CTAs' stores straight into it.  CTAs write disjoint
-        # output tiles, so in-place writes cannot race.
-        chunks = [ctaids[i::workers] for i in range(workers)]
-        shm = _shm_mod.SharedMemory(create=True, size=global_mem._words.nbytes)
-        try:
-            view = np.frombuffer(shm.buf, dtype=np.uint32)
-            try:
-                np.copyto(view, global_mem._words)
-                partials = parallel_map(
-                    _worker_run_chunk, chunks, max_workers=workers,
-                    initializer=_worker_init,
-                    initargs=(shm.name, global_mem.size, program, engine,
-                              self.max_instructions_per_warp),
-                )
-                np.copyto(global_mem._words, view)
-            finally:
-                del view
-        finally:
-            shm.close()
-            shm.unlink()
-        result = FunctionalResult()
-        for partial in partials:
-            result._merge(partial)
         return result
 
     @staticmethod
@@ -469,29 +396,7 @@ def _reference_rerun(program: Program, pre_words: np.ndarray, grid_dim,
     mem = GlobalMemory(pre_words.nbytes)
     np.copyto(mem._words, pre_words)
     sim = FunctionalSimulator(max_instructions_per_warp=fuel,
-                              engine="reference", max_workers=1, guard="off")
+                              engine="reference", guard="off")
     result = sim.run(program, mem, grid_dim=grid_dim)
     return result, mem._words
 
-
-# ------------------------------------------------------- worker-side plumbing
-
-_WORKER: dict = {}
-
-
-def _worker_init(shm_name: str, size_bytes: int, program: Program,
-                 engine: str, max_instructions_per_warp: int) -> None:
-    """Runs once per worker process: attach the shared device memory."""
-    shm = _shm_mod.SharedMemory(name=shm_name)
-    _WORKER["shm"] = shm
-    _WORKER["mem"] = GlobalMemory(size_bytes, buffer=shm.buf)
-    _WORKER["program"] = program
-    _WORKER["sim"] = FunctionalSimulator(
-        max_instructions_per_warp=max_instructions_per_warp, engine=engine,
-        max_workers=1)
-
-
-def _worker_run_chunk(ctaids) -> FunctionalResult:
-    """Run one shard of CTAs against the shared memory; return its stats."""
-    sim = _WORKER["sim"]
-    return sim._run_ctas(_WORKER["program"], _WORKER["mem"], ctaids)

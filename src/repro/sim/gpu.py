@@ -87,16 +87,14 @@ class Device:
     # ------------------------------------------------------------- launch
 
     def launch(self, program: Program, grid=(1, 1),
-               max_workers: int = None, engine: str = None) -> FunctionalResult:
+               engine: str = None) -> FunctionalResult:
         """Run *program* functionally over the whole grid.
 
-        ``max_workers`` shards CTAs over worker processes (``None``/1
-        serial, 0 one per CPU); ``engine`` selects the functional
-        execution engine (``None`` -> ``REPRO_FUNC_ENGINE``).  Results
-        are bit-identical across workers and engines.
+        ``engine`` selects the functional execution engine (``None`` ->
+        ``REPRO_FUNC_ENGINE``); the engines are bit-identical.
         """
         return FunctionalSimulator(engine=engine).run(
-            program, self.memory, grid_dim=grid, max_workers=max_workers)
+            program, self.memory, grid_dim=grid)
 
     def launch_timed(self, program: Program, num_ctas: int = 1,
                      bandwidth_share: float = None) -> LaunchTiming:

@@ -36,17 +36,11 @@ class GlobalMemory:
     generated kernel is a bug we want loud).
     """
 
-    def __init__(self, size_bytes: int, buffer=None):
+    def __init__(self, size_bytes: int):
         if size_bytes <= 0 or size_bytes % 4:
             raise ValueError(f"size must be a positive multiple of 4, got {size_bytes}")
         self.size = size_bytes
-        if buffer is None:
-            self._words = np.zeros(size_bytes // 4, dtype=np.uint32)
-        else:
-            # External backing store (e.g. multiprocessing shared memory) so
-            # several worker processes can scatter into the same device memory.
-            self._words = np.frombuffer(buffer, dtype=np.uint32,
-                                        count=size_bytes // 4)
+        self._words = np.zeros(size_bytes // 4, dtype=np.uint32)
 
     # ------------------------------------------------------------- host API
 

@@ -74,7 +74,7 @@ def _softmax_rows_f16(scores: np.ndarray, scale: float) -> np.ndarray:
 
 
 def attention_head(q, k, v, device: GpuSpec = RTX2070, kernel="ours",
-                   max_workers: int = None, engine: str = None):
+                   engine: str = None):
     """One attention head on the simulated device.
 
     Args:
@@ -93,11 +93,10 @@ def attention_head(q, k, v, device: GpuSpec = RTX2070, kernel="ours",
         raise ValueError(f"Q/K/V must all be ({seq}, {d_head}); got "
                          f"K{k16.shape}, V{v16.shape}")
     scores = hgemm(q16, np.ascontiguousarray(k16.T), kernel=kernel,
-                   spec=device, return_run=True, max_workers=max_workers,
-                   engine=engine)
+                   spec=device, return_run=True, engine=engine)
     p = _softmax_rows_f16(scores.c, 1.0 / np.sqrt(d_head))
     out = hgemm(p, v16, kernel=kernel, spec=device, return_run=True,
-                max_workers=max_workers, engine=engine)
+                engine=engine)
     stats = {
         "instructions": (scores.stats.instructions_retired
                          + out.stats.instructions_retired),

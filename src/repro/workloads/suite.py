@@ -298,11 +298,11 @@ class SuiteResult:
         return "\n".join(lines)
 
 
-def _run_gemm(shape: GemmShape, spec, kernel, rng, max_workers, engine):
+def _run_gemm(shape: GemmShape, spec, kernel, rng, engine):
     a = rng.uniform(-1, 1, (shape.m, shape.k)).astype(np.float16)
     b = rng.uniform(-1, 1, (shape.k, shape.n)).astype(np.float16)
     run = hgemm(a, b, kernel=kernel, spec=spec, return_run=True,
-                max_workers=max_workers, engine=engine)
+                engine=engine)
     oracle = hgemm_reference(a, b, w_k=run.config.w_k)
     stats = {"instructions": run.stats.instructions_retired,
              "mma": run.stats.opcode_counts.get("HMMA", 0),
@@ -310,26 +310,25 @@ def _run_gemm(shape: GemmShape, spec, kernel, rng, max_workers, engine):
     return bool(np.array_equal(run.c, oracle)), stats
 
 
-def _run_batched(shape: GemmShape, spec, kernel, rng, max_workers, engine):
+def _run_batched(shape: GemmShape, spec, kernel, rng, engine):
     # Shared input (stride 0), per-entry weights: the LSTM-gate layout.
     a = rng.uniform(-1, 1, (shape.m, shape.k)).astype(np.float16)
     b = rng.uniform(-1, 1, (shape.count, shape.k, shape.n)).astype(np.float16)
     run = hgemm_strided_batched(a, b, kernel=kernel, spec=spec,
-                                return_run=True, max_workers=max_workers,
-                                engine=engine)
+                                return_run=True, engine=engine)
     oracle = hgemm_strided_batched_reference(a, b, w_k=run.config.w_k)
     stats = {"instructions": run.instructions, "mma": run.mma,
              "ctas": run.ctas, "launches": run.launches}
     return bool(np.array_equal(run.c, oracle)), stats
 
 
-def _run_conv(conv: ConvSpec, spec, kernel, rng, max_workers, engine):
+def _run_conv(conv: ConvSpec, spec, kernel, rng, engine):
     x = rng.uniform(-1, 1, (conv.n, conv.h, conv.w,
                             conv.c_in)).astype(np.float16)
     w = rng.uniform(-0.5, 0.5, (conv.r, conv.s, conv.c_in,
                                 conv.c_out)).astype(np.float16)
     run = conv2d(x, w, conv, device=spec, kernel=kernel, return_run=True,
-                 max_workers=max_workers, engine=engine)
+                 engine=engine)
     oracle = conv2d_reference(x, w, conv, w_k=run.config.w_k)
     out = run.c.reshape(oracle.shape)
     stats = {"instructions": run.stats.instructions_retired,
@@ -338,8 +337,7 @@ def _run_conv(conv: ConvSpec, spec, kernel, rng, max_workers, engine):
     return bool(np.array_equal(out, oracle)), stats
 
 
-def _run_attention(att: AttentionSpec, spec, kernel, rng, max_workers,
-                   engine):
+def _run_attention(att: AttentionSpec, spec, kernel, rng, engine):
     heads_exact = True
     stats = {"instructions": 0, "mma": 0, "ctas": 0, "launches": 0}
     for _head in range(att.n_heads):
@@ -347,7 +345,6 @@ def _run_attention(att: AttentionSpec, spec, kernel, rng, max_workers,
         k = rng.uniform(-1, 1, (att.seq, att.d_head)).astype(np.float16)
         v = rng.uniform(-1, 1, (att.seq, att.d_head)).astype(np.float16)
         out, head_stats = attention_head(q, k, v, device=spec, kernel=kernel,
-                                         max_workers=max_workers,
                                          engine=engine)
         oracle = attention_head_reference(q, k, v, device=spec, kernel=kernel)
         heads_exact &= bool(np.array_equal(out, oracle))
@@ -361,7 +358,7 @@ _RUNNERS = {"gemm": _run_gemm, "batched": _run_batched,
 
 
 def run_suite(suite, spec: GpuSpec = RTX2070, scale: str = "sim",
-              kernel="ours", seed: int = 0, max_workers: int = None,
+              kernel="ours", seed: int = 0,
               engine: str = None) -> SuiteResult:
     """Run every workload of *suite* through the functional simulator.
 
@@ -378,7 +375,7 @@ def run_suite(suite, spec: GpuSpec = RTX2070, scale: str = "sim",
         shape = ", ".join(p.describe() for p in workload.problems(scale))
         try:
             exact, stats = _RUNNERS[workload.kind](
-                problem, spec, kernel, rng, max_workers, engine)
+                problem, spec, kernel, rng, engine)
             out.results.append(WorkloadResult(
                 workload=workload.name, kind=workload.kind, shape=shape,
                 exact=exact, message="" if exact else "result differs "

@@ -60,6 +60,27 @@ def test_worker_exception_propagates():
         parallel_map(_boom, [1, 2], max_workers=2)
 
 
+@pytest.mark.parametrize("name", ["REPRO_TASK_TIMEOUT", "REPRO_TASK_RETRIES",
+                                  "REPRO_RETRY_BACKOFF"])
+@pytest.mark.parametrize("raw", ["soon", "nan", "-1"])
+def test_bad_supervisor_knob_raises(monkeypatch, name, raw):
+    """A knob that is not a finite number >= 0 fails loudly, naming the
+    variable, instead of becoming a default or a disabled timeout."""
+    monkeypatch.setenv(name, raw)
+    with pytest.raises(ValueError, match=f"{name} .*{raw!r}"):
+        parallel_map(_square, [1, 2], max_workers=2)
+
+
+def test_supervisor_knobs_resolve(monkeypatch):
+    from repro.perf.parallel import supervisor_settings
+
+    monkeypatch.setenv("REPRO_TASK_TIMEOUT", "30")
+    monkeypatch.setenv("REPRO_TASK_RETRIES", "0")
+    monkeypatch.delenv("REPRO_RETRY_BACKOFF", raising=False)
+    assert supervisor_settings() == {"timeout": 30.0, "retries": 0,
+                                     "backoff": 0.25}
+
+
 class TestSupervisor:
     """Crash/timeout recovery and the serial last rung."""
 

@@ -15,6 +15,7 @@ from repro.serve import (
     ServeUnavailable,
     daemon_available,
 )
+from repro.serve.jobs import job_key
 from repro.serve.protocol import decode_payload, recv_frame, send_frame
 
 
@@ -38,6 +39,19 @@ def _hgemm_payload(**over):
     payload = {"m": 64, "n": 64, "k": 16, "kernel": "ours", "seed": 3}
     payload.update(over)
     return payload
+
+
+#: A two-size sweep whose estimates fan out over two supervised workers.
+_SWEEP_SIZES = [1024, 2048]
+
+
+def _sweep_payload():
+    from repro.arch import RTX2070
+    from repro.core import ours
+    from repro.serve.jobs import config_to_dict, spec_to_dict
+
+    return {"spec": spec_to_dict(RTX2070), "config": config_to_dict(ours()),
+            "sizes": _SWEEP_SIZES, "jobs": 2}
 
 
 class TestBasics:
@@ -144,6 +158,18 @@ class TestCoalescing:
         assert again["result"]["c_sha256"] == first["result"]["c_sha256"]
         assert daemon.queue.executed == 1  # the resubmit never ran
 
+    def test_worker_fan_out_shares_the_key(self, daemon):
+        """``jobs`` sets a sweep's fan-out, never its result: it stays out
+        of the coalescing and cache key."""
+        fanned = _sweep_payload()
+        plain = {name: v for name, v in fanned.items() if name != "jobs"}
+        assert job_key("sweep", fanned) == job_key("sweep", plain)
+        with ServeClient(daemon.socket_path) as client:
+            first = client.run("sweep", plain, timeout=300)
+            again = client.submit("sweep", fanned)
+        assert again["cached"] is True
+        assert again["result"] == first["result"]
+
     def test_return_c_jobs_are_not_cached(self, daemon):
         payload = _hgemm_payload(return_c=True)
         with ServeClient(daemon.socket_path) as client:
@@ -218,37 +244,48 @@ class TestRobustness:
         """A supervised worker crash inside a job retries transparently:
         the job still completes, identically, with the crash on its own
         stats record."""
-        from repro.core import hgemm
+        from dataclasses import asdict
+
+        from repro.analysis import PerformanceModel
+        from repro.arch import RTX2070
+        from repro.core import ours
 
         monkeypatch.setenv("REPRO_CHAOS", "crash_task:0")
-        # m=512 -> two CTAs (the builder grows tiles up to 256), so the
-        # launch really fans out to worker processes.
-        payload = _hgemm_payload(seed=5, m=512, return_c=True, jobs=2)
         with ServeClient(daemon.socket_path) as client:
-            view = client.run("hgemm", payload, timeout=300)
+            view = client.run("sweep", _sweep_payload(), timeout=300)
         assert view["state"] == "done"
         counters = view["stats"]["counters"]
         assert counters.get("par.crashes", 0) >= 1
         assert counters.get("par.retries", 0) >= 1
         monkeypatch.delenv("REPRO_CHAOS")
-        rng = np.random.default_rng(payload["seed"])
-        a = rng.uniform(-1, 1, (512, 16)).astype(np.float16)
-        b = rng.uniform(-1, 1, (16, 64)).astype(np.float16)
-        assert np.array_equal(decode_payload(view["result"]["c"]),
-                              hgemm(a, b, kernel="ours"))
+        want = PerformanceModel(RTX2070).sweep(ours(), _SWEEP_SIZES)
+        assert view["result"]["estimates"] == [asdict(e) for e in want]
 
     def test_delay_chaos_does_not_change_results(self, daemon, monkeypatch):
         monkeypatch.setenv("REPRO_CHAOS", "delay_task:0,delay_seconds:0.3")
-        payload = _hgemm_payload(seed=6, m=512, jobs=2)
+        payload = _sweep_payload()
         with ServeClient(daemon.socket_path) as client:
-            slow = client.run("hgemm", payload, timeout=300)
+            slow = client.run("sweep", payload, timeout=300)
         monkeypatch.delenv("REPRO_CHAOS")
         with ServeClient(daemon.socket_path) as client:
             # Same key: must be answered from cache, proving the delayed
             # run produced the canonical result.
-            again = client.submit("hgemm", payload)
+            again = client.submit("sweep", payload)
         assert again["cached"] is True
-        assert again["result"]["c_sha256"] == slow["result"]["c_sha256"]
+        assert again["result"] == slow["result"]
+
+    def test_payload_file_references_are_not_opened(self, daemon,
+                                                    scratch_env):
+        """Payloads run as received: a spool reference a client names is
+        neither read nor deleted, and the connection survives."""
+        victim = scratch_env / "victim.npy"
+        np.save(victim, np.arange(4))
+        value = {"__ndfile__": str(victim)}
+        with ServeClient(daemon.socket_path) as client:
+            view = client.run("noop", {"value": value}, timeout=60)
+            assert view["result"]["value"] == value
+            assert client.ping()["ok"]
+        assert victim.is_file()
 
     def test_queue_full_is_reported(self, scratch_env):
         import time

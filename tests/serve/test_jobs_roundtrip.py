@@ -40,6 +40,10 @@ class TestSpecRoundTrip:
         with pytest.raises(ValueError, match="A100.*RTX2070.*T4.*V100"):
             spec_from_dict({"device": "GTX480"})
 
+    def test_device_with_overrides_is_refused(self):
+        with pytest.raises(ValueError, match=r"\['num_sms'\].*full spec dict"):
+            spec_from_dict({"device": "RTX2070", "num_sms": 10})
+
     def test_custom_spec_travels_as_full_dict(self):
         custom = dataclasses.replace(V100, name="V100-underclocked",
                                      clock_ghz=1.2)

@@ -17,10 +17,24 @@ class TestParser:
 
     def test_igemm_args(self):
         args = build_parser().parse_args(
-            ["igemm", "128", "128", "32", "--seed", "3", "--jobs", "2"])
+            ["igemm", "128", "128", "32", "--seed", "3"])
         assert (args.m, args.n, args.k) == (128, 128, 32)
         assert args.seed == 3
-        assert args.jobs == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["hgemm", "64", "64", "32"], ["igemm", "128", "128", "32"],
+        ["verify"], ["numerics"]])
+    def test_functional_verbs_refuse_jobs(self, argv, capsys):
+        """Functional launches run their CTAs in one process: no --jobs."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + ["--jobs", "2"])
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep"], ["autotune", "64", "64", "64"], ["perfstats"],
+        ["workloads", "estimate"]])
+    def test_profile_verbs_keep_jobs(self, argv):
+        assert build_parser().parse_args(argv + ["--jobs", "2"]).jobs == 2
 
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
@@ -74,9 +88,8 @@ class TestCommands:
         assert "IMMA" in out
         assert "bit-exact vs int8 oracle: True" in out
 
-    def test_igemm_parallel(self, capsys):
-        assert main(["igemm", "192", "128", "32", "--jobs", "2",
-                     "--seed", "5"]) == 0
+    def test_igemm_multi_cta(self, capsys):
+        assert main(["igemm", "192", "128", "32", "--seed", "5"]) == 0
         assert "bit-exact vs int8 oracle: True" in capsys.readouterr().out
 
     def test_roofline(self, capsys):
