@@ -38,14 +38,17 @@ would need 80 KB, more than the SM has.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 from ..arch.family import SM75, ArchSpec
 from ..arch.turing import GpuSpec, RTX2070
 from ..isa.builder import ProgramBuilder
 from ..isa.operands import Pred, Reg, RZ
 from ..isa.program import Program
-from .config import ConfigError, KernelConfig
+from ..perf import STATS
+from ..sim.decode import CodeCache
+from .config import ConfigError, KernelConfig, check_field_types
 from .layout import SmemPlan
 from .scheduler import InterleaveScheduler, spacing_for
 
@@ -84,6 +87,9 @@ class HgemmProblem:
     c_addr: int = 0
     alpha: float = 1.0
     beta: float = 0.0
+
+    def __post_init__(self) -> None:
+        check_field_types(self)
 
     def validate(self, config: KernelConfig) -> None:
         if self.m % config.b_m or self.n % config.b_n or self.k % config.b_k:
@@ -734,12 +740,57 @@ class _HgemmEmitter:
         return b.build()
 
 
+# ------------------------------------------------------------- launch cache
+#
+# A kernel's SASS stream depends on its config, its problem (shape,
+# addresses, alpha, beta) and the device.  The emitter reads the whole
+# GpuSpec (``spacing_for`` reads its CPIs), so the key holds all of it,
+# not just the arch that RTX2070 and T4 share.  Operand data never enters.
+
+#: Entry bounds.  One round of perfbench's ``remote_layers`` workload
+#: builds 84 distinct kernels (of 119 builds) holding 2,238 distinct
+#: instructions, one ``gemm_verify`` round 30 kernels and 2,173
+#: instructions, 3,363 for both; the bounds hold both working sets at once.
+PROGRAM_CACHE_BOUND = 128
+INSTRUCTION_CACHE_BOUND = 8192
+
+_PROGRAMS = CodeCache(PROGRAM_CACHE_BOUND)
+#: Interned instructions: the cached programs share each distinct
+#: instruction object instead of holding ~700 of their own.
+_INSTRUCTIONS = CodeCache(INSTRUCTION_CACHE_BOUND)
+
+
+def _interned(program: Program) -> Program:
+    shared = []
+    for inst in program.instructions:
+        first = _INSTRUCTIONS.get(inst)
+        if first is None:
+            _INSTRUCTIONS.put(inst, inst)
+            first = inst
+        shared.append(first)
+    return replace(program, instructions=shared)
+
+
 def build_hgemm(config: KernelConfig, problem: HgemmProblem,
                 spec: GpuSpec = RTX2070) -> Program:
     """Build the complete HGEMM kernel program.
 
     The returned :class:`~repro.isa.program.Program` runs on both the
     functional simulator (for correctness, any grid) and the timing
-    simulator (for per-CTA cycle measurements).
+    simulator (for per-CTA cycle measurements).  Equal arguments return
+    the same immutable program from a process-wide cache of at most
+    ``PROGRAM_CACHE_BOUND`` kernels (oldest evicted first), so a kernel is
+    emitted once and its predecoded tables are reused by every launch;
+    ``STATS`` counts ``core.build_hits`` and ``core.build_misses``.
     """
-    return _HgemmEmitter(config, problem, spec).build()
+    # -0.0 == 0.0, but alpha's packed-half2 immediate keeps the sign.
+    key = (config, problem, spec, math.copysign(1.0, problem.alpha),
+           math.copysign(1.0, problem.beta))
+    program = _PROGRAMS.get(key)
+    if program is not None:
+        STATS.count("core.build_hits")
+        return program
+    STATS.count("core.build_misses")
+    program = _interned(_HgemmEmitter(config, problem, spec).build())
+    _PROGRAMS.put(key, program)
+    return program

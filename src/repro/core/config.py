@@ -17,13 +17,40 @@ reproduces the cuBLAS 10.1 configuration from Table VII (128x128x64 /
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass, fields, replace
 
-__all__ = ["KernelConfig", "ours", "cublas_like", "ConfigError", "adapt_for_arch"]
+__all__ = ["KernelConfig", "ours", "cublas_like", "ConfigError", "adapt_for_arch",
+           "check_field_types"]
 
 
 class ConfigError(ValueError):
     """Raised when a kernel configuration is infeasible on the hardware."""
+
+
+#: (test, description) of each annotated field type.  ``True == 1`` and
+#: ``128.0 == 128`` hash alike, so a number of the wrong type would share
+#: a cache key with a valid value while building something else.
+_FIELD_TYPES = {
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool),
+            "an int"),
+    "float": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+              "a real number"),
+    "bool": (lambda v: isinstance(v, bool), "a bool"),
+    "str": (lambda v: isinstance(v, str), "a str"),
+}
+
+
+def check_field_types(obj) -> None:
+    """Raise :class:`ConfigError` naming the first field of dataclass *obj*
+    whose value does not have its annotated type: int fields refuse bool,
+    float and str, bool fields take only bools."""
+    for f in fields(obj):
+        test, expected = _FIELD_TYPES[getattr(f.type, "__name__", f.type)]
+        value = getattr(obj, f.name)
+        if not test(value):
+            raise ConfigError(f"{type(obj).__name__}.{f.name} must be "
+                              f"{expected}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -47,6 +74,7 @@ class KernelConfig:
     name: str = ""
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if self.b_m % self.w_m or self.b_n % self.w_n or self.b_k % self.w_k:
             raise ConfigError(
                 f"warp tile {self.warp_tile} must divide CTA tile {self.cta_tile}"

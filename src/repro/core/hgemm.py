@@ -202,11 +202,10 @@ def hgemm_batched(a, b, kernel="ours", spec: GpuSpec = RTX2070,
 
     The paper's related work (Li et al. [16]) targets batched small GEMMs;
     this wrapper provides the API surface by launching one grid per batch
-    entry.  Every entry calls :func:`hgemm`, which builds its kernel
-    afresh, so the builder cost is paid per entry; the entries' programs
-    are equal, so predecode serves all but the first from the process-wide
-    code cache of decoded slots and fused windows
-    (:func:`repro.sim.decode.predecode`).
+    entry.  Every entry calls :func:`hgemm`; the entries share one kernel
+    (same config, shape and device addresses), so the launch cache of
+    :func:`~repro.core.builder.build_hgemm` builds and predecodes it once
+    and every later entry reuses the program and its decoded tables.
     """
     a_s = np.ascontiguousarray(a, dtype=np.float16)
     b_s = np.ascontiguousarray(b, dtype=np.float16)

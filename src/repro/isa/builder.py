@@ -103,9 +103,9 @@ class ProgramBuilder:
 
     def build(self) -> Program:
         return Program(
-            instructions=list(self._instructions),
+            instructions=self._instructions,
             meta=self.meta,
-            labels=dict(self._labels),
+            labels=self._labels,
         )
 
     def __len__(self) -> int:

@@ -1,14 +1,17 @@
-"""Program container: an ordered list of instructions plus kernel metadata.
+"""Program container: an ordered tuple of instructions plus kernel metadata.
 
 A :class:`Program` is what the assembler emits and both simulators execute.
 Kernel metadata carries the launch-relevant resource usage (registers per
 thread, shared memory per CTA, threads per CTA) that the occupancy model
-(paper Table VII) consumes.
+(paper Table VII) consumes.  Programs are immutable, so one program can be
+shared by every launch of its kernel (see :func:`repro.core.build_hgemm`).
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .instructions import Instruction
 
@@ -40,29 +43,39 @@ class KernelMeta:
         return self.block_dim // 32
 
 
-@dataclass
+@dataclass(frozen=True)
 class Program:
-    """An assembled kernel: instructions with resolved branch targets."""
+    """An assembled kernel: instructions with resolved branch targets.
 
-    instructions: list
+    ``instructions`` is stored as a tuple and ``labels`` as a read-only
+    mapping, whatever sequence and mapping the caller passed.
+    ``predecoded`` is not part of the program's value: it is where
+    :func:`repro.sim.decode.predecode` keeps the program's assembled
+    tables, one set per lane count, so that a relaunch reuses them.
+    """
+
+    instructions: tuple
     meta: KernelMeta = field(default_factory=KernelMeta)
-    labels: dict = field(default_factory=dict)
+    labels: Mapping = field(default_factory=dict)
+    predecoded: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     def __post_init__(self) -> None:
-        for label, index in self.labels.items():
+        labels = MappingProxyType(dict(self.labels))
+        for label, index in labels.items():
             if not 0 <= index <= len(self.instructions):
                 raise ValueError(f"label {label!r} points outside program: {index}")
-        self._resolve_targets()
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "instructions",
+                           tuple(self._resolve_targets()))
 
-    def _resolve_targets(self) -> None:
-        resolved = []
+    def _resolve_targets(self):
         for inst in self.instructions:
             if inst.target is not None and inst.target_index is None:
                 if inst.target not in self.labels:
                     raise ValueError(f"undefined branch target: {inst.target!r}")
                 inst = inst.with_target_index(self.labels[inst.target])
-            resolved.append(inst)
-        self.instructions = resolved
+            yield inst
 
     def __len__(self) -> int:
         return len(self.instructions)

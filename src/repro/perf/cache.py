@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 import time
@@ -66,6 +67,7 @@ __all__ = [
     "cache_max_bytes",
     "cache_mem_entries",
     "content_key",
+    "env_number",
     "ResultCache",
     "PROFILE_CACHE",
 ]
@@ -106,31 +108,43 @@ def cache_dir() -> Path:
     return Path.home() / ".cache" / "repro-sim"
 
 
-def cache_max_bytes():
-    """Disk-layer size bound from ``REPRO_CACHE_MAX_MB``, or None."""
-    raw = os.environ.get(_ENV_MAX_MB, "")
+def env_number(name: str, whole: bool = False):
+    """The number >= 0 in the variable *name*, or None when it is unset.
+
+    Any other value -- not a number, NaN, infinite, negative, or with a
+    fraction when *whole* -- raises a ``ValueError`` naming the variable.
+    The cache bounds and the supervisor knobs
+    (:func:`repro.perf.parallel.supervisor_settings`) read through it.
+    """
+    raw = os.environ.get(name, "")
     if not raw:
         return None
     try:
-        return int(float(raw) * 1024 * 1024)
+        value = float(raw)
     except ValueError:
-        return None
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0
+            and (value.is_integer() or not whole)):
+        kind = "a whole number" if whole else "a finite number"
+        raise ValueError(f"{name} must be {kind} >= 0 (unset for the "
+                         f"default), got {raw!r}")
+    return value
+
+
+def cache_max_bytes():
+    """Disk-layer size bound from ``REPRO_CACHE_MAX_MB``, or None."""
+    megabytes = env_number(_ENV_MAX_MB)
+    return None if megabytes is None else int(megabytes * 1024 * 1024)
 
 
 def cache_mem_entries() -> int:
     """In-process layer entry bound (``REPRO_CACHE_MEM_ENTRIES``).
 
-    0 (or a non-numeric value) means unbounded -- the pre-daemon
-    behaviour, useful for short-lived batch runs that want every entry
-    resident.
+    0 means unbounded -- the pre-daemon behaviour, useful for short-lived
+    batch runs that want every entry resident.
     """
-    raw = os.environ.get(_ENV_MEM_MAX, "")
-    if not raw:
-        return _MEM_MAX_DEFAULT
-    try:
-        return max(0, int(float(raw)))
-    except ValueError:
-        return 0
+    entries = env_number(_ENV_MEM_MAX, whole=True)
+    return _MEM_MAX_DEFAULT if entries is None else int(entries)
 
 
 def _canonical(part) -> bytes:

@@ -41,7 +41,6 @@ a sweep's workers did exactly as if it had run serially.
 
 from __future__ import annotations
 
-import math
 import multiprocessing as mp
 import os
 import pickle
@@ -50,6 +49,7 @@ import time
 from collections import deque
 
 from ..robust import chaos
+from .cache import env_number
 from .stats import STATS
 
 __all__ = ["default_workers", "parallel_map", "supervisor_settings",
@@ -78,15 +78,8 @@ def supervisor_settings() -> dict:
     number >= 0 raises a ``ValueError`` naming the variable."""
     settings = {}
     for key, (name, default) in _KNOBS.items():
-        raw = os.environ.get(name, "")
-        try:
-            value = float(raw) if raw else default
-        except ValueError:
-            value = math.nan
-        if not (math.isfinite(value) and value >= 0):
-            raise ValueError(f"{name} must be a finite number >= 0 "
-                             f"(unset for {default}), got {raw!r}")
-        settings[key] = type(default)(value)
+        value = env_number(name)
+        settings[key] = type(default)(default if value is None else value)
     return settings
 
 

@@ -22,11 +22,15 @@ Counter names use dotted namespaces by convention:
   to the per-warp interleave path (see :mod:`repro.sim.decode`).
 * ``func.wall`` (a timer, seconds) -- wall time inside functional
   ``run()``, including predecode.
+* ``core.build_hits`` / ``core.build_misses`` -- incremented by
+  :func:`~repro.core.builder.build_hgemm` per call: kernels served from
+  the process-wide launch cache, and kernels emitted (and then cached).
 * ``decode.slot_hits`` / ``decode.slot_misses`` /
   ``decode.window_hits`` / ``decode.window_misses`` -- added once per
-  :func:`~repro.sim.decode.predecode` call that assembles a program: its
-  slots found in or compiled into the process-wide code cache, and
-  likewise its fused windows (only recorded when nonzero).
+  :func:`~repro.sim.decode.predecode` call: the program's slots found in
+  or compiled into the process-wide code cache, and likewise its fused
+  windows (only recorded when nonzero).  A relaunch of a program whose
+  tables are already assembled counts every slot and window as a hit.
 * ``cache.mem_hits`` / ``cache.disk_hits`` / ``cache.misses`` /
   ``cache.stores`` -- maintained by :mod:`repro.perf.cache`.
 * ``cache.integrity_fails`` / ``cache.store_errors`` /

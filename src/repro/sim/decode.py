@@ -42,20 +42,24 @@ register written earlier in the run, so gather-all-then-scatter-all is
 order-equivalent to sequential execution; branches into the middle of a
 fused run still work because every member slot keeps its individual closure.
 
-Compiled code is cached by content, process-wide, because GEMM launches
-replay a few fixed instruction streams while every ``hgemm`` call, batched
-entry and daemon job builds a new ``Program``.  A slot compiles once per
-distinct (instruction, lanes) pair and a fused window once per distinct
-sequence of member slots, keyed by the members' slot ids plus the lane
-count, so a predecode of known code only assembles the program's tables.
-The cache holds at most ``SLOT_CACHE_BOUND`` slots and
-``WINDOW_CACHE_BOUND`` windows, evicting the oldest first.  Slots keep
-their lane-sized constant operands (the operand readers are shared, so
-equal immediates and zero rows are stored once per lane count); the HMMA
-windows' flat index tables, 8 bytes per gathered element, are rebuilt for
-each decoded program and die with it.  ``STATS`` counts
-``decode.slot_hits``/``slot_misses`` and ``decode.window_hits``/
-``window_misses``.
+Decoding is cached at two levels.  A program keeps its assembled tables
+(slot closures, ``next_pc``, ``lens``, ``reads_clock``, ``slot_ops`` and
+each fused window's parts) in ``program.predecoded``, one set per lane
+count, so a relaunch of a cached kernel (:func:`repro.core.build_hgemm`
+returns one shared program per kernel) looks nothing up per instruction.
+Below that, compiled code is cached by content, process-wide, because
+GEMM launches replay a few fixed instruction streams across programs of
+different shapes and addresses.  A slot compiles once per distinct
+(instruction, lanes) pair and a fused window once per distinct sequence
+of member slots, keyed by the members' slot ids plus the lane count, so
+assembling a new program of known code compiles nothing.  The cache holds
+at most ``SLOT_CACHE_BOUND`` slots and ``WINDOW_CACHE_BOUND`` windows,
+evicting the oldest first.  Slots keep their lane-sized constant operands
+(the operand readers are shared, so equal immediates and zero rows are
+stored once per lane count); the HMMA windows' flat index tables, 8 bytes
+per gathered element, are rebuilt by every predecode call and die with
+its launch.  ``STATS`` counts ``decode.slot_hits``/``slot_misses`` and
+``decode.window_hits``/``window_misses``.
 
 Bit-exactness contract: every fast path runs the same lane kernels as the
 reference executor -- integer ops wrap modulo 2**32 either way, permutation
@@ -72,7 +76,7 @@ from __future__ import annotations
 import functools
 import itertools
 import threading
-from collections import OrderedDict
+from collections import OrderedDict, namedtuple
 
 import numpy as np
 
@@ -92,7 +96,8 @@ from .uop import (
     mma_row_index,
 )
 
-__all__ = ["BARRIER", "DIVERGED", "EXITED", "DecodedProgram", "predecode"]
+__all__ = ["BARRIER", "DIVERGED", "EXITED", "CodeCache", "DecodedProgram",
+           "predecode"]
 
 #: Control signals returned by decoded-op closures (negative so that any
 #: non-negative return value can be a branch-target slot).
@@ -112,9 +117,11 @@ _SOLO = None
 class DecodedProgram:
     """Slot-indexed decoded form of one :class:`~repro.isa.program.Program`.
 
-    Parallel lists, indexed by slot (= instruction index):
+    Parallel sequences, indexed by slot (= instruction index); all but
+    ``run_fns`` are tuples shared by every launch of the program:
 
-    * ``run_fns`` -- the closure executing the slot;
+    * ``run_fns`` -- the closure executing the slot (a list of this
+      launch's own, since fused-window heads hold per-launch state);
     * ``next_pc`` -- fall-through successor (``pc + 1``, or ``pc + g`` for a
       fused run of ``g`` instructions);
     * ``lens`` -- instructions retired per execution (``g`` for fused runs);
@@ -530,10 +537,10 @@ def _fuse_entry(inst, fusible):
     return key, uop.reads, uop.writes, uop.fuse_payload
 
 
-class _PerProgram:
-    """A window part made afresh for every decoded program, from a factory
-    whose closures keep launch-sized state; the code cache keeps the
-    factory, never that state."""
+class _PerLaunch:
+    """A window part made afresh by every :func:`predecode` call, from a
+    factory whose closures keep launch-sized state; the code cache and
+    the program's tables keep the factory, never that state."""
 
     __slots__ = ("new",)
 
@@ -546,7 +553,7 @@ def _build_hmma_group(key, payloads):
     executor -- composed flat-index gathers straight from the register
     file, unique-fragment dedup, one scatter for D (see ``mma_window`` for
     its size-capped fallback).  Its flat index tables are lane-sized, so
-    each decoded program gets its own."""
+    each launch gets its own."""
     _, shape, f32 = key
     window = mma_ops.mma_window(shape, f32, *zip(*payloads))
 
@@ -556,7 +563,7 @@ def _build_hmma_group(key, payloads):
         def run(warp):
             window(warp.regs._data, tables)
         return run
-    return _PerProgram(new_run)
+    return _PerLaunch(new_run)
 
 
 def _build_mma_group(key, payloads):
@@ -726,7 +733,7 @@ def _schedule_window(fuse):
 #
 # Keys, bounds and memory: see the module docstring.  Compiled code holds
 # no per-run state (counters live in the caller, per-launch state is
-# rebuilt through _PerProgram), so programs and threads can share it.
+# rebuilt through _PerLaunch), so programs and threads can share it.
 
 #: Entry bounds.  One round of perfbench's ``remote_layers`` workload
 #: touches 3,110 distinct slots and 334 windows, one ``gemm_verify`` round
@@ -735,12 +742,13 @@ SLOT_CACHE_BOUND = 8192
 WINDOW_CACHE_BOUND = 1024
 
 
-class _CodeCache:
+class CodeCache:
     """Bounded content-keyed map; the oldest insertion is evicted first.
 
     Lookups are lock-free dict reads.  Inserts and evictions hold a lock,
-    so threads predecoding at once can at worst compile an entry twice,
-    each copy correct.
+    so threads filling it at once can at worst compile an entry twice,
+    each copy correct.  The kernel builder's launch cache
+    (:func:`repro.core.build_hgemm`) is one too.
     """
 
     def __init__(self, bound: int):
@@ -764,8 +772,8 @@ class _CodeCache:
             self._entries.clear()
 
 
-_SLOTS = _CodeCache(SLOT_CACHE_BOUND)
-_WINDOWS = _CodeCache(WINDOW_CACHE_BOUND)
+_SLOTS = CodeCache(SLOT_CACHE_BOUND)
+_WINDOWS = CodeCache(WINDOW_CACHE_BOUND)
 #: Slot ids; never reused, so a window key naming an evicted slot can
 #: only miss.
 _SLOT_IDS = itertools.count()
@@ -816,8 +824,8 @@ def _compile_window(members):
 
 def _window_run(parts):
     """The closure running a window's *parts* in order, with a fresh
-    instance of each per-program part."""
-    parts = tuple(p.new() if type(p) is _PerProgram else p for p in parts)
+    instance of each per-launch part."""
+    parts = tuple(p.new() if type(p) is _PerLaunch else p for p in parts)
 
     def run(warp):
         for part in parts:
@@ -825,17 +833,17 @@ def _window_run(parts):
     return run
 
 
-# ---------------------------------------------------------------- predecode
+#: One program's assembled tables at one lane count: the members of a
+#: :class:`DecodedProgram` with each fused window's head still its own
+#: slot closure, plus ``windows`` -- ``(head slot, parts)`` of every fused
+#: window -- and ``lookups``, the window keys assembly looked up.
+_Tables = namedtuple("_Tables", "run_fns next_pc lens reads_clock slot_ops "
+                                "windows lookups")
 
-def predecode(program, lanes: int = WARP_LANES) -> DecodedProgram:
-    """Decode *program* into slot-indexed closures plus fused windows.
 
-    ``lanes`` selects the lane count the closures operate on: 32 (default)
-    for per-warp execution, ``n_warps * 32`` for the lockstep engine.
-    Slots and windows come from the process-wide code cache (see the
-    module docstring): only code not seen before compiles, and the call
-    adds its slot and window hits and misses to ``STATS`` once.
-    """
+def _assemble(program, lanes) -> tuple:
+    """(tables, hit and miss counters) of *program* at *lanes*, looking up
+    (and compiling on a miss) every slot and window in the code cache."""
     slots, windows = _SLOTS, _WINDOWS
     entries = []
     slot_misses = 0
@@ -848,13 +856,12 @@ def predecode(program, lanes: int = WARP_LANES) -> DecodedProgram:
             slot_misses += 1
         entries.append(entry)
     n = len(entries)
-    run_fns = [entry.run for entry in entries]
     next_pc = list(range(1, n + 1))
     lens = [1] * n
-    reads_clock = [entry.reads_clock for entry in entries]
     slot_ops = [entry.ops for entry in entries]
+    fused = []
 
-    window_hits = window_misses = 0
+    window_misses = lookups = 0
     start = 0
     while start < n:
         if entries[start].fuse is None:
@@ -866,26 +873,56 @@ def predecode(program, lanes: int = WARP_LANES) -> DecodedProgram:
         if end - start >= 2:
             members = entries[start:end]
             key = (lanes, *[member.uid for member in members])
+            lookups += 1
             window = windows.get(key)
             if window is None:
                 window = _compile_window(members)
                 windows.put(key, window)
                 window_misses += 1
-            else:
-                window_hits += 1
             if window:
                 parts, ops = window
-                run_fns[start] = _window_run(parts)
+                fused.append((start, parts))
                 next_pc[start] = end
                 lens[start] = end - start
                 slot_ops[start] = ops
         start = end
 
-    for name, amount in (("decode.slot_hits", n - slot_misses),
-                         ("decode.slot_misses", slot_misses),
-                         ("decode.window_hits", window_hits),
-                         ("decode.window_misses", window_misses)):
+    tables = _Tables(tuple(entry.run for entry in entries), tuple(next_pc),
+                     tuple(lens),
+                     tuple(entry.reads_clock for entry in entries),
+                     tuple(slot_ops), tuple(fused), lookups)
+    return tables, {"decode.slot_hits": n - slot_misses,
+                    "decode.slot_misses": slot_misses,
+                    "decode.window_hits": lookups - window_misses,
+                    "decode.window_misses": window_misses}
+
+
+# ---------------------------------------------------------------- predecode
+
+def predecode(program, lanes: int = WARP_LANES) -> DecodedProgram:
+    """Decode *program* into slot-indexed closures plus fused windows.
+
+    ``lanes`` selects the lane count the closures operate on: 32 (default)
+    for per-warp execution, ``n_warps * 32`` for the lockstep engine.
+    The first call at a lane count assembles the program's tables from the
+    process-wide code cache (see the module docstring) and keeps them in
+    ``program.predecoded``; later calls reuse them and count every slot and
+    window as a hit.  Each call builds fresh fused-window closures, so
+    launch-sized state dies with the launch.  The call adds its slot and
+    window hits and misses to ``STATS`` once.
+    """
+    tables = program.predecoded.get(lanes)
+    if tables is None:
+        tables, counts = _assemble(program, lanes)
+        program.predecoded[lanes] = tables
+    else:
+        counts = {"decode.slot_hits": len(tables.run_fns),
+                  "decode.window_hits": tables.lookups}
+    for name, amount in counts.items():
         if amount:
             STATS.count(name, amount)
-    return DecodedProgram(n, run_fns, next_pc, lens, reads_clock, slot_ops,
-                          lanes)
+    run_fns = list(tables.run_fns)
+    for start, parts in tables.windows:
+        run_fns[start] = _window_run(parts)
+    return DecodedProgram(len(run_fns), run_fns, tables.next_pc, tables.lens,
+                          tables.reads_clock, tables.slot_ops, lanes)

@@ -75,6 +75,33 @@ class TestValidation:
             ours(cta_order="diagonal")
 
 
+class TestFieldTypes:
+    @pytest.mark.parametrize("field,value,expected", [
+        ("b_n", 256.0, "an int"),
+        ("smem_pad_halves", "8", "an int"),
+        ("supertile_width", False, "an int"),
+        ("smem_swizzle", 1, "a bool"),
+        ("cta_order", None, "a str"),
+    ])
+    def test_message_names_field_type_and_value(self, field, value, expected):
+        with pytest.raises(ConfigError) as info:
+            ours(**{field: value})
+        assert str(info.value) == (
+            f"KernelConfig.{field} must be {expected}, got {value!r}")
+
+    def test_problem_fields_are_checked(self):
+        from repro.core.builder import HgemmProblem
+
+        for fields in ({"m": 256.0}, {"k": "32"}, {"a_addr": True},
+                       {"c_addr": 1.5}, {"alpha": "2"}, {"beta": None}):
+            args = {"m": 256, "n": 256, "k": 32, **fields}
+            (name, value), = fields.items()
+            with pytest.raises(ConfigError,
+                               match=rf"HgemmProblem\.{name} must be .*{value!r}"):
+                HgemmProblem(**args)
+        assert HgemmProblem(256, 256, 32, alpha=2, beta=0.5).alpha == 2
+
+
 class TestGeometry:
     def test_grid_dim(self):
         assert ours().grid_dim(512, 768) == (3, 2)

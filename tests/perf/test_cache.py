@@ -17,7 +17,7 @@ from repro.arch import RTX2070, T4
 from repro.core.config import cublas_like, ours
 from repro.perf.cache import (
     SCHEMA_VERSION, SIM_VERSION, ResultCache, cache_dir, cache_enabled,
-    cache_max_bytes, content_key,
+    cache_max_bytes, cache_mem_entries, content_key,
 )
 from repro.perf.stats import STATS
 
@@ -259,3 +259,28 @@ class TestEnvironmentSwitches:
     def test_cache_dir_override(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "elsewhere"))
         assert cache_dir() == tmp_path / "elsewhere"
+
+    @pytest.mark.parametrize("name,raw", [
+        ("REPRO_CACHE_MAX_MB", "lots"), ("REPRO_CACHE_MAX_MB", "nan"),
+        ("REPRO_CACHE_MAX_MB", "-5"), ("REPRO_CACHE_MAX_MB", "inf"),
+        ("REPRO_CACHE_MEM_ENTRIES", "abc"), ("REPRO_CACHE_MEM_ENTRIES", "nan"),
+        ("REPRO_CACHE_MEM_ENTRIES", "inf"), ("REPRO_CACHE_MEM_ENTRIES", "-1"),
+        ("REPRO_CACHE_MEM_ENTRIES", "2.5"),
+    ])
+    def test_bad_bound_raises_naming_the_variable(self, cache, monkeypatch,
+                                                  name, raw):
+        monkeypatch.setenv(name, raw)
+        with pytest.raises(ValueError, match=f"{name} must be .*{raw!r}"):
+            cache.put(content_key(b"k7"), {"v": 1})
+
+    def test_bounds_parse(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_MAX_MB", "1.5")
+        monkeypatch.setenv("REPRO_CACHE_MEM_ENTRIES", "0")   # unbounded
+        assert cache_max_bytes() == 3 << 19
+        assert cache_mem_entries() == 0
+        monkeypatch.setenv("REPRO_CACHE_MEM_ENTRIES", "1e3")
+        assert cache_mem_entries() == 1000
+        monkeypatch.delenv("REPRO_CACHE_MAX_MB")
+        monkeypatch.delenv("REPRO_CACHE_MEM_ENTRIES")
+        assert cache_max_bytes() is None
+        assert cache_mem_entries() == 4096

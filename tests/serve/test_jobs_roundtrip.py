@@ -14,7 +14,7 @@ import pytest
 
 from repro.arch.family import SM70
 from repro.arch.turing import A100, RTX2070, T4, V100
-from repro.core.config import ours
+from repro.core.config import ConfigError, ours
 from repro.serve.jobs import (
     config_from_dict,
     config_to_dict,
@@ -70,3 +70,15 @@ class TestConfigRoundTrip:
         cfg = ours()
         rebuilt = config_from_dict(json.loads(json.dumps(config_to_dict(cfg))))
         assert rebuilt == cfg
+
+    @pytest.mark.parametrize("fields,name", [
+        ({"b_m": 128.0, "w_m": 64.0}, "b_m"),   # equal to, hashed as, ints
+        ({"b_m": "x"}, "b_m"),
+        ({"sts_interleave": 2.5}, "sts_interleave"),
+        ({"w_k": True}, "w_k"),
+        ({"prefetch": "no"}, "prefetch"),
+        ({"accum_f32": 0}, "accum_f32"),
+    ])
+    def test_mistyped_field_is_refused_by_name(self, fields, name):
+        with pytest.raises(ConfigError, match=rf"KernelConfig\.{name} must be"):
+            config_from_dict(fields)
