@@ -34,10 +34,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from typing import Optional
 
 from ..arch.turing import GpuSpec
 from ..core.builder import HgemmProblem, build_hgemm
-from ..core.config import KernelConfig, adapt_for_arch
+from ..core.config import KernelConfig, adapt_for_arch, check_field_types
 from ..isa.encoding import encode_program
 from ..perf.cache import PROFILE_CACHE, SIM_VERSION, content_key
 from ..perf.parallel import parallel_map
@@ -63,26 +64,29 @@ class PerfOptions:
     drift_max: float = 0.3
     #: cuBLAS-10.1 quirk: reuse collapses when n*b_m*2 > fraction * L2.
     cliff_l2_fraction: float = 0.72
-    cliff_devices: tuple = ("RTX2070",)
+    cliff_devices: tuple[str, ...] = ("RTX2070",)
     #: Effective measurement k-depths for the SM profile.
-    profile_iters: tuple = (2, 6)
+    profile_iters: tuple[int, ...] = (2, 6)
     #: Timing engine driving the SM-profile runs ("event"/"reference");
     #: None defers to ``REPRO_TIMING_ENGINE``.  The engines are bit-identical
     #: (pinned by the differential suite), so this deliberately does not
     #: enter any profile-cache key.
-    timing_engine: str = None
+    timing_engine: Optional[str] = None
     #: Functional engine for launches run on the model consumer's behalf
     #: ("lockstep"/"reference"); None defers to ``REPRO_FUNC_ENGINE``.  The
     #: CLI plumbs ``--func-engine`` here and into
     #: :func:`repro.core.hgemm`/``igemm``/``verify_kernel``.  The engines
     #: are bit-identical, so it never enters a cache key either.
-    func_engine: str = None
+    func_engine: Optional[str] = None
     #: Divergence-watchdog mode for the SM-profile runs ("off"/"sample"/
     #: "full"); None defers to ``REPRO_GUARD``.  See
     #: :mod:`repro.robust.guard`.  The guard never changes reported numbers
     #: (a divergence heals to the reference result), so it stays out of the
     #: cache key too.
-    guard: str = None
+    guard: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        check_field_types(self)
 
 
 @dataclass(frozen=True)

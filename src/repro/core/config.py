@@ -28,23 +28,34 @@ class ConfigError(ValueError):
     """Raised when a kernel configuration is infeasible on the hardware."""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 #: (test, description) of each annotated field type.  ``True == 1`` and
 #: ``128.0 == 128`` hash alike, so a number of the wrong type would share
 #: a cache key with a valid value while building something else.
 _FIELD_TYPES = {
-    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool),
-            "an int"),
+    "int": (_is_int, "an int"),
     "float": (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
               "a real number"),
     "bool": (lambda v: isinstance(v, bool), "a bool"),
     "str": (lambda v: isinstance(v, str), "a str"),
+    "Optional[str]": (lambda v: v is None or isinstance(v, str),
+                      "a str or None"),
+    "tuple[int, ...]": (lambda v: isinstance(v, tuple) and all(map(_is_int, v)),
+                        "a tuple of ints"),
+    "tuple[str, ...]": (lambda v: isinstance(v, tuple)
+                        and all(isinstance(item, str) for item in v),
+                        "a tuple of strs"),
 }
 
 
 def check_field_types(obj) -> None:
     """Raise :class:`ConfigError` naming the first field of dataclass *obj*
     whose value does not have its annotated type: int fields refuse bool,
-    float and str, bool fields take only bools."""
+    float and str, bool fields take only bools, tuple fields take tuples
+    of the element type, ``Optional[str]`` fields a str or None."""
     for f in fields(obj):
         test, expected = _FIELD_TYPES[getattr(f.type, "__name__", f.type)]
         value = getattr(obj, f.name)

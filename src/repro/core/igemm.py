@@ -104,8 +104,16 @@ def igemm(a, b, kernel=None, spec: GpuSpec = RTX2070,
 
 
 def igemm_reference(a, b) -> np.ndarray:
-    """Exact int8 GEMM oracle with s32 wrap-around accumulation."""
-    a8 = np.ascontiguousarray(a, dtype=np.int8).astype(np.int64)
-    b8 = np.ascontiguousarray(b, dtype=np.int8).astype(np.int64)
-    full = a8 @ b8
+    """Exact int8 GEMM oracle with s32 wrap-around accumulation.
+
+    NumPy runs an int64 matmul without BLAS, so the sum comes from a
+    float64 (BLAS) matmul, many times faster, and is then wrapped to s32.
+    It is exact for k < 2**39: an int8 product is at most 2**14 in
+    magnitude, so every partial sum is an integer below 2**53, exact in
+    float64 whatever order BLAS adds them in.  (One row of A at k = 2**39
+    would already take 512 GiB.)
+    """
+    a = np.ascontiguousarray(a, dtype=np.int8).astype(np.float64)
+    b = np.ascontiguousarray(b, dtype=np.int8).astype(np.float64)
+    full = (a @ b).astype(np.int64)
     return (full & 0xFFFFFFFF).astype(np.uint32).view(np.int32)

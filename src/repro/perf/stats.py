@@ -17,6 +17,10 @@ Counter names use dotted namespaces by convention:
 * ``func.runs`` / ``func.ctas`` / ``func.instructions`` -- incremented
   by :class:`~repro.sim.functional.FunctionalSimulator` per ``run()``
   (grid launches, CTAs executed, instructions retired).
+* ``func.dispatches`` -- closure calls made by the warp-lockstep loop
+  (one per stacked slot or fused window executed) and its warp-by-warp
+  de-stack loop, summed from the per-slot execution counts when a
+  launch ends (see :mod:`repro.sim.decode`).
 * ``func.destacks`` -- incremented by the warp-lockstep engine each time
   a CTA hits a stacked closure that returns ``DIVERGED`` and falls back
   to the per-warp interleave path (see :mod:`repro.sim.decode`).

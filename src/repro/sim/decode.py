@@ -33,14 +33,38 @@ closures must be warp-uniform; wherever per-warp behaviour could differ
 returns :data:`DIVERGED` *before* mutating any state, and the caller
 de-stacks the CTA onto the 32-lane decoding, run warp by warp.
 
-On top of the per-slot closures, maximal runs of consecutive independent
-same-shape instructions (HMMA/IMMA, LDS/LDG, STS/STG, MOV, IADD3/IMAD --
-the inner loops of the generated kernels) are fused into *batched* closures
-that execute the whole run with warp-wide NumPy gathers and scatters.
-Fusion is only applied when no instruction in the run reads or overwrites a
-register written earlier in the run, so gather-all-then-scatter-all is
-order-equivalent to sequential execution; branches into the middle of a
-fused run still work because every member slot keeps its individual closure.
+On top of the per-slot closures, straight-line *windows* of schedulable
+slots are fused: independent same-shape instructions (HMMA/IMMA, LDS/LDG,
+STS/STG, MOV, IADD3/IMAD -- the inner loops of the generated kernels)
+group into *batched* closures that execute with warp-wide NumPy gathers
+and scatters.  An instruction joins a group only when no reordered pair
+reads or overwrites what the other writes, so gather-all-then-scatter-all
+is order-equivalent to sequential execution.  A window's head slot runs
+the whole window; every member slot keeps its individual closure, which
+a 32-lane window whose guard is mixed runs in order (see below).
+
+Window boundaries: a window ends before any slot that cannot join one
+(control flow, barriers, clock reads, reference-only paths), starts
+afresh at every branch target -- so a loop's back edge enters a window at
+its head -- and ends before a predicated slot whose predicate an earlier
+member writes.
+
+Guarded windows: a predicated slot with a fast path joins windows, so the
+generated kernels' ``@P0 LDG`` prefetch and ``@P0 STS`` tile store ride
+inside the HMMA stream.  A member's fusion key carries its guard, so a
+group holds members under one guard only, and a window compiles one
+schedule whatever its guards' values.  The window reads each distinct
+guard predicate once, on entry.  When every guard is all-on or all-off
+across the lanes, the groups and solo members under an on guard run
+unpredicated and those under an off guard are skipped (they still
+retire, as a predicated-off instruction does).  Groups of the same
+instructions, which recur in one window when an unrolled loop's steps
+reuse their registers, share one build.  The compiled window is
+immutable, so threads share it as they share slots.  When a guard is
+mixed across lanes, a stacked window returns :data:`DIVERGED` before any
+member touches state, and the CTA de-stacks at the window head; a
+32-lane window runs its members' own closures in program order, which
+apply the masks.
 
 Decoding is cached at two levels.  A program keeps its assembled tables
 (slot closures, ``next_pc``, ``lens``, ``reads_clock``, ``slot_ops`` and
@@ -110,7 +134,7 @@ DIVERGED = -3
 _MEM_TOKENS = frozenset((_MEM_GLOBAL, _MEM_SHARED))
 
 #: Marker key for schedulable-but-not-batchable slots: they join a window as
-#: single-member groups (keeping it unbroken) and run their own closure.
+#: single-member groups (keeping it unbroken) and run their fast path.
 _SOLO = None
 
 
@@ -153,18 +177,21 @@ class DecodedProgram:
         """Fresh per-slot execution counters for one launch."""
         return [0] * self.n
 
-    def accumulate(self, counts, result) -> None:
-        """Fold per-slot execution *counts* into *result* (a FunctionalResult)."""
+    def accumulate(self, counts, result) -> int:
+        """Fold per-slot execution *counts* into *result* (a
+        FunctionalResult); returns the executions, ``sum(counts)``."""
         opcode_counts = result.opcode_counts
-        total = 0
+        total = calls = 0
         for slot, executed in enumerate(counts):
             if not executed:
                 continue
+            calls += executed
             for opcode, per_exec in self.slot_ops[slot]:
                 retired = executed * per_exec
                 total += retired
                 opcode_counts[opcode] = opcode_counts.get(opcode, 0) + retired
         result.instructions_retired += total
+        return calls
 
 
 # ----------------------------------------------------- descriptor compilation
@@ -482,29 +509,32 @@ def _guarded(fast, generic, pred):
 
 
 def _decode_one(inst, lanes):
-    """-> (closure, fusible): *fusible* marks an unpredicated slot whose
-    closure is a pure fast path (safe as a silent member of a composite
-    window, whose parts' return values are ignored)."""
+    """-> (closure, fast): *fast* is the slot's fast path with its guard
+    predicate ignored, or None.  A fast path is pure -- it returns None
+    and never refuses -- so a composite window, whose parts' return values
+    are ignored, may run it once the window has checked the guard."""
     opcode = inst.opcode
     if opcode == "EXIT":
-        return _build_exit(inst, lanes), False
+        return _build_exit(inst, lanes), None
     if opcode == "BAR":
-        return (lambda warp: BARRIER), False  # arrives regardless of predication
+        return (lambda warp: BARRIER), None  # arrives regardless of predication
     if opcode == "BRA":
-        return _build_bra(inst, lanes), False
+        return _build_bra(inst, lanes), None
     if opcode == "NOP":
-        return (lambda warp: None), inst.pred is None
+        def noop(warp):
+            return None
+        return noop, noop if inst.pred is None else None
     generic = _build_generic(inst, lanes)
     try:
         uop = decode_uop(inst)
     except Exception:
-        return generic, False  # malformed: the reference path raises at exec
+        return generic, None  # malformed: the reference path raises at exec
     fast = _compile_uop(uop, lanes)
     if fast is None:
-        return generic, False
+        return generic, None
     if inst.pred is None:
-        return fast, True
-    return _guarded(fast, generic, inst.pred), False
+        return fast, fast
+    return _guarded(fast, generic, inst.pred), fast
 
 
 # -------------------------------------------------------------- fusion layer
@@ -523,9 +553,11 @@ def _decode_one(inst, lanes):
 # one location).  Reads of RZ batch as gathers of register-file row 255,
 # which stays all-zero because writes to RZ are discarded.
 
-def _fuse_entry(inst, fusible):
-    """(key, reads, writes, payload) when *inst* can join a fused window."""
-    if not fusible or inst.pred is not None:
+def _fuse_entry(inst, fast, guard):
+    """(key, reads, writes, payload) when *inst*, whose fast path is
+    *fast*, can join a fused window.  The key pairs the µop's fusion key
+    with the slot's *guard*, so members group only under one guard."""
+    if fast is None:
         return None
     try:
         uop = decode_uop(inst)
@@ -533,7 +565,7 @@ def _fuse_entry(inst, fusible):
         return None
     if uop.reads_clock or not uop.groups_ok or uop.fuse_key is None:
         return None
-    key = _SOLO if uop.fuse_key == SOLO else uop.fuse_key
+    key = _SOLO if uop.fuse_key == SOLO else (uop.fuse_key, guard)
     return key, uop.reads, uop.writes, uop.fuse_payload
 
 
@@ -736,8 +768,8 @@ def _schedule_window(fuse):
 # rebuilt through _PerLaunch), so programs and threads can share it.
 
 #: Entry bounds.  One round of perfbench's ``remote_layers`` workload
-#: touches 3,110 distinct slots and 334 windows, one ``gemm_verify`` round
-#: 2,805 and 166; the bounds hold both working sets at once.
+#: touches 3,110 distinct slots and 176 windows, one ``gemm_verify`` round
+#: 2,805 and 71; the bounds hold both working sets at once.
 SLOT_CACHE_BOUND = 8192
 WINDOW_CACHE_BOUND = 1024
 
@@ -782,63 +814,129 @@ _SINGLE_OPS: dict = {}
 
 
 class _Slot:
-    """Compiled form of one (instruction, lanes) pair: its closure, fusion
-    entry (None when it cannot join a window), clock read and retire
-    counts."""
+    """Compiled form of one (instruction, lanes) pair: its closure, its
+    fast path (None when it has none), its guard -- ``(predicate index,
+    negated)`` of a predicated slot with a fast path, else None -- its
+    fusion entry (None when it cannot join a window), clock read and
+    retire counts."""
 
-    __slots__ = ("uid", "run", "fuse", "reads_clock", "ops")
+    __slots__ = ("uid", "run", "fast", "guard", "fuse", "reads_clock", "ops")
 
     def __init__(self, inst, lanes):
         self.uid = next(_SLOT_IDS)
-        self.run, fusible = _decode_one(inst, lanes)
-        self.fuse = _fuse_entry(inst, fusible)
+        self.run, self.fast = _decode_one(inst, lanes)
+        self.guard = (None if self.fast is None or inst.pred is None
+                      else (inst.pred.index, inst.pred.negated))
+        self.fuse = _fuse_entry(inst, self.fast, self.guard)
         self.reads_clock = _reads_clock(inst)
         self.ops = _SINGLE_OPS.setdefault(inst.opcode, ((inst.opcode, 1),))
 
 
-def _compile_window(members):
-    """(parts, ops) of the fused window over slots *members*, or () when
-    scheduling batches nothing (composition would only add indirection).
+class _Window:
+    """Compiled code of one fused window: an immutable code-cache entry.
 
-    Member slots keep their individual closures so branches into the
-    middle of a window still execute exactly.
+    ``parts`` are ``(guard, part)`` pairs in run order: a batched group
+    or a member's fast path, under its members' guard (None when they
+    are unpredicated).  ``preds`` are the distinct predicate indices the
+    guards read, ascending; ``runs`` the members' own closures, which a
+    32-lane window runs when a guard is mixed.  Groups of the same
+    instructions recur in one window (an unrolled k-loop's steps reuse
+    their fragment and accumulator registers); they share one build, so
+    a launch builds each distinct HMMA group's index tables once.
     """
+
+    __slots__ = ("runs", "stacked", "preds", "parts", "ops")
+
+    def __init__(self, members, lanes, groups):
+        self.runs = tuple(member.run for member in members)
+        self.stacked = lanes != WARP_LANES
+        self.preds = tuple(sorted({m.guard[0] for m in members if m.guard}))
+        built = {}   # (fusion key, payloads) -> its group's part
+        parts = []
+        for group in groups:
+            if group.key is not _SOLO and len(group.payloads) >= 2:
+                key, guard = group.key
+                payloads = tuple(group.payloads)
+                part = built.get((key, payloads))
+                if part is None:
+                    part = built[key, payloads] = _GROUP_BUILDERS[key[0]](
+                        key, payloads)
+                parts.append((guard, part))
+            else:
+                parts.extend((members[i].guard, members[i].fast)
+                             for i in group.slots)
+        self.parts = tuple(parts)
+        ops = []
+        for member in members:
+            opcode = member.ops[0][0]
+            if ops and ops[-1][0] == opcode:
+                ops[-1] = (opcode, ops[-1][1] + 1)
+            else:
+                ops.append((opcode, 1))
+        self.ops = tuple(ops)
+
+
+def _compile_window(members, lanes):
+    """The fused window over slots *members*, or () when scheduling them
+    batches nothing (composition would only add indirection)."""
     groups = _schedule_window([m.fuse for m in members])
     if not any(g.key is not _SOLO and len(g.payloads) >= 2 for g in groups):
         return ()
-    parts = []
-    for group in groups:
-        if group.key is not _SOLO and len(group.payloads) >= 2:
-            parts.append(_GROUP_BUILDERS[group.key[0]](group.key, group.payloads))
-        else:
-            parts.extend(members[i].run for i in group.slots)
-    ops = []
-    for member in members:
-        opcode = member.ops[0][0]
-        if ops and ops[-1][0] == opcode:
-            ops[-1] = (opcode, ops[-1][1] + 1)
-        else:
-            ops.append((opcode, 1))
-    return tuple(parts), tuple(ops)
+    return _Window(members, lanes, groups)
 
 
-def _window_run(parts):
-    """The closure running a window's *parts* in order, with a fresh
-    instance of each per-launch part."""
-    parts = tuple(p.new() if type(p) is _PerLaunch else p for p in parts)
+def _window_run(window):
+    """This launch's closure running *window*, with a fresh instance of
+    each distinct per-launch part."""
+    fresh = {part: part.new() for _, part in window.parts
+             if type(part) is _PerLaunch}
+    parts = tuple((guard, fresh.get(part, part))
+                  for guard, part in window.parts)
+    preds, stacked, runs = window.preds, window.stacked, window.runs
 
     def run(warp):
-        for part in parts:
-            part(warp)
+        rows = warp.preds._data
+        on = {}
+        for pi in preds:
+            row = rows[pi]
+            if row.all():
+                on[pi] = True
+            elif not row.any():
+                on[pi] = False
+            elif stacked:
+                return DIVERGED   # read-only so far: the CTA de-stacks here
+            else:
+                for member in runs:   # masked: each member on its own
+                    member(warp)
+                return None
+        for guard, part in parts:
+            if guard is None or on[guard[0]] != guard[1]:
+                part(warp)
     return run
 
 
 #: One program's assembled tables at one lane count: the members of a
 #: :class:`DecodedProgram` with each fused window's head still its own
-#: slot closure, plus ``windows`` -- ``(head slot, parts)`` of every fused
+#: slot closure, plus ``windows`` -- ``(head slot, window)`` of every fused
 #: window -- and ``lookups``, the window keys assembly looked up.
 _Tables = namedtuple("_Tables", "run_fns next_pc lens reads_clock slot_ops "
                                 "windows lookups")
+
+
+def _window_end(entries, start, targets) -> int:
+    """End of the window that opens at slot *start*: it runs to the first
+    slot that cannot join a window, is a branch target, or is guarded by
+    a predicate an earlier member writes."""
+    written = set(entries[start].fuse[2])
+    end = start + 1
+    while end < len(entries):
+        entry = entries[end]
+        if (entry.fuse is None or end in targets
+                or entry.guard and ("p", entry.guard[0]) in written):
+            break
+        written |= entry.fuse[2]
+        end += 1
+    return end
 
 
 def _assemble(program, lanes) -> tuple:
@@ -860,6 +958,8 @@ def _assemble(program, lanes) -> tuple:
     lens = [1] * n
     slot_ops = [entry.ops for entry in entries]
     fused = []
+    targets = {inst.target_index for inst in program.instructions
+               if inst.opcode == "BRA"}
 
     window_misses = lookups = 0
     start = 0
@@ -867,24 +967,21 @@ def _assemble(program, lanes) -> tuple:
         if entries[start].fuse is None:
             start += 1
             continue
-        end = start + 1
-        while end < n and entries[end].fuse is not None:
-            end += 1
+        end = _window_end(entries, start, targets)
         if end - start >= 2:
             members = entries[start:end]
             key = (lanes, *[member.uid for member in members])
             lookups += 1
             window = windows.get(key)
             if window is None:
-                window = _compile_window(members)
+                window = _compile_window(members, lanes)
                 windows.put(key, window)
                 window_misses += 1
             if window:
-                parts, ops = window
-                fused.append((start, parts))
+                fused.append((start, window))
                 next_pc[start] = end
                 lens[start] = end - start
-                slot_ops[start] = ops
+                slot_ops[start] = window.ops
         start = end
 
     tables = _Tables(tuple(entry.run for entry in entries), tuple(next_pc),
@@ -922,7 +1019,7 @@ def predecode(program, lanes: int = WARP_LANES) -> DecodedProgram:
         if amount:
             STATS.count(name, amount)
     run_fns = list(tables.run_fns)
-    for start, parts in tables.windows:
-        run_fns[start] = _window_run(parts)
+    for start, window in tables.windows:
+        run_fns[start] = _window_run(window)
     return DecodedProgram(len(run_fns), run_fns, tables.next_pc, tables.lens,
                           tables.reads_clock, tables.slot_ops, lanes)

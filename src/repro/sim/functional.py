@@ -210,9 +210,11 @@ class FunctionalSimulator:
             self._run_cta_lockstep(program, decoded, counts, fallback,
                                    global_mem, ctaid)
             result.ctas_run += 1
-        decoded.accumulate(counts, result)
+        # Closure calls: lockstep counts every call once per warp.
+        dispatches = decoded.accumulate(counts, result) // n_warps
         if fallback[0] is not None:
-            fallback[0].accumulate(fallback[1], result)
+            dispatches += fallback[0].accumulate(fallback[1], result)
+        STATS.count("func.dispatches", dispatches)
         return result
 
     @staticmethod

@@ -89,6 +89,41 @@ class TestCorrectness:
         np.testing.assert_array_equal(igemm(a, b), igemm_reference(a, b))
 
 
+def _int64_oracle(a, b):
+    """The int64 formula the oracle's float64 path must match."""
+    full = a.astype(np.int64) @ b.astype(np.int64)
+    return (full & 0xFFFFFFFF).astype(np.uint32).view(np.int32)
+
+
+class TestOracle:
+    """``igemm_reference`` sums in float64 (BLAS): bit-equal to the int64
+    formula, wrap-around included."""
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (7, 5, 3), (64, 48, 96),
+                                       (33, 17, 1000)])
+    def test_random_inputs(self, shape):
+        m, n, k = shape
+        a, b = rand8((m, k), k), rand8((k, n), k + 1)
+        got = igemm_reference(a, b)
+        assert got.dtype == np.int32
+        np.testing.assert_array_equal(got, _int64_oracle(a, b))
+
+    def test_all_minus_128(self):
+        a = np.full((8, 512), -128, dtype=np.int8)
+        b = np.full((512, 8), -128, dtype=np.int8)
+        np.testing.assert_array_equal(igemm_reference(a, b),
+                                      np.full((8, 8), 512 << 14, np.int32))
+
+    def test_s32_wraps(self):
+        k = (1 << 17) + 4096   # 2**14 * k > 2**31: the sum wraps
+        a = np.full((2, k), -128, dtype=np.int8)
+        b = np.full((k, 3), -128, dtype=np.int8)
+        b[:, 1] = 127
+        want = _int64_oracle(a, b)
+        assert want[0, 0] < 0 and want[0, 0] != (k << 14)
+        np.testing.assert_array_equal(igemm_reference(a, b), want)
+
+
 class TestPerformanceCharacter:
     def test_int8_more_throughput_but_dram_bound(self):
         # The whole point of INT8 tensor ops -- and the paper's thesis

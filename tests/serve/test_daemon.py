@@ -81,6 +81,22 @@ class TestBasics:
             # The daemon survives and still serves.
             assert client.ping()["ok"]
 
+    def test_mistyped_options_fail_the_job_not_the_worker(self, daemon):
+        payload = {**_sweep_payload(), "options": {"profile_iters": "ab"}}
+        with ServeClient(daemon.socket_path) as client:
+            with pytest.raises(JobFailed,
+                               match=r"PerfOptions\.profile_iters must be a "
+                                     r"tuple of ints, got 'ab'"):
+                client.run("sweep", payload)
+            assert all(thread.is_alive() for thread in daemon._threads)
+            # Both workers still claim and run jobs.
+            views = client.batch_submit(
+                [{"kind": "noop", "payload": {"value": v, "sleep_s": 0.2}}
+                 for v in (1, 2)])
+            done = [client.wait(view["job_id"]) for view in views]
+        assert [view["result"] for view in done] == [{"value": 1},
+                                                       {"value": 2}]
+
     def test_result_matches_inprocess_run(self, daemon):
         from repro.core import hgemm
 

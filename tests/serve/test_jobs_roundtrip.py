@@ -18,6 +18,8 @@ from repro.core.config import ConfigError, ours
 from repro.serve.jobs import (
     config_from_dict,
     config_to_dict,
+    options_from_dict,
+    options_to_dict,
     spec_from_dict,
     spec_to_dict,
 )
@@ -82,3 +84,29 @@ class TestConfigRoundTrip:
     def test_mistyped_field_is_refused_by_name(self, fields, name):
         with pytest.raises(ConfigError, match=rf"KernelConfig\.{name} must be"):
             config_from_dict(fields)
+
+
+class TestOptionsRoundTrip:
+    def test_options_survive_json(self):
+        from repro.analysis import PerfOptions
+
+        options = PerfOptions(cliff_devices=("RTX2070", "T4"),
+                              profile_iters=(3, 7), guard="sample")
+        data = json.loads(json.dumps(options_to_dict(options)))
+        assert options_from_dict(data) == options
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"profile_iters": "ab"}, "profile_iters must be a tuple of ints, got 'ab'"),
+        ({"profile_iters": [2.0, 6]}, "profile_iters must be a tuple of ints, got (2.0, 6)"),
+        ({"profile_iters": [2, True]}, "profile_iters must be a tuple of ints, got (2, True)"),
+        ({"cliff_devices": "RTX2070"}, "cliff_devices must be a tuple of strs, got 'RTX2070'"),
+        ({"cliff_devices": [7]}, "cliff_devices must be a tuple of strs, got (7,)"),
+        ({"l2_reuse_eta": "x"}, "l2_reuse_eta must be a real number, got 'x'"),
+        ({"drift_max": False}, "drift_max must be a real number, got False"),
+        ({"timing_engine": 1}, "timing_engine must be a str or None, got 1"),
+        ({"guard": ["off"]}, "guard must be a str or None, got ['off']"),
+    ])
+    def test_mistyped_field_is_refused_by_name(self, fields, message):
+        with pytest.raises(ConfigError) as err:
+            options_from_dict(fields)
+        assert str(err.value) == f"PerfOptions.{message}"

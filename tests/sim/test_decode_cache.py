@@ -190,17 +190,23 @@ def _launch_in_threads(kernel, m, n, k, count=4):
 
 def test_threads_compiling_at_once_match_serial(cold_cache):
     """More threads than cores race to fill a cold cache; each launch must
-    still match the serial golden bit for bit."""
-    kernel, m, n, k = "cublas", 256, 256, 32
+    still match the serial golden bit for bit.  The kernel runs two
+    k-tiles, so its guarded windows meet both values of the "next tile
+    exists" predicate."""
+    kernel, m, n, k = "ours", 384, 256, 64
     for run in _launch_in_threads(kernel, m, n, k):
         _check_golden(run, kernel, m, n, k)
 
 
 def test_threads_sharing_a_cached_program_match_serial(cold_cache):
     """Four threads launch one cached program and its predecoded tables at
-    once; each launch matches the serial golden bit for bit."""
-    kernel, m, n, k = "cublas", 256, 256, 32
+    once; each launch matches the serial golden bit for bit.  The kernel
+    runs two k-tiles, so its guarded windows meet both values of the
+    "next tile exists" predicate."""
+    kernel, m, n, k = "ours", 384, 256, 64
     _check_golden(_run(kernel, m, n, k), kernel, m, n, k)
+    assert any(window and window.preds
+               for window in decode._WINDOWS._entries.values())
     before = STATS.snapshot()
     runs = _launch_in_threads(kernel, m, n, k)
     counters = STATS.delta(before)["counters"]

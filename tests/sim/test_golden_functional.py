@@ -82,6 +82,63 @@ GOLDEN_IGEMM = {
 }
 
 
+#: (device, kernel, m, n, k) -> (sha256 of C bytes, instructions retired,
+#: CTAs, full retired-opcode counts) of one-CTA launches whose k-loop runs
+#: three or four times, so its back edge and both values of the "next tile
+#: exists" predicate are exercised on every generation.  Captured from the
+#: reference engine.
+GOLDEN_KLOOP = {
+    ("RTX2070", "ours", 128, 128, 128): (
+        "dc70b1bf09cb21f422d50119cac92c33d7f9c573013aa13ec020365a9e84c29d",
+        4416, 1,
+        {"BAR": 36, "BRA": 16, "EXIT": 4, "HMMA": 2048, "IADD3": 244,
+         "IMAD": 72, "ISETP": 20, "LDG": 160, "LDS": 1064, "LOP3": 20,
+         "MOV": 260, "MOV32I": 12, "NOP": 12, "S2R": 12, "SHF": 20, "STG": 256,
+         "STS": 160},
+    ),
+    ("RTX2070", "cublas", 128, 128, 192): (
+        "aeb50849bb6ba82ebf9cbcfd45fc9468af30c0b3d6a392354c232c90937552e3",
+        6356, 1,
+        {"BAR": 28, "BRA": 12, "EXIT": 4, "HMMA": 3072, "IADD3": 368,
+         "IMAD": 136, "ISETP": 16, "LDG": 256, "LDS": 1576, "LOP3": 60,
+         "MOV": 260, "MOV32I": 12, "NOP": 12, "S2R": 12, "SHF": 20, "STG": 256,
+         "STS": 256},
+    ),
+    ("V100", "ours", 128, 128, 128): (
+        "dc70b1bf09cb21f422d50119cac92c33d7f9c573013aa13ec020365a9e84c29d",
+        6476, 1,
+        {"BAR": 36, "BRA": 16, "EXIT": 4, "HMMA": 4096, "IADD3": 260,
+         "IMAD": 72, "ISETP": 20, "LDG": 160, "LDS": 1060, "LOP3": 20,
+         "MOV": 260, "MOV32I": 12, "NOP": 12, "S2R": 12, "SHF": 20, "STG": 256,
+         "STS": 160},
+    ),
+    ("V100", "cublas", 128, 128, 192): (
+        "aeb50849bb6ba82ebf9cbcfd45fc9468af30c0b3d6a392354c232c90937552e3",
+        9440, 1,
+        {"BAR": 28, "BRA": 12, "EXIT": 4, "HMMA": 6144, "IADD3": 384,
+         "IMAD": 136, "ISETP": 16, "LDG": 256, "LDS": 1572, "LOP3": 60,
+         "MOV": 260, "MOV32I": 12, "NOP": 12, "S2R": 12, "SHF": 20, "STG": 256,
+         "STS": 256},
+    ),
+    ("A100", "ours", 128, 128, 128): (
+        "9fcb7e0530b60ebd0248c311d0e42caba34c1ed79633606c489b33eb4caf30f4",
+        3432, 1,
+        {"BAR": 36, "BRA": 16, "EXIT": 4, "HMMA": 1024, "IADD3": 244,
+         "IMAD": 72, "ISETP": 20, "LDG": 160, "LDS": 1104, "LOP3": 20,
+         "MOV": 260, "MOV32I": 12, "NOP": 12, "S2R": 12, "SHF": 20, "STG": 256,
+         "STS": 160},
+    ),
+    ("A100", "cublas", 128, 128, 192): (
+        "8927aadc584c50c411adc4e7676f64dcf544fa87d50c2dee9db7d4f7fd18ae19",
+        4756, 1,
+        {"BAR": 28, "BRA": 12, "EXIT": 4, "HMMA": 1536, "IADD3": 368,
+         "IMAD": 72, "ISETP": 16, "LDG": 256, "LDS": 1616, "LOP3": 20,
+         "MOV": 260, "MOV32I": 12, "NOP": 12, "S2R": 12, "SHF": 20, "STG": 256,
+         "STS": 256},
+    ),
+}
+
+
 def _inputs(m, n, k):
     rng = np.random.default_rng(7)
     a = rng.uniform(-2, 2, (m, k)).astype(np.float16)
@@ -126,6 +183,21 @@ def test_golden_igemm(m, n, k, engine, monkeypatch):
     digest, retired, ctas, opcodes = GOLDEN_IGEMM[(m, n, k)]
     a, b = _int8_inputs(m, n, k)
     run = igemm(a, b, return_run=True)
+    assert _digest(run.c) == digest
+    assert run.stats.instructions_retired == retired
+    assert run.stats.ctas_run == ctas
+    assert run.stats.opcode_counts == opcodes
+
+
+@pytest.mark.parametrize("engine", functional.ENGINES)
+@pytest.mark.parametrize("device,kernel,m,n,k", sorted(GOLDEN_KLOOP))
+def test_golden_kloop(device, kernel, m, n, k, engine):
+    from repro.arch import DEVICES
+
+    digest, retired, ctas, opcodes = GOLDEN_KLOOP[(device, kernel, m, n, k)]
+    a, b = _inputs(m, n, k)
+    run = hgemm(a, b, kernel=kernel, spec=DEVICES[device], engine=engine,
+                return_run=True)
     assert _digest(run.c) == digest
     assert run.stats.instructions_retired == retired
     assert run.stats.ctas_run == ctas

@@ -325,11 +325,109 @@ LOOP:
   EXIT
 """
 
+# Guarded fused windows.  The loop head lands inside a fusible run, and
+# predicated LDS/STS/LDG/IADD3/MOV/HMMA members sit among unpredicated ones,
+# the way the generated kernels' ``@P0`` prefetch rides in the HMMA stream.
+# ``{guard}`` sets P0 from the trip count R3 (and P2 = "not the last trip")
+# before the loop and again mid-run, so each trip's later members see a
+# value the window head did not.  HMMA is warp-wide and cannot be
+# lane-predicated, so ``@{h}`` names its guard separately.
+GUARDED_LOOP = """
+.kernel {name}
+.regs 64
+.smem 1024
+.block {block}
+  S2R R1, SR_TID.X
+  S2R R7, SR_CTAID.X
+  SHF.R R27, R1, 5
+  IMAD R5, R7, {block}, R1
+  IMAD R24, R5, 64, RZ
+  IMAD R25, R5, 4, 0x8000
+  IMAD R2, R1, 4, RZ
+  LOP3.XOR R26, R1, 1
+  IMAD R26, R26, 4, RZ
+  IMAD R20, R1, 0x10001, 0x3C003C00
+  IMAD R21, R5, 0x10001, 0x38003800
+  IMAD R22, R1, 0x20002, 0x34003400
+  IADD3 R14, R5, 0x55, RZ
+  STG.E.32 [R25], R14
+  MOV32I R3, 0
+  IADD3 R4, R1, 3, RZ
+  MOV R10, RZ
+  MOV R11, RZ
+  MOV R12, RZ
+  MOV R13, RZ
+{guard}
+LOOP:
+  @P0 STS [R2], R4
+  @!P0 IADD3 R4, R4, 7, RZ
+  @{h} HMMA.1688.F16 R10, R20, R22, R10
+  @P0 LDS R6, [R26]
+  @P0 LDG.E.32 R8, [R25]
+  @!{h} HMMA.1688.F16 R12, R20, R22, R12
+  @!P0 MOV R9, R4
+  @P0 IADD3 R4, R4, R6, RZ
+  @P0 IADD3 R15, R8, R3, RZ
+  HMMA.1688.F16 R30, R20, R22, R30
+  IADD3 R3, R3, 1, RZ
+{guard}
+  @P0 IADD3 R17, R17, R3, RZ
+  @P0 IADD3 R16, R16, R3, RZ
+  @!P0 IADD3 R18, R18, R3, RZ
+  @P0 MOV R19, R4
+  ISETP.LT.AND P1, PT, R3, 3, PT
+  @P1 BRA LOOP
+  STG.E.32 [R24], R4
+  STG.E.32 [R24+0x4], R9
+  STG.E.32 [R24+0x8], R10
+  STG.E.32 [R24+0xc], R11
+  STG.E.32 [R24+0x10], R12
+  STG.E.32 [R24+0x14], R13
+  STG.E.32 [R24+0x18], R15
+  STG.E.32 [R24+0x1c], R17
+  STG.E.32 [R24+0x20], R18
+  STG.E.32 [R24+0x24], R19
+  STG.E.32 [R24+0x28], R30
+  STG.E.32 [R24+0x2c], R31
+  STG.E.32 [R24+0x30], R16
+  EXIT
+"""
+
+_LAST_TRIP = "  ISETP.LT.AND P2, PT, R3, 2, PT"
+
+
+def _parity_guard(reg):
+    """P0 = (reg + trip) odd."""
+    return (f"  IADD3 R28, {reg}, R3, RZ\n  LOP3.AND R28, R28, 1\n"
+            f"  ISETP.NE.AND P0, PT, R28, RZ, PT\n{_LAST_TRIP}")
+
+
+# P0 is the same on every lane of the CTA and flips on the last trip (the
+# generated kernels' "a next tile exists").
+CTA_UNIFORM_GUARD = GUARDED_LOOP.format(
+    name="cta_uniform_guard", block=64, h="P0",
+    guard=f"  ISETP.LT.AND P0, PT, R3, 2, PT\n{_LAST_TRIP}")
+# P0 is uniform within each warp but differs between warps: the stacked
+# window refuses at its head and the de-stacked warps run it whole.
+WARP_UNIFORM_GUARD = GUARDED_LOOP.format(
+    name="warp_uniform_guard", block=96, h="P0", guard=_parity_guard("R27"))
+# P0 differs between neighbouring lanes: every 32-lane window runs its
+# members one by one, with masked writes.
+LANE_MIXED_GUARD = GUARDED_LOOP.format(
+    name="lane_mixed_guard", block=64, h="P2", guard=_parity_guard("R1"))
+
+GUARDED_PROGRAMS = [
+    ("cta_uniform_guard", CTA_UNIFORM_GUARD, (2, 1)),
+    ("warp_uniform_guard", WARP_UNIFORM_GUARD, (2, 1)),
+    ("lane_mixed_guard", LANE_MIXED_GUARD, (2, 1)),
+]
+
 BRANCHY_PROGRAMS = [
     ("trips_by_warp", LOOP_TRIPS_BY_WARP, (2, 1)),
     ("predicated_skip", PREDICATED_SKIP, (2, 2)),
     ("branch_in_loop", BRANCH_IN_LOOP, (3, 1)),
     ("barrier_loop", BARRIER_LOOP, (2, 1)),
+    *GUARDED_PROGRAMS,
 ]
 
 
@@ -374,6 +472,62 @@ class TestBranchyProgramDifferential:
         trips = [int(out[cta * 96 + w * 32 + 1]) // (w * 32 + 1)
                  for cta in range(2) for w in range(3)]
         assert trips == [1, 2, 3, 2, 3, 4]
+
+
+class TestGuardedWindows:
+    """The guarded programs above really run guarded fused windows."""
+
+    @pytest.mark.parametrize("name,src,grid", GUARDED_PROGRAMS,
+                             ids=[n for n, _, _ in GUARDED_PROGRAMS])
+    def test_loop_window_holds_every_guarded_member(self, name, src, grid):
+        program = assemble(src)
+        head = program.labels["LOOP"]
+        for lanes in (32, program.meta.warps_per_cta * 32):
+            decoded = predecode(program, lanes)
+            size = decoded.lens[head]
+            members = program.instructions[head:head + size]
+            assert {inst.opcode for inst in members if inst.pred} == {
+                "STS", "IADD3", "HMMA", "LDS", "LDG", "MOV"}, lanes
+            # The mid-run ISETP rewrites P0: the @P0 member after it opens
+            # the next window instead of reading the head's stale value.
+            end = head + size
+            assert program[end].pred is not None and program[end].pred.index == 0
+            assert decoded.lens[end] > 1, lanes
+
+    @pytest.mark.parametrize("name,src,grid", GUARDED_PROGRAMS,
+                             ids=[n for n, _, _ in GUARDED_PROGRAMS])
+    def test_stacked_window_refuses_only_a_warp_split_guard(self, name, src,
+                                                            grid):
+        from repro.perf import STATS
+        from repro.sim.functional import FunctionalSimulator
+
+        before = STATS.snapshot()
+        FunctionalSimulator(engine="lockstep").run(
+            assemble(src), GlobalMemory(GMEM_BYTES), grid_dim=grid)
+        destacks = STATS.delta(before)["counters"].get("func.destacks", 0)
+        assert destacks == (0 if name == "cta_uniform_guard" else grid[0])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stacked_refusal_mutates_nothing(self, seed):
+        """A guard that differs between warps makes the stacked window
+        return DIVERGED before any member touches registers, predicates
+        or memory."""
+        program = assemble(WARP_UNIFORM_GUARD)
+        assert program.meta.warps_per_cta == N_WARPS
+        regs, _, gmem, smem = _random_state(seed, None)
+        # Every predicate on in warps 0 and 2, off in warp 1.
+        preds = np.tile(np.repeat([True, False, True], 32), (8, 1))
+        preds[7] = True
+        run = predecode(program, LANES).run_fns[program.labels["LOOP"]]
+        global_mem, shared_mem = _make_mems(gmem, smem)
+        cta = _CtaState(N_WARPS, CTAID, LANES, global_mem, shared_mem)
+        cta.regs._data[:] = regs
+        cta.preds._data[:] = preds
+        assert run(cta) == DIVERGED
+        np.testing.assert_array_equal(cta.regs._data, regs)
+        np.testing.assert_array_equal(cta.preds._data, preds)
+        np.testing.assert_array_equal(global_mem._words, gmem)
+        np.testing.assert_array_equal(shared_mem._words, smem)
 
 
 def test_lockstep_never_destacks_on_uniform_hot_ops():
