@@ -153,9 +153,12 @@ def imma_8816_batch(a_regs, b_regs, c_regs) -> np.ndarray:
     Returns:
         (g, 2, L) uint32 -- D pairs.
 
-    Integer matmul is exact, so unlike the HMMA batch kernels this one can
-    use a single stacked matmul; results are bit-identical to
-    :func:`imma_8816` per warp slice on any host endianness.
+    The int8 products are summed in one stacked float64 (BLAS) matmul,
+    exact in any summation order: a product is at most 2**14 in
+    magnitude, so every partial sum of 16 is an integer far below 2**53.
+    C is added in int64 and the sum wraps to s32, so results are
+    bit-identical to :func:`imma_8816` (an int64 matmul, kept as the
+    reference) per warp slice on any host endianness.
     """
     a_regs = np.ascontiguousarray(a_regs, dtype=np.uint32)
     b_regs = np.ascontiguousarray(b_regs, dtype=np.uint32)
@@ -170,8 +173,8 @@ def imma_8816_batch(a_regs, b_regs, c_regs) -> np.ndarray:
     c32 = (c_regs.view(np.int32).reshape(g, 2, n_warps, 32)
            .transpose(0, 2, 1, 3).reshape(gw, 64)
            .take(_C_GATHER.ravel(), axis=1).reshape(gw, 8, 8))
-    d64 = (a8.astype(np.int64) @ b8.astype(np.int64)
-           + c32.astype(np.int64)) & 0xFFFFFFFF
+    d64 = (np.matmul(a8.astype(np.float64), b8.astype(np.float64))
+           .astype(np.int64) + c32) & 0xFFFFFFFF
     d = d64.astype(np.uint32).reshape(gw, 64).take(_C_SCATTER, axis=1)
     return (d.reshape(g, n_warps, 2, 32).transpose(0, 2, 1, 3)
             .reshape(g, 2, total))

@@ -13,16 +13,26 @@ layouts of :mod:`repro.hmma.fragments` (paper Figs. 1-2).  In an operand
 tiles are row-major, B tiles column-major.  ``.F32`` accumulators promote
 the low and high half of each register to a full register: element
 (lane, half) of tile ``t`` sits in lane ``lane`` of register ``2t + half``
-(``fragments._INV_F32`` is the 16x8 instance).  :func:`_operand_offsets`
-is the one place that rule is written; :func:`mma_batch` and
-:func:`mma_window` gather through its offsets, so every generation's
-kernels come from the same code.
+(``fragments._INV_F32`` is the 16x8 instance).
+
+On a little-endian host a warp register's 64 halves, in lane order, are
+its tile row by row (row-major: lane ``4r + p`` holds ``(r, 2p)`` and
+``(r, 2p + 1)``) or column by column (column-major), and an ``.F32``
+register pair holds the even and odd columns of a row-major tile.  So a
+block of whole register rows turns into operand matrices, and D back
+into registers, by reshape and transpose alone: :func:`_to_matrices`
+and :func:`_to_registers` are the one place the rule above is written,
+and :func:`mma_batch` and :func:`mma_window` both run on them, so every
+generation's kernels come from the same code.
 
 Precision model
 ---------------
 Each FP16 product is exact in float32.  The k-reduction and the addition
 of C run in float32, in NumPy matmul's summation order, so each addition
-rounds to float32.  The accumulator type then decides the result:
+rounds to float32.  The model takes that order to be sequential in k;
+:func:`k_order_mismatch` checks it on the running host (the test suite
+and ``repro doctor`` run it), since every functional golden depends on
+it.  The accumulator type then decides the result:
 
 * ``.F16`` -- D is rounded once more, to half precision;
 * ``.F32`` -- D stays in single precision.
@@ -53,6 +63,7 @@ from .fragments import (
 )
 
 __all__ = [
+    "k_order_mismatch",
     "mma_reference",
     "mma_batch",
     "mma_window",
@@ -78,6 +89,37 @@ def _accumulate(a32, b32, c32, f32: bool) -> np.ndarray:
     return d if f32 else d.astype(np.float16)
 
 
+def k_order_mismatch(shape, depth: int, seed: int = 0,
+                     reverse: bool = False) -> float:
+    """Share of the outputs where this host's stacked float32
+    ``np.matmul`` differs from adding the products one k at a time.
+
+    *depth* products of the HMMA *shape* ``(m, n, k)`` run as one
+    ``(depth, m, k) @ (depth, k, n)`` matmul, as :func:`_accumulate` runs
+    them, on FP16 operands with random sign, exponent and mantissa (every
+    finite value, subnormals included, so the order of the additions
+    shows in the rounding).  The loop adds k = 0, 1, ... in float32, or
+    the reverse with *reverse*.  0.0 means matmul sums in that order.
+    """
+    m, n, k = shape
+    rng = np.random.default_rng(seed)
+
+    def wide(rows, cols):
+        bits = (rng.integers(0, 0x7C00, (depth, rows, cols), dtype=np.uint16)
+                | rng.integers(0, 2, (depth, rows, cols), dtype=np.uint16)
+                << 15)
+        return bits.view(HALF).astype(np.float32)
+
+    a32, b32 = wide(m, k), wide(k, n)
+    order = range(k - 1, -1, -1) if reverse else range(k)
+    loop = None
+    for kk in order:   # each FP16 product is exact in float32
+        product = a32[:, :, kk, None] * b32[:, None, kk, :]
+        loop = product if loop is None else loop + product
+    matmul = np.matmul(a32, b32)
+    return float(np.mean(loop.view(np.uint32) != matmul.view(np.uint32)))
+
+
 def mma_reference(a, b, c, accumulate_f32: bool) -> np.ndarray:
     """Matrix-level reference: ``A[m x k] @ B[k x n] + C[m x n]`` for any
     registry HMMA shape, with the precision model of the module docstring.
@@ -98,7 +140,8 @@ def mma_reference(a, b, c, accumulate_f32: bool) -> np.ndarray:
 # ------------------------------------------------------ single-warp references
 #
 # Built on the per-register conversions of repro.hmma.fragments, not on the
-# flat offsets below, so the generator is checked against independent code.
+# register-row converter below, so the generator is checked against
+# independent code.
 
 def hmma_1688_f16(a_regs, b_reg, c_regs) -> np.ndarray:
     """Execute ``HMMA.1688.F16`` on warp registers.
@@ -191,8 +234,8 @@ def hmma_16816_f32(a_regs, b_regs, c_regs) -> np.ndarray:
     return matrix16x8_to_fragments_f32(mma_reference(a, b, c, accumulate_f32=True))
 
 
-#: The single-warp reference of each ``(shape, f32)``, for hosts where the
-#: flat offsets below do not apply.
+#: The single-warp reference of each ``(shape, f32)``, for hosts where a
+#: register's u16 view is not its (lo, hi) halves in order.
 _WARP_REFERENCES = {
     ((8, 8, 8), False): hmma_884_f16,
     ((16, 8, 8), False): hmma_1688_f16,
@@ -203,48 +246,55 @@ _WARP_REFERENCES = {
 
 
 # ------------------------------------------------------------ the generator
+#
+# The register-row converter.  A block of whole register rows,
+# (g, words, lanes) uint32, becomes (g * warps, rows, cols) matrices by
+# reshape and transpose alone: split the words into the (C, R) tile grid
+# (word i + R*j is tile (i, j)) and the lanes into (warp, 8, 8) halves,
+# then move the warp next to g and each tile's rows and columns next to
+# the grid's.  The reverse permutation writes D back.
 
-def _operand_offsets(rows: int, cols: int, order: str, f32: bool,
-                     n_warps: int) -> np.ndarray:
-    """(n_warps, rows, cols) flat offsets of one operand's elements.
+#: (g, C, R, warp, r, c) -> (g, warp, R, r, C, c), and back.
+_TO_MATRIX = (0, 3, 2, 4, 1, 5)
+_TO_REGS = (0, 4, 2, 1, 3, 5)
+#: A column-major tile holds (c, r): its halves are the tile's transpose.
+_COL_TO_MATRIX = (0, 3, 2, 5, 1, 4)
 
-    The offsets index a ``(regs, 32 * n_warps)`` uint32 register block
-    (warp *w* in columns ``32w .. 32w + 31``) viewed flat as uint16 for
-    FP16 operands or as float32 for ``.F32`` accumulators.  Tile ``(i, j)``
-    of the operand is register ``i + (rows // 8) * j``; within it, element
-    (r, c) is u16 ``2 * lane + half`` of the tile's 8x8 layout, and an
-    ``.F32`` accumulator moves it to lane ``lane`` of register
-    ``2 * tile + half``.
-    """
-    total = 32 * n_warps
-    r = np.arange(rows, dtype=np.intp)[:, None]
-    c = np.arange(cols, dtype=np.intp)[None, :]
-    tile = r // 8 + (rows // 8) * (c // 8)
-    u16 = frag._PERMS[order][0][r % 8, c % 8]
-    warp = np.arange(n_warps, dtype=np.intp)[:, None, None]
+
+def _to_matrices(block, g: int, rows: int, cols: int, order: str,
+                 f32: bool) -> np.ndarray:
+    """(g * warps, rows, cols) float32 operands from a contiguous uint32
+    block of *g* products' register rows, lanes last."""
+    nw, tall, wide = block.shape[-1] // 32, rows // 8, cols // 8
     if not f32:
-        return tile * (2 * total) + 64 * warp + u16
-    lane, half = np.divmod(u16, 2)
-    return (2 * tile + half) * total + 32 * warp + lane
+        tiles = block.view(HALF).reshape(g, wide, tall, nw, 8, 8)
+        axes = _TO_MATRIX if order == ROW_MAJOR else _COL_TO_MATRIX
+        return (tiles.transpose(axes).astype(np.float32, order="C")
+                .reshape(g * nw, rows, cols))
+    # .F32: lane 4r + p of register 2t + half holds (r, 2p + half) of
+    # tile t.  Each half is a 4-wide row-major tile; the two interleave.
+    pairs = block.view(np.float32).reshape(g, wide, tall, 2, nw, 8, 4)
+    out = np.empty((g, nw, tall, 8, wide, 4, 2), dtype=np.float32)
+    for half in (0, 1):
+        out[..., half] = pairs[:, :, :, half].transpose(_TO_MATRIX)
+    return out.reshape(g * nw, rows, cols)
 
 
-#: (A, B, C/D) offsets of :func:`_operand_offsets`, keyed by
-#: ``(shape, f32, n_warps)``.  The batch kernel indexes with them as they
-#: are; the fused window adds each member's register row to them.
-_OPERAND_TABLES: dict = {}
-
-
-def _operand_tables(shape, f32: bool, n_warps: int):
-    key = (shape, f32, n_warps)
-    tables = _OPERAND_TABLES.get(key)
-    if tables is None:
-        m, n, k = shape
-        tables = _OPERAND_TABLES[key] = (
-            _operand_offsets(m, k, ROW_MAJOR, False, n_warps),
-            _operand_offsets(k, n, COL_MAJOR, False, n_warps),
-            _operand_offsets(m, n, ROW_MAJOR, f32, n_warps),
-        )
-    return tables
+def _to_registers(d, g: int, f32: bool) -> np.ndarray:
+    """(g, words, lanes) uint32 registers of (g * warps, rows, cols)
+    row-major results *d* (float16, or float32 for ``.F32``)."""
+    gw, rows, cols = d.shape
+    nw, tall, wide = gw // g, rows // 8, cols // 8
+    out = np.empty((g, tall * wide * (2 if f32 else 1), 32 * nw),
+                   dtype=np.uint32)
+    if f32:   # (g, warp, R, r, C, p, half) -> (g, C, R, half, warp, r, p)
+        out.view(np.float32).reshape(g, wide, tall, 2, nw, 8, 4)[...] = (
+            d.reshape(g, nw, tall, 8, wide, 4, 2)
+            .transpose(0, 4, 2, 6, 1, 3, 5))
+    else:
+        out.view(HALF).reshape(g, wide, tall, nw, 8, 8)[...] = (
+            d.reshape(g, nw, tall, 8, wide, 8).transpose(_TO_REGS))
+    return out
 
 
 def _mma_batch_fallback(shape, f32, a_regs, b_regs, c_regs) -> np.ndarray:
@@ -290,123 +340,77 @@ def mma_batch(shape, f32: bool, a_regs, b_regs, c_regs) -> np.ndarray:
     if not frag._LITTLE_ENDIAN:
         return _mma_batch_fallback(shape, f32, a_regs, b_regs, c_regs)
     m, n, k = shape
-    g, total = a_regs.shape[0], a_regs.shape[-1]
-    n_warps = total // 32
-    gw = g * n_warps
-    a_idx, b_idx, c_idx = _operand_tables(shape, f32, n_warps)
-    a32 = (a_regs.view(np.uint16).reshape(g, -1)[:, a_idx].view(HALF)
-           .reshape(gw, m, k).astype(np.float32))
-    b32 = (b_regs.view(np.uint16).reshape(g, -1)[:, b_idx].view(HALF)
-           .reshape(gw, k, n).astype(np.float32))
-    # D scatters through the C offsets as (n_warps, m*n): the 3-D index is
-    # measurably slower for .F32.
-    d_idx = c_idx.reshape(n_warps, m * n)
-    out = np.empty(c_regs.shape, dtype=np.uint32)
-    if f32:
-        c32 = (c_regs.view(np.float32).reshape(g, -1)[:, c_idx]
-               .reshape(gw, m, n))
-        d = _accumulate(a32, b32, c32, True)
-        out.view(np.float32).reshape(g, -1)[:, d_idx] = (
-            d.reshape(g, n_warps, m * n))
-    else:
-        c32 = (c_regs.view(np.uint16).reshape(g, -1)[:, c_idx].view(HALF)
-               .reshape(gw, m, n).astype(np.float32))
-        d16 = _accumulate(a32, b32, c32, False)
-        out.view(np.uint16).reshape(g, -1)[:, d_idx] = (
-            d16.view(np.uint16).reshape(g, n_warps, m * n))
-    return out
+    g = a_regs.shape[0]
+    d = _accumulate(_to_matrices(a_regs, g, m, k, ROW_MAJOR, False),
+                    _to_matrices(b_regs, g, k, n, COL_MAJOR, False),
+                    _to_matrices(c_regs, g, m, n, ROW_MAJOR, f32), f32)
+    return _to_registers(d, g, f32).reshape(c_regs.shape)
 
 
-#: Ceiling on a window's flat index tables (int64 elements).  Above it the
-#: window falls back to the row-gather + batch-kernel path: the tables cost
-#: 8 bytes per gathered element, which stops being a good trade against a
-#: few-MB register file.  A 64-HMMA.1688 window of an 8-warp lockstep CTA
-#: needs about 143k elements, so the generated kernels stay well below it.
-_WINDOW_FLAT_MAX_ELEMS = 1 << 21
+def _rows(bases, words: int) -> np.ndarray:
+    """(operands, words) register rows of the operands at *bases*."""
+    return (np.asarray(bases, dtype=np.intp)[:, None]
+            + np.arange(words, dtype=np.intp))
+
+
+def _fragments(bases):
+    """(bases of the distinct fragments, index of each member's fragment
+    among them); the index is None when no two members share one."""
+    bases = np.asarray(bases, dtype=np.intp)
+    uniq, inv = np.unique(bases, return_inverse=True)
+    return (bases, None) if uniq.size == bases.size else (uniq, inv)
 
 
 def mma_window(shape, f32: bool, d_base, a_base, b_base, c_base):
     """Compile an in-place executor for a fused window of *g* HMMAs.
 
     The bases are the members' first D/A/B/C registers.  Returns
-    ``run(regs, cache)`` operating directly on the ``(256, lanes)``
-    uint32 register file.  Each operand is one fancy-index gather with a
-    fully materialised flat index (a member's register row added to the
-    :func:`_operand_offsets` of its operand) -- NumPy's single-index take
-    beats both the two-index broadcast form and a row gather followed by
-    a block gather.  GEMM windows reuse fragments (each A row block
-    multiplies several B column blocks and vice versa), so A and B are
-    gathered and converted per *unique* register base only, then expanded
-    to per-product form with a float32 row gather -- a pure copy, so
-    results stay bit-identical to :func:`mma_batch`.  Windows whose
-    tables would exceed ``_WINDOW_FLAT_MAX_ELEMS`` fall back to the
-    row-gather + :func:`mma_batch` path, as do big-endian hosts.
-
-    The flat tables take 8 bytes per gathered element, so the caller owns
-    them: ``cache`` is a dict ``run`` fills on its first call and reuses
-    whenever it is passed again.  A code cache can thus keep ``run`` for
-    the life of the process while each launch's tables die with the
-    launch.
+    ``run(regs)`` operating directly on a ``(256, lanes)`` uint32 register
+    file of any lane count.  GEMM windows reuse fragments (each A row
+    block multiplies several B column blocks and vice versa), so ``run``
+    takes the whole register rows of each *unique* A and B fragment and
+    of every C in one row gather, converts each unique fragment once, and
+    expands them to per-product form with a float32 row gather -- a pure
+    copy, so results stay bit-identical to :func:`mma_batch`.  D is
+    written back as whole rows.  What ``run`` keeps is sized by the
+    window, not the lanes, so a code cache can keep it for the life of
+    the process.  Big-endian hosts run the gathered rows through
+    :func:`mma_batch`.
     """
     m, n, k = shape
     g = len(d_base)
+    a_words, b_words = m * k // 64, k * n // 64
     c_words = m * n // (32 if f32 else 64)
-    d_rows, a_rows, b_rows, c_rows = (np.asarray(base, dtype=np.intp) for base
-                                      in (d_base, a_base, b_base, c_base))
-    a_uniq, a_inv = np.unique(a_rows, return_inverse=True)
-    b_uniq, b_inv = np.unique(b_rows, return_inverse=True)
-    ua, ub = a_uniq.size, b_uniq.size
-    # (g, words) register rows of each operand, for the row-gather path.
-    d_blk, a_blk, b_blk, c_blk = (
-        rows[:, None] + np.arange(words, dtype=np.intp)
-        for rows, words in ((d_rows, c_words), (a_rows, m * k // 64),
-                            (b_rows, k * n // 64), (c_rows, c_words)))
-
-    def run_blocks(regs, cache=None):
-        regs[d_blk] = mma_batch(shape, f32, regs[a_blk], regs[b_blk],
-                                regs[c_blk])
-
+    d_rows = _rows(d_base, c_words)
     if not frag._LITTLE_ENDIAN:
-        return run_blocks
+        a_rows, b_rows = _rows(a_base, a_words), _rows(b_base, b_words)
+        c_rows = _rows(c_base, c_words)
 
-    # Flat tables depend on the lane count, known only once the first
-    # register file arrives; one decoded program has exactly one lane count,
-    # so its cache holds a single entry in practice.
-    def tables(cache, lanes):
-        if lanes in cache:
-            return cache[lanes]
+        def run_batch(regs):
+            regs[d_rows] = mma_batch(shape, f32, regs[a_rows], regs[b_rows],
+                                     regs[c_rows])
+        return run_batch
+
+    (a_uniq, a_inv), (b_uniq, b_inv) = map(_fragments, (a_base, b_base))
+    ua, ub = a_uniq.size, b_uniq.size
+    rows = np.concatenate([_rows(a_uniq, a_words).ravel(),
+                           _rows(b_uniq, b_words).ravel(),
+                           _rows(c_base, c_words).ravel()])
+    a_end = ua * a_words
+    b_end = a_end + ub * b_words
+
+    def run(regs):
+        lanes = regs.shape[1]
         nw = lanes // 32
-        elems = nw * (m * k * ua + k * n * ub + 2 * m * n * g)
-        if elems > _WINDOW_FLAT_MAX_ELEMS:
-            cache[lanes] = None
-            return None
-        a_off, b_off, c_off = _operand_tables(shape, f32, nw)
-        s16 = 2 * lanes   # u16 row stride of the (256, lanes) u32 file
-        sc = lanes if f32 else s16
-        i_a = (a_uniq[:, None, None, None] * s16 + a_off).ravel()
-        i_b = (b_uniq[:, None, None, None] * s16 + b_off).ravel()
-        i_c = (c_rows[:, None, None, None] * sc + c_off).ravel()
-        i_d = (d_rows[:, None, None, None] * sc + c_off).ravel()
-        tab = cache[lanes] = (nw, i_a, i_b, i_c, i_d)
-        return tab
-
-    def run(regs, cache):
-        tab = tables(cache, regs.shape[1])
-        if tab is None:
-            return run_blocks(regs)
-        nw, i_a, i_b, i_c, i_d = tab
-        gw = g * nw
-        u16 = regs.view(np.uint16).reshape(-1)
-        a32 = (u16[i_a].view(HALF).reshape(ua, nw, m, k)
-               .astype(np.float32)[a_inv].reshape(gw, m, k))
-        b32 = (u16[i_b].view(HALF).reshape(ub, nw, k, n)
-               .astype(np.float32)[b_inv].reshape(gw, k, n))
-        if f32:
-            acc = regs.view(np.float32).reshape(-1)
-            c32 = acc[i_c].reshape(gw, m, n)
-            acc[i_d] = _accumulate(a32, b32, c32, True).reshape(-1)
-        else:
-            c32 = u16[i_c].view(HALF).reshape(gw, m, n).astype(np.float32)
-            d16 = _accumulate(a32, b32, c32, False)
-            u16[i_d] = d16.view(np.uint16).reshape(-1)
+        block = regs.take(rows, axis=0)
+        a32 = _to_matrices(block[:a_end], ua, m, k, ROW_MAJOR, False)
+        if a_inv is not None:
+            a32 = a32.reshape(ua, nw, m, k).take(a_inv, axis=0)
+        b32 = _to_matrices(block[a_end:b_end], ub, k, n, COL_MAJOR, False)
+        if b_inv is not None:
+            b32 = b32.reshape(ub, nw, k, n).take(b_inv, axis=0)
+        c32 = _to_matrices(block[b_end:], g, m, n, ROW_MAJOR, f32)
+        d = _accumulate(a32.reshape(g * nw, m, k), b32.reshape(g * nw, k, n),
+                        c32, f32)
+        regs[d_rows] = _to_registers(d, g, f32)
     return run

@@ -19,6 +19,9 @@ The report covers the four robustness surfaces:
   workers;
 * a tiny guarded functional launch in ``full`` mode, which must pass its
   reference check with no divergence;
+* the host's BLAS summation order: ``np.matmul`` of every registry HMMA
+  shape, stacked 1 to 4,096 deep, must add the products in k order, as
+  the precision model (and so every functional golden) assumes;
 * a service round-trip: an in-process daemon on a temporary socket, the
   same tiny GEMM submitted by two concurrent clients, which must run
   **once** (the twin coalesces or hits the shared cache), return
@@ -142,6 +145,21 @@ def _selftest_guard() -> str:
     return "ok"
 
 
+def _selftest_blas_order() -> str:
+    from ..arch.family import GENERATIONS
+    from ..hmma.mma import k_order_mismatch
+
+    for shape in sorted({arch.hmma_shape for arch in GENERATIONS.values()}):
+        for depth in (1, 64, 4096):
+            share = k_order_mismatch(shape, depth)
+            if share:
+                return (f"FAIL: np.matmul of {depth} stacked {shape} products "
+                        f"adds out of k order in {share:.1%} of outputs; "
+                        "functional results will not match the goldens "
+                        "(try another BLAS build)")
+    return "ok"
+
+
 def _selftest_serve() -> str:
     import tempfile
     import threading
@@ -219,6 +237,7 @@ def run_doctor(selftest: bool = True):
             "cache_roundtrip": _selftest_cache(),
             "supervised_map": _selftest_workers(),
             "guarded_run": _selftest_guard(),
+            "blas_k_order": _selftest_blas_order(),
             "serve_coalesce": _selftest_serve(),
         }
         ok = not any(v.startswith("FAIL") for v in results.values())

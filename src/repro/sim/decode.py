@@ -66,13 +66,13 @@ member touches state, and the CTA de-stacks at the window head; a
 32-lane window runs its members' own closures in program order, which
 apply the masks.
 
-Decoding is cached at two levels.  A program keeps its assembled tables
-(slot closures, ``next_pc``, ``lens``, ``reads_clock``, ``slot_ops`` and
-each fused window's parts) in ``program.predecoded``, one set per lane
+Decoding is cached at two levels.  A program keeps its
+:class:`DecodedProgram` (slot and window closures, ``next_pc``, ``lens``,
+``reads_clock``, ``slot_ops``) in ``program.predecoded``, one per lane
 count, so a relaunch of a cached kernel (:func:`repro.core.build_hgemm`
-returns one shared program per kernel) looks nothing up per instruction.
-Below that, compiled code is cached by content, process-wide, because
-GEMM launches replay a few fixed instruction streams across programs of
+returns one shared program per kernel) looks nothing up and builds
+nothing.  Below that, compiled code is cached by content, process-wide,
+because GEMM launches replay a few fixed instruction streams across programs of
 different shapes and addresses.  A slot compiles once per distinct
 (instruction, lanes) pair and a fused window once per distinct sequence
 of member slots, keyed by the members' slot ids plus the lane count, so
@@ -80,9 +80,10 @@ assembling a new program of known code compiles nothing.  The cache holds
 at most ``SLOT_CACHE_BOUND`` slots and ``WINDOW_CACHE_BOUND`` windows,
 evicting the oldest first.  Slots keep their lane-sized constant operands
 (the operand readers are shared, so equal immediates and zero rows are
-stored once per lane count); the HMMA windows' flat index tables, 8 bytes
-per gathered element, are rebuilt by every predecode call and die with
-its launch.  ``STATS`` counts ``decode.slot_hits``/``slot_misses`` and
+stored once per lane count); fused windows keep only window-sized index
+arrays (an HMMA group moves its fragments as whole register rows, see
+:func:`~repro.hmma.mma.mma_window`).  ``STATS`` counts
+``decode.slot_hits``/``slot_misses`` and
 ``decode.window_hits``/``window_misses``.
 
 Bit-exactness contract: every fast path runs the same lane kernels as the
@@ -100,7 +101,7 @@ from __future__ import annotations
 import functools
 import itertools
 import threading
-from collections import OrderedDict, namedtuple
+from collections import OrderedDict
 
 import numpy as np
 
@@ -141,11 +142,11 @@ _SOLO = None
 class DecodedProgram:
     """Slot-indexed decoded form of one :class:`~repro.isa.program.Program`.
 
-    Parallel sequences, indexed by slot (= instruction index); all but
-    ``run_fns`` are tuples shared by every launch of the program:
+    Parallel tuples, indexed by slot (= instruction index), shared by
+    every launch of the program and by threads:
 
-    * ``run_fns`` -- the closure executing the slot (a list of this
-      launch's own, since fused-window heads hold per-launch state);
+    * ``run_fns`` -- the closure executing the slot (a fused window's
+      head runs the whole window);
     * ``next_pc`` -- fall-through successor (``pc + 1``, or ``pc + g`` for a
       fused run of ``g`` instructions);
     * ``lens`` -- instructions retired per execution (``g`` for fused runs);
@@ -363,8 +364,6 @@ def _compile_uop(uop, lanes):
     """Fast closure for *uop* at *lanes*, or None (-> reference path)."""
     if not uop.groups_ok:
         return None
-    if uop.lanes32_only and lanes != WARP_LANES:
-        return None
     if uop.kind == "alu":
         return _compile_alu(uop, lanes)
     if uop.kind in ("load", "store"):
@@ -569,33 +568,17 @@ def _fuse_entry(inst, fast, guard):
     return key, uop.reads, uop.writes, uop.fuse_payload
 
 
-class _PerLaunch:
-    """A window part made afresh by every :func:`predecode` call, from a
-    factory whose closures keep launch-sized state; the code cache and
-    the program's tables keep the factory, never that state."""
-
-    __slots__ = ("new",)
-
-    def __init__(self, new):
-        self.new = new
-
-
 def _build_hmma_group(key, payloads):
     """Every HMMA shape: :func:`~repro.hmma.mma.mma_window`'s in-place
-    executor -- composed flat-index gathers straight from the register
-    file, unique-fragment dedup, one scatter for D (see ``mma_window`` for
-    its size-capped fallback).  Its flat index tables are lane-sized, so
-    each launch gets its own."""
+    executor -- whole register rows gathered straight from the register
+    file, each unique A/B fragment converted once, D written back as
+    whole rows."""
     _, shape, f32 = key
     window = mma_ops.mma_window(shape, f32, *zip(*payloads))
 
-    def new_run():
-        tables = {}
-
-        def run(warp):
-            window(warp.regs._data, tables)
-        return run
-    return _PerLaunch(new_run)
+    def run(warp):
+        window(warp.regs._data)
+    return run
 
 
 def _build_mma_group(key, payloads):
@@ -764,8 +747,8 @@ def _schedule_window(fuse):
 # --------------------------------------------------------------- code cache
 #
 # Keys, bounds and memory: see the module docstring.  Compiled code holds
-# no per-run state (counters live in the caller, per-launch state is
-# rebuilt through _PerLaunch), so programs and threads can share it.
+# no per-run state (counters live in the caller), so programs and threads
+# can share it.
 
 #: Entry bounds.  One round of perfbench's ``remote_layers`` workload
 #: touches 3,110 distinct slots and 176 windows, one ``gemm_verify`` round
@@ -839,13 +822,13 @@ class _Window:
     or a member's fast path, under its members' guard (None when they
     are unpredicated).  ``preds`` are the distinct predicate indices the
     guards read, ascending; ``runs`` the members' own closures, which a
-    32-lane window runs when a guard is mixed.  Groups of the same
-    instructions recur in one window (an unrolled k-loop's steps reuse
-    their fragment and accumulator registers); they share one build, so
-    a launch builds each distinct HMMA group's index tables once.
+    32-lane window runs when a guard is mixed; ``run`` the closure the
+    window's head slot runs.  Groups of the same instructions recur in
+    one window (an unrolled k-loop's steps reuse their fragment and
+    accumulator registers); they share one build.
     """
 
-    __slots__ = ("runs", "stacked", "preds", "parts", "ops")
+    __slots__ = ("runs", "stacked", "preds", "parts", "ops", "run")
 
     def __init__(self, members, lanes, groups):
         self.runs = tuple(member.run for member in members)
@@ -874,6 +857,7 @@ class _Window:
             else:
                 ops.append((opcode, 1))
         self.ops = tuple(ops)
+        self.run = _window_run(self)
 
 
 def _compile_window(members, lanes):
@@ -886,13 +870,10 @@ def _compile_window(members, lanes):
 
 
 def _window_run(window):
-    """This launch's closure running *window*, with a fresh instance of
-    each distinct per-launch part."""
-    fresh = {part: part.new() for _, part in window.parts
-             if type(part) is _PerLaunch}
-    parts = tuple((guard, fresh.get(part, part))
-                  for guard, part in window.parts)
-    preds, stacked, runs = window.preds, window.stacked, window.runs
+    """The closure running *window*: check its guards, then run the parts
+    whose guard is on."""
+    parts, preds = window.parts, window.preds
+    stacked, runs = window.stacked, window.runs
 
     def run(warp):
         rows = warp.preds._data
@@ -915,14 +896,6 @@ def _window_run(window):
     return run
 
 
-#: One program's assembled tables at one lane count: the members of a
-#: :class:`DecodedProgram` with each fused window's head still its own
-#: slot closure, plus ``windows`` -- ``(head slot, window)`` of every fused
-#: window -- and ``lookups``, the window keys assembly looked up.
-_Tables = namedtuple("_Tables", "run_fns next_pc lens reads_clock slot_ops "
-                                "windows lookups")
-
-
 def _window_end(entries, start, targets) -> int:
     """End of the window that opens at slot *start*: it runs to the first
     slot that cannot join a window, is a branch target, or is guarded by
@@ -940,8 +913,9 @@ def _window_end(entries, start, targets) -> int:
 
 
 def _assemble(program, lanes) -> tuple:
-    """(tables, hit and miss counters) of *program* at *lanes*, looking up
-    (and compiling on a miss) every slot and window in the code cache."""
+    """(decoded program, window keys looked up, hit and miss counters) of
+    *program* at *lanes*, looking up (and compiling on a miss) every slot
+    and window in the code cache."""
     slots, windows = _SLOTS, _WINDOWS
     entries = []
     slot_misses = 0
@@ -954,10 +928,10 @@ def _assemble(program, lanes) -> tuple:
             slot_misses += 1
         entries.append(entry)
     n = len(entries)
+    run_fns = [entry.run for entry in entries]
     next_pc = list(range(1, n + 1))
     lens = [1] * n
     slot_ops = [entry.ops for entry in entries]
-    fused = []
     targets = {inst.target_index for inst in program.instructions
                if inst.opcode == "BRA"}
 
@@ -978,20 +952,20 @@ def _assemble(program, lanes) -> tuple:
                 windows.put(key, window)
                 window_misses += 1
             if window:
-                fused.append((start, window))
+                run_fns[start] = window.run
                 next_pc[start] = end
                 lens[start] = end - start
                 slot_ops[start] = window.ops
         start = end
 
-    tables = _Tables(tuple(entry.run for entry in entries), tuple(next_pc),
-                     tuple(lens),
-                     tuple(entry.reads_clock for entry in entries),
-                     tuple(slot_ops), tuple(fused), lookups)
-    return tables, {"decode.slot_hits": n - slot_misses,
-                    "decode.slot_misses": slot_misses,
-                    "decode.window_hits": lookups - window_misses,
-                    "decode.window_misses": window_misses}
+    decoded = DecodedProgram(
+        n, tuple(run_fns), tuple(next_pc), tuple(lens),
+        tuple(entry.reads_clock for entry in entries), tuple(slot_ops),
+        lanes)
+    return decoded, lookups, {"decode.slot_hits": n - slot_misses,
+                              "decode.slot_misses": slot_misses,
+                              "decode.window_hits": lookups - window_misses,
+                              "decode.window_misses": window_misses}
 
 
 # ---------------------------------------------------------------- predecode
@@ -1001,25 +975,21 @@ def predecode(program, lanes: int = WARP_LANES) -> DecodedProgram:
 
     ``lanes`` selects the lane count the closures operate on: 32 (default)
     for per-warp execution, ``n_warps * 32`` for the lockstep engine.
-    The first call at a lane count assembles the program's tables from the
-    process-wide code cache (see the module docstring) and keeps them in
-    ``program.predecoded``; later calls reuse them and count every slot and
-    window as a hit.  Each call builds fresh fused-window closures, so
-    launch-sized state dies with the launch.  The call adds its slot and
+    The first call at a lane count assembles the program's decoding from
+    the process-wide code cache (see the module docstring) and keeps it in
+    ``program.predecoded``; later calls return it, build nothing, and
+    count every slot and window as a hit.  The call adds its slot and
     window hits and misses to ``STATS`` once.
     """
-    tables = program.predecoded.get(lanes)
-    if tables is None:
-        tables, counts = _assemble(program, lanes)
-        program.predecoded[lanes] = tables
+    cached = program.predecoded.get(lanes)
+    if cached is None:
+        decoded, lookups, counts = _assemble(program, lanes)
+        program.predecoded[lanes] = decoded, lookups
     else:
-        counts = {"decode.slot_hits": len(tables.run_fns),
-                  "decode.window_hits": tables.lookups}
+        decoded, lookups = cached
+        counts = {"decode.slot_hits": decoded.n,
+                  "decode.window_hits": lookups}
     for name, amount in counts.items():
         if amount:
             STATS.count(name, amount)
-    run_fns = list(tables.run_fns)
-    for start, window in tables.windows:
-        run_fns[start] = _window_run(window)
-    return DecodedProgram(len(run_fns), run_fns, tables.next_pc, tables.lens,
-                          tables.reads_clock, tables.slot_ops, lanes)
+    return decoded

@@ -99,13 +99,13 @@ class Uop:
 
     __slots__ = (
         "opcode", "kind", "srcs", "dest", "kernel", "mem", "target",
-        "warp_wide", "lanes32_only", "reads_clock", "groups_ok",
+        "warp_wide", "reads_clock", "groups_ok",
         "fuse_key", "fuse_payload", "reads", "writes",
     )
 
 
 def _uop(inst, kind, *, srcs=(), dest=None, kernel=None, mem=None,
-         target=None, warp_wide=False, lanes32_only=False, groups_ok=True,
+         target=None, warp_wide=False, groups_ok=True,
          fuse_key=None, fuse_payload=None) -> Uop:
     u = Uop()
     u.opcode = inst.opcode
@@ -116,7 +116,6 @@ def _uop(inst, kind, *, srcs=(), dest=None, kernel=None, mem=None,
     u.mem = mem
     u.target = target
     u.warp_wide = warp_wide
-    u.lanes32_only = lanes32_only
     u.groups_ok = groups_ok
     u.fuse_key = fuse_key
     u.fuse_payload = fuse_payload

@@ -12,6 +12,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.arch import GENERATIONS, SM70, SM75, SM80
 from repro.hmma import (
@@ -160,17 +161,16 @@ class TestBatchKernelsMatchPerWarp:
 
 class TestWindowMatchesBatch:
     """``mma_window`` on a register file equals ``mma_batch`` over the
-    same register rows, with the flat tables and with the size-capped
-    row-gather fallback."""
+    same register rows, on the register-row converter (id "flat": each
+    gathered row's halves, read flat, reshape into tiles) and on the
+    row-gather + ``mma_batch`` path big-endian hosts take."""
 
     G, NW = 6, 3
 
-    @pytest.mark.parametrize("capped", [False, True], ids=["flat", "capped"])
+    @pytest.mark.parametrize("path", ["flat", "big-endian"])
     @pytest.mark.parametrize("bases", ["distinct", "repeated"])
     @pytest.mark.parametrize("arch, f32", ARCH_ACCUMULATORS)
-    def test_window(self, arch, f32, bases, capped, monkeypatch):
-        if capped:
-            monkeypatch.setattr(mma, "_WINDOW_FLAT_MAX_ELEMS", 0)
+    def test_window(self, arch, f32, bases, path, monkeypatch):
         c_words = _c_words(arch, f32)
         member = np.arange(self.G)
         # Repeated: each A base serves two non-adjacent products, each B
@@ -190,13 +190,95 @@ class TestWindowMatchesBatch:
         want[rows(d, c_words)] = mma.mma_batch(
             arch.hmma_shape, f32, regs[rows(a, arch.a_regs)],
             regs[rows(b, arch.b_regs)], regs[rows(c, c_words)])
+        if path == "big-endian":
+            monkeypatch.setattr(mma.frag, "_LITTLE_ENDIAN", False)
         run = mma.mma_window(arch.hmma_shape, f32, d, a, b, c)
-        cache = {}
-        for _ in range(2):   # the second call reuses the cached tables
+        for _ in range(2):   # the compiled window keeps no state
             got = regs.copy()
-            run(got, cache)
+            run(got)
             np.testing.assert_array_equal(got, want)
-        assert (cache[regs.shape[1]] is None) == capped
+
+
+#: FP16 bit patterns at the edges of the format: +-0, subnormals, +-inf,
+#: NaN payloads (quiet and signalling) and the values next to +-65504.
+_EDGE_HALVES = np.array(
+    [0x0000, 0x8000, 0x0001, 0x8001, 0x03FF, 0x83FF, 0x0200, 0x7C00,
+     0xFC00, 0x7C01, 0x7E00, 0x7FFF, 0xFC01, 0xFE00, 0xFFFF, 0x7BFF,
+     0x7BFE, 0xFBFF, 0xFBFE, 0x3C00, 0xBC00, 0x0400, 0x8400],
+    dtype=np.uint16)
+
+
+def _edge_register_file(seed, lanes, edge_share):
+    """(256, lanes) uint32 register file whose halves are drawn from
+    :data:`_EDGE_HALVES` with probability *edge_share*, else uniformly
+    random bits."""
+    rng = np.random.default_rng(seed)
+    halves = rng.integers(0, 1 << 16, (256, 2 * lanes), dtype=np.uint16)
+    edge = rng.random(halves.shape) < edge_share
+    halves[edge] = rng.choice(_EDGE_HALVES, int(edge.sum()))
+    return halves.view(np.uint32)
+
+
+class TestExecutorsAgree:
+    """Over generated windows and register files, the fused window, the
+    batch kernel and the single-warp references compute the same bits,
+    and so do the big-endian paths of the window and the batch kernel."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(arch_f32=st.sampled_from([p.values for p in ARCH_ACCUMULATORS]),
+           n_warps=st.integers(1, 16),
+           g=st.integers(1, 8),
+           repeated=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1),
+           edge_share=st.sampled_from([0.0, 0.5, 1.0]))
+    def test_window_batch_and_per_warp(self, arch_f32, n_warps, g, repeated,
+                                       seed, edge_share):
+        arch, f32 = arch_f32
+        shape = arch.hmma_shape
+        c_words = _c_words(arch, f32)
+        rng = np.random.default_rng(seed)
+        member = np.arange(g)
+        # Distinct bases or fragments shared by several members, in a
+        # seeded order.
+        a_slot, b_slot = ((rng.integers(0, 3, g), rng.integers(0, 3, g))
+                          if repeated else
+                          (rng.permutation(g), rng.permutation(g)))
+        a = arch.a_regs * a_slot
+        b = 32 + arch.b_regs * b_slot
+        c = 64 + c_words * member
+        d = 128 + c_words * rng.permutation(g)
+        regs = _edge_register_file(seed, 32 * n_warps, edge_share)
+
+        def rows(base, words):
+            return regs[base[:, None] + np.arange(words)]
+
+        a_regs, b_regs = rows(a, arch.a_regs), rows(b, arch.b_regs)
+        c_regs = rows(c, c_words)
+        batch = mma.mma_batch(shape, f32, a_regs, b_regs, c_regs)
+        warp = _PER_WARP[arch.hmma_mods, f32]
+
+        def squeeze(block):
+            return block[0] if block.shape[0] == 1 else block
+
+        for i in range(g):
+            for w in range(n_warps):
+                lanes = slice(32 * w, 32 * (w + 1))
+                want = warp(*(squeeze(block[i][..., lanes])
+                              for block in (a_regs, b_regs, c_regs)))
+                np.testing.assert_array_equal(
+                    squeeze(batch[i][..., lanes]), want)
+        want = regs.copy()
+        want[d[:, None] + np.arange(c_words)] = batch
+        got = regs.copy()
+        mma.mma_window(shape, f32, d, a, b, c)(got)
+        np.testing.assert_array_equal(got, want)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mma.frag, "_LITTLE_ENDIAN", False)
+            np.testing.assert_array_equal(
+                mma.mma_batch(shape, f32, a_regs, b_regs, c_regs), batch)
+            got = regs.copy()
+            mma.mma_window(shape, f32, d, a, b, c)(got)
+            np.testing.assert_array_equal(got, want)
 
 
 class TestGoldenDigests:

@@ -105,6 +105,35 @@ class TestImma:
         assert i8.IMMA_8816_OPS == 2048
 
 
+class TestImmaBatch:
+    """The stacked batch kernel (float64 BLAS sums) against the per-warp
+    int64 reference, on random and extreme operands."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(g=st.integers(1, 8), n_warps=st.integers(1, 4),
+           seed=st.integers(0, 2 ** 32 - 1), extreme=st.booleans())
+    def test_matches_per_warp(self, g, n_warps, seed, extreme):
+        rng = np.random.default_rng(seed)
+        lanes = 32 * n_warps
+        if extreme:   # int8 bounds, and C words next to the s32 bounds
+            a, b = (rng.choice(np.array([-128, 127], np.int8), (g, 4 * lanes))
+                    .view(np.uint32) for _ in range(2))
+            c = (rng.choice(np.array([2**31 - 1, -2**31, -1, 0], np.int64),
+                            (g, 2, lanes)).astype(np.int32).view(np.uint32))
+        else:
+            a, b = (rng.integers(0, 1 << 32, (g, lanes), dtype=np.uint32)
+                    for _ in range(2))
+            c = rng.integers(0, 1 << 32, (g, 2, lanes), dtype=np.uint32)
+        got = i8.imma_8816_batch(a, b, c)
+        assert got.shape == c.shape and got.dtype == np.uint32
+        for i in range(g):
+            for w in range(n_warps):
+                warp = slice(32 * w, 32 * (w + 1))
+                np.testing.assert_array_equal(
+                    got[i][:, warp],
+                    i8.imma_8816(a[i][warp], b[i][warp], c[i][:, warp]))
+
+
 class TestImmaInSimulator:
     def test_executes_in_program(self):
         import numpy as np

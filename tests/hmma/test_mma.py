@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.arch import GENERATIONS
 from repro.hmma import (
     COL_MAJOR,
     ROW_MAJOR,
@@ -174,3 +175,23 @@ class TestHmma884:
 class TestFlopAccounting:
     def test_hmma_flops_constant(self):
         assert mma.HMMA_1688_FLOPS == 2048
+
+
+#: Every HMMA shape of the generation registry, by SASS modifier.
+SHAPES = [pytest.param(arch.hmma_shape, id=arch.hmma_mods)
+          for arch in GENERATIONS.values()]
+
+
+class TestHostSummationOrder:
+    """The precision model takes ``np.matmul`` to add an HMMA's products
+    in k order, and every functional golden depends on that order, so a
+    host whose BLAS sums otherwise fails here first."""
+
+    @pytest.mark.parametrize("depth", [1, 64, 4096])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matmul_sums_in_k_order(self, shape, depth):
+        assert mma.k_order_mismatch(shape, depth) == 0.0
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_check_tells_the_orders_apart(self, shape):
+        assert mma.k_order_mismatch(shape, 64, reverse=True) > 0.25

@@ -12,12 +12,9 @@ run bit-identically to the goldens.
 """
 
 import dataclasses
-import gc
 import sys
 import threading
-import weakref
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -92,11 +89,12 @@ def test_equal_program_compiles_nothing(cold_cache):
     assert (a.next_pc, a.lens, a.slot_ops, a.reads_clock) == (
         b.next_pc, b.lens, b.slot_ops, b.reads_clock)
     assert any(size > 1 for size in a.lens)
-    for slot, size in enumerate(a.lens):
-        if size == 1:   # window heads are fresh closures per program
-            assert a.run_fns[slot] is b.run_fns[slot]
-    # A relaunch of one program object compiles nothing either.
-    _, relaunch = _counted(decode.predecode, second, lanes)
+    # Slot and window closures alike come from the code cache.
+    assert all(x is y for x, y in zip(a.run_fns, b.run_fns, strict=True))
+    # A relaunch of one program object compiles nothing either: it gets
+    # the program's decoding back.
+    again, relaunch = _counted(decode.predecode, second, lanes)
+    assert again is b
     assert relaunch == {"slot_hits": len(second), "slot_misses": 0,
                         "window_hits": windows, "window_misses": 0}
 
@@ -284,33 +282,27 @@ def test_cached_program_is_immutable_and_interned(cold_cache):
             assert id(inst) in shared
 
 
-def test_launch_window_tables_die_with_the_launch(cold_cache, monkeypatch):
-    """A launch's HMMA flat index tables are freed once it returns, while
-    the program and its predecoded tables stay cached."""
-    refs = []
-    compile_window = decode.mma_ops.mma_window
-
-    def spying_window(*args):
-        window = compile_window(*args)
-
-        def run(regs, tables):
-            window(regs, tables)
-            refs.extend(weakref.ref(array) for table in tables.values()
-                        for array in (table or ()) if isinstance(array, np.ndarray))
-        return run
-
-    monkeypatch.setattr(decode.mma_ops, "mma_window", spying_window)
+def test_warm_relaunch_builds_nothing(cold_cache, monkeypatch):
+    """A relaunch reuses the cached program and its decoding: it calls no
+    group builder, HMMA or other, and still matches the golden."""
+    builds = []
+    for name, build in decode._GROUP_BUILDERS.items():
+        def counted(key, payloads, _build=build):
+            builds.append(key)
+            return _build(key, payloads)
+        monkeypatch.setitem(decode._GROUP_BUILDERS, name, counted)
     kernel, m, n, k = "ours", 256, 256, 32
     _check_golden(_run(kernel, m, n, k), kernel, m, n, k)
-    gc.collect()
-    assert refs and all(ref() is None for ref in refs)
-    # A relaunch reuses the cached program and its tables.
+    assert any(key[0] == "hmma" for key in builds)
+    cold = len(builds)
     before = STATS.snapshot()
     _check_golden(_run(kernel, m, n, k), kernel, m, n, k)
     counters = STATS.delta(before)["counters"]
+    assert len(builds) == cold
     assert counters.get("core.build_hits") == 1
     assert "core.build_misses" not in counters
     assert "decode.slot_misses" not in counters
+    assert "decode.window_misses" not in counters
 
 
 def test_launch_cache_bound_holds_and_evicted_key_rebuilds(cold_cache,

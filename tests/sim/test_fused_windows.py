@@ -17,7 +17,6 @@ from repro.core.builder import HgemmProblem, build_hgemm
 from repro.core.config import ours_int8
 from repro.core.hgemm import resolve_config
 from repro.core.igemm import _shrink_int8
-from repro.hmma import mma
 from repro.perf import STATS
 from repro.sim import decode
 
@@ -88,26 +87,28 @@ def test_one_cta_makes_a_few_calls_per_k_tile(device, kernel, k):
 def test_repeated_groups_of_a_window_share_one_build(monkeypatch):
     """The unrolled k-steps of a tile reuse their fragment and accumulator
     registers, so one window holds several groups of the same HMMAs.
-    They share one build, and a launch builds each distinct group's
-    index tables once."""
+    They share one build: a cold launch builds each window's distinct
+    HMMA groups once, and a relaunch builds none."""
+    built = []
+    build = decode._GROUP_BUILDERS["hmma"]
+
+    def counted(key, payloads):
+        part = build(key, payloads)
+        built.append(part)
+        return part
+
+    monkeypatch.setitem(decode._GROUP_BUILDERS, "hmma", counted)
     spec = DEVICES["V100"]
     a, b = _rand((M, 64), 3), _rand((64, N), 4)
     want = hgemm(a, b, kernel="cublas", spec=spec, engine="reference")
     np.testing.assert_array_equal(hgemm(a, b, kernel="cublas", spec=spec),
                                   want)
-    hmma_parts = [[part for _, part in window.parts
-                   if type(part) is decode._PerLaunch]
+    ids = set(map(id, built))
+    hmma_parts = [[part for _, part in window.parts if id(part) in ids]
                   for window in decode._WINDOWS._entries.values() if window]
     assert any(len(set(map(id, parts))) < len(parts) for parts in hmma_parts)
-    builds = []
-    operand_tables = mma._operand_tables
-
-    def counted(*args):
-        builds.append(args)
-        return operand_tables(*args)
-
-    monkeypatch.setattr(mma, "_operand_tables", counted)
+    assert len(built) == len(ids) == sum(len(set(map(id, parts)))
+                                         for parts in hmma_parts)
     np.testing.assert_array_equal(hgemm(a, b, kernel="cublas", spec=spec),
                                   want)
-    assert len(builds) == len({id(part) for parts in hmma_parts
-                               for part in parts})
+    assert len(built) == len(ids)
