@@ -61,8 +61,11 @@ class RegisterFile:
         return self._data[index : index + count]
 
     def write_group(self, index: int, values, mask=None) -> None:
-        """Write a (count, 32) block of registers."""
+        """Write a (count, 32) block of registers.  A one-register write to
+        RZ is discarded, as :meth:`write` discards it."""
         vals = np.asarray(values, dtype=np.uint32)
+        if index == RZ_INDEX and vals.shape[0] == 1:
+            return
         self._check_group(index, vals.shape[0])
         if mask is None:
             self._data[index : index + vals.shape[0]] = vals

@@ -361,34 +361,35 @@ def _fragments(bases):
     return (bases, None) if uniq.size == bases.size else (uniq, inv)
 
 
-def mma_window(shape, f32: bool, d_base, a_base, b_base, c_base):
-    """Compile an in-place executor for a fused window of *g* HMMAs.
+def mma_window(shape, f32: bool, a_base, b_base, c_base):
+    """Compile the math of a fused window of *g* independent HMMAs.
 
-    The bases are the members' first D/A/B/C registers.  Returns
-    ``run(regs)`` operating directly on a ``(256, lanes)`` uint32 register
-    file of any lane count.  GEMM windows reuse fragments (each A row
+    The bases are the members' first A/B/C registers.  Returns
+    ``run(regs)``, which reads a ``(256, lanes)`` uint32 register file of
+    any lane count and returns every member's D, ``(g, c_words, lanes)``
+    uint32, without writing it: the caller decides where and when D
+    lands (the lockstep engine writes it at once, the timing engine
+    after the HMMA latency).  GEMM windows reuse fragments (each A row
     block multiplies several B column blocks and vice versa), so ``run``
     takes the whole register rows of each *unique* A and B fragment and
     of every C in one row gather, converts each unique fragment once, and
     expands them to per-product form with a float32 row gather -- a pure
-    copy, so results stay bit-identical to :func:`mma_batch`.  D is
-    written back as whole rows.  What ``run`` keeps is sized by the
-    window, not the lanes, so a code cache can keep it for the life of
-    the process.  Big-endian hosts run the gathered rows through
-    :func:`mma_batch`.
+    copy, so results stay bit-identical to :func:`mma_batch`.  What
+    ``run`` keeps is sized by the window, not the lanes, so a code cache
+    can keep it for the life of the process.  Big-endian hosts run the
+    gathered rows through :func:`mma_batch`.
     """
     m, n, k = shape
-    g = len(d_base)
+    g = len(c_base)
     a_words, b_words = m * k // 64, k * n // 64
     c_words = m * n // (32 if f32 else 64)
-    d_rows = _rows(d_base, c_words)
     if not frag._LITTLE_ENDIAN:
         a_rows, b_rows = _rows(a_base, a_words), _rows(b_base, b_words)
         c_rows = _rows(c_base, c_words)
 
         def run_batch(regs):
-            regs[d_rows] = mma_batch(shape, f32, regs[a_rows], regs[b_rows],
-                                     regs[c_rows])
+            return mma_batch(shape, f32, regs[a_rows], regs[b_rows],
+                             regs[c_rows])
         return run_batch
 
     (a_uniq, a_inv), (b_uniq, b_inv) = map(_fragments, (a_base, b_base))
@@ -412,5 +413,5 @@ def mma_window(shape, f32: bool, d_base, a_base, b_base, c_base):
         c32 = _to_matrices(block[b_end:], g, m, n, ROW_MAJOR, f32)
         d = _accumulate(a32.reshape(g * nw, m, k), b32.reshape(g * nw, k, n),
                         c32, f32)
-        regs[d_rows] = _to_registers(d, g, f32)
+        return _to_registers(d, g, f32)
     return run

@@ -108,13 +108,15 @@ def cache_dir() -> Path:
     return Path.home() / ".cache" / "repro-sim"
 
 
-def env_number(name: str, whole: bool = False):
-    """The number >= 0 in the variable *name*, or None when it is unset.
+def env_number(name: str, whole: bool = False, minimum: int = 0):
+    """The number >= *minimum* in the variable *name*, or None when it is
+    unset.
 
-    Any other value -- not a number, NaN, infinite, negative, or with a
-    fraction when *whole* -- raises a ``ValueError`` naming the variable.
-    The cache bounds and the supervisor knobs
-    (:func:`repro.perf.parallel.supervisor_settings`) read through it.
+    Any other value -- not a number, NaN, infinite, below *minimum*, or
+    with a fraction when *whole* -- raises a ``ValueError`` naming the
+    variable.  The cache bounds, the supervisor knobs
+    (:func:`repro.perf.parallel.supervisor_settings`) and the daemon's
+    worker and queue bounds read through it.
     """
     raw = os.environ.get(name, "")
     if not raw:
@@ -123,11 +125,11 @@ def env_number(name: str, whole: bool = False):
         value = float(raw)
     except ValueError:
         value = math.nan
-    if not (math.isfinite(value) and value >= 0
+    if not (math.isfinite(value) and value >= minimum
             and (value.is_integer() or not whole)):
         kind = "a whole number" if whole else "a finite number"
-        raise ValueError(f"{name} must be {kind} >= 0 (unset for the "
-                         f"default), got {raw!r}")
+        raise ValueError(f"{name} must be {kind} >= {minimum} (unset for "
+                         f"the default), got {raw!r}")
     return value
 
 

@@ -46,7 +46,7 @@ import socket
 import threading
 import time
 
-from ..perf.cache import ResultCache, SIM_VERSION, cache_dir
+from ..perf.cache import ResultCache, SIM_VERSION, cache_dir, env_number
 from ..perf.stats import STATS
 from .jobs import cacheable, job_key, run_job
 from .protocol import ProtocolError, recv_frame, send_frame
@@ -75,12 +75,11 @@ def default_socket() -> str:
     return str(cache_dir() / "serve.sock")
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "")
-    try:
-        return int(raw) if raw else default
-    except ValueError:
-        return default
+def _env_count(name: str, default: int) -> int:
+    """The whole number >= 1 in the variable *name*, or *default* when it
+    is unset; any other value raises a ``ValueError`` naming the variable."""
+    value = env_number(name, whole=True, minimum=1)
+    return default if value is None else int(value)
 
 
 class ServeDaemon:
@@ -89,8 +88,8 @@ class ServeDaemon:
     def __init__(self, socket_path: str = None, workers: int = None,
                  queue_max: int = None):
         self.socket_path = socket_path or default_socket()
-        self.workers = workers or _env_int(_ENV_WORKERS, 2)
-        self.queue = JobQueue(queue_max or _env_int(_ENV_QUEUE_MAX, 256))
+        self.workers = workers or _env_count(_ENV_WORKERS, 2)
+        self.queue = JobQueue(queue_max or _env_count(_ENV_QUEUE_MAX, 256))
         self.cache = ResultCache(subdir="serve")
         self.started_at = time.time()
         self._stop = threading.Event()

@@ -1,4 +1,4 @@
-"""Decoded execution for the functional simulator's lockstep engine.
+"""Decoded execution: the instruction compiler under both simulators.
 
 The reference interpreter (:func:`repro.sim.exec_units.execute`) re-examines
 every ``Instruction`` each time it retires: operand descriptors evaluated
@@ -16,7 +16,15 @@ no per-opcode lane math here.
 Each program slot becomes one closure with its register indices, immediates,
 predicate slot and kernel resolved once; executing an instruction is then a
 single call that reads and writes the warp's register file directly.  A
-closure returns the control signal for the interval loop in
+slot compiles in two steps.  The *compute* step (:func:`compute_step`)
+reads the operands and runs the kernel; a load also returns its addresses,
+and a store performs itself and returns its addresses.  The *commit* step
+writes the result: here in place, while the event timing engine
+(:mod:`repro.sim.timing`) compiles the same compute steps and defers each
+write by the instruction's latency.  Groups of independent MMAs likewise
+share one builder, :func:`mma_group`, which returns every member's D: a
+fused window writes it at once, a timing issue plan queues it per member.
+A closure returns the control signal for the interval loop in
 :mod:`repro.sim.functional`:
 
 * ``None`` -- fall through to the slot's precomputed ``next_pc``;
@@ -84,7 +92,11 @@ stored once per lane count); fused windows keep only window-sized index
 arrays (an HMMA group moves its fragments as whole register rows, see
 :func:`~repro.hmma.mma.mma_window`).  ``STATS`` counts
 ``decode.slot_hits``/``slot_misses`` and
-``decode.window_hits``/``window_misses``.
+``decode.window_hits``/``window_misses``.  Cached code keeps no state of
+the memories it runs against: the address-pattern memo of unmasked
+shared accesses lives on each :class:`~repro.sim.shared.SharedMemory`.
+The timing engine calls :func:`compute_step` and :func:`mma_group`
+once per run and caches nothing here.
 
 Bit-exactness contract: every fast path runs the same lane kernels as the
 reference executor -- integer ops wrap modulo 2**32 either way, permutation
@@ -93,7 +105,9 @@ its products as one stacked 3-D float32 matmul, each product one slice,
 which NumPy computes with the same BLAS kernel as a 2-D product, so the
 rounding sequence matches the reference exactly.  The golden
 tests in ``tests/sim/test_golden_functional.py`` and the differential fuzz
-suite in ``tests/sim/test_uop_differential.py`` pin this equivalence.
+suites in ``tests/sim/test_uop_differential.py`` (functional engines) and
+``tests/sim/test_timing_differential.py`` (timing engines) pin this
+equivalence.
 """
 
 from __future__ import annotations
@@ -118,11 +132,10 @@ from .uop import (
     decode_uop,
     k_iadd3,
     k_imad,
-    mma_row_index,
 )
 
 __all__ = ["BARRIER", "DIVERGED", "EXITED", "CodeCache", "DecodedProgram",
-           "predecode"]
+           "compute_step", "mma_group", "predecode"]
 
 #: Control signals returned by decoded-op closures (negative so that any
 #: non-negative return value can be a branch-target slot).
@@ -219,10 +232,10 @@ def _special_getter(name, lanes):
         return lambda warp: warp.lane_ids
     if name == "SR_CLOCKLO":
         return lambda warp: np.full(
-            lanes, warp.retired & 0xFFFFFFFF, dtype=np.uint32)
+            lanes, warp.clock() & 0xFFFFFFFF, dtype=np.uint32)
     if name == "SR_CLOCKHI":
         return lambda warp: np.full(
-            lanes, (warp.retired >> 32) & 0xFFFFFFFF, dtype=np.uint32)
+            lanes, (warp.clock() >> 32) & 0xFFFFFFFF, dtype=np.uint32)
     return None
 
 
@@ -263,10 +276,33 @@ def _make_reader(desc, lanes):
     return _special_getter(desc[1], lanes)   # ("sr", ...) / ("sr_i32", ...)
 
 
-def _compile_alu(uop, lanes):
+# ------------------------------------------- compute and commit (see above)
+
+def compute_step(uop, lanes):
+    """The compute step of *uop* at *lanes*, or None when the slot has no
+    fast path (the reference path runs it).
+
+    The step is ``fn(warp)``.  An ALU µop returns its kernel's output (a
+    one-source µop -- the MOV family, or IADD3 with one term -- returns
+    its source row itself, which may be a live register row); a load
+    returns ``(addresses, data)``; a store writes memory and returns its
+    addresses.  Slots whose operands fall outside the fast path
+    (``groups_ok`` false: register groups at or past RZ, writes to RZ)
+    get None.
+    """
+    if not uop.groups_ok:
+        return None
+    if uop.kind == "alu":
+        return _compute_alu(uop, lanes)
+    if uop.kind in ("load", "store"):
+        return _compute_mem(uop)
+    return None
+
+
+def _compute_alu(uop, lanes):
     # Special-register sources feed lane kernels through the reference path
     # only (their getters may return non-uint32 lane indices); the identity
-    # move (kernel None) assigns them directly, which casts.
+    # move (kernel None) returns them directly, and its commit casts.
     if uop.kernel is not None and any(
             d[0] in ("sr", "sr_i32") for d in uop.srcs):
         return None
@@ -280,95 +316,71 @@ def _compile_alu(uop, lanes):
             reader = (lambda warp, _g=getter: _g(warp).view(np.int32))
         readers.append(reader)
     kernel = uop.kernel
-    dest = uop.dest
-    if dest[0] == "pred":
-        di = dest[1]
-        if di == PT_INDEX:
-            return lambda warp: None  # writes to PT are discarded
-        r0, r1, r2 = readers
-
-        def run(warp):
-            warp.preds._data[di] = kernel(r0(warp), r1(warp), r2(warp))
-        return run
-    d, words = dest[1], dest[2]
     if kernel is None:
         (r0,) = readers
-
-        def run(warp):
-            warp.regs._data[d] = r0(warp)
-        return run
-    if words > 1:
-        r0, r1, r2 = readers
-
-        def run(warp):
-            warp.regs._data[d:d + words] = kernel(r0(warp), r1(warp), r2(warp))
-        return run
+        return r0
+    if len(readers) == 1:
+        (r0,) = readers
+        return lambda warp: kernel(r0(warp))
     if len(readers) == 2:
         r0, r1 = readers
-
-        def run(warp):
-            warp.regs._data[d] = kernel(r0(warp), r1(warp))
-        return run
+        return lambda warp: kernel(r0(warp), r1(warp))
     if len(readers) == 3:
         r0, r1, r2 = readers
-
-        def run(warp):
-            warp.regs._data[d] = kernel(r0(warp), r1(warp), r2(warp))
-        return run
-
-    def run(warp):
-        warp.regs._data[d] = kernel(*[r(warp) for r in readers])
-    return run
+        return lambda warp: kernel(r0(warp), r1(warp), r2(warp))
+    return lambda warp: kernel(*[r(warp) for r in readers])
 
 
-def _compile_mem(uop, lanes):
+def _compute_mem(uop):
+    # An RZ base reads register-file row 255, which stays all-zero.
     mem = uop.mem
     mem_attr = "global_mem" if mem.space == "global" else "shared_mem"
-    width = mem.width
-    words = mem.words
-    offset = mem.offset
+    bi, offset, width = mem.base_index, mem.offset, mem.width
     if mem.is_store:
-        si = mem.reg
-        if mem.base_index == RZ_INDEX:
-            const_addresses = _frozen(np.full(lanes, offset, dtype=np.int64))
+        si, words = mem.reg, mem.words
 
-            def run(warp):
-                getattr(warp, mem_attr).store_warp(
-                    const_addresses, warp.regs._data[si:si + words], width, None)
-        else:
-            bi = mem.base_index
+        def store(warp):
+            addresses = warp.regs._data[bi].astype(np.int64)
+            addresses += offset
+            getattr(warp, mem_attr).store_warp(
+                addresses, warp.regs._data[si:si + words], width, None)
+            return addresses
+        return store
 
-            def run(warp):
-                addresses = warp.regs._data[bi].astype(np.int64) + offset
-                getattr(warp, mem_attr).store_warp(
-                    addresses, warp.regs._data[si:si + words], width, None)
+    def load(warp):
+        addresses = warp.regs._data[bi].astype(np.int64)
+        addresses += offset
+        return addresses, getattr(warp, mem_attr).load_warp(
+            addresses, width, None)
+    return load
+
+
+def _commit(uop, compute):
+    """Lockstep's commit step: *compute*'s result written in place.  The
+    closure returns None (fall through), as every fast path must."""
+    if uop.kind == "store":
+        def run(warp):
+            compute(warp)
         return run
-    dest = uop.dest[1]
-    if mem.base_index == RZ_INDEX:
-        const_addresses = _frozen(np.full(lanes, offset, dtype=np.int64))
+    kind, d = uop.dest[0], uop.dest[1]
+    if kind == "pred":
+        if d == PT_INDEX:
+            return lambda warp: None  # writes to PT are discarded
 
         def run(warp):
-            data = getattr(warp, mem_attr).load_warp(const_addresses, width, None)
-            warp.regs._data[dest:dest + words] = data
+            warp.preds._data[d] = compute(warp)
+        return run
+    words = uop.dest[2]
+    if uop.kind == "load":
+        def run(warp):
+            warp.regs._data[d:d + words] = compute(warp)[1]
+    elif words > 1:
+        def run(warp):
+            warp.regs._data[d:d + words] = compute(warp)
     else:
-        bi = mem.base_index
-
         def run(warp):
-            addresses = warp.regs._data[bi].astype(np.int64) + offset
-            data = getattr(warp, mem_attr).load_warp(addresses, width, None)
-            warp.regs._data[dest:dest + words] = data
+            warp.regs._data[d] = compute(warp)
     return run
-
-
-def _compile_uop(uop, lanes):
-    """Fast closure for *uop* at *lanes*, or None (-> reference path)."""
-    if not uop.groups_ok:
-        return None
-    if uop.kind == "alu":
-        return _compile_alu(uop, lanes)
-    if uop.kind in ("load", "store"):
-        return _compile_mem(uop, lanes)
-    return None
 
 
 def _reads_clock(inst) -> bool:
@@ -528,9 +540,10 @@ def _decode_one(inst, lanes):
         uop = decode_uop(inst)
     except Exception:
         return generic, None  # malformed: the reference path raises at exec
-    fast = _compile_uop(uop, lanes)
-    if fast is None:
+    compute = compute_step(uop, lanes)
+    if compute is None:
         return generic, None
+    fast = _commit(uop, compute)
     if inst.pred is None:
         return fast, fast
     return _guarded(fast, generic, inst.pred), fast
@@ -568,31 +581,38 @@ def _fuse_entry(inst, fast, guard):
     return key, uop.reads, uop.writes, uop.fuse_payload
 
 
-def _build_hmma_group(key, payloads):
-    """Every HMMA shape: :func:`~repro.hmma.mma.mma_window`'s in-place
-    executor -- whole register rows gathered straight from the register
-    file, each unique A/B fragment converted once, D written back as
-    whole rows."""
-    _, shape, f32 = key
-    window = mma_ops.mma_window(shape, f32, *zip(*payloads))
+def mma_group(key, payloads):
+    """``(d_rows, run)`` of a group of independent MMAs with fusion *key*
+    and fuse payloads ``(d, a, b, c)``: ``run(regs)`` reads every member's
+    operands from a ``(256, lanes)`` register file and returns each
+    member's D, ``(g, c_words, lanes)``, without writing it; ``d_rows``
+    ``(g, c_words)`` are the registers it belongs in.
 
-    def run(warp):
-        window(warp.regs._data)
-    return run
+    HMMA runs :func:`~repro.hmma.mma.mma_window`'s whole-register
+    converter, IMMA the ``imma_8816_batch`` kernel.  The lockstep window
+    writes ``regs[d_rows]`` (:func:`_build_mma_group`); the event timing
+    engine's issue plans queue one D per member.
+    """
+    batch_fn, c_words = MMA_BATCH_KERNELS[key]
+    d, a, b, c = (np.array(col, dtype=np.intp) for col in zip(*payloads))
+    words = np.arange(c_words, dtype=np.intp)
+    if key[0] == "hmma":
+        run = mma_ops.mma_window(key[1], key[2], a, b, c)
+    else:   # IMMA.8816: A and B are one register each
+        c_rows = c[:, None] + words
+
+        def run(regs):
+            return batch_fn(regs[a], regs[b], regs[c_rows])
+    return d[:, None] + words, run
 
 
 def _build_mma_group(key, payloads):
-    """Row-gather batched MMA executor (IMMA.8816): gather operand register
-    rows, run the fuse key's batch kernel, scatter D."""
-    batch_fn, a_words, b_words, c_words = MMA_BATCH_KERNELS[key]
-    d_idx = mma_row_index(payloads, 0, c_words)
-    a_idx = mma_row_index(payloads, 1, a_words)
-    b_idx = mma_row_index(payloads, 2, b_words)
-    c_idx = mma_row_index(payloads, 3, c_words)
+    """Every MMA group: :func:`mma_group`'s D written back as whole rows."""
+    d_rows, compute = mma_group(key, payloads)
 
     def run(warp):
         regs = warp.regs._data
-        regs[d_idx] = batch_fn(regs[a_idx], regs[b_idx], regs[c_idx])
+        regs[d_rows] = compute(regs)
     return run
 
 
@@ -676,7 +696,7 @@ def _build_imad_group(key, payloads):
 
 
 _GROUP_BUILDERS = {
-    "hmma": _build_hmma_group,
+    "hmma": _build_mma_group,
     "imma": _build_mma_group,
     "load": _build_mem_group,
     "store": _build_mem_group,

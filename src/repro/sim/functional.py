@@ -95,8 +95,8 @@ class _CtaState:
     lanes, laid out warp-major (warp 0's lanes first).
 
     Duck-types the warp attributes the decoded closures touch (``regs``,
-    ``preds``, ``tid``, ``lane_ids``, ``ctaid``, memories, ``retired``), so
-    a closure compiled for stacked lanes runs every warp at once.
+    ``preds``, ``tid``, ``lane_ids``, ``ctaid``, memories, ``clock()``),
+    so a closure compiled for stacked lanes runs every warp at once.
     """
 
     def __init__(self, n_warps: int, ctaid, block_dim: int,
@@ -113,6 +113,9 @@ class _CtaState:
         self.global_mem = global_mem
         self.shared_mem = shared_mem
         self.retired = 0
+
+    def clock(self) -> int:
+        return self.retired
 
     def split(self, pc: int, retired: int) -> list:
         """De-stack into per-warp states (column-slice copies), all resuming

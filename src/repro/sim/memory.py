@@ -3,7 +3,8 @@
 Two concerns live here:
 
 * :class:`GlobalMemory` -- the *functional* byte store backing LDG/STG, with
-  vectorised warp-wide gather/scatter (32 lanes x 1/2/4 words each).
+  vectorised warp-wide gather/scatter (32 lanes x 1/2/4 words each), which
+  it shares with shared memory through :class:`WarpMemory`.
 
 * :class:`MemorySubsystem` -- the *timing* model the SM simulator consults
   for every global access: which level serves it (L1 / L2 / DRAM), how many
@@ -25,24 +26,111 @@ import numpy as np
 
 from ..arch.turing import GpuSpec
 
-__all__ = ["GlobalMemory", "AccessSummary", "MemorySubsystem"]
+__all__ = ["WarpMemory", "GlobalMemory", "AccessSummary", "MemorySubsystem"]
 
 
-class GlobalMemory:
-    """Flat global memory with warp-wide vectorised access.
+class WarpMemory:
+    """Word-addressed store with warp-wide vectorised gather and scatter.
 
-    Addresses are byte addresses; every access must be aligned to its width
-    (the hardware faults otherwise, and so do we -- misalignment in a
+    :class:`GlobalMemory` and :class:`~repro.sim.shared.SharedMemory`
+    share this one implementation; each sets ``size`` (bytes) and
+    ``_words`` (uint32), and :attr:`space` names it in errors.  Addresses
+    are byte addresses; every access must be aligned to its width (the
+    hardware faults otherwise, and so do we -- misalignment in a
     generated kernel is a bug we want loud).
     """
+
+    space = "global"
+
+    def load_warp(self, addresses: np.ndarray, width_bytes: int,
+                  mask: np.ndarray) -> np.ndarray:
+        """Gather ``width_bytes`` per active lane; returns (words, lanes)
+        uint32.  Inactive lanes return zeros; ``mask=None`` means all lanes
+        are active."""
+        idx = self._word_indices(addresses, width_bytes, mask)
+        if mask is None:
+            return self._words[idx]
+        out = np.zeros((width_bytes // 4, addresses.shape[0]), dtype=np.uint32)
+        out[:, mask] = self._words[idx[:, mask]]
+        return out
+
+    def store_warp(self, addresses: np.ndarray, data: np.ndarray,
+                   width_bytes: int, mask: np.ndarray) -> None:
+        """Scatter (words, lanes) uint32 *data* to the active lanes."""
+        idx = self._word_indices(addresses, width_bytes, mask)
+        if mask is None:
+            self._words[idx] = data
+            return
+        self._words[idx[:, mask]] = data[:, mask]
+
+    def load_warp_batch(self, addresses: np.ndarray, width_bytes: int) -> np.ndarray:
+        """Gather for a fused run: (g, lanes) addresses -> (g, words, lanes).
+
+        All lanes are active (a fused run's guard is checked before it
+        runs); semantically this equals ``g`` sequential :meth:`load_warp`
+        calls.
+        """
+        return self._words[self._batch_indices(addresses, width_bytes)]
+
+    def store_warp_batch(self, addresses: np.ndarray, data: np.ndarray,
+                         width_bytes: int) -> None:
+        """Scatter for a fused run of stores: (g, lanes) addresses and
+        (g, words, lanes) data.  NumPy fancy assignment applies duplicate
+        indices in C order, so later members of the run win -- exactly like
+        sequential stores."""
+        self._words[self._batch_indices(addresses, width_bytes)] = data
+
+    def _batch_indices(self, addresses: np.ndarray, width_bytes: int) -> np.ndarray:
+        misaligned = addresses % width_bytes != 0
+        if misaligned.any():
+            raise ValueError(
+                f"misaligned {width_bytes}-byte {self.space} access at "
+                f"{int(addresses[misaligned][0]):#x}")
+        per_row_max = addresses.max(axis=1)
+        per_row_min = addresses.min(axis=1)
+        oob = (per_row_min < 0) | (per_row_max + width_bytes > self.size)
+        if oob.any():
+            row = int(np.argmax(oob))
+            first = int(per_row_min[row])
+            self._bounds_check(first, int(per_row_max[row]) + width_bytes - first)
+        words = width_bytes // 4
+        return (addresses[:, None, :] // 4
+                + np.arange(words, dtype=np.int64)[None, :, None])
+
+    def _word_indices(self, addresses: np.ndarray, width_bytes: int,
+                      mask: np.ndarray) -> np.ndarray:
+        active = addresses if mask is None else addresses[mask]
+        if active.size:
+            if np.any(active % width_bytes):
+                bad = int(active[active % width_bytes != 0][0])
+                raise ValueError(
+                    f"misaligned {width_bytes}-byte {self.space} access at {bad:#x}")
+            first = int(active.min())
+            self._bounds_check(first, int(active.max()) + width_bytes - first)
+        words = width_bytes // 4
+        base = (addresses // 4).astype(np.int64)
+        if mask is not None:
+            # Clamp inactive lanes so indexing stays in range; they are masked out.
+            base = np.where(mask, base, 0)
+        return base[None, :] + np.arange(words, dtype=np.int64)[:, None]
+
+    def _bounds_check(self, addr: int, size: int) -> None:
+        if addr < 0 or addr + size > self.size:
+            raise IndexError(
+                f"{self.space} access [{addr:#x}, {addr + size:#x}) outside "
+                f"the {self.size:#x}-byte {self.space} memory"
+            )
+
+
+class GlobalMemory(WarpMemory):
+    """Flat global memory: the warp access of :class:`WarpMemory` plus the
+    host's copies in and out."""
 
     def __init__(self, size_bytes: int):
         if size_bytes <= 0 or size_bytes % 4:
             raise ValueError(f"size must be a positive multiple of 4, got {size_bytes}")
         self.size = size_bytes
         self._words = np.zeros(size_bytes // 4, dtype=np.uint32)
-
-    # ------------------------------------------------------------- host API
 
     def write_bytes(self, addr: int, data: bytes) -> None:
         """Host-side memcpy into the device (cudaMemcpy H2D equivalent)."""
@@ -66,90 +154,6 @@ class GlobalMemory:
     def read_array(self, addr: int, dtype, count: int) -> np.ndarray:
         nbytes = np.dtype(dtype).itemsize * count
         return np.frombuffer(self.read_bytes(addr, nbytes), dtype=dtype).copy()
-
-    # ------------------------------------------------------------- warp API
-
-    def load_warp(self, addresses: np.ndarray, width_bytes: int,
-                  mask: np.ndarray) -> np.ndarray:
-        """Gather ``width_bytes`` per active lane; returns (words, 32) uint32.
-
-        Inactive lanes return zeros.  ``mask=None`` means all lanes active.
-        """
-        idx = self._word_indices(addresses, width_bytes, mask)
-        if mask is None:
-            return self._words[idx]
-        out = np.zeros((width_bytes // 4, addresses.shape[0]), dtype=np.uint32)
-        out[:, mask] = self._words[idx[:, mask]]
-        return out
-
-    def store_warp(self, addresses: np.ndarray, data: np.ndarray,
-                   width_bytes: int, mask: np.ndarray) -> None:
-        """Scatter (words, 32) uint32 *data* to active lanes."""
-        idx = self._word_indices(addresses, width_bytes, mask)
-        if mask is None:
-            self._words[idx] = data
-            return
-        self._words[idx[:, mask]] = data[:, mask]
-
-    def load_warp_batch(self, addresses: np.ndarray, width_bytes: int) -> np.ndarray:
-        """Gather for a fused run: (g, 32) addresses -> (g, words, 32) words.
-
-        All lanes are active (fused runs are unpredicated); semantically this
-        equals ``g`` sequential :meth:`load_warp` calls.
-        """
-        idx = self._batch_indices(addresses, width_bytes)
-        return self._words[idx]
-
-    def store_warp_batch(self, addresses: np.ndarray, data: np.ndarray,
-                         width_bytes: int) -> None:
-        """Scatter for a fused run of stores: (g, 32) addresses, (g, words, 32)
-        data.  NumPy fancy assignment applies duplicate indices in C order, so
-        later members of the run win -- exactly like sequential stores."""
-        idx = self._batch_indices(addresses, width_bytes)
-        self._words[idx] = data
-
-    def _batch_indices(self, addresses: np.ndarray, width_bytes: int) -> np.ndarray:
-        misaligned = addresses % width_bytes != 0
-        if misaligned.any():
-            bad = int(addresses[misaligned][0])
-            raise ValueError(
-                f"misaligned {width_bytes}-byte global access at {bad:#x}"
-            )
-        per_row_max = addresses.max(axis=1)
-        per_row_min = addresses.min(axis=1)
-        oob = (per_row_min < 0) | (per_row_max + width_bytes > self.size)
-        if oob.any():
-            row = int(np.argmax(oob))
-            first = int(per_row_min[row])
-            self._bounds_check(first, int(per_row_max[row]) + width_bytes - first)
-        words = width_bytes // 4
-        base = addresses // 4
-        return base[:, None, :] + np.arange(words, dtype=np.int64)[None, :, None]
-
-    def _word_indices(self, addresses: np.ndarray, width_bytes: int,
-                      mask: np.ndarray) -> np.ndarray:
-        active = addresses if mask is None else addresses[mask]
-        if active.size:
-            if np.any(active % width_bytes):
-                bad = int(active[active % width_bytes != 0][0])
-                raise ValueError(
-                    f"misaligned {width_bytes}-byte global access at {bad:#x}"
-                )
-            last = int(active.max()) + width_bytes
-            self._bounds_check(int(active.min()), last - int(active.min()))
-        words = width_bytes // 4
-        base = (addresses // 4).astype(np.int64)
-        if mask is not None:
-            # Clamp inactive lanes so indexing stays in range; they are masked out.
-            base = np.where(mask, base, 0)
-        return base[None, :] + np.arange(words, dtype=np.int64)[:, None]
-
-    def _bounds_check(self, addr: int, size: int) -> None:
-        if addr < 0 or addr + size > self.size:
-            raise IndexError(
-                f"global access [{addr:#x}, {addr + size:#x}) outside "
-                f"memory of {self.size:#x} bytes"
-            )
 
 
 def _touched_units(active: np.ndarray, width_bytes: int, unit: int) -> list:

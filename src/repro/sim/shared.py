@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .memory import WarpMemory
+
 __all__ = ["SharedMemory", "bank_conflict_degree", "conflict_multiplier"]
 
 #: Turing shared memory geometry.
@@ -70,64 +72,32 @@ def conflict_multiplier(addresses: np.ndarray, width_bytes: int,
     return max(1.0, degree / baseline)
 
 
-class SharedMemory:
-    """Per-CTA shared memory with vectorised warp access."""
+#: Entry bound of a shared memory's address-pattern memo.  A GEMM k-loop
+#: cycles through a few double-buffered patterns per slot and warp; the
+#: bound only guards against programs whose patterns never repeat.
+PATTERN_MEMO_BOUND = 4096
+
+_INT64 = np.dtype(np.int64)
+
+
+class SharedMemory(WarpMemory):
+    """Per-CTA shared memory with vectorised warp access.
+
+    Unmasked int64-addressed accesses (the compiled slots of both
+    simulators) memoise their word indices per address pattern, so the
+    patterns a k-loop revisits skip validation and index construction.
+    The memo lives and dies with this memory, whose size its validation
+    checked.
+    """
+
+    space = "shared"
 
     def __init__(self, size_bytes: int):
         if size_bytes < 0 or size_bytes % 4:
             raise ValueError(f"size must be a non-negative multiple of 4, got {size_bytes}")
         self.size = size_bytes
         self._words = np.zeros(max(1, size_bytes // 4), dtype=np.uint32)
-
-    def load_warp(self, addresses: np.ndarray, width_bytes: int,
-                  mask: np.ndarray) -> np.ndarray:
-        idx = self._word_indices(addresses, width_bytes, mask)
-        if mask is None:
-            return self._words[idx]
-        out = np.zeros((width_bytes // 4, addresses.shape[0]), dtype=np.uint32)
-        out[:, mask] = self._words[idx[:, mask]]
-        return out
-
-    def store_warp(self, addresses: np.ndarray, data: np.ndarray,
-                   width_bytes: int, mask: np.ndarray) -> None:
-        idx = self._word_indices(addresses, width_bytes, mask)
-        if mask is None:
-            self._words[idx] = data
-            return
-        self._words[idx[:, mask]] = data[:, mask]
-
-    def load_warp_batch(self, addresses: np.ndarray, width_bytes: int) -> np.ndarray:
-        """Gather for a fused (unpredicated) run: (g, 32) -> (g, words, 32)."""
-        idx = self._batch_indices(addresses, width_bytes)
-        return self._words[idx]
-
-    def store_warp_batch(self, addresses: np.ndarray, data: np.ndarray,
-                         width_bytes: int) -> None:
-        """Scatter for a fused run; duplicate indices resolve in C order, so
-        later run members win -- same as sequential stores."""
-        idx = self._batch_indices(addresses, width_bytes)
-        self._words[idx] = data
-
-    def _batch_indices(self, addresses: np.ndarray, width_bytes: int) -> np.ndarray:
-        misaligned = addresses % width_bytes != 0
-        if misaligned.any():
-            bad = int(addresses[misaligned][0])
-            raise ValueError(
-                f"misaligned {width_bytes}-byte shared access at {bad:#x}"
-            )
-        per_row_max = addresses.max(axis=1)
-        per_row_min = addresses.min(axis=1)
-        oob = (per_row_min < 0) | (per_row_max + width_bytes > self.size)
-        if oob.any():
-            row = int(np.argmax(oob))
-            lo, hi = int(per_row_min[row]), int(per_row_max[row])
-            raise IndexError(
-                f"shared access outside the {self.size}-byte allocation: "
-                f"[{lo:#x}, {hi + width_bytes:#x})"
-            )
-        words = width_bytes // 4
-        return (addresses[:, None, :] // 4
-                + np.arange(words, dtype=np.int64)[None, :, None])
+        self._patterns = {}
 
     def read_array(self, addr: int, dtype, count: int) -> np.ndarray:
         """Debug view of shared contents (not a hardware operation)."""
@@ -138,20 +108,14 @@ class SharedMemory:
 
     def _word_indices(self, addresses: np.ndarray, width_bytes: int,
                       mask: np.ndarray) -> np.ndarray:
-        active = addresses if mask is None else addresses[mask]
-        if active.size:
-            if np.any(active % width_bytes):
-                bad = int(active[active % width_bytes != 0][0])
-                raise ValueError(
-                    f"misaligned {width_bytes}-byte shared access at {bad:#x}"
-                )
-            if int(active.min()) < 0 or int(active.max()) + width_bytes > self.size:
-                raise IndexError(
-                    f"shared access outside the {self.size}-byte allocation: "
-                    f"[{int(active.min()):#x}, {int(active.max()) + width_bytes:#x})"
-                )
-        words = width_bytes // 4
-        base = (addresses // 4).astype(np.int64)
-        if mask is not None:
-            base = np.where(mask, base, 0)
-        return base[None, :] + np.arange(words, dtype=np.int64)[:, None]
+        if mask is not None or addresses.dtype is not _INT64:
+            return super()._word_indices(addresses, width_bytes, mask)
+        key = (width_bytes, addresses.tobytes())
+        idx = self._patterns.get(key)
+        if idx is None:
+            idx = super()._word_indices(addresses, width_bytes, None)
+            idx.setflags(write=False)
+            if len(self._patterns) >= PATTERN_MEMO_BOUND:
+                self._patterns.clear()
+            self._patterns[key] = idx
+        return idx

@@ -20,9 +20,13 @@ Models exactly the mechanisms the paper measures and then exploits:
   :class:`~repro.sim.memory.MemorySubsystem`); instructions waiting on a
   scoreboard do not issue until it clears.
 
-The simulator is also a full functional interpreter (it uses the same
-executors), so timing experiments can verify results, and correctness
-experiments can read clocks.
+The simulator is also a full functional interpreter, so timing experiments
+can verify results, and correctness experiments can read clocks.  It has
+no instruction semantics of its own: the reference engine runs the
+:func:`~repro.sim.exec_units.execute` adapter, and the event engine
+compiles the functional simulator's compute steps
+(:func:`repro.sim.decode.compute_step`) and adds only a *commit* step
+that defers each result by its latency.
 
 Engines
 -------
@@ -37,12 +41,16 @@ Two interchangeable engines drive the model (``REPRO_TIMING_ENGINE`` or the
   for speed: per-warp *block status* caches (stall / scoreboard / MIO /
   pipe) with release-cycle expiries let idle-cycle probes and fully-blocked
   scheduler scans reuse the scan's own conclusions instead of re-deriving
-  them; instructions compile once per program into slot-specialised
-  closures over live register rows (with per-slot address-pattern memos for
-  shared memory); straight-line runs of independent MMA ops become *issue
-  plans* whose math executes as one stacked batch kernel (per-issue
-  latency/CPI bookkeeping unchanged); and the MIO queue retires by
-  advancing a head index over a monotone completion list.
+  them; unpredicated instructions compile once per run through the shared
+  compute step into closures over live register rows (repeated shared-memory
+  address patterns skip validation through the
+  :class:`~repro.sim.shared.SharedMemory` pattern memo and bank-conflict
+  analysis through a per-run memo); straight-line runs of independent MMA
+  ops become *issue plans* whose math is one
+  :func:`~repro.sim.decode.mma_group` call, the lockstep engine's fused
+  MMA builder (per-issue latency/CPI bookkeeping unchanged); and the MIO
+  queue retires by advancing a head index over a monotone completion
+  list.
 
 The engines are **bit-identical** on every :class:`TimingResult` field and
 on final memory/register state (pinned by
@@ -65,16 +73,15 @@ from ..arch.registers import PredicateFile, RegisterFile, WARP_LANES
 from ..arch.turing import GpuSpec
 from ..isa.control import NO_BARRIER
 from ..isa.instructions import Pipe
-from ..isa.operands import RZ_INDEX
 from ..isa.program import Program
 from ..perf.stats import STATS
 from ..robust import chaos
 from ..robust import guard as _guard
+from .decode import compute_step, mma_group
 from .exec_units import ExecError, execute
 from .memory import GlobalMemory, MemorySubsystem
-from .shared import SharedMemory, conflict_multiplier
-from .uop import (MMA_BATCH_KERNELS, decode_uop, k_iadd3, mma_row_index,
-                  special_value)
+from .shared import PATTERN_MEMO_BOUND, SharedMemory, conflict_multiplier
+from .uop import decode_uop
 
 __all__ = ["TimingSimulator", "TimingResult", "ALU_LATENCY", "ENGINES"]
 
@@ -427,183 +434,14 @@ class TimingResult:
 
 
 # --------------------------------------------------------------------------
-# Event-engine compilation: one closure per program slot, specialised from
-# the µop descriptors.  Only unpredicated instructions with fully static
-# operand plumbing compile; everything else (predication, decode failures,
-# control flow, RZ-group corner cases) falls back to the generic
-# `exec_units.execute` adapter so error behaviour matches the reference
-# engine exactly.
+# Event-engine compilation: one slot per program instruction, from
+# :func:`repro.sim.decode.compute_step` -- the compute step the lockstep
+# engine compiles too -- plus this engine's deferred commit in
+# `TimingSimulator._issue_fast`.  Predicated instructions, and every slot
+# the compute step refuses, run through the generic `exec_units.execute`
+# adapter, so error behaviour matches the reference engine exactly.
 
 _K_GENERIC, _K_ALU, _K_PRED, _K_LOAD, _K_STORE, _K_MMA = range(6)
-
-_Z32 = np.zeros(WARP_LANES, dtype=np.uint32)
-_Z32.setflags(write=False)
-_Z32_I32 = _Z32.view(np.int32)
-
-
-def _t_reader(desc):
-    """Compile one source descriptor to ``reader(warp) -> array``.
-
-    Readers may return live register-file rows: every lane kernel is pure
-    and every deferred value is either a fresh kernel output or explicitly
-    copied (see `_compile_alu`), so nothing aliases mutable state.
-    """
-    kind = desc[0]
-    if kind == "reg":
-        i = desc[1]
-        if i == RZ_INDEX:
-            return lambda w: _Z32
-        return lambda w: w.regs._data[i]
-    if kind == "reg_i32":
-        i = desc[1]
-        if i == RZ_INDEX:
-            return lambda w: _Z32_I32
-        return lambda w: w.regs._data[i].view(np.int32)
-    if kind == "regs":
-        i, n = desc[1], desc[2]
-        if i == RZ_INDEX or i + n > RZ_INDEX:
-            raise ExecError("register group touches RZ")  # generic fallback
-        return lambda w: w.regs._data[i:i + n]
-    if kind == "imm":
-        buf = np.full(WARP_LANES, desc[1], dtype=np.uint32)
-        buf.setflags(write=False)
-        return lambda w: buf
-    if kind == "imm_i32":
-        buf = np.full(WARP_LANES, desc[1], dtype=np.uint32).view(np.int32)
-        buf.setflags(write=False)
-        return lambda w: buf
-    if kind == "pred":
-        i, neg = desc[1], desc[2]
-        if neg:
-            return lambda w: ~w.preds._data[i]
-        return lambda w: w.preds._data[i]
-    name = desc[1]
-    if kind == "sr_i32":
-        return lambda w: special_value(w, name).view(np.int32)
-    return lambda w: special_value(w, name)
-
-
-def _compile_alu(kernel, readers):
-    """Closure computing one ALU/MMA µop's lane math for a warp.
-
-    Kernel-less µops (the MOV family) and single-term IADD3 return their
-    input unchanged, so those copy: the result is deferred and must not
-    alias a live register row.  Every real kernel produces a fresh array.
-    """
-    n = len(readers)
-    if kernel is None or (kernel is k_iadd3 and n == 1):
-        if n != 1:
-            return None
-        r0, = readers
-        return lambda w: r0(w).copy()
-    if n == 1:
-        r0, = readers
-        return lambda w: kernel(r0(w))
-    if n == 2:
-        r0, r1 = readers
-        return lambda w: kernel(r0(w), r1(w))
-    if n == 3:
-        r0, r1, r2 = readers
-        return lambda w: kernel(r0(w), r1(w), r2(w))
-    return None
-
-
-#: Per-slot memo capacity for address-pattern caches.  A GEMM inner loop
-#: revisits a handful of patterns (double-buffered LDS offsets); the cap only
-#: guards against degenerate programs with unbounded distinct patterns.
-_ADDR_CACHE_CAP = 4096
-
-
-def _load_fn(mem):
-    """Closure returning ``(addresses, data, conflict)`` for an unpredicated
-    load; ``conflict`` is the shared-bank multiplier (``None`` for global).
-
-    The pure per-pattern work -- alignment/bounds validation, word-index
-    construction, bank-conflict degree -- is memoised per address pattern, so
-    the double-buffered LDS patterns a k-loop cycles through skip straight to
-    the gather.  Misaligned/out-of-range patterns raise before caching, with
-    the same exception the uncompiled path produces.
-    """
-    base, off, width = mem.base_index, mem.offset, mem.width
-    if mem.space != "shared":
-        # Global addresses advance every loop iteration, so a pattern memo
-        # never hits -- validate and gather directly.
-        def fn(w):
-            if base == RZ_INDEX:
-                addrs = np.full(WARP_LANES, off, dtype=np.int64)
-            else:
-                addrs = w.regs._data[base].astype(np.int64)
-                addrs += off
-            memory = w.global_mem
-            idx = memory._word_indices(addrs, width, None)
-            return addrs, memory._words[idx], None
-
-        return fn
-
-    cache = {}
-
-    def fn(w):
-        if base == RZ_INDEX:
-            addrs = np.full(WARP_LANES, off, dtype=np.int64)
-        else:
-            addrs = w.regs._data[base].astype(np.int64)
-            addrs += off
-        memory = w.shared_mem
-        key = addrs.tobytes()
-        ent = cache.get(key)
-        if ent is None:
-            idx = memory._word_indices(addrs, width, None)
-            mult = conflict_multiplier(addrs, width, None)
-            if len(cache) >= _ADDR_CACHE_CAP:
-                cache.clear()
-            cache[key] = ent = (idx, mult)
-        idx, mult = ent
-        return addrs, memory._words[idx], mult
-
-    return fn
-
-
-def _store_fn(mem):
-    """Closure performing an unpredicated store; returns ``(addresses,
-    conflict)`` with the same per-pattern memoisation as :func:`_load_fn`."""
-    base, off, width = mem.base_index, mem.offset, mem.width
-    reg, words = mem.reg, mem.words
-    if mem.space != "shared":
-        def fn(w):
-            if base == RZ_INDEX:
-                addrs = np.full(WARP_LANES, off, dtype=np.int64)
-            else:
-                addrs = w.regs._data[base].astype(np.int64)
-                addrs += off
-            memory = w.global_mem
-            idx = memory._word_indices(addrs, width, None)
-            memory._words[idx] = w.regs._data[reg:reg + words]
-            return addrs, None
-
-        return fn
-
-    cache = {}
-
-    def fn(w):
-        if base == RZ_INDEX:
-            addrs = np.full(WARP_LANES, off, dtype=np.int64)
-        else:
-            addrs = w.regs._data[base].astype(np.int64)
-            addrs += off
-        memory = w.shared_mem
-        key = addrs.tobytes()
-        ent = cache.get(key)
-        if ent is None:
-            idx = memory._word_indices(addrs, width, None)
-            mult = conflict_multiplier(addrs, width, None)
-            if len(cache) >= _ADDR_CACHE_CAP:
-                cache.clear()
-            cache[key] = ent = (idx, mult)
-        idx, mult = ent
-        memory._words[idx] = w.regs._data[reg:reg + words]
-        return addrs, mult
-
-    return fn
 
 
 def _compile_slot(dec):
@@ -615,28 +453,34 @@ def _compile_slot(dec):
         u = decode_uop(inst)
     except ExecError:
         return _K_GENERIC, None, None
-    if u.kind == "alu":
-        try:
-            readers = tuple(_t_reader(d) for d in u.srcs)
-        except ExecError:
-            return _K_GENERIC, None, None
-        fn = _compile_alu(u.kernel, readers)
-        if fn is None:
-            return _K_GENERIC, None, None
-        if u.dest[0] == "pred":
-            return _K_PRED, fn, u.dest[1]
-        if dec.is_mma:
-            return _K_MMA, fn, u.dest[1]
-        return _K_ALU, fn, u.dest[1]
+    fn = compute_step(u, WARP_LANES)
+    if fn is None:
+        return _K_GENERIC, None, None
     if u.kind == "load":
-        m = u.mem
-        return _K_LOAD, _load_fn(m), (u.dest[1], m.width, m.bypass_l1)
+        return _K_LOAD, fn, (u.dest[1], u.mem.width, u.mem.bypass_l1)
     if u.kind == "store":
-        m = u.mem
-        if m.reg == RZ_INDEX or m.reg + m.words > RZ_INDEX:
-            return _K_GENERIC, None, None  # read_group raises in reference
-        return _K_STORE, _store_fn(m), m.width
-    return _K_GENERIC, None, None  # nop / control flow / unknown
+        return _K_STORE, fn, u.mem.width
+    if u.dest[0] == "pred":
+        return _K_PRED, fn, u.dest[1]
+    if dec.is_mma:
+        return _K_MMA, fn, u.dest[1]
+    if len(u.srcs) == 1:
+        # A one-source µop may return its source row itself; the write is
+        # deferred, so it must not alias a live register row.
+        fn = (lambda warp, _f=fn: _f(warp).copy())
+    return _K_ALU, fn, u.dest[1]
+
+
+def _bank_conflicts(memo, addresses, width):
+    """:func:`~repro.sim.shared.conflict_multiplier` of an unmasked shared
+    access, memoised per address pattern in *memo* (one per run)."""
+    key = (width, addresses.tobytes())
+    mult = memo.get(key)
+    if mult is None:
+        if len(memo) >= PATTERN_MEMO_BOUND:
+            memo.clear()
+        mult = memo[key] = conflict_multiplier(addresses, width, None)
+    return mult
 
 
 #: Issue-plan window limits: max program slots spanned / max batched members.
@@ -645,11 +489,11 @@ _PLAN_MEMBERS = 32
 
 
 class _Plan:
-    """A static window of independent same-shape MMA ops batched as one
-    kernel call at the head's issue; tail members consume queued rows."""
+    """A static window of independent same-shape MMA ops whose math runs
+    as one :func:`~repro.sim.decode.mma_group` call at the head's issue;
+    tail members consume queued D blocks."""
 
-    __slots__ = ("members", "tail", "a_idx", "b_idx", "c_idx", "fn",
-                 "read_mask", "read_lo", "read_hi")
+    __slots__ = ("members", "tail", "run", "read_mask", "read_lo", "read_hi")
 
 
 def _build_plans(decoded, kinds):
@@ -670,10 +514,6 @@ def _build_plans(decoded, kinds):
         if consumed[pc] or kinds[pc] != _K_MMA:
             continue
         head = decode_uop(decoded[pc].inst)
-        entry = MMA_BATCH_KERNELS.get(head.fuse_key)
-        if entry is None or not head.groups_ok or head.fuse_payload is None:
-            continue
-        batch_fn, a_words, b_words, c_words = entry
         members = [pc]
         payloads = [head.fuse_payload]
         window_writes = set(head.writes)
@@ -687,7 +527,6 @@ def _build_plans(decoded, kinds):
             if uj.kind in ("bra", "exit", "bar"):
                 break
             if (kinds[j] == _K_MMA and uj.fuse_key == head.fuse_key
-                    and uj.groups_ok and uj.fuse_payload is not None
                     and decoded[j].wait_mask == 0
                     and not (uj.reads & window_writes)):
                 members.append(j)
@@ -697,19 +536,13 @@ def _build_plans(decoded, kinds):
             j += 1
         if len(members) < 2:
             continue
-        a_idx = mma_row_index(payloads, 1, a_words)
-        b_idx = mma_row_index(payloads, 2, b_words)
-        c_idx = mma_row_index(payloads, 3, c_words)
         read_regs = sorted(r for r in member_reads if isinstance(r, int))
         read_mask = np.zeros(256, dtype=bool)
         read_mask[read_regs] = True
         plan = _Plan()
         plan.members = tuple(members)
         plan.tail = tuple(members[1:])
-        plan.a_idx = a_idx
-        plan.b_idx = b_idx
-        plan.c_idx = c_idx
-        plan.fn = batch_fn
+        plan.run = mma_group(head.fuse_key, payloads)[1]
         plan.read_mask = read_mask
         plan.read_lo = read_regs[0]
         plan.read_hi = read_regs[-1] + 1
@@ -978,13 +811,10 @@ class TimingSimulator:
             for first_reg, values, mask in eff.reg_writes:
                 warp.defer_write(due, first_reg, values, mask)
 
-        # Predicates use the ALU latency as well.
+        # A predicate result is written at issue, not deferred, so code must
+        # stall its producer at least ALU_LATENCY cycles before a consumer
+        # (the generated kernels always do).
         for index, values, mask in eff.pred_writes:
-            # Predicate files are small; model latency by deferring through
-            # the same queue using a sentinel: simplest is immediate apply
-            # after ALU_LATENCY via closure-free tuple on the regs queue is
-            # not possible, so apply now but require stall>=ALU_LATENCY by
-            # convention (generated code always does).
             warp.preds.write(index, values, mask=None if mask.all() else mask)
 
         if pipe_key is not None and occupancy:
@@ -1147,6 +977,7 @@ class TimingSimulator:
         ]
         kinds, fns, aux, plans = _compile_event(decoded)
         plan_stats = [0, 0]
+        conflicts = {}   # bank-conflict multiplier per shared access pattern
 
         n_warps = len(warps)
         n_slots = len(decoded)
@@ -1274,7 +1105,7 @@ class TimingSimulator:
                         self._issue_fast(
                             warp, dec, kindc, fns[pc], aux[pc], cycle,
                             pipes, pipe_key, mio, pipe_busy_total, memsys,
-                            plans, plan_stats,
+                            plans, plan_stats, conflicts,
                         )
                     else:
                         self._issue(warp, dec, cycle, pipes, pipe_key, mio,
@@ -1370,12 +1201,14 @@ class TimingSimulator:
                 stall_reasons, plan_stats)
 
     def _issue_fast(self, warp, dec, kindc, fn, aux, cycle, pipes, pipe_key,
-                    mio, pipe_busy_total, memsys, plans, plan_stats) -> None:
+                    mio, pipe_busy_total, memsys, plans, plan_stats,
+                    conflicts) -> None:
         """Issue one compiled slot: `_issue` minus the generic adapter.
 
         Same state transitions in the same order; the lane math comes from
-        the slot's compiled closure (or a queued MMA-plan row) instead of
-        `execute`, and deferred values skip the Effects packaging.
+        the slot's compute step (or a queued MMA-plan D) instead of
+        `execute`, and this commit step defers its result without the
+        Effects packaging.
         """
         if warp.min_due <= cycle or warp.tensor_min_due <= cycle:
             warp.apply_due_writes(cycle)
@@ -1400,9 +1233,7 @@ class TimingSimulator:
             if out is None:
                 plan = plans.get(warp.pc)
                 if plan is not None and _plan_clear(warp, plan):
-                    rows = warp.regs._data
-                    batch = plan.fn(rows[plan.a_idx], rows[plan.b_idx],
-                                    rows[plan.c_idx])
+                    batch = plan.run(warp.regs._data)
                     out = batch[0]
                     warp.plan_queue = list(zip(plan.tail, batch[1:]))
                     warp.plan_qi = 0
@@ -1438,10 +1269,11 @@ class TimingSimulator:
                 pipe_busy_total[pipe_key[0]] += occupancy
         elif kindc == _K_LOAD:
             dest, width, bypass_l1 = aux
-            addrs, data, mult = fn(warp)
+            addrs, data = fn(warp)
             warp.retired += 1
             if dec.mem_shared:
-                occupancy = dec.mem_cpi * mult
+                occupancy = dec.mem_cpi * _bank_conflicts(conflicts, addrs,
+                                                          width)
                 done = mio.push(cycle, occupancy)
                 ready = int(done) + self.spec.lds_latency_cycles
             else:
@@ -1455,10 +1287,11 @@ class TimingSimulator:
             warp.defer_write(ready, dest, data, None)
             release = ready
         elif kindc == _K_STORE:
-            addrs, mult = fn(warp)
+            addrs = fn(warp)
             warp.retired += 1
             if dec.mem_shared:
-                occupancy = dec.mem_cpi * mult
+                occupancy = dec.mem_cpi * _bank_conflicts(conflicts, addrs,
+                                                          aux)
                 done = mio.push(cycle, occupancy)
             else:
                 occupancy = dec.mem_cpi

@@ -26,10 +26,13 @@ Consumers:
 
 * :func:`repro.sim.exec_units.execute` -- thin adapter that evaluates the
   descriptors against a warp context and wraps the kernel result in an
-  ``Effects`` record (reference engine + timing simulator);
+  ``Effects`` record (the reference engines of both simulators, and the
+  slots the fast paths leave to them);
 * :mod:`repro.sim.decode` -- compiles the same descriptors into slot
   closures and window-scheduler groups (the lockstep engine and its
-  32-lane de-stack path).
+  32-lane de-stack path).  Its compute step and MMA group builder are
+  shared with the event timing engine (:mod:`repro.sim.timing`), which
+  adds only its own deferred commit.
 
 Kernels never mutate their inputs and return exact ``uint32`` (``bool`` for
 predicate dests): integer ops wrap modulo 2**32, compares run on int32 views
@@ -63,7 +66,6 @@ __all__ = [
     "SEMANTICS",
     "SOLO",
     "MMA_BATCH_KERNELS",
-    "mma_row_index",
     "decode_uop",
     "special_value",
     "k_iadd3",
@@ -235,41 +237,26 @@ def _k_hfma2(a, b, c):
     return pack_half2(d_lo, d_hi)
 
 
-# MMA kernels: the stacked batch math in repro.hmma, which is also what the
-# window group builders and the timing simulator's issue plans call.
+# MMA kernels: the stacked batch math in repro.hmma.  Groups of
+# independent MMAs -- the lockstep engine's fused windows and the event
+# timing engine's issue plans -- run through one builder,
+# :func:`repro.sim.decode.mma_group`.
 
-def mma_row_index(payloads, col, words):
-    """Register-row gather index of one MMA operand over a batch.
-
-    *payloads* are fuse payloads ``(d, a, b, c)``; *col* picks the operand
-    and *words* is its register count.  One register gives a ``(g,)``
-    index (a ``(g, lanes)`` gather), more a ``(g, words)`` one."""
-    base = np.array([p[col] for p in payloads], dtype=np.intp)
-    if words == 1:
-        return base
-    return base[:, None] + np.arange(words, dtype=np.intp)
-
-
-#: Stacked batch kernels by MMA fuse key, shared by every engine that
-#: groups independent MMA ops (the functional window scheduler and the
-#: timing simulator's issue plans).  A batch call over ``g`` gathered
-#: operand sets is bit-identical to ``g`` sequential single-op kernel
-#: calls: every product is its own slice of one stacked 3-D matmul.
-#: Values are ``(batch_fn, a_words, b_words, c_words)``: the per-member
-#: register counts of the A, B and accumulator/dest operands (1 means a
-#: single ``(g, lanes)`` gather instead of ``(g, words, lanes)``).  The
-#: HMMA rows come from :data:`~repro.arch.GENERATIONS`, one per
-#: ``(shape, accumulator)``, keyed ``("hmma", shape, f32)``; which keys a
-#: program produces depends on the device's :class:`~repro.arch.ArchSpec`.
+#: Stacked batch kernel and C/D register count of each MMA fuse key.  A
+#: batch call over ``g`` gathered operand sets is bit-identical to ``g``
+#: sequential single-op kernel calls: every product is its own slice of
+#: one stacked 3-D matmul.  The HMMA rows come from
+#: :data:`~repro.arch.GENERATIONS`, one per ``(shape, accumulator)``, keyed
+#: ``("hmma", shape, f32)``; which keys a program produces depends on the
+#: device's :class:`~repro.arch.ArchSpec`.
 MMA_BATCH_KERNELS = {
     ("hmma", arch.hmma_shape, f32): (
         partial(mma_ops.mma_batch, arch.hmma_shape, f32),
-        arch.a_regs, arch.b_regs,
         arch.c_regs_f32 if f32 else arch.c_regs_f16)
     for arch in GENERATIONS.values()
     for f32 in ((False, True) if arch.supports_f32_accum else (False,))
 }
-MMA_BATCH_KERNELS[("imma", "8816")] = (int8_ops.imma_8816_batch, 1, 1, 2)
+MMA_BATCH_KERNELS[("imma", "8816")] = (int8_ops.imma_8816_batch, 2)
 
 
 def _single_op(batch_fn):

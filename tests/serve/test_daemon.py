@@ -111,6 +111,27 @@ class TestBasics:
         assert np.array_equal(served, hgemm(a, b, kernel="ours"))
 
 
+class TestKnobs:
+    """``REPRO_SERVE_WORKERS`` and ``REPRO_SERVE_QUEUE_MAX`` are read by the
+    constructor; nothing here starts the daemon."""
+
+    @pytest.mark.parametrize("name", ["REPRO_SERVE_WORKERS",
+                                      "REPRO_SERVE_QUEUE_MAX"])
+    @pytest.mark.parametrize("raw", ["0", "-3", "-1", "abc", "2.5"])
+    def test_bad_value_raises_naming_the_variable(self, scratch_env,
+                                                  monkeypatch, name, raw):
+        monkeypatch.setenv(name, raw)
+        with pytest.raises(ValueError, match=f"{name} must be a whole "
+                                             "number >= 1"):
+            ServeDaemon(str(scratch_env / "test.sock"))
+
+    def test_good_values_are_used(self, scratch_env, monkeypatch):
+        monkeypatch.setenv("REPRO_SERVE_WORKERS", "3")
+        monkeypatch.setenv("REPRO_SERVE_QUEUE_MAX", "7")
+        d = ServeDaemon(str(scratch_env / "test.sock"))
+        assert (d.workers, d.queue.max_depth) == (3, 7)
+
+
 class TestCoalescing:
     def test_batch_duplicates_execute_once(self, daemon):
         jobs = [{"kind": "hgemm", "payload": _hgemm_payload()}] * 4

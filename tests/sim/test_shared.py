@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.sim.memory import WarpMemory
 from repro.sim.shared import (
     SharedMemory,
     bank_conflict_degree,
@@ -160,3 +161,28 @@ class TestSharedMemory:
 
     def test_zero_size_allowed(self):
         SharedMemory(0)
+
+    def test_repeated_unmasked_pattern_is_validated_once(self, monkeypatch):
+        """Unmasked accesses memoise their word indices per (width, address
+        pattern); masked and faulting accesses are checked every time."""
+        calls = []
+        check = WarpMemory._word_indices
+
+        def counted(self, addresses, width_bytes, mask):
+            calls.append(width_bytes)
+            return check(self, addresses, width_bytes, mask)
+
+        monkeypatch.setattr(WarpMemory, "_word_indices", counted)
+        sm = SharedMemory(4096)
+        addrs = lane_addresses(lambda l: 16 * l)
+        data = np.arange(128, dtype=np.uint32).reshape(4, 32)
+        sm.store_warp(addrs, data, 16, None)
+        np.testing.assert_array_equal(sm.load_warp(addrs, 16, None), data)
+        np.testing.assert_array_equal(sm.load_warp(addrs, 4, None), data[:1])
+        np.testing.assert_array_equal(sm.load_warp(addrs, 16, ALL), data)
+        assert calls == [16, 4, 16]
+        bad = lane_addresses(lambda l: 16 * l + 8)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="misaligned"):
+                sm.load_warp(bad, 16, None)
+        assert calls == [16, 4, 16, 16, 16]

@@ -13,7 +13,11 @@ instruction counts, per-opcode counts (hence ``cpi_of``), per-pipe busy
 time (hence ``pipe_utilization``), stall-reason breakdowns and memory
 traffic counters.  Final global-memory images must match bit-for-bit too,
 which makes every CS2R.CLOCKLO snapshot a self-check: a one-cycle issue
-divergence anywhere changes the stored clock values.
+divergence anywhere changes the stored clock values.  Each program ends by
+storing every register its loop body writes, so a wrong value -- an ALU
+result, a load, an MMA issue plan's D -- changes the image as well, and
+the MMA runs take independent accumulators, so issue plans form (the
+tests assert that they do).
 
 Because the event engine's block-status caches, issue plans and compiled
 closures are all *derived* views of the reference semantics, any mismatch
@@ -25,6 +29,8 @@ import pytest
 
 from repro.arch import RTX2070, T4
 from repro.isa import Pred, ProgramBuilder, Reg
+from repro.isa.operands import RZ
+from repro.perf import STATS
 from repro.sim.memory import GlobalMemory
 from repro.sim.timing import TimingSimulator
 
@@ -35,7 +41,10 @@ pytestmark = pytest.mark.filterwarnings(
     "ignore:overflow encountered:RuntimeWarning",
 )
 
-GMEM_BYTES = 1 << 16
+GMEM_BYTES = 1 << 18
+#: Per-thread register dumps (256 bytes each, up to 2 CTAs x 256 threads)
+#: start here, above every address the programs load or store before.
+DUMP = 0x10000
 
 #: Opcodes every generated program is guaranteed to exercise.
 EXPECTED_OPCODES = {
@@ -45,14 +54,31 @@ EXPECTED_OPCODES = {
 }
 
 
+def _mma_fragments(b):
+    """Non-zero A fragments R8-R9, so every MMA's D depends on A x B."""
+    b.imad(8, Reg(2), 0x10001, 0x3C003C00, stall=6)
+    b.imad(9, Reg(2), 0x20002, 0x38003800, stall=6)
+
+
+def _dump_registers(b, block, last):
+    """Epilogue: store R10..R*last* of every thread, one STG.128 per four
+    registers, at a 256-byte slot per thread of the grid."""
+    b.s2r(6, "SR_CTAID.X", stall=6)
+    b.imad(6, Reg(6), block, Reg(2), stall=6)
+    b.imad(5, Reg(6), 256, DUMP, stall=6)
+    for r in range(10, last + 1, 4):
+        b.stg(5, r, offset=4 * (r - 10), width=128, stall=2)
+
+
 def _random_program(seed):
     """One randomized multi-warp kernel: a short loop whose body interleaves
     every opcode class in shuffled order with random control fields, plus a
-    straight MMA run (exercises the event engine's issue plans) and an
-    STS burst (fills the MIO queue, exercising the MIO-full stall path)."""
+    straight run of independent MMAs (batched by the event engine's issue
+    plans) and an STS burst (fills the MIO queue, exercising the MIO-full
+    stall path)."""
     rng = np.random.default_rng(seed)
     block = int(rng.choice([32, 64, 128, 256]))
-    b = ProgramBuilder(name=f"fuzz{seed}", num_regs=64, smem_bytes=8192,
+    b = ProgramBuilder(name=f"fuzz{seed}", num_regs=96, smem_bytes=8192,
                        block_dim=block)
 
     def ctrl(max_stall=8):
@@ -79,6 +105,7 @@ def _random_program(seed):
     b.imad(4, Reg(2), 16, 0, stall=6)        # shared address
     b.isetp(Pred(1), Reg(2), 64, cmp="LT", stall=6)
     b.mov32i(1, int(rng.integers(2, 4)), stall=6)
+    _mma_fragments(b)
 
     # The loop body: one emitter per opcode class, shuffled, each with
     # randomized control fields.  LDG writes a scoreboard a later LDS waits
@@ -89,6 +116,7 @@ def _random_program(seed):
         lambda: b.mov(11, Reg(2), pred=Pred(1), **ctrl()),  # predicated
         lambda: b.mov32i(12, int(rng.integers(0, 1 << 31)), **ctrl()),
         lambda: b.iadd3(13, Reg(10), Reg(12), Reg(2), **ctrl()),
+        lambda: b.iadd3(RZ, Reg(13), Reg(14), **ctrl()),  # write discarded
         lambda: b.imad(14, Reg(2), 3, 7, **ctrl()),
         lambda: b.shf_l(15, Reg(2), int(rng.integers(1, 8)), **ctrl()),
         lambda: b.shf_r(16, Reg(13), Reg(2), **ctrl()),
@@ -120,9 +148,9 @@ def _random_program(seed):
     rng.shuffle(body)
     for emit in body:
         emit()
-    # Straight MMA run: batched by the event engine's issue plans.
-    for _ in range(int(rng.integers(4, 9))):
-        b.hmma_1688(40, 8, 10, 40, stall=8)
+    # Straight MMA run on independent accumulators: one issue plan.
+    for i in range(int(rng.integers(4, 9))):
+        b.hmma_1688(56 + 2 * i, 8, 10, 56 + 2 * i, stall=8)
     # STS burst at stall=1: overruns the MIO queue depth.
     for _ in range(int(rng.integers(8, 14))):
         b.sts(4, 14, offset=4096, width=32, stall=1)
@@ -134,25 +162,31 @@ def _random_program(seed):
     # between engines becomes a memory-image mismatch.
     b.cs2r_clock(36, stall=2)
     b.stg(3, 36, offset=0x3000, width=32, stall=4)
+    b.sel(37, Reg(13), Reg(14), Pred(2), stall=6)   # the body's ISETP
+    _dump_registers(b, block, 73)
     b.exit()
     return b.build(), 1 + seed % 2
 
 
 def _run(spec, program, num_ctas, engine):
+    """(result, memory, issue plans formed) of one timed run."""
     gm = GlobalMemory(GMEM_BYTES)
     fill = np.random.default_rng(99)
     gm._words[:] = fill.integers(0, 1 << 32, GMEM_BYTES // 4, dtype=np.uint32)
     sim = TimingSimulator(spec, engine=engine)
+    before = STATS.snapshot()
     result = sim.run(program, gm, num_ctas=num_ctas)
-    return result, gm
+    plans = STATS.delta(before)["counters"].get("sim.plans", 0)
+    return result, gm, plans
 
 
 @pytest.mark.parametrize("spec", [RTX2070, T4], ids=["rtx2070", "t4"])
 @pytest.mark.parametrize("seed", range(6))
 def test_engines_bit_identical(spec, seed):
     program, num_ctas = _random_program(seed)
-    ref, ref_gm = _run(spec, program, num_ctas, "reference")
-    evt, evt_gm = _run(spec, program, num_ctas, "event")
+    ref, ref_gm, _ = _run(spec, program, num_ctas, "reference")
+    evt, evt_gm, plans = _run(spec, program, num_ctas, "event")
+    assert plans > 0   # the MMA run's values came from an issue plan
 
     # The whole result object: cycles, instructions, opcode counts, pipe
     # busy totals, stall reasons, traffic counters.
@@ -167,7 +201,7 @@ def test_engines_bit_identical(spec, seed):
         assert evt.pipe_utilization(pipe) == ref.pipe_utilization(pipe)
 
     # Bit-identical memory images: every stored CS2R clock snapshot is an
-    # issue-cycle witness.
+    # issue-cycle witness, and the register dump a witness of every value.
     np.testing.assert_array_equal(evt_gm._words, ref_gm._words)
 
 
@@ -186,13 +220,14 @@ def _steady_loop_program(seed, iters=48):
     b.imad(4, Reg(2), 16, 0, stall=6)         # shared address
     b.imad(3, Reg(2), 16, 0x1000, stall=6)    # global address
     b.mov32i(1, iters, stall=6)
+    _mma_fragments(b)
     width = int(rng.choice([32, 64, 128]))
     mma_run = int(rng.integers(3, 7))
     b.label("LOOP")
     b.iadd3(10, Reg(2), 5, Reg(1), stall=6)
     b.hfma2(23, Reg(10), Reg(2), Reg(10), stall=4)
-    for _ in range(mma_run):
-        b.hmma_1688(40, 8, 10, 40, stall=8)
+    for i in range(mma_run):
+        b.hmma_1688(40 + 2 * i, 8, 10, 40 + 2 * i, stall=8)
     b.sts(4, 10, offset=0, width=width, stall=4)
     b.lds(32, 4, offset=0, width=width, wb=0, stall=6)
     b.bar_sync(stall=2)
@@ -201,6 +236,7 @@ def _steady_loop_program(seed, iters=48):
     b.bra("LOOP", pred=Pred(0), stall=5)
     b.cs2r_clock(36, stall=2)
     b.stg(3, 36, offset=0x3000, width=32, stall=4)
+    _dump_registers(b, block, 53)
     b.exit()
     return b.build()
 
@@ -230,17 +266,19 @@ def _aperiodic_loop_program(iters=48):
 
 
 def _assert_matches_reference(program):
-    ref, ref_gm = _run(RTX2070, program, 1, "reference")
-    evt, evt_gm = _run(RTX2070, program, 1, "event")
+    """Compare the engines on *program*; returns the event run's plans."""
+    ref, ref_gm, _ = _run(RTX2070, program, 1, "reference")
+    evt, evt_gm, plans = _run(RTX2070, program, 1, "event")
     assert evt == ref
     np.testing.assert_array_equal(evt_gm._words, ref_gm._words)
+    return plans
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_steady_loop_matches_reference(seed):
     """A long steady-state loop with loop-carried data: the event engine
     stays bit-identical to the reference engine on every iteration."""
-    _assert_matches_reference(_steady_loop_program(seed))
+    assert _assert_matches_reference(_steady_loop_program(seed)) > 0
 
 
 def test_aperiodic_loop_matches_reference():

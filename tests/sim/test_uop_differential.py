@@ -62,12 +62,16 @@ CASES = {
     "EXIT": [("EXIT", None)],
     "BAR": [("BAR.SYNC", None)],
     "BRA": [("L:\nBRA L", None)],
-    "MOV": [("MOV R3, R2", None)],
+    # A write to RZ retires with the value discarded, as on hardware.
+    "MOV": [("MOV R3, R2", None),
+            ("MOV RZ, R1", None)],
     "MOV32I": [("MOV32I R1, 0xDEADBEEF", None)],
     "IADD3": [("IADD3 R0, R1, R2, R3", None),
-              ("IADD3 R0, R1, -1, RZ", None)],
+              ("IADD3 R0, R1, -1, RZ", None),
+              ("IADD3 RZ, R1, R1, RZ", None)],
     "IMAD": [("IMAD R0, R1, R2, R3", None),
-             ("IMAD R0, R1, 4, 0x100", None)],
+             ("IMAD R0, R1, 4, 0x100", None),
+             ("IMAD RZ, R1, R1, RZ", None)],
     "SHF": [("SHF.L R0, R1, 2", None),
             ("SHF.R R0, R1, R2", None)],
     "LOP3": [("LOP3.AND R0, R1, R2", None),
