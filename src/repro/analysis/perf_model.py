@@ -246,7 +246,9 @@ class PerformanceModel:
         sim = TimingSimulator(self.spec, bandwidth_share=1.0,
                               engine=self.options.timing_engine,
                               guard=self.options.guard)
-        result = sim.run(program, GlobalMemory(_PROFILE_MEM_BYTES),
+        # A leg touches a few tiles of its 16 MiB: fresh mapped pages keep
+        # resident only those, however malloc placed earlier legs.
+        result = sim.run(program, GlobalMemory(_PROFILE_MEM_BYTES, mapped=True),
                          num_ctas=ctas_per_sm)
         PROFILE_CACHE.put(run_key, {"cycles": result.cycles})
         return result.cycles

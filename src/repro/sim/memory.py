@@ -12,6 +12,11 @@ Two concerns live here:
   with LRU line sets; bandwidth with per-level "next free cycle" counters
   advanced by ``bytes / (bytes per cycle)``.
 
+Both memoise an unmasked access by its *lane-relative* address pattern
+(every lane's address minus lane 0's), so a k-loop or a streaming probe,
+which repeats one pattern with a moving base, pays one dictionary lookup
+per access instead of per-lane validation and per-sector bookkeeping.
+
 The bandwidth constants come from the paper's Table II *measured* values:
 the simulator is the stand-in for the silicon, so its DRAM ceiling is the
 380/238 GB/s the authors measured, not the 448/320 GB/s marketing peak.
@@ -19,6 +24,7 @@ the simulator is the stand-in for the silicon, so its DRAM ceiling is the
 
 from __future__ import annotations
 
+import mmap
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -28,19 +34,40 @@ from ..arch.turing import GpuSpec
 
 __all__ = ["WarpMemory", "GlobalMemory", "AccessSummary", "MemorySubsystem"]
 
+#: Entry bound of each address-pattern memo.  A GEMM k-loop cycles through
+#: a few patterns per slot; the bound only guards against programs whose
+#: patterns never repeat.
+PATTERN_MEMO_BOUND = 4096
+
+_INT64 = np.dtype(np.int64)
+
 
 class WarpMemory:
     """Word-addressed store with warp-wide vectorised gather and scatter.
 
     :class:`GlobalMemory` and :class:`~repro.sim.shared.SharedMemory`
-    share this one implementation; each sets ``size`` (bytes) and
+    share this one implementation; each passes its ``size`` (bytes) and
     ``_words`` (uint32), and :attr:`space` names it in errors.  Addresses
     are byte addresses; every access must be aligned to its width (the
     hardware faults otherwise, and so do we -- misalignment in a
     generated kernel is a bug we want loud).
+
+    Unmasked int64-addressed accesses (the compiled slots of both
+    simulators) look their lane-relative pattern up in a per-memory memo:
+    whether every offset is width-aligned, the pattern's extent, and its
+    relative word indices.  Such an access is valid iff its base is
+    aligned, the pattern is aligned and the extent lands inside ``size``;
+    its indices are the relative ones plus ``base // 4``.  Any other
+    access, and any that fails those tests, takes the full check, so
+    every error keeps its type and text.
     """
 
     space = "global"
+
+    def __init__(self, size_bytes: int, words: np.ndarray):
+        self.size = size_bytes
+        self._words = words
+        self._patterns = {}
 
     def load_warp(self, addresses: np.ndarray, width_bytes: int,
                   mask: np.ndarray) -> np.ndarray:
@@ -99,6 +126,26 @@ class WarpMemory:
 
     def _word_indices(self, addresses: np.ndarray, width_bytes: int,
                       mask: np.ndarray) -> np.ndarray:
+        if mask is None and addresses.dtype is _INT64 and addresses.size:
+            base = int(addresses[0])
+            rel = addresses - base
+            key = (width_bytes, rel.tobytes())
+            pattern = self._patterns.get(key)
+            if pattern is None:
+                pattern = _lane_pattern(rel, width_bytes)
+                if len(self._patterns) >= PATTERN_MEMO_BOUND:
+                    self._patterns.clear()
+                self._patterns[key] = pattern
+            aligned, lo, hi, rel_idx = pattern
+            if (aligned and base % width_bytes == 0 and base + lo >= 0
+                    and base + hi <= self.size):
+                return rel_idx + base // 4
+        return self._checked_indices(addresses, width_bytes, mask)
+
+    def _checked_indices(self, addresses: np.ndarray, width_bytes: int,
+                         mask: np.ndarray) -> np.ndarray:
+        """Validate every active lane, then build the (words, lanes) word
+        indices; raises on a misaligned or out-of-bounds lane."""
         active = addresses if mask is None else addresses[mask]
         if active.size:
             if np.any(active % width_bytes):
@@ -122,15 +169,36 @@ class WarpMemory:
             )
 
 
+def _lane_pattern(rel: np.ndarray, width_bytes: int) -> tuple:
+    """Memo entry of one lane-relative address pattern: ``(aligned, lowest
+    offset, highest offset + width, relative word indices)``."""
+    words = width_bytes // 4
+    rel_idx = rel[None, :] // 4 + np.arange(words, dtype=np.int64)[:, None]
+    rel_idx.setflags(write=False)
+    return (not np.any(rel % width_bytes), int(rel.min()),
+            int(rel.max()) + width_bytes, rel_idx)
+
+
 class GlobalMemory(WarpMemory):
     """Flat global memory: the warp access of :class:`WarpMemory` plus the
-    host's copies in and out."""
+    host's copies in and out.
 
-    def __init__(self, size_bytes: int):
+    ``mapped=True`` puts the words on fresh private anonymous pages,
+    which the kernel zero-fills on first touch: a large memory that a run
+    touches sparsely then keeps only the pages it touched resident,
+    whatever state malloc's heap is in.
+    """
+
+    def __init__(self, size_bytes: int, *, mapped: bool = False):
         if size_bytes <= 0 or size_bytes % 4:
             raise ValueError(f"size must be a positive multiple of 4, got {size_bytes}")
-        self.size = size_bytes
-        self._words = np.zeros(size_bytes // 4, dtype=np.uint32)
+        if mapped:
+            words = np.frombuffer(
+                mmap.mmap(-1, size_bytes, flags=mmap.MAP_PRIVATE),
+                dtype=np.uint32)
+        else:
+            words = np.zeros(size_bytes // 4, dtype=np.uint32)
+        super().__init__(size_bytes, words)
 
     def write_bytes(self, addr: int, data: bytes) -> None:
         """Host-side memcpy into the device (cudaMemcpy H2D equivalent)."""
@@ -185,29 +253,43 @@ class AccessSummary:
 
 
 class _LruLineSet:
-    """Fully-associative LRU set of cache lines (capacity in bytes)."""
+    """Fully-associative LRU set of cache lines (capacity in bytes).
+
+    Both operations take one access's units (lines or sectors) in
+    ascending order; the insertion order is the LRU order.
+    """
 
     def __init__(self, capacity_bytes: int, line_bytes: int):
         self.line_bytes = line_bytes
         self.capacity_lines = max(0, capacity_bytes // line_bytes)
         self._lines: OrderedDict = OrderedDict()
 
-    def lookup(self, line: int) -> bool:
-        if line in self._lines:
-            self._lines.move_to_end(line)
-            return True
-        return False
+    def lookup(self, units) -> bool:
+        """Whether every unit is resident; if so each moves to most
+        recently used, in order.  A miss moves nothing."""
+        lines = self._lines
+        for unit in units:
+            if unit not in lines:
+                return False
+        move = lines.move_to_end
+        for unit in units:
+            move(unit)
+        return True
 
-    def insert(self, line: int) -> None:
-        if self.capacity_lines == 0:
+    def insert(self, units) -> None:
+        """Make every unit most recently used, in order, evicting the least
+        recently used line whenever a new one overflows the capacity."""
+        capacity = self.capacity_lines
+        if capacity == 0:
             return
         lines = self._lines
-        if line in lines:
-            lines.move_to_end(line)
-        else:
-            lines[line] = True
-            if len(lines) > self.capacity_lines:
-                lines.popitem(last=False)
+        for unit in units:
+            if unit in lines:
+                lines.move_to_end(unit)
+            else:
+                lines[unit] = True
+                if len(lines) > capacity:
+                    lines.popitem(last=False)
 
     def __len__(self) -> int:
         return len(self._lines)
@@ -244,6 +326,10 @@ class MemorySubsystem:
         self.spec = spec
         self.l1 = _LruLineSet(l1_bytes, self.L1_LINE)
         self.l2 = _LruLineSet(spec.l2_bytes, spec.l2_sector_bytes)
+        # Sectors per L1 line, or 0 when sectors do not nest in lines.
+        self._sectors_per_line = (self.L1_LINE // spec.l2_sector_bytes
+                                  if self.L1_LINE % spec.l2_sector_bytes == 0
+                                  else 0)
         def bytes_per_cycle(gbps):
             # GB/s / (Gcycle/s) = bytes/cycle.
             return gbps * bandwidth_share / (spec.clock_ghz)
@@ -253,38 +339,43 @@ class MemorySubsystem:
         self._l2_free = 0.0
         self._dram_free = 0.0
         self.counters = TrafficCounters()
+        self._patterns = {}   # lane-relative pattern -> _full_units offsets
 
     def access(self, cycle: int, addresses: np.ndarray, width_bytes: int,
                mask: np.ndarray, is_store: bool = False,
                bypass_l1: bool = False) -> AccessSummary:
-        """Account one warp access and return where/when it was served."""
-        active = addresses[mask]
-        if active.size == 0:
-            return AccessSummary(level="l1", sectors=0, ready_cycle=cycle)
+        """Account one warp access and return where/when it was served.
 
+        ``mask=None`` means every lane is active.
+        """
         sector = self.spec.l2_sector_bytes
-        sector_list = _touched_units(active, width_bytes, sector)
-        nbytes = len(sector_list) * sector
-        # Every touched L1 line contains a touched sector, so the line set
-        # comes from the (much smaller) sector set when the sizes nest.
-        if self.L1_LINE % sector == 0:
-            ratio = self.L1_LINE // sector
-            line_list = sorted({q // ratio for q in sector_list})
+        ratio = self._sectors_per_line
+        if (ratio and (mask is None or mask.all())
+                and addresses.dtype is _INT64):
+            sector_list, line_list = self._full_units(addresses, width_bytes)
         else:
-            line_list = _touched_units(active, width_bytes, self.L1_LINE)
+            active = addresses if mask is None else addresses[mask]
+            if active.size == 0:
+                return AccessSummary(level="l1", sectors=0, ready_cycle=cycle)
+            sector_list = _touched_units(active, width_bytes, sector)
+            # Every touched L1 line contains a touched sector, so the line
+            # set comes from the (much smaller) sector set when sizes nest.
+            if ratio:
+                line_list = sorted({q // ratio for q in sector_list})
+            else:
+                line_list = _touched_units(active, width_bytes, self.L1_LINE)
+        nbytes = len(sector_list) * sector
 
         if is_store:
             # Write-through accounting: stores consume DRAM write bandwidth.
             self.counters.store_bytes += nbytes
             if not bypass_l1:
-                for line in line_list:
-                    self.l1.insert(line)
-            for s in sector_list:
-                self.l2.insert(s)
+                self.l1.insert(line_list)
+            self.l2.insert(sector_list)
             ready = self._serve(cycle, nbytes, dram=True)
             return AccessSummary(level="dram", sectors=len(sector_list), ready_cycle=ready)
 
-        if not bypass_l1 and all(self.l1.lookup(line) for line in line_list):
+        if not bypass_l1 and self.l1.lookup(line_list):
             self.counters.l1_hit_bytes += nbytes
             return AccessSummary(
                 level="l1",
@@ -292,12 +383,14 @@ class MemorySubsystem:
                 ready_cycle=cycle + self.spec.lds_latency_cycles,
             )
 
-        l2_hit = all(self.l2.lookup(s) for s in sector_list)
-        for s in sector_list:
-            self.l2.insert(s)
+        # A hit refreshes every sector in order, which is all the inserts
+        # would do; a miss refreshes none, and the inserts move any
+        # resident ones first, before anything is evicted.
+        l2_hit = self.l2.lookup(sector_list)
+        if not l2_hit:
+            self.l2.insert(sector_list)
         if not bypass_l1:
-            for line in line_list:
-                self.l1.insert(line)
+            self.l1.insert(line_list)
 
         if l2_hit:
             self.counters.l2_hit_bytes += nbytes
@@ -308,6 +401,27 @@ class MemorySubsystem:
             ready = self._serve(cycle, nbytes, dram=True)
             level = "dram"
         return AccessSummary(level=level, sectors=len(sector_list), ready_cycle=ready)
+
+    def _full_units(self, addresses: np.ndarray, width_bytes: int):
+        """Sorted sectors and L1 lines of an all-lanes access, from a memo of
+        their offsets keyed by the lane-relative pattern and the base's
+        offset in its L1 line: sectors nest in lines, so the line index
+        fixes the sector base."""
+        base = int(addresses[0])
+        line, offset = divmod(base, self.L1_LINE)
+        key = (width_bytes, offset, (addresses - base).tobytes())
+        units = self._patterns.get(key)
+        if units is None:
+            ratio = self._sectors_per_line
+            sectors = _touched_units(addresses - line * self.L1_LINE,
+                                     width_bytes, self.spec.l2_sector_bytes)
+            units = (sectors, sorted({q // ratio for q in sectors}))
+            if len(self._patterns) >= PATTERN_MEMO_BOUND:
+                self._patterns.clear()
+            self._patterns[key] = units
+        sectors, lines = units
+        first = line * self._sectors_per_line
+        return [first + q for q in sectors], [line + q for q in lines]
 
     def _serve(self, cycle: int, nbytes: int, dram: bool) -> int:
         base_latency = self.spec.ldg_latency_cycles

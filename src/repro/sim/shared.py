@@ -72,32 +72,17 @@ def conflict_multiplier(addresses: np.ndarray, width_bytes: int,
     return max(1.0, degree / baseline)
 
 
-#: Entry bound of a shared memory's address-pattern memo.  A GEMM k-loop
-#: cycles through a few double-buffered patterns per slot and warp; the
-#: bound only guards against programs whose patterns never repeat.
-PATTERN_MEMO_BOUND = 4096
-
-_INT64 = np.dtype(np.int64)
-
-
 class SharedMemory(WarpMemory):
-    """Per-CTA shared memory with vectorised warp access.
-
-    Unmasked int64-addressed accesses (the compiled slots of both
-    simulators) memoise their word indices per address pattern, so the
-    patterns a k-loop revisits skip validation and index construction.
-    The memo lives and dies with this memory, whose size its validation
-    checked.
-    """
+    """Per-CTA shared memory with vectorised warp access (and the
+    lane-relative pattern memo of :class:`~repro.sim.memory.WarpMemory`)."""
 
     space = "shared"
 
     def __init__(self, size_bytes: int):
         if size_bytes < 0 or size_bytes % 4:
             raise ValueError(f"size must be a non-negative multiple of 4, got {size_bytes}")
-        self.size = size_bytes
-        self._words = np.zeros(max(1, size_bytes // 4), dtype=np.uint32)
-        self._patterns = {}
+        super().__init__(size_bytes,
+                         np.zeros(max(1, size_bytes // 4), dtype=np.uint32))
 
     def read_array(self, addr: int, dtype, count: int) -> np.ndarray:
         """Debug view of shared contents (not a hardware operation)."""
@@ -105,17 +90,3 @@ class SharedMemory(WarpMemory):
         if addr % 4 or addr + nbytes > self.size:
             raise IndexError("bad shared read range")
         return self._words[addr // 4 : (addr + nbytes) // 4].view(dtype)[:count].copy()
-
-    def _word_indices(self, addresses: np.ndarray, width_bytes: int,
-                      mask: np.ndarray) -> np.ndarray:
-        if mask is not None or addresses.dtype is not _INT64:
-            return super()._word_indices(addresses, width_bytes, mask)
-        key = (width_bytes, addresses.tobytes())
-        idx = self._patterns.get(key)
-        if idx is None:
-            idx = super()._word_indices(addresses, width_bytes, None)
-            idx.setflags(write=False)
-            if len(self._patterns) >= PATTERN_MEMO_BOUND:
-                self._patterns.clear()
-            self._patterns[key] = idx
-        return idx

@@ -41,11 +41,14 @@ Two interchangeable engines drive the model (``REPRO_TIMING_ENGINE`` or the
   for speed: per-warp *block status* caches (stall / scoreboard / MIO /
   pipe) with release-cycle expiries let idle-cycle probes and fully-blocked
   scheduler scans reuse the scan's own conclusions instead of re-deriving
-  them; unpredicated instructions compile once per run through the shared
-  compute step into closures over live register rows (repeated shared-memory
-  address patterns skip validation through the
-  :class:`~repro.sim.shared.SharedMemory` pattern memo and bank-conflict
-  analysis through a per-run memo); straight-line runs of independent MMA
+  them; instructions compile once per run through the shared compute
+  step into closures over live register rows, and a predicated one issues
+  compiled whenever its guard is on in every lane (otherwise, and for
+  predicated MMAs, through the generic adapter); a global or shared
+  access costs one lookup of its lane-relative address pattern (the
+  :class:`~repro.sim.memory.WarpMemory` and
+  :class:`~repro.sim.memory.MemorySubsystem` memos, plus a per-run
+  bank-conflict memo); straight-line runs of independent MMA
   ops become *issue plans* whose math is one
   :func:`~repro.sim.decode.mma_group` call, the lockstep engine's fused
   MMA builder (per-issue latency/CPI bookkeeping unchanged); and the MIO
@@ -79,8 +82,8 @@ from ..robust import chaos
 from ..robust import guard as _guard
 from .decode import compute_step, mma_group
 from .exec_units import ExecError, execute
-from .memory import GlobalMemory, MemorySubsystem
-from .shared import PATTERN_MEMO_BOUND, SharedMemory, conflict_multiplier
+from .memory import PATTERN_MEMO_BOUND, GlobalMemory, MemorySubsystem
+from .shared import SharedMemory, conflict_multiplier
 from .uop import decode_uop
 
 __all__ = ["TimingSimulator", "TimingResult", "ALU_LATENCY", "ENGINES"]
@@ -96,11 +99,6 @@ ENGINES = ("event", "reference")
 
 _INF = float("inf")
 _U32 = np.dtype(np.uint32)
-
-# Shared all-lanes-on mask for the compiled (unpredicated-only) fast paths;
-# read-only so no consumer can mutate it in place.
-_FULL_MASK = np.ones(WARP_LANES, dtype=bool)
-_FULL_MASK.setflags(write=False)
 
 
 def _default_engine() -> str:
@@ -437,9 +435,12 @@ class TimingResult:
 # Event-engine compilation: one slot per program instruction, from
 # :func:`repro.sim.decode.compute_step` -- the compute step the lockstep
 # engine compiles too -- plus this engine's deferred commit in
-# `TimingSimulator._issue_fast`.  Predicated instructions, and every slot
-# the compute step refuses, run through the generic `exec_units.execute`
-# adapter, so error behaviour matches the reference engine exactly.
+# `TimingSimulator._issue_fast`.  A predicated slot compiles too, with its
+# guard: it issues compiled only when the guard is on in every lane, and
+# otherwise through `_issue`, which owns all-off and lane-mixed semantics.
+# Predicated MMAs, and every slot the compute step refuses, always run
+# through the generic `exec_units.execute` adapter, so error behaviour
+# matches the reference engine exactly.
 
 _K_GENERIC, _K_ALU, _K_PRED, _K_LOAD, _K_STORE, _K_MMA = range(6)
 
@@ -447,7 +448,7 @@ _K_GENERIC, _K_ALU, _K_PRED, _K_LOAD, _K_STORE, _K_MMA = range(6)
 def _compile_slot(dec):
     """Compile one `_DecodedInst` to ``(kind, fn, aux)``."""
     inst = dec.inst
-    if inst.pred is not None:
+    if inst.pred is not None and dec.is_mma:
         return _K_GENERIC, None, None
     try:
         u = decode_uop(inst)
@@ -570,16 +571,31 @@ def _plan_clear(warp, plan) -> bool:
 
 
 def _compile_event(decoded):
-    """Compile a predecoded program for the event engine."""
+    """Compile a predecoded program for the event engine: per slot its
+    kind, compute step, commit operand and guard -- ``(predicate index,
+    negated)`` of a compiled predicated slot, else None -- plus the issue
+    plans."""
     kinds = []
     fns = []
     aux = []
+    guards = []
     for dec in decoded:
         k, f, a = _compile_slot(dec)
         kinds.append(k)
         fns.append(f)
         aux.append(a)
-    return kinds, fns, aux, _build_plans(decoded, kinds)
+        pred = dec.inst.pred
+        guards.append(None if k == _K_GENERIC or pred is None
+                      else (pred.index, pred.negated))
+    return kinds, fns, aux, guards, _build_plans(decoded, kinds)
+
+
+def _guard_on(warp, guard) -> bool:
+    """Is a compiled slot's guard on in every lane?  Predicates are written
+    at issue, never deferred, so the live row is the value `execute`
+    would read."""
+    row = warp.preds._data[guard[0]]
+    return not row.any() if guard[1] else bool(row.all())
 
 
 class TimingSimulator:
@@ -975,7 +991,7 @@ class TimingSimulator:
             [w for i, w in enumerate(warps) if i % n_sched == s]
             for s in range(n_sched)
         ]
-        kinds, fns, aux, plans = _compile_event(decoded)
+        kinds, fns, aux, guards, plans = _compile_event(decoded)
         plan_stats = [0, 0]
         conflicts = {}   # bank-conflict multiplier per shared access pattern
 
@@ -1101,7 +1117,8 @@ class TimingSimulator:
 
                     # Issue!
                     kindc = kinds[pc]
-                    if kindc:
+                    if kindc and (guards[pc] is None
+                                  or _guard_on(warp, guards[pc])):
                         self._issue_fast(
                             warp, dec, kindc, fns[pc], aux[pc], cycle,
                             pipes, pipe_key, mio, pipe_busy_total, memsys,
@@ -1277,7 +1294,7 @@ class TimingSimulator:
                 done = mio.push(cycle, occupancy)
                 ready = int(done) + self.spec.lds_latency_cycles
             else:
-                summary = memsys.access(cycle, addrs, width, _FULL_MASK,
+                summary = memsys.access(cycle, addrs, width, None,
                                         is_store=False, bypass_l1=bypass_l1)
                 occupancy = (dec.mem_cpi if summary.level == "l1"
                              else dec.mem_cpi_l2)
@@ -1296,7 +1313,7 @@ class TimingSimulator:
             else:
                 occupancy = dec.mem_cpi
                 done = mio.push(cycle, occupancy)
-                memsys.access(int(done), addrs, aux, _FULL_MASK,
+                memsys.access(int(done), addrs, aux, None,
                               is_store=True, bypass_l1=False)
             pipe_busy_total["lsu"] += occupancy
             release = int(done) + 1

@@ -40,6 +40,18 @@ class TestGlobalMemoryHost:
             GlobalMemory(0)
         with pytest.raises(ValueError):
             GlobalMemory(10)
+        with pytest.raises(ValueError):
+            GlobalMemory(10, mapped=True)
+
+    def test_mapped_memory_behaves_like_heap_memory(self):
+        heap, mapped = GlobalMemory(1 << 16), GlobalMemory(1 << 16, mapped=True)
+        a = addrs(lambda l: 16 * l + 4096)
+        data = np.arange(128, dtype=np.uint32).reshape(4, 32)
+        for gm in (heap, mapped):
+            gm.write_bytes(64, bytes(range(16)))
+            gm.store_warp(a, data, 16, None)
+        assert mapped.read_bytes(0, 1 << 16) == heap.read_bytes(0, 1 << 16)
+        np.testing.assert_array_equal(mapped.load_warp(a, 16, None), data)
 
 
 class TestGlobalMemoryWarp:

@@ -97,37 +97,37 @@ class TestMioQueueProperties:
 class TestLruLineSet:
     def test_hit_after_insert(self):
         s = _LruLineSet(capacity_bytes=4 * 128, line_bytes=128)
-        s.insert(1)
-        assert s.lookup(1)
+        s.insert([1])
+        assert s.lookup([1])
 
     def test_eviction_order(self):
         s = _LruLineSet(capacity_bytes=2 * 128, line_bytes=128)
-        s.insert(1)
-        s.insert(2)
-        s.insert(3)          # evicts 1
-        assert not s.lookup(1)
-        assert s.lookup(2) and s.lookup(3)
+        s.insert([1])
+        s.insert([2])
+        s.insert([3])          # evicts 1
+        assert not s.lookup([1])
+        assert s.lookup([2]) and s.lookup([3])
 
     def test_lookup_refreshes_recency(self):
         s = _LruLineSet(capacity_bytes=2 * 128, line_bytes=128)
-        s.insert(1)
-        s.insert(2)
-        s.lookup(1)          # 1 becomes most recent
-        s.insert(3)          # evicts 2, not 1
-        assert s.lookup(1)
-        assert not s.lookup(2)
+        s.insert([1])
+        s.insert([2])
+        s.lookup([1])          # 1 becomes most recent
+        s.insert([3])          # evicts 2, not 1
+        assert s.lookup([1])
+        assert not s.lookup([2])
 
     def test_zero_capacity_never_hits(self):
         s = _LruLineSet(capacity_bytes=0, line_bytes=128)
-        s.insert(1)
-        assert not s.lookup(1)
+        s.insert([1])
+        assert not s.lookup([1])
 
     @settings(max_examples=30)
     @given(st.lists(st.integers(0, 15), min_size=1, max_size=200))
     def test_size_never_exceeds_capacity(self, lines):
         s = _LruLineSet(capacity_bytes=8 * 128, line_bytes=128)
         for line in lines:
-            s.insert(line)
+            s.insert([line])
             assert len(s) <= 8
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.sim import memory
 from repro.sim.memory import WarpMemory
 from repro.sim.shared import (
     SharedMemory,
@@ -163,26 +164,41 @@ class TestSharedMemory:
         SharedMemory(0)
 
     def test_repeated_unmasked_pattern_is_validated_once(self, monkeypatch):
-        """Unmasked accesses memoise their word indices per (width, address
-        pattern); masked and faulting accesses are checked every time."""
-        calls = []
-        check = WarpMemory._word_indices
+        """Unmasked accesses memoise their lane-relative address pattern per
+        width, so a repeat -- at the same or a moved base -- builds no new
+        entry and takes no full check; masked and faulting accesses take
+        the full check every time."""
+        built, checked = [], []
+        build = memory._lane_pattern
+        check = WarpMemory._checked_indices
 
-        def counted(self, addresses, width_bytes, mask):
-            calls.append(width_bytes)
+        def counted_build(rel, width_bytes):
+            built.append(width_bytes)
+            return build(rel, width_bytes)
+
+        def counted_check(self, addresses, width_bytes, mask):
+            checked.append(width_bytes)
             return check(self, addresses, width_bytes, mask)
 
-        monkeypatch.setattr(WarpMemory, "_word_indices", counted)
+        monkeypatch.setattr(memory, "_lane_pattern", counted_build)
+        monkeypatch.setattr(WarpMemory, "_checked_indices", counted_check)
         sm = SharedMemory(4096)
         addrs = lane_addresses(lambda l: 16 * l)
         data = np.arange(128, dtype=np.uint32).reshape(4, 32)
         sm.store_warp(addrs, data, 16, None)
         np.testing.assert_array_equal(sm.load_warp(addrs, 16, None), data)
         np.testing.assert_array_equal(sm.load_warp(addrs, 4, None), data[:1])
+        sm.store_warp(addrs + 512, data + 1, 16, None)
+        np.testing.assert_array_equal(sm.load_warp(addrs + 512, 16, None),
+                                      data + 1)
         np.testing.assert_array_equal(sm.load_warp(addrs, 16, ALL), data)
-        assert calls == [16, 4, 16]
+        assert built == [16, 4]
+        assert checked == [16]
         bad = lane_addresses(lambda l: 16 * l + 8)
         for _ in range(2):
             with pytest.raises(ValueError, match="misaligned"):
                 sm.load_warp(bad, 16, None)
-        assert calls == [16, 4, 16, 16, 16]
+            with pytest.raises(IndexError, match="outside"):
+                sm.load_warp(addrs + 4096, 16, None)
+        assert built == [16, 4]
+        assert checked == [16, 16, 16, 16, 16]

@@ -42,8 +42,9 @@ pytestmark = pytest.mark.filterwarnings(
 )
 
 GMEM_BYTES = 1 << 18
-#: Per-thread register dumps (256 bytes each, up to 2 CTAs x 256 threads)
-#: start here, above every address the programs load or store before.
+#: Per-thread register dumps (at most 384 bytes each, up to 2 CTAs x 256
+#: threads) start here, above every address the programs load or store
+#: before.
 DUMP = 0x10000
 
 #: Opcodes every generated program is guaranteed to exercise.
@@ -52,6 +53,11 @@ EXPECTED_OPCODES = {
     "CS2R", "HFMA2", "HMMA", "IMMA", "LDG", "STG", "LDS", "STS", "NOP",
     "BAR", "BRA", "EXIT",
 }
+
+#: Opcodes each random program issues under a guard that is on in every
+#: lane (the event engine's compiled path), off in every lane and
+#: lane-mixed (both through its generic `_issue`).
+GUARDED_OPCODES = ("LDG", "STG", "LDS", "STS", "IADD3", "ISETP")
 
 
 def _mma_fragments(b):
@@ -62,10 +68,11 @@ def _mma_fragments(b):
 
 def _dump_registers(b, block, last):
     """Epilogue: store R10..R*last* of every thread, one STG.128 per four
-    registers, at a 256-byte slot per thread of the grid."""
+    registers, at a slot of ``4 * (last - 9)`` bytes per thread of the
+    grid."""
     b.s2r(6, "SR_CTAID.X", stall=6)
     b.imad(6, Reg(6), block, Reg(2), stall=6)
-    b.imad(5, Reg(6), 256, DUMP, stall=6)
+    b.imad(5, Reg(6), 4 * (last - 9), DUMP, stall=6)
     for r in range(10, last + 1, 4):
         b.stg(5, r, offset=4 * (r - 10), width=128, stall=2)
 
@@ -78,7 +85,7 @@ def _random_program(seed):
     stall path)."""
     rng = np.random.default_rng(seed)
     block = int(rng.choice([32, 64, 128, 256]))
-    b = ProgramBuilder(name=f"fuzz{seed}", num_regs=96, smem_bytes=8192,
+    b = ProgramBuilder(name=f"fuzz{seed}", num_regs=128, smem_bytes=8192,
                        block_dim=block)
 
     def ctrl(max_stall=8):
@@ -99,11 +106,16 @@ def _random_program(seed):
         return int(rng.choice([32, 64, 128]))
 
     # Prologue: lane-strided, 16-byte-aligned addresses (valid for every
-    # access width), a divergent predicate, and a uniform loop counter.
+    # access width), the guards, and a uniform loop counter.  P1 (tid < 64)
+    # is uniform within each warp but differs between warps; P3 is on in
+    # every lane (so !P3 is off in every lane); P5 (odd tid) is lane-mixed.
     b.s2r(2, "SR_TID.X", stall=6)
     b.imad(3, Reg(2), 16, 0x1000, stall=6)   # global address
     b.imad(4, Reg(2), 16, 0, stall=6)        # shared address
     b.isetp(Pred(1), Reg(2), 64, cmp="LT", stall=6)
+    b.isetp(Pred(3), Reg(2), 0, cmp="GE", stall=6)
+    b.lop3_and(7, Reg(2), 1, stall=6)
+    b.isetp(Pred(5), Reg(7), 0, cmp="NE", stall=6)
     b.mov32i(1, int(rng.integers(2, 4)), stall=6)
     _mma_fragments(b)
 
@@ -143,6 +155,25 @@ def _random_program(seed):
         lambda: b.sts(4, 13, offset=0, width=rand_width(), **ctrl()),
         lambda: b.nop(**ctrl()),
     ]
+    # Guarded slots of every compiled kind, under each kind of guard, with
+    # destinations (R74-R100, P6) of their own that the epilogue dumps.
+    guards = (Pred(3), Pred(3, negated=True),
+              Pred(5, negated=bool(rng.integers(0, 2))))
+    for i, guard in enumerate(guards):
+        body += [
+            lambda i=i, g=guard: b.ldg(74 + 4 * i, 3, offset=0x100,
+                                       width=rand_width(), pred=g, **ctrl()),
+            lambda i=i, g=guard: b.stg(3, 13, offset=0x4000 + 0x1000 * i,
+                                       width=rand_width(), pred=g, **ctrl()),
+            lambda i=i, g=guard: b.lds(86 + 4 * i, 4, offset=0,
+                                       width=rand_width(), pred=g, **ctrl()),
+            lambda g=guard: b.sts(4, 13, offset=0, width=rand_width(),
+                                  pred=g, **ctrl()),
+            lambda i=i, g=guard: b.iadd3(98 + i, Reg(13), Reg(2), i + 1,
+                                         pred=g, **ctrl()),
+            lambda i=i, g=guard: b.isetp(Pred(6), Reg(13), Reg(14 + i),
+                                         cmp="LT", pred=g, **ctrl()),
+        ]
 
     b.label("LOOP")
     rng.shuffle(body)
@@ -163,7 +194,8 @@ def _random_program(seed):
     b.cs2r_clock(36, stall=2)
     b.stg(3, 36, offset=0x3000, width=32, stall=4)
     b.sel(37, Reg(13), Reg(14), Pred(2), stall=6)   # the body's ISETP
-    _dump_registers(b, block, 73)
+    b.sel(101, Reg(13), Reg(14), Pred(6), stall=6)  # the guarded ISETPs
+    _dump_registers(b, block, 105)
     b.exit()
     return b.build(), 1 + seed % 2
 
@@ -180,13 +212,34 @@ def _run(spec, program, num_ctas, engine):
     return result, gm, plans
 
 
+def _record_guarded_issues(monkeypatch):
+    """Record the opcode of every predicated issue, by the path it takes:
+    ``compiled`` (`_issue_fast`) or ``generic`` (`_issue`)."""
+    paths = {"compiled": set(), "generic": set()}
+    for name, path in (("_issue_fast", "compiled"), ("_issue", "generic")):
+        issue = getattr(TimingSimulator, name)
+
+        def recorded(self, warp, dec, *args, _issue=issue, _path=path):
+            if dec.inst.pred is not None:
+                paths[_path].add(dec.opcode)
+            return _issue(self, warp, dec, *args)
+
+        monkeypatch.setattr(TimingSimulator, name, recorded)
+    return paths
+
+
 @pytest.mark.parametrize("spec", [RTX2070, T4], ids=["rtx2070", "t4"])
 @pytest.mark.parametrize("seed", range(6))
-def test_engines_bit_identical(spec, seed):
+def test_engines_bit_identical(spec, seed, monkeypatch):
     program, num_ctas = _random_program(seed)
     ref, ref_gm, _ = _run(spec, program, num_ctas, "reference")
+    paths = _record_guarded_issues(monkeypatch)
     evt, evt_gm, plans = _run(spec, program, num_ctas, "event")
     assert plans > 0   # the MMA run's values came from an issue plan
+    # Every guarded kind issued compiled (guard on in every lane) and
+    # through `_issue` (guard off everywhere, or lane-mixed).
+    for opcode in GUARDED_OPCODES:
+        assert opcode in paths["compiled"] and opcode in paths["generic"]
 
     # The whole result object: cycles, instructions, opcode counts, pipe
     # busy totals, stall reasons, traffic counters.
