@@ -134,18 +134,15 @@ def _analytic_tflops(config: KernelConfig, spec: GpuSpec) -> float:
 
 def autotune(spec: GpuSpec, m: int, n: int, k: int,
              accum_f32: bool = False, finalists: int = 6,
-             model: PerformanceModel = None, max_workers=None,
-             remote: str = None) -> TuneResult:
+             model: PerformanceModel = None, max_workers=None) -> TuneResult:
     """Pick the best kernel configuration for one problem on one device.
 
     Pass a shared :class:`PerformanceModel` to reuse its cached SM
     profiles across autotuning calls.  ``max_workers`` (semantics of
     :func:`repro.perf.parallel.parallel_map`) profiles the stage-2
     finalists across worker processes -- the dominant cost of a cold run.
-    ``remote`` (ignored when *model* is given) points the model's profile
-    measurements at a ``repro serve`` daemon instead.
     """
-    pm = model or PerformanceModel(spec, remote=remote)
+    pm = model or PerformanceModel(spec)
     candidates = [Candidate(config=c)
                   for c in candidate_space(spec, accum_f32=accum_f32)]
 

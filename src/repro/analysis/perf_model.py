@@ -121,22 +121,11 @@ class LaunchEstimate:
 
 
 class PerformanceModel:
-    """Estimates whole-device HGEMM performance for one GPU.
+    """Estimates whole-device HGEMM performance for one GPU."""
 
-    ``remote`` names a ``repro serve`` daemon socket: SM-profile
-    measurements -- the only expensive primitive under :meth:`sweep` and
-    the autotuner -- are then submitted as ``profile`` jobs instead of
-    simulated locally, so any number of clients profiling the same
-    (spec, config) coalesce into one simulation on the daemon's worker
-    fleet.  If the daemon is unreachable the model logs one warning and
-    degrades to in-process execution for the rest of its life.
-    """
-
-    def __init__(self, spec: GpuSpec, options: PerfOptions = None,
-                 remote: str = None):
+    def __init__(self, spec: GpuSpec, options: PerfOptions = None):
         self.spec = spec
         self.options = options or PerfOptions()
-        self.remote = remote
         self._profiles: dict = {}
 
     # --------------------------------------------------------- SM profiling
@@ -151,10 +140,6 @@ class PerformanceModel:
         then a run-level entry keyed on the encoded program bytes.  The
         simulator is deterministic, so every layer returns exactly the
         numbers a fresh simulation would produce.
-
-        With ``remote`` set, a cold profile is delegated to the daemon
-        (whose job key is *this same* ``profile_key``) before falling
-        back to local simulation.
 
         The config is first adapted to the device's Tensor Core
         generation (:func:`adapt_for_arch`); on Turing this is the
@@ -173,13 +158,6 @@ class PerformanceModel:
             profile = SmProfile(**cached)
             self._profiles[key] = profile
             return profile
-        if self.remote is not None:
-            remote_profile = self._remote_profiles([config])
-            if remote_profile is not None:
-                profile = SmProfile(**remote_profile[0])
-                PROFILE_CACHE.put(profile_key, remote_profile[0])
-                self._profiles[key] = profile
-                return profile
         cycles = {iters: self._profile_leg_cycles(config, iters, ctas_per_sm)
                   for iters in (lo, hi)}
         marginal = (cycles[hi] - cycles[lo]) / (hi - lo)
@@ -189,41 +167,6 @@ class PerformanceModel:
         PROFILE_CACHE.put(profile_key, asdict(profile))
         self._profiles[key] = profile
         return profile
-
-    def _remote_profiles(self, configs):
-        """Profile dicts for *configs* via the daemon, or None to degrade.
-
-        One batch submission: duplicates (ours + another client's
-        concurrent autotune, say) coalesce daemon-side.  Daemon-reported
-        job failures propagate as exceptions (the configs would fail the
-        same way locally); only an *unreachable* daemon degrades.
-        """
-        from ..serve.client import JobFailed, ServeClient, ServeUnavailable
-        from ..serve.jobs import config_to_dict, options_to_dict, spec_to_dict
-
-        spec_d = spec_to_dict(self.spec)
-        options_d = options_to_dict(self.options)
-        try:
-            with ServeClient(self.remote) as client:
-                views = client.batch_submit([
-                    {"kind": "profile",
-                     "payload": {"spec": spec_d, "options": options_d,
-                                 "config": config_to_dict(config)}}
-                    for config in configs])
-                out = []
-                for view in views:
-                    if view["state"] not in ("done", "failed"):
-                        view = client.wait(view["job_id"])
-                    if view["state"] == "failed":
-                        raise JobFailed(view.get("error", "profile failed"))
-                    out.append(view["result"])
-                return out
-        except ServeUnavailable as exc:
-            import sys
-
-            print(f"warning: {exc}; continuing in-process", file=sys.stderr)
-            self.remote = None
-            return None
 
     def _profile_leg_cycles(self, config: KernelConfig, iters: int,
                             ctas_per_sm: int) -> int:
@@ -264,16 +207,6 @@ class PerformanceModel:
         """
         configs = [adapt_for_arch(c, self.spec.arch) for c in configs]
         todo = [c for c in configs if c not in self._profiles]
-        if todo and self.remote is not None:
-            # One batch to the daemon: its workers parallelise, duplicates
-            # (here or from other tenants) coalesce.  sm_profile() below
-            # still resolves each config through its own cache ladder, so
-            # a degraded daemon just leaves todo for the local paths.
-            remote = self._remote_profiles(todo)
-            if remote is not None:
-                for config, profile in zip(todo, remote):
-                    self._profiles[config] = SmProfile(**profile)
-                todo = []
         if len(todo) > 1 and max_workers is not None and max_workers != 1:
             profiles = parallel_map(
                 _profile_worker,

@@ -34,8 +34,7 @@ def _unique_problems(suite, scale: str):
 
 def autotune_suite(suite, spec: GpuSpec = RTX2070, scale: str = "full",
                    accum_f32: bool = False, finalists: int = 6,
-                   model: PerformanceModel = None, max_workers=None,
-                   remote: str = None) -> list:
+                   model: PerformanceModel = None, max_workers=None) -> list:
     """Autotune every distinct GEMM shape of *suite* on one device.
 
     Returns ``[(GemmShape, TuneResult), ...]`` in suite order with
@@ -43,7 +42,7 @@ def autotune_suite(suite, spec: GpuSpec = RTX2070, scale: str = "full",
     candidate SM profiles, so the marginal cost of each extra shape is
     analytic only.
     """
-    pm = model or PerformanceModel(spec, remote=remote)
+    pm = model or PerformanceModel(spec)
     return [(problem, autotune(spec, problem.m, problem.n, problem.k,
                                accum_f32=accum_f32, finalists=finalists,
                                model=pm, max_workers=max_workers))
@@ -52,7 +51,7 @@ def autotune_suite(suite, spec: GpuSpec = RTX2070, scale: str = "full",
 
 def sweep_suite(suite, spec: GpuSpec = RTX2070, scale: str = "full",
                 model: PerformanceModel = None, baseline: bool = True,
-                max_workers=None, remote: str = None) -> list:
+                max_workers=None) -> list:
     """Performance-model sweep across *suite* (shape-aware tile choice).
 
     A thin wrapper over :func:`repro.workloads.suite.estimate_suite`
@@ -62,7 +61,7 @@ def sweep_suite(suite, spec: GpuSpec = RTX2070, scale: str = "full",
     """
     from ..workloads.suite import estimate_suite
 
-    pm = model or PerformanceModel(spec, remote=remote)
+    pm = model or PerformanceModel(spec)
     return estimate_suite(suite, spec, scale=scale, model=pm,
                           baseline=baseline, max_workers=max_workers)
 

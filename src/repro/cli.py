@@ -16,10 +16,13 @@ Commands
 ``workloads``   deep-learning workload suites: run / estimate / autotune
 ``numerics``    mixed-precision error curves (FP16 vs FP32 accumulate)
 
-``hgemm``/``igemm``/``sweep``/``autotune``/``verify``/``workloads``/
-``numerics`` accept ``--remote [SOCKET]``: the work is submitted to a
+``hgemm``/``igemm``/``sweep``/``autotune``/``verify``/``workloads run``/
+``numerics`` are the job verbs (:data:`JOB_VERBS`): each builds the
+payloads of the serve job named after it and prints that job's result
+dicts.  The jobs run in this process through the daemon's own runner,
+:func:`repro.serve.jobs.run_job`, or with ``--remote [SOCKET]`` on a
 ``repro serve`` daemon (sharing its hot cache and coalescing with other
-tenants) and falls back to in-process execution, with a stderr note,
+tenants), which falls back to in-process execution, with a stderr note,
 when no daemon is reachable.
 """
 
@@ -32,7 +35,15 @@ import sys
 import numpy as np
 
 
-# ------------------------------------------------------- remote plumbing
+# ------------------------------------------------------------ job verbs
+
+#: The job verbs.  Each runs serve jobs of the kind it is named after
+#: (:data:`repro.serve.jobs.JOB_KINDS`) through :func:`_run_jobs`, so the
+#: daemon's runners are their one implementation, and each takes
+#: ``--remote``.
+JOB_VERBS = ("hgemm", "igemm", "sweep", "autotune", "verify", "workloads",
+             "numerics")
+
 
 def _resolve_remote(args):
     """Daemon socket to use, or None for in-process execution.
@@ -41,7 +52,7 @@ def _resolve_remote(args):
     daemon degrades to in-process execution with a stderr note -- the
     command still succeeds, it just pays full price.
     """
-    if getattr(args, "remote", None) is None:
+    if args.remote is None:
         return None
     from .serve import daemon_available, default_socket
 
@@ -53,16 +64,58 @@ def _resolve_remote(args):
     return None
 
 
-def _remote_run(remote: str, kind: str, payload: dict):
-    """Submit one job and wait; None (after a stderr note) on job failure."""
+def _run_jobs(args, payloads, show, charged: bool = False) -> int:
+    """Run the verb's jobs and print their result dicts with *show*.
+
+    The jobs go to the daemon ``--remote`` reaches, or run in this
+    process through :func:`repro.serve.jobs.run_job`.  *show* prints the
+    results and returns the exit status; daemon runs add one
+    ``served by daemon:`` line (with the functional instructions charged
+    to the request when *charged*).  A job that fails on the daemon is
+    reported on stderr and exits 1.
+    """
+    from functools import partial
+
+    from .perf.parallel import parallel_map
+    from .serve.jobs import run_job
+
+    kind = args.command
+    remote = _resolve_remote(args)
+    if remote is None:
+        jobs = getattr(args, "jobs", None)
+        if len(payloads) > 1:
+            # Several jobs spread over worker processes, each serial
+            # inside: pool workers are daemonic and cannot start pools.
+            payloads = [{name: value for name, value in p.items()
+                         if name != "jobs"} for p in payloads]
+        return show(parallel_map(partial(run_job, kind), payloads,
+                                 max_workers=jobs))
+
     from .serve import JobFailed, ServeClient
 
-    with ServeClient(remote) as client:
-        try:
-            return client.run(kind, payload)
-        except JobFailed as exc:
-            print(f"error: daemon job failed: {exc}", file=sys.stderr)
-            return None
+    try:
+        with ServeClient(remote) as client:
+            views = client.run_batch([{"kind": kind, "payload": p}
+                                      for p in payloads])
+    except JobFailed as exc:
+        print(f"error: daemon job failed: {exc}", file=sys.stderr)
+        return 1
+    status = show([view["result"] for view in views])
+    detail = ("job" + "s" * (len(views) > 1) + " "
+              + ", ".join(view["job_id"] for view in views))
+    if charged:
+        charge = sum(((view.get("stats") or {}).get("counters") or {})
+                     .get("func.instructions", 0) for view in views)
+        detail += f", {charge} instructions charged to this request"
+    print("served by daemon: " + ", ".join(map(_job_origin, views))
+          + f" ({detail})")
+    return status
+
+
+def _engine(args) -> dict:
+    """The ``engine`` payload field of a functional job verb: set only by
+    ``--func-engine``, so a default run keeps its job key."""
+    return {} if args.func_engine is None else {"engine": args.func_engine}
 
 
 def _job_origin(view: dict) -> str:
@@ -73,37 +126,19 @@ def _job_origin(view: dict) -> str:
     return "executed"
 
 
-def _remote_sweep(remote, spec, sizes, jobs):
-    """Both sweep legs (ours, cuBLAS-quirks) as one daemon batch."""
-    from .core import cublas_like, ours
-    from .serve import ServeClient
-    from .serve.jobs import config_to_dict, spec_to_dict
+def _show_summary(results) -> int:
+    """Print the one job's ``summary``; exit 1 if it did not pass."""
+    print(results[0]["summary"])
+    return 0 if results[0].get("passed", True) else 1
 
-    spec_d = spec_to_dict(spec)
 
-    def payload(config, quirks):
-        p = {"spec": spec_d, "config": config_to_dict(config),
-             "sizes": list(sizes), "baseline_quirks": quirks}
-        if jobs is not None:
-            p["jobs"] = jobs
-        return p
-
-    with ServeClient(remote) as client:
-        views = client.batch_submit([
-            {"kind": "sweep", "payload": payload(ours(), False)},
-            {"kind": "sweep", "payload": payload(cublas_like(), True)},
-        ])
-        series = []
-        for view in views:
-            if view["state"] not in ("done", "failed"):
-                view = client.wait(view["job_id"])
-            if view["state"] == "failed":
-                print("error: daemon job failed: "
-                      f"{view.get('error')}", file=sys.stderr)
-                return None
-            series.append([e["tflops"]
-                           for e in view["result"]["estimates"]])
-    return series
+def _show_gemm(results, opcode: str, oracle: str) -> int:
+    r = results[0]
+    print(f"kernel: {r['describe']}")
+    print(f"instructions: {r['instructions']} ({r['mma']} {opcode}), "
+          f"CTAs: {r['ctas']}")
+    print(f"bit-exact vs {oracle}: {r['exact']}")
+    return 0 if r["exact"] else 1
 
 
 def _cmd_tables(args) -> int:
@@ -190,146 +225,73 @@ def _cmd_roofline(args) -> int:
 
 def _cmd_sweep(args) -> int:
     from .arch import get_device
-    from .analysis import PerformanceModel
     from .core import cublas_like, ours
     from .report import ascii_chart, format_series
+    from .serve.jobs import config_to_dict, spec_to_dict
 
     spec = get_device(args.device)
     sizes = list(range(args.start, args.stop + 1, args.step))
-    remote = _resolve_remote(args)
-    if remote is not None:
-        print(f"submitting sweeps to daemon at {remote}...", file=sys.stderr)
-        series = _remote_sweep(remote, spec, sizes, args.jobs)
-        if series is None:
-            return 1
-        o, c = series
-    else:
-        pm = PerformanceModel(spec)
-        print(f"simulating SM profiles for {spec.name}...", file=sys.stderr)
-        pm.profile_many([ours(), cublas_like()], max_workers=args.jobs)
-        o = [e.tflops for e in pm.sweep(ours(), sizes,
-                                        max_workers=args.jobs)]
-        c = [e.tflops for e in pm.sweep(cublas_like(), sizes,
-                                        baseline_quirks=True,
-                                        max_workers=args.jobs)]
-    print(format_series(sizes, {"ours": [round(v, 1) for v in o],
-                                "cuBLAS": [round(v, 1) for v in c]}))
-    print(ascii_chart(sizes, {"ours": o, "cuBLAS": c}))
-    speedups = [a / b for a, b in zip(o, c)]
-    print(f"avg speedup {sum(speedups) / len(speedups):.2f}, "
-          f"max {max(speedups):.2f}")
-    return 0
+    payloads = [{"spec": spec_to_dict(spec), "config": config_to_dict(config),
+                 "sizes": sizes, "baseline_quirks": quirks}
+                for config, quirks in ((ours(), False), (cublas_like(), True))]
+    if args.jobs is not None:
+        for payload in payloads:
+            payload["jobs"] = args.jobs
 
+    def show(results) -> int:
+        o, c = ([e["tflops"] for e in r["estimates"]] for r in results)
+        print(format_series(sizes, {"ours": [round(v, 1) for v in o],
+                                    "cuBLAS": [round(v, 1) for v in c]}))
+        print(ascii_chart(sizes, {"ours": o, "cuBLAS": c}))
+        speedups = [a / b for a, b in zip(o, c)]
+        print(f"avg speedup {sum(speedups) / len(speedups):.2f}, "
+              f"max {max(speedups):.2f}")
+        return 0
 
-def _gemm_view_exit(view: dict, opcode: str, oracle: str) -> int:
-    r = view["result"]
-    counters = (view.get("stats") or {}).get("counters") or {}
-    print(f"kernel: {r['describe']}")
-    print(f"instructions: {r['instructions']} ({r['mma']} {opcode}), "
-          f"CTAs: {r['ctas']}")
-    print(f"bit-exact vs {oracle}: {r['exact']}")
-    print(f"served by daemon: {_job_origin(view)} "
-          f"(job {view['job_id']}, "
-          f"{counters.get('func.instructions', 0)} instructions charged "
-          "to this request)")
-    return 0 if r["exact"] else 1
+    print(f"simulating SM profiles for {spec.name}...", file=sys.stderr)
+    return _run_jobs(args, payloads, show)
 
 
 def _cmd_hgemm(args) -> int:
     from .arch import get_device
-    from .core import hgemm, hgemm_reference
+    from .serve.jobs import spec_to_dict
 
     spec = get_device(args.device)
-    remote = _resolve_remote(args)
-    if remote is not None:
-        from .serve.jobs import spec_to_dict
+    payload = {"m": args.m, "n": args.n, "k": args.k, "kernel": args.kernel,
+               "accumulate": args.accumulate, "seed": args.seed,
+               "spec": spec_to_dict(spec), **_engine(args)}
 
-        payload = {"m": args.m, "n": args.n, "k": args.k,
-                   "kernel": args.kernel, "accumulate": args.accumulate,
-                   "seed": args.seed, "spec": spec_to_dict(spec)}
-        if args.func_engine is not None:
-            payload["engine"] = args.func_engine
-        view = _remote_run(remote, "hgemm", payload)
-        if view is None:
-            return 1
-        return _gemm_view_exit(view, "HMMA", "precision model")
+    def show(results) -> int:
+        print(f"device: {spec.name} ({spec.arch.name}, "
+              f"SM{spec.arch.sm_version})")
+        return _show_gemm(results, "HMMA", "precision model")
 
-    rng = np.random.default_rng(args.seed)
-    a = rng.uniform(-1, 1, (args.m, args.k)).astype(np.float16)
-    b = rng.uniform(-1, 1, (args.k, args.n)).astype(np.float16)
-    run = hgemm(a, b, kernel=args.kernel, spec=spec,
-                accumulate=args.accumulate, return_run=True,
-                engine=args.func_engine)
-    reference = hgemm_reference(a, b, w_k=run.config.w_k,
-                                accumulate=args.accumulate)
-    exact = np.array_equal(run.c, reference)
-    print(f"device: {spec.name} ({spec.arch.name}, SM{spec.arch.sm_version})")
-    print(f"kernel: {run.config.describe()}")
-    print(f"instructions: {run.stats.instructions_retired} "
-          f"({run.stats.opcode_counts.get('HMMA', 0)} HMMA), "
-          f"CTAs: {run.stats.ctas_run}")
-    print(f"bit-exact vs precision model: {exact}")
-    return 0 if exact else 1
+    return _run_jobs(args, [payload], show, charged=True)
 
 
 def _cmd_igemm(args) -> int:
+    from functools import partial
+
     from .arch import get_device
-    from .core import igemm, igemm_reference
+    from .serve.jobs import spec_to_dict
 
-    spec = get_device(args.device)
-    remote = _resolve_remote(args)
-    if remote is not None:
-        from .serve.jobs import spec_to_dict
-
-        payload = {"m": args.m, "n": args.n, "k": args.k, "seed": args.seed,
-                   "spec": spec_to_dict(spec)}
-        if args.func_engine is not None:
-            payload["engine"] = args.func_engine
-        view = _remote_run(remote, "igemm", payload)
-        if view is None:
-            return 1
-        return _gemm_view_exit(view, "IMMA", "int8 oracle")
-
-    rng = np.random.default_rng(args.seed)
-    a = rng.integers(-128, 128, (args.m, args.k), dtype=np.int8)
-    b = rng.integers(-128, 128, (args.k, args.n), dtype=np.int8)
-    run = igemm(a, b, return_run=True, spec=spec, engine=args.func_engine)
-    reference = igemm_reference(a, b)
-    exact = np.array_equal(run.c, reference)
-    print(f"kernel: {run.config.describe()}")
-    print(f"instructions: {run.stats.instructions_retired} "
-          f"({run.stats.opcode_counts.get('IMMA', 0)} IMMA), "
-          f"CTAs: {run.stats.ctas_run}")
-    print(f"bit-exact vs int8 oracle: {exact}")
-    return 0 if exact else 1
+    payload = {"m": args.m, "n": args.n, "k": args.k, "seed": args.seed,
+               "spec": spec_to_dict(get_device(args.device)), **_engine(args)}
+    return _run_jobs(args, [payload],
+                     partial(_show_gemm, opcode="IMMA", oracle="int8 oracle"),
+                     charged=True)
 
 
 def _cmd_autotune(args) -> int:
     from .arch import get_device
-    from .analysis import autotune
+    from .serve.jobs import spec_to_dict
 
-    spec = get_device(args.device)
-    remote = _resolve_remote(args)
-    if remote is not None:
-        from .serve.jobs import spec_to_dict
-
-        payload = {"spec": spec_to_dict(spec), "m": args.m, "n": args.n,
-                   "k": args.k, "accum_f32": args.accumulate == "f32"}
-        if args.jobs is not None:
-            payload["jobs"] = args.jobs
-        view = _remote_run(remote, "autotune", payload)
-        if view is None:
-            return 1
-        print(view["result"]["summary"])
-        print(f"served by daemon: {_job_origin(view)} "
-              f"(job {view['job_id']})")
-        return 0
-
-    result = autotune(spec, args.m, args.n, args.k,
-                      accum_f32=args.accumulate == "f32",
-                      max_workers=args.jobs)
-    print(result.summary())
-    return 0
+    payload = {"spec": spec_to_dict(get_device(args.device)), "m": args.m,
+               "n": args.n, "k": args.k,
+               "accum_f32": args.accumulate == "f32"}
+    if args.jobs is not None:
+        payload["jobs"] = args.jobs
+    return _run_jobs(args, [payload], _show_summary)
 
 
 def _cmd_perfstats(args) -> int:
@@ -400,8 +362,9 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_verify(args) -> int:
     from .arch import get_device
-    from .core import cublas_like, ours, ours_f32, ours_int8, verify_kernel
+    from .core import cublas_like, ours, ours_f32, ours_int8
     from .core.config import adapt_for_arch
+    from .serve.jobs import config_to_dict, spec_to_dict
 
     spec = get_device(args.device)
     presets = {"ours": ours, "cublas": cublas_like, "f32": ours_f32,
@@ -418,26 +381,9 @@ def _cmd_verify(args) -> int:
         smem_pad_halves=8 if not config.smem_swizzle else 8,
     )
     config = adapt_for_arch(config, spec.arch)
-    remote = _resolve_remote(args)
-    if remote is not None:
-        from .serve.jobs import config_to_dict, spec_to_dict
-
-        payload = {"config": config_to_dict(config), "seeds": args.seeds,
-                   "spec": spec_to_dict(spec)}
-        if args.func_engine is not None:
-            payload["engine"] = args.func_engine
-        view = _remote_run(remote, "verify", payload)
-        if view is None:
-            return 1
-        print(view["result"]["summary"])
-        print(f"served by daemon: {_job_origin(view)} "
-              f"(job {view['job_id']})")
-        return 0 if view["result"]["passed"] else 1
-
-    report = verify_kernel(config, seeds=tuple(range(args.seeds)),
-                           spec=spec, engine=args.func_engine)
-    print(report.summary())
-    return 0 if report.passed else 1
+    payload = {"config": config_to_dict(config), "seeds": args.seeds,
+               "spec": spec_to_dict(spec), **_engine(args)}
+    return _run_jobs(args, [payload], _show_summary)
 
 
 def _cmd_workloads(args) -> int:
@@ -459,30 +405,12 @@ def _cmd_workloads(args) -> int:
     # model-side actions default to the production shapes.
     scale = args.scale or ("sim" if args.action == "run" else "full")
     if args.action == "run":
-        remote = _resolve_remote(args)
-        if remote is not None:
-            from .serve.jobs import spec_to_dict
+        from .serve.jobs import spec_to_dict
 
-            payload = {"suite": args.suite, "spec": spec_to_dict(spec),
-                       "scale": scale, "kernel": args.kernel,
-                       "seed": args.seed}
-            if args.func_engine is not None:
-                payload["engine"] = args.func_engine
-            view = _remote_run(remote, "workloads", payload)
-            if view is None:
-                return 1
-            print(view["result"]["summary"])
-            print(f"served by daemon: {_job_origin(view)} "
-                  f"(job {view['job_id']})")
-            return 0 if view["result"]["passed"] else 1
-
-        from .workloads import run_suite
-
-        result = run_suite(args.suite, spec=spec, scale=scale,
-                           kernel=args.kernel, seed=args.seed,
-                           engine=args.func_engine)
-        print(result.summary())
-        return 0 if result.passed else 1
+        payload = {"suite": args.suite, "spec": spec_to_dict(spec),
+                   "scale": scale, "kernel": args.kernel, "seed": args.seed,
+                   **_engine(args)}
+        return _run_jobs(args, [payload], _show_summary)
 
     if args.action == "estimate":
         from .analysis import sweep_suite
@@ -505,42 +433,32 @@ def _cmd_workloads(args) -> int:
 
 def _cmd_numerics(args) -> int:
     from .arch import get_device
+    from .serve.jobs import spec_to_dict
 
-    spec = get_device(args.device)
-    ks = tuple(int(k) for k in args.ks.split(",")) if args.ks else None
-    remote = _resolve_remote(args)
-    if remote is not None:
-        from .serve.jobs import spec_to_dict
+    payload = {"spec": spec_to_dict(get_device(args.device)),
+               "distribution": args.distribution, "m": args.m, "n": args.n,
+               "seed": args.seed, **_engine(args)}
+    if args.ks:
+        payload["ks"] = [int(k) for k in args.ks.split(",")]
+    return _run_jobs(args, [payload], _show_numerics)
 
-        payload = {"spec": spec_to_dict(spec),
-                   "distribution": args.distribution, "m": args.m,
-                   "n": args.n, "seed": args.seed}
-        if ks:
-            payload["ks"] = list(ks)
-        if args.func_engine is not None:
-            payload["engine"] = args.func_engine
-        view = _remote_run(remote, "numerics", payload)
-        if view is None:
-            return 1
-        print(view["result"]["summary"])
-        print(f"served by daemon: {_job_origin(view)} "
-              f"(job {view['job_id']})")
-        return 0 if view["result"]["reproduced"] else 1
 
-    from .numerics import (error_chart, error_curve, format_curves,
-                           format_verdict, markidis_verdict, supports)
-    from .numerics.harness import DEFAULT_KS
+def _show_numerics(results) -> int:
+    """Table, chart, verdict and digests of the job's error curves."""
+    from .numerics import (ErrorCurve, ErrorSample, error_chart,
+                           format_curves, format_verdict, markidis_verdict)
 
-    common = dict(ks=ks or DEFAULT_KS, m=args.m, n=args.n,
-                  distribution=args.distribution, seed=args.seed,
-                  engine=args.func_engine)
-    f16 = error_curve(spec, accumulate="f16", **common)
-    f32 = (error_curve(spec, accumulate="f32", **common)
-           if supports(spec, "f32") else None)
-    curves = [f16] + ([f32] if f32 else [])
-    print(format_curves(curves))
+    result = results[0]
+    curves = {}
+    for fields in result["samples"]:
+        sample = ErrorSample(**fields)
+        curves.setdefault(sample.accumulate, ErrorCurve(
+            result["device"], sample.accumulate, sample.distribution,
+        )).samples.append(sample)
+    f16, f32 = curves["f16"], curves.get("f32")
+    print(format_curves(list(curves.values())))
     print()
-    print(error_chart(curves))
+    print(error_chart(list(curves.values())))
     print()
     verdict = markidis_verdict(f16, f32)
     print(format_verdict(verdict))
@@ -859,8 +777,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "forking a background daemon")
 
     # Thin-client mode: these commands can route through a running daemon.
-    for name in ("hgemm", "igemm", "sweep", "autotune", "verify",
-                 "workloads", "numerics"):
+    for name in JOB_VERBS:
         sub.choices[name].add_argument(
             "--remote", nargs="?", const="", default=None, metavar="SOCKET",
             help="submit to a 'repro serve' daemon (default socket when no "

@@ -16,7 +16,6 @@ from .config import ours_int8
 from .hgemm import (
     HgemmRun,
     hgemm,
-    hgemm_batched,
     hgemm_reference,
     resolve_config,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "igemm_reference",
     "HgemmRun",
     "hgemm",
-    "hgemm_batched",
     "hgemm_reference",
     "resolve_config",
     "SmemPlan",

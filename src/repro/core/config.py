@@ -51,16 +51,27 @@ _FIELD_TYPES = {
 }
 
 
-def check_field_types(obj) -> None:
+def check_field_types(obj, values=None) -> None:
     """Raise :class:`ConfigError` naming the first field of dataclass *obj*
     whose value does not have its annotated type: int fields refuse bool,
     float and str, bool fields take only bools, tuple fields take tuples
-    of the element type, ``Optional[str]`` fields a str or None."""
+    of the element type, ``Optional[str]`` fields a str or None.
+
+    With *values*, *obj* may be the class: the field values it is about
+    to be built from are checked instead, those it names only, so a
+    decoder refuses them before ``__post_init__`` uses them.
+    """
+    cls = obj if isinstance(obj, type) else type(obj)
     for f in fields(obj):
+        if values is None:
+            value = getattr(obj, f.name)
+        elif f.name in values:
+            value = values[f.name]
+        else:
+            continue
         test, expected = _FIELD_TYPES[getattr(f.type, "__name__", f.type)]
-        value = getattr(obj, f.name)
         if not test(value):
-            raise ConfigError(f"{type(obj).__name__}.{f.name} must be "
+            raise ConfigError(f"{cls.__name__}.{f.name} must be "
                               f"{expected}, got {value!r}")
 
 

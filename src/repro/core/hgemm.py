@@ -34,7 +34,7 @@ from .config import (
     ours_f32,
 )
 
-__all__ = ["hgemm", "hgemm_batched", "hgemm_reference", "HgemmRun",
+__all__ = ["hgemm", "hgemm_reference", "HgemmRun",
            "resolve_config"]
 
 
@@ -194,29 +194,6 @@ def hgemm(a, b, kernel="ours", spec: GpuSpec = RTX2070,
     if return_run:
         return HgemmRun(out, config, stats)
     return out
-
-
-def hgemm_batched(a, b, kernel="ours", spec: GpuSpec = RTX2070,
-                  accumulate: str = "f16") -> np.ndarray:
-    """Batched GEMM: ``C[i] = A[i] @ B[i]`` for a stack of problems.
-
-    The paper's related work (Li et al. [16]) targets batched small GEMMs;
-    this wrapper provides the API surface by launching one grid per batch
-    entry.  Every entry calls :func:`hgemm`; the entries share one kernel
-    (same config, shape and device addresses), so the launch cache of
-    :func:`~repro.core.builder.build_hgemm` builds and predecodes it once
-    and every later entry reuses the program and its decoded tables.
-    """
-    a_s = np.ascontiguousarray(a, dtype=np.float16)
-    b_s = np.ascontiguousarray(b, dtype=np.float16)
-    if a_s.ndim != 3 or b_s.ndim != 3 or a_s.shape[0] != b_s.shape[0]:
-        raise ValueError(
-            f"batched operands must be (batch, m, k) and (batch, k, n); "
-            f"got {a_s.shape} and {b_s.shape}"
-        )
-    out = [hgemm(a_s[i], b_s[i], kernel=kernel, spec=spec,
-                 accumulate=accumulate) for i in range(a_s.shape[0])]
-    return np.stack(out)
 
 
 def hgemm_reference(a, b, w_k: int = 8, accumulate: str = "f16",

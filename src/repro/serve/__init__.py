@@ -4,9 +4,11 @@ The simulator became a pure cached function (content-addressed results,
 supervised workers, guard rails); this package turns it into a shared
 **service**.  One long-running daemon (``repro serve start``) owns one
 worker pool and one hot cache, and any number of clients -- CLI
-invocations with ``--remote``, ``PerformanceModel`` instances with a
-``remote=`` socket, other hosts' sweeps -- submit jobs over a unix
-domain socket.
+invocations with ``--remote``, Python callers of
+``ServeClient(sock).run(kind, payload)`` -- submit jobs over a unix
+domain socket.  The job runners (:func:`~repro.serve.jobs.run_job`) are
+also what the CLI's job verbs run in-process, so a job's answer does
+not depend on where it ran.
 
 The perf mechanism is **in-flight coalescing**: jobs are keyed by the
 same content-addressed key the ``repro.perf`` cache uses, concurrent

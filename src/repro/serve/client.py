@@ -1,9 +1,10 @@
 """Thin client of the simulation service.
 
 A :class:`ServeClient` wraps one connection to a daemon socket and
-exposes the protocol ops as methods.  The CLI's ``--remote`` mode and
-the ``PerformanceModel`` remote backend are both built on it; so is
-``repro doctor``'s service self-check.
+exposes the protocol ops as methods.  The CLI's ``--remote`` mode is
+built on it, and so is ``repro doctor``'s service self-check.  Python
+callers run a job the way ``--remote`` does with
+``ServeClient(sock).run(kind, payload)``.
 
 The client is deliberately dumb: no retries, no local execution.  A
 caller that wants graceful degradation checks :func:`daemon_available`
@@ -165,17 +166,26 @@ class ServeClient:
 
     def run(self, kind: str, payload: dict = None, priority: int = 0,
             timeout: float = None) -> dict:
-        """Submit + wait; returns the finished job view.
+        """Submit + wait; returns the finished job view (see
+        :meth:`run_batch`)."""
+        return self.run_batch([{"kind": kind, "payload": payload,
+                                "priority": priority}], timeout=timeout)[0]
 
-        Raises :class:`JobFailed` when the daemon reports the job failed
+    def run_batch(self, jobs: list, timeout: float = None) -> list:
+        """:meth:`batch_submit` *jobs*, then wait for each in turn; returns
+        the finished job views in order.
+
+        Raises :class:`JobFailed` when the daemon reports a job failed
         (the daemon-side exception text is the message).
         """
-        view = self.submit(kind, payload, priority=priority)
-        if view["state"] not in ("done", "failed"):
-            view = self.wait(view["job_id"], timeout=timeout)
-        if view["state"] == "failed":
-            raise JobFailed(view.get("error", "job failed"))
-        if view["state"] != "done":
-            raise ServeError(f"job {view['job_id']} still "
-                             f"{view['state']} after wait")
-        return view
+        views = []
+        for view in self.batch_submit(jobs):
+            if view["state"] not in ("done", "failed"):
+                view = self.wait(view["job_id"], timeout=timeout)
+            if view["state"] == "failed":
+                raise JobFailed(view.get("error", "job failed"))
+            if view["state"] != "done":
+                raise ServeError(f"job {view['job_id']} still "
+                                 f"{view['state']} after wait")
+            views.append(view)
+        return views

@@ -3,22 +3,22 @@
 Each kind is a pure function of its JSON payload: the daemon can run it
 anywhere, coalesce concurrent twins, and cache the result.  The
 **coalescing key of a job is the ``repro.perf`` cache key of the work it
-performs** -- built with :func:`~repro.perf.cache.content_key` over the
-canonicalised payload with :data:`~repro.perf.cache.SIM_VERSION` mixed
-in, and, for ``profile`` jobs, *literally* the same ``sm-profile`` key
-:meth:`~repro.analysis.perf_model.PerformanceModel.sm_profile` stores
-under.  Two requests coalesce exactly when a warm cache would have
+performs** -- :func:`~repro.perf.cache.content_key` over the kind and
+the canonicalised payload with :data:`~repro.perf.cache.SIM_VERSION`
+mixed in.  Two requests coalesce exactly when a warm cache would have
 served the second one; a bumped ``SIM_VERSION`` separates the keys the
 same way it invalidates the cache.
+
+These runners are also the one implementation of the CLI's job verbs:
+``repro hgemm`` and the rest build a payload, run it here through
+:func:`run_job` or on a daemon with ``--remote``, and print the result
+dict.
 
 Kinds
 -----
 ``noop``
     Diagnostic echo (optionally sleeping); never cached, so tests can
     hold a job in flight deterministically.
-``profile``
-    One ``PerformanceModel.sm_profile`` measurement -- the expensive
-    primitive under every sweep and autotune.
 ``sweep``
     A figure-style size sweep of one kernel config (profile + wave-model
     estimates).
@@ -40,13 +40,13 @@ Kinds
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from typing import get_type_hints
 
 import numpy as np
 
-from ..arch.family import ArchSpec
-from ..arch.turing import DEVICES, GpuSpec, MemoryCpiTable, get_device
-from ..core.config import KernelConfig
+from ..arch.turing import DEVICES, RTX2070, GpuSpec, get_device
+from ..core.config import ConfigError, KernelConfig, check_field_types
 from ..perf.cache import SIM_VERSION, content_key
 
 __all__ = [
@@ -82,28 +82,51 @@ def spec_to_dict(spec: GpuSpec) -> dict:
 
 
 def spec_from_dict(data: dict) -> GpuSpec:
-    if "device" in data:
+    """The :class:`GpuSpec` a :func:`spec_to_dict` dict names.
+
+    A missing, unknown or mistyped field raises a
+    :class:`~repro.core.config.ConfigError` naming it.
+    """
+    if isinstance(data, dict) and "device" in data:
         extra = sorted(set(data) - {"device"})
         if extra:
             raise ValueError(
                 f"spec dict names a device and also sets {extra}; send a "
                 "registry name alone ({'device': name}) or a full spec dict")
         name = data["device"]
+        if not isinstance(name, str):
+            raise ConfigError(f"spec device must be a registry device name "
+                              f"(a str), got {name!r}")
         try:
             return get_device(name)
         except KeyError:
             raise ValueError(
                 f"unknown device {name!r}; known devices: {sorted(DEVICES)}"
             ) from None
-    fields = dict(data)
-    for name, value in fields.items():
-        if not isinstance(value, dict):
-            continue
-        if set(value) == {"cpi32", "cpi64", "cpi128"}:
-            fields[name] = MemoryCpiTable(**value)
-        elif name == "arch":
-            fields[name] = ArchSpec(**value)
-    return GpuSpec(**fields)
+    return _from_fields(GpuSpec, data, "spec")
+
+
+def _from_fields(cls, data, where: str):
+    """Dataclass *cls* from a dict of its fields, nested dataclasses too."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be a dict of {cls.__name__} fields, "
+                          f"got {data!r}")
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"{cls.__name__} has no field {unknown[0]!r}")
+    types = get_type_hints(cls)
+    values, scalars = {}, {}
+    for f in fields(cls):
+        if f.name not in data:
+            if f.default is MISSING:
+                raise ConfigError(f"{cls.__name__}.{f.name} must be set")
+        elif is_dataclass(types[f.name]):
+            values[f.name] = _from_fields(types[f.name], data[f.name],
+                                          f"{cls.__name__}.{f.name}")
+        else:
+            values[f.name] = scalars[f.name] = data[f.name]
+    check_field_types(cls, scalars)
+    return cls(**values)
 
 
 def config_to_dict(config: KernelConfig) -> dict:
@@ -121,21 +144,26 @@ def options_to_dict(options) -> dict:
 def options_from_dict(data):
     from ..analysis.perf_model import PerfOptions
 
-    fields = dict(data)
+    values = dict(data)
     for name in ("cliff_devices", "profile_iters"):
-        if name in fields and isinstance(fields[name], list):
-            fields[name] = tuple(fields[name])
-    return PerfOptions(**fields)
+        if name in values and isinstance(values[name], list):
+            values[name] = tuple(values[name])
+    return PerfOptions(**values)
+
+
+def _spec(payload):
+    """The payload's spec; RTX 2070 when it names none."""
+    return spec_from_dict(payload["spec"]) if payload.get("spec") else RTX2070
 
 
 def _model(payload):
-    """(spec, options, PerformanceModel) from a job payload."""
+    """(spec, PerformanceModel) from a job payload."""
     from ..analysis.perf_model import PerformanceModel, PerfOptions
 
     spec = spec_from_dict(payload["spec"])
     options = (options_from_dict(payload["options"])
                if payload.get("options") else PerfOptions())
-    return spec, options, PerformanceModel(spec, options)
+    return spec, PerformanceModel(spec, options)
 
 
 # ------------------------------------------------------------ executors
@@ -149,14 +177,8 @@ def _run_noop(payload: dict) -> dict:
     return {"value": payload.get("value")}
 
 
-def _run_profile(payload: dict) -> dict:
-    _, _, model = _model(payload)
-    profile = model.sm_profile(config_from_dict(payload["config"]))
-    return asdict(profile)
-
-
 def _run_sweep(payload: dict) -> dict:
-    _, _, model = _model(payload)
+    _, model = _model(payload)
     config = config_from_dict(payload["config"])
     estimates = model.sweep(
         config,
@@ -171,7 +193,7 @@ def _run_sweep(payload: dict) -> dict:
 def _run_autotune(payload: dict) -> dict:
     from ..analysis.autotune import autotune
 
-    spec, _, model = _model(payload)
+    spec, model = _model(payload)
     result = autotune(spec, payload["m"], payload["n"], payload["k"],
                       accum_f32=bool(payload.get("accum_f32", False)),
                       model=model, max_workers=payload.get("jobs"))
@@ -201,18 +223,15 @@ def _gemm_result(run, exact: bool, opcode: str, payload: dict) -> dict:
 
 
 def _run_hgemm(payload: dict) -> dict:
-    from ..arch.turing import RTX2070
     from ..core import hgemm, hgemm_reference
 
-    spec = (spec_from_dict(payload["spec"]) if payload.get("spec")
-            else RTX2070)
     rng = np.random.default_rng(int(payload.get("seed", 0)))
     m, n, k = payload["m"], payload["n"], payload["k"]
     a = rng.uniform(-1, 1, (m, k)).astype(np.float16)
     b = rng.uniform(-1, 1, (k, n)).astype(np.float16)
     accumulate = payload.get("accumulate", "f16")
-    run = hgemm(a, b, kernel=payload.get("kernel", "ours"), spec=spec,
-                accumulate=accumulate, return_run=True,
+    run = hgemm(a, b, kernel=payload.get("kernel", "ours"),
+                spec=_spec(payload), accumulate=accumulate, return_run=True,
                 engine=payload.get("engine"))
     exact = bool(np.array_equal(
         run.c, hgemm_reference(a, b, w_k=run.config.w_k,
@@ -221,43 +240,34 @@ def _run_hgemm(payload: dict) -> dict:
 
 
 def _run_igemm(payload: dict) -> dict:
-    from ..arch.turing import RTX2070
     from ..core import igemm, igemm_reference
 
-    spec = (spec_from_dict(payload["spec"]) if payload.get("spec")
-            else RTX2070)
     rng = np.random.default_rng(int(payload.get("seed", 0)))
     m, n, k = payload["m"], payload["n"], payload["k"]
     a = rng.integers(-128, 128, (m, k), dtype=np.int8)
     b = rng.integers(-128, 128, (k, n), dtype=np.int8)
-    run = igemm(a, b, return_run=True, spec=spec,
+    run = igemm(a, b, return_run=True, spec=_spec(payload),
                 engine=payload.get("engine"))
     exact = bool(np.array_equal(run.c, igemm_reference(a, b)))
     return _gemm_result(run, exact, "IMMA", payload)
 
 
 def _run_verify(payload: dict) -> dict:
-    from ..arch.turing import RTX2070
     from ..core import verify_kernel
 
-    spec = (spec_from_dict(payload["spec"]) if payload.get("spec")
-            else RTX2070)
     config = config_from_dict(payload["config"])
     seeds = payload.get("seeds", 2)
     seeds = tuple(seeds) if isinstance(seeds, list) else tuple(range(seeds))
-    report = verify_kernel(config, seeds=seeds, spec=spec,
+    report = verify_kernel(config, seeds=seeds, spec=_spec(payload),
                            engine=payload.get("engine"))
     return {"passed": report.passed, "summary": report.summary(),
             "cases": len(report.cases)}
 
 
 def _run_workloads(payload: dict) -> dict:
-    from ..arch.turing import RTX2070
     from ..workloads import run_suite
 
-    spec = (spec_from_dict(payload["spec"]) if payload.get("spec")
-            else RTX2070)
-    result = run_suite(payload.get("suite", "smoke"), spec=spec,
+    result = run_suite(payload.get("suite", "smoke"), spec=_spec(payload),
                        scale=payload.get("scale", "sim"),
                        kernel=payload.get("kernel", "ours"),
                        seed=int(payload.get("seed", 0)),
@@ -274,13 +284,11 @@ def _run_workloads(payload: dict) -> dict:
 
 
 def _run_numerics(payload: dict) -> dict:
-    from ..arch.turing import RTX2070
     from ..numerics import (error_curve, format_curves, format_verdict,
                             markidis_verdict, supports)
     from ..numerics.harness import DEFAULT_KS
 
-    spec = (spec_from_dict(payload["spec"]) if payload.get("spec")
-            else RTX2070)
+    spec = _spec(payload)
     ks = tuple(payload.get("ks") or DEFAULT_KS)
     common = dict(ks=ks, m=int(payload.get("m", 64)),
                   n=int(payload.get("n", 64)),
@@ -320,7 +328,6 @@ class JobKind:
 
 JOB_KINDS = {
     "noop": JobKind("noop", _run_noop, cacheable=False),
-    "profile": JobKind("profile", _run_profile),
     "sweep": JobKind("sweep", _run_sweep),
     "autotune": JobKind("autotune", _run_autotune),
     "hgemm": JobKind("hgemm", _run_hgemm),
@@ -351,20 +358,11 @@ def cacheable(kind: str, payload: dict) -> bool:
 def job_key(kind: str, payload: dict) -> str:
     """The job's coalescing key == its ``repro.perf`` cache key.
 
-    ``profile`` jobs reuse the exact ``sm-profile`` key their execution
-    will store under, so a daemon profile and a local
-    ``PerformanceModel.sm_profile`` of the same work share one identity.
-    Every other kind hashes (kind, canonical payload) under the same
-    ``SIM_VERSION``-salted scheme, leaving out ``jobs``: a worker fan-out
-    never changes the result.
+    It hashes (kind, canonical payload) under the ``SIM_VERSION``-salted
+    scheme, leaving out ``jobs``: a worker fan-out never changes the
+    result.
     """
     kind_of(kind)  # validate early: a bad kind must fail at submit time
-    if kind == "profile":
-        spec, options, model = _model(payload)
-        config = config_from_dict(payload["config"])
-        lo, hi = options.profile_iters
-        return content_key(b"sm-profile", SIM_VERSION, spec, config,
-                           (lo, hi), model.ctas_per_sm(config))
     if isinstance(payload, dict) and "jobs" in payload:
         payload = {name: value for name, value in payload.items()
                    if name != "jobs"}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import ConfigError, hgemm, hgemm_batched, hgemm_reference
+from repro.core import ConfigError, hgemm, hgemm_reference
 from repro.core.builder import HgemmProblem
 from repro.core.config import ours_f32
 
@@ -72,22 +72,3 @@ class TestAlphaBeta:
         got = hgemm(a, b, alpha=alpha, beta=beta, c=c)
         np.testing.assert_array_equal(
             got, hgemm_reference(a, b, alpha=alpha, beta=beta, c=c))
-
-
-class TestBatched:
-    def test_matches_per_matrix(self):
-        rng = np.random.default_rng(0)
-        a = rng.uniform(-1, 1, (3, 64, 16)).astype(np.float16)
-        b = rng.uniform(-1, 1, (3, 16, 64)).astype(np.float16)
-        got = hgemm_batched(a, b)
-        assert got.shape == (3, 64, 64)
-        for i in range(3):
-            np.testing.assert_array_equal(got[i], hgemm_reference(a[i], b[i]))
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError, match="batched"):
-            hgemm_batched(np.zeros((64, 16), np.float16),
-                          np.zeros((16, 64), np.float16))
-        with pytest.raises(ValueError, match="batched"):
-            hgemm_batched(np.zeros((2, 64, 16), np.float16),
-                          np.zeros((3, 16, 64), np.float16))

@@ -97,6 +97,17 @@ class TestBasics:
         assert [view["result"] for view in done] == [{"value": 1},
                                                        {"value": 2}]
 
+    def test_malformed_spec_fails_the_job_not_the_daemon(self, daemon):
+        payload = _hgemm_payload(spec={"device": 7})
+        with ServeClient(daemon.socket_path) as client:
+            with pytest.raises(JobFailed,
+                               match=r"ConfigError: spec device must be a "
+                                     r"registry device name \(a str\), got 7"):
+                client.run("hgemm", payload)
+            assert all(thread.is_alive() for thread in daemon._threads)
+            view = client.run("hgemm", _hgemm_payload())
+        assert view["result"]["exact"] is True
+
     def test_result_matches_inprocess_run(self, daemon):
         from repro.core import hgemm
 

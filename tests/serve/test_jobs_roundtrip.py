@@ -58,6 +58,35 @@ class TestSpecRoundTrip:
         # Nested tables must come back as real dataclasses, not dicts.
         assert rebuilt.lds_cpi.cpi(64) == custom.lds_cpi.cpi(64)
 
+    @pytest.mark.parametrize("fields,message", [
+        ({"device": 7}, "spec device must be a registry device name (a str), got 7"),
+        ({"device": None}, "spec device must be a registry device name (a str), got None"),
+        ({"num_sms": "forty"}, "GpuSpec.num_sms must be an int, got 'forty'"),
+        ({"num_sms": None}, "GpuSpec.num_sms must be set"),
+        ({"color": "red"}, "GpuSpec has no field 'color'"),
+        ({"arch": "turing"}, "GpuSpec.arch must be a dict of ArchSpec fields, got 'turing'"),
+        ({"arch": {"sm_version": "70"}}, "ArchSpec.sm_version must be an int, got '70'"),
+        ({"arch": {"supports_imma": 1}}, "ArchSpec.supports_imma must be a bool, got 1"),
+        ({"lds_cpi": {"cpi64": "x"}}, "MemoryCpiTable.cpi64 must be a real number, got 'x'"),
+    ])
+    def test_malformed_spec_is_refused_by_name(self, fields, message):
+        """A full spec dict (V100's) with *fields* merged in -- ``None``
+        deletes a field -- or a device form is refused by name."""
+        if "device" in fields:
+            data = fields
+        else:
+            data = spec_to_dict(dataclasses.replace(V100, name="custom"))
+            for name, value in fields.items():
+                if isinstance(value, dict):
+                    data[name] = {**data[name], **value}
+                elif value is None:
+                    del data[name]
+                else:
+                    data[name] = value
+        with pytest.raises(ConfigError) as err:
+            spec_from_dict(data)
+        assert str(err.value) == message
+
     def test_renamed_registry_spec_is_not_collapsed(self):
         # A custom spec that merely *shares* a registry name but differs
         # in content must not be silently replaced by the registry entry.

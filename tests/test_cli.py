@@ -1,8 +1,29 @@
 """Tests for the command-line interface."""
 
+import argparse
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import JOB_VERBS, build_parser, main
+
+#: A small invocation of every job verb.
+JOB_ARGV = {
+    "hgemm": ["hgemm", "64", "64", "32"],
+    "igemm": ["igemm", "128", "128", "32"],
+    "sweep": ["sweep", "--start", "4096", "--stop", "8192", "--step", "4096"],
+    "autotune": ["autotune", "1024", "1024", "1024"],
+    "verify": ["verify", "--seeds", "1"],
+    "workloads": ["workloads", "run", "--suite", "smoke"],
+    "numerics": ["numerics", "--ks", "32,256"],
+}
+
+
+def _without_served_line(out: str) -> str:
+    return "".join(line for line in out.splitlines(keepends=True)
+                   if not line.startswith("served by daemon:"))
 
 
 class TestParser:
@@ -59,6 +80,32 @@ class TestParser:
         assert functional._default_engine() == functional.ENGINES[0]
         assert timing._default_engine() == timing.ENGINES[0]
         assert guard.guard_mode() == guard.MODES[0]
+
+    def test_remote_verbs_are_the_job_verbs(self):
+        from repro.serve.jobs import JOB_KINDS
+
+        sub = next(action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+        remote = {name for name, parser in sub.choices.items()
+                  if any(a.dest == "remote" for a in parser._actions)}
+        assert remote == set(JOB_VERBS) == set(JOB_ARGV)
+        assert set(JOB_VERBS) <= set(JOB_KINDS)
+
+    def test_readme_examples_parse(self):
+        """Every ``python -m repro`` command line in README.md's fenced
+        code blocks is one the parser accepts."""
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        commands, fenced = [], False
+        for line in readme.read_text(encoding="utf-8").splitlines():
+            if line.startswith("```"):
+                fenced = not fenced
+                continue
+            found = re.match(r"\s*(?:\w+=\S*\s+)*python -m repro\b(.*)", line)
+            if fenced and found:
+                commands.append(shlex.split(found.group(1), comments=True))
+        assert len(commands) >= 20
+        for argv in commands:
+            build_parser().parse_args(argv)
 
     def test_removed_func_engine_refused(self, capsys):
         removed = "grid" "lock"  # the deleted grid-lockstep engine
@@ -120,6 +167,36 @@ class TestCommands:
     def test_verify_int8(self, capsys):
         assert main(["verify", "--kernel", "int8", "--seeds", "1"]) == 0
         assert "bit-exact" in capsys.readouterr().out
+
+
+class TestJobVerbs:
+    """Every job verb prints the same lines in-process and on a daemon."""
+
+    @pytest.mark.parametrize("verb", sorted(JOB_ARGV))
+    def test_remote_prints_what_in_process_prints(self, verb, cache_enabled,
+                                                  capsys):
+        from repro.serve import ServeDaemon
+
+        argv = JOB_ARGV[verb]
+        local_rc = main(argv)
+        local = capsys.readouterr().out
+        daemon = ServeDaemon(str(cache_enabled / "parity.sock"), workers=1)
+        daemon.start()
+        try:
+            remote_rc = main(argv + ["--remote", daemon.socket_path])
+        finally:
+            daemon.stop()
+        remote = capsys.readouterr().out
+        assert local_rc == remote_rc == 0
+        assert remote.count("served by daemon: ") == 1
+        assert _without_served_line(remote) == local
+
+    def test_sweep_jobs_print_what_serial_prints(self, capsys):
+        argv = JOB_ARGV["sweep"]
+        assert main(argv) == 0
+        serial = capsys.readouterr().out
+        assert main(argv + ["--jobs", "2"]) == 0
+        assert capsys.readouterr().out == serial
 
 
 class TestServeCli:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.arch import DEVICES
 from repro.arch.turing import RTX2070
-from repro.core import hgemm
+from repro.core import hgemm, hgemm_reference
 from repro.workloads import (
     hgemm_strided_batched,
     hgemm_strided_batched_reference,
@@ -26,6 +26,15 @@ class TestStridedBatched:
         np.testing.assert_array_equal(run.c, oracle)
         assert run.launches == 3
         assert len(run.per_entry) == 3
+
+    def test_3d_operands_match_per_matrix_reference(self):
+        rng = np.random.default_rng(0)
+        a = rng.uniform(-1, 1, (3, 64, 16)).astype(np.float16)
+        b = rng.uniform(-1, 1, (3, 16, 64)).astype(np.float16)
+        c = hgemm_strided_batched(a, b)
+        assert c.shape == (3, 64, 64)
+        for i in range(3):
+            np.testing.assert_array_equal(c[i], hgemm_reference(a[i], b[i]))
 
     def test_each_entry_matches_single_hgemm(self):
         """The batch must be *exactly* a loop of single launches: same
