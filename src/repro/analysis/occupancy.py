@@ -32,10 +32,6 @@ class OccupancyReport:
     def warps_per_sm(self) -> int:
         return self.ctas_per_sm * (self.threads_per_cta // 32)
 
-    @property
-    def active_threads(self) -> int:
-        return self.ctas_per_sm * self.threads_per_cta
-
 
 def occupancy(config: KernelConfig, spec: GpuSpec,
               regs_per_thread: int = None) -> OccupancyReport:

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Optional
 
 from ..arch.turing import GpuSpec
 from ..core.builder import HgemmProblem, build_hgemm
@@ -67,23 +66,6 @@ class PerfOptions:
     cliff_devices: tuple[str, ...] = ("RTX2070",)
     #: Effective measurement k-depths for the SM profile.
     profile_iters: tuple[int, ...] = (2, 6)
-    #: Timing engine driving the SM-profile runs ("event"/"reference");
-    #: None defers to ``REPRO_TIMING_ENGINE``.  The engines are bit-identical
-    #: (pinned by the differential suite), so this deliberately does not
-    #: enter any profile-cache key.
-    timing_engine: Optional[str] = None
-    #: Functional engine for launches run on the model consumer's behalf
-    #: ("lockstep"/"reference"); None defers to ``REPRO_FUNC_ENGINE``.  The
-    #: CLI plumbs ``--func-engine`` here and into
-    #: :func:`repro.core.hgemm`/``igemm``/``verify_kernel``.  The engines
-    #: are bit-identical, so it never enters a cache key either.
-    func_engine: Optional[str] = None
-    #: Divergence-watchdog mode for the SM-profile runs ("off"/"sample"/
-    #: "full"); None defers to ``REPRO_GUARD``.  See
-    #: :mod:`repro.robust.guard`.  The guard never changes reported numbers
-    #: (a divergence heals to the reference result), so it stays out of the
-    #: cache key too.
-    guard: Optional[str] = None
 
     def __post_init__(self) -> None:
         check_field_types(self)
@@ -186,9 +168,7 @@ class PerformanceModel:
         cached = PROFILE_CACHE.get(run_key)
         if cached is not None:
             return cached["cycles"]
-        sim = TimingSimulator(self.spec, bandwidth_share=1.0,
-                              engine=self.options.timing_engine,
-                              guard=self.options.guard)
+        sim = TimingSimulator(self.spec, bandwidth_share=1.0)
         # A leg touches a few tiles of its 16 MiB: fresh mapped pages keep
         # resident only those, however malloc placed earlier legs.
         result = sim.run(program, GlobalMemory(_PROFILE_MEM_BYTES, mapped=True),

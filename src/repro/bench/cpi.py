@@ -52,9 +52,6 @@ class CpiResult:
     instructions: int
     cycles: int
 
-    def throughput_bytes_per_cycle(self, bytes_per_instruction: int) -> float:
-        return bytes_per_instruction / self.cpi
-
 
 def _finish(b: ProgramBuilder) -> None:
     """Store both clock snapshots (R20, R21) and exit."""

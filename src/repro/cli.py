@@ -29,10 +29,11 @@ when no daemon is reachable.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
+
+from . import knobs
 
 
 # ------------------------------------------------------------ job verbs
@@ -54,9 +55,9 @@ def _resolve_remote(args):
     """
     if args.remote is None:
         return None
-    from .serve import daemon_available, default_socket
+    from .serve import daemon_available
 
-    path = args.remote or default_socket()
+    path = args.remote or str(knobs.read("REPRO_SERVE_SOCKET"))
     if daemon_available(path):
         return path
     print(f"warning: no daemon reachable at {path}; running in-process",
@@ -110,12 +111,6 @@ def _run_jobs(args, payloads, show, charged: bool = False) -> int:
     print("served by daemon: " + ", ".join(map(_job_origin, views))
           + f" ({detail})")
     return status
-
-
-def _engine(args) -> dict:
-    """The ``engine`` payload field of a functional job verb: set only by
-    ``--func-engine``, so a default run keeps its job key."""
-    return {} if args.func_engine is None else {"engine": args.func_engine}
 
 
 def _job_origin(view: dict) -> str:
@@ -259,7 +254,7 @@ def _cmd_hgemm(args) -> int:
     spec = get_device(args.device)
     payload = {"m": args.m, "n": args.n, "k": args.k, "kernel": args.kernel,
                "accumulate": args.accumulate, "seed": args.seed,
-               "spec": spec_to_dict(spec), **_engine(args)}
+               "spec": spec_to_dict(spec)}
 
     def show(results) -> int:
         print(f"device: {spec.name} ({spec.arch.name}, "
@@ -276,7 +271,7 @@ def _cmd_igemm(args) -> int:
     from .serve.jobs import spec_to_dict
 
     payload = {"m": args.m, "n": args.n, "k": args.k, "seed": args.seed,
-               "spec": spec_to_dict(get_device(args.device)), **_engine(args)}
+               "spec": spec_to_dict(get_device(args.device))}
     return _run_jobs(args, [payload],
                      partial(_show_gemm, opcode="IMMA", oracle="int8 oracle"),
                      charged=True)
@@ -295,18 +290,16 @@ def _cmd_autotune(args) -> int:
 
 
 def _cmd_perfstats(args) -> int:
-    from .analysis import PerfOptions, PerformanceModel
+    from .analysis import PerformanceModel
     from .arch import get_device
     from .core import cublas_like, hgemm, ours
-    from .perf import PROFILE_CACHE, STATS, cache_dir, cache_enabled
+    from .perf import PROFILE_CACHE, STATS
 
     spec = get_device(args.device)
     kernels = {"ours": [ours()], "cublas": [cublas_like()],
                "both": [ours(), cublas_like()]}
-    options = PerfOptions(timing_engine=args.timing_engine,
-                          func_engine=args.func_engine)
     STATS.reset()
-    pm = PerformanceModel(spec, options)
+    pm = PerformanceModel(spec)
     with STATS.timer("perfstats.wall"):
         profiles = pm.profile_many(kernels[args.kernel],
                                    max_workers=args.jobs)
@@ -317,11 +310,11 @@ def _cmd_perfstats(args) -> int:
         b = rng.uniform(-1, 1, (32, 256)).astype(np.float16)
         for name in ("ours", "cublas"):
             if args.kernel in (name, "both"):
-                hgemm(a, b, kernel=name, spec=spec, engine=options.func_engine)
-    state = ("enabled" if cache_enabled()
-             else "DISABLED (REPRO_NO_CACHE set)")
+                hgemm(a, b, kernel=name, spec=spec)
+    state = ("DISABLED (REPRO_NO_CACHE set)" if knobs.read("REPRO_NO_CACHE")
+             else "enabled")
     print(f"result cache: {state}")
-    print(f"cache dir:    {cache_dir()} "
+    print(f"cache dir:    {knobs.read('REPRO_CACHE_DIR')} "
           f"({PROFILE_CACHE.disk_entries()} profile entries on disk)")
     for cfg, profile in zip(kernels[args.kernel], profiles):
         print(f"{cfg.name}: {profile.marginal_cycles:.1f} cycles/iter "
@@ -382,7 +375,7 @@ def _cmd_verify(args) -> int:
     )
     config = adapt_for_arch(config, spec.arch)
     payload = {"config": config_to_dict(config), "seeds": args.seeds,
-               "spec": spec_to_dict(spec), **_engine(args)}
+               "spec": spec_to_dict(spec)}
     return _run_jobs(args, [payload], _show_summary)
 
 
@@ -408,8 +401,7 @@ def _cmd_workloads(args) -> int:
         from .serve.jobs import spec_to_dict
 
         payload = {"suite": args.suite, "spec": spec_to_dict(spec),
-                   "scale": scale, "kernel": args.kernel, "seed": args.seed,
-                   **_engine(args)}
+                   "scale": scale, "kernel": args.kernel, "seed": args.seed}
         return _run_jobs(args, [payload], _show_summary)
 
     if args.action == "estimate":
@@ -437,7 +429,7 @@ def _cmd_numerics(args) -> int:
 
     payload = {"spec": spec_to_dict(get_device(args.device)),
                "distribution": args.distribution, "m": args.m, "n": args.n,
-               "seed": args.seed, **_engine(args)}
+               "seed": args.seed}
     if args.ks:
         payload["ks"] = [int(k) for k in args.ks.split(",")]
     return _run_jobs(args, [payload], _show_numerics)
@@ -473,16 +465,18 @@ def _cmd_doctor(args) -> int:
 
     report, ok = run_doctor(selftest=not args.no_selftest)
     print(format_report(report))
-    if not args.no_selftest:
+    if "selftest" in report:
         print("doctor: all self-tests passed" if ok
               else "doctor: SELF-TEST FAILURES (see above)")
+    elif not ok:
+        print("doctor: malformed REPRO_* knobs (see above)")
     return 0 if ok else 1
 
 
 def _cmd_serve(args) -> int:
-    from .serve import ServeClient, ServeUnavailable, default_socket
+    from .serve import ServeClient, ServeUnavailable
 
-    sock = args.socket or default_socket()
+    sock = args.socket or str(knobs.read("REPRO_SERVE_SOCKET"))
     if args.action == "start":
         return _serve_start(args, sock)
     try:
@@ -535,7 +529,6 @@ def _serve_spawn(args, sock: str) -> int:
     import subprocess
     import time
 
-    from .perf import cache_dir
     from .serve import daemon_available
 
     cmd = [sys.executable, "-m", "repro", "serve", "start", "--foreground",
@@ -544,7 +537,7 @@ def _serve_spawn(args, sock: str) -> int:
         cmd += ["--workers", str(args.workers)]
     if args.queue_max is not None:
         cmd += ["--queue-max", str(args.queue_max)]
-    log_path = cache_dir() / "serve.log"
+    log_path = knobs.read("REPRO_CACHE_DIR") / "serve.log"
     log_path.parent.mkdir(parents=True, exist_ok=True)
     with open(log_path, "ab") as log:
         proc = subprocess.Popen(cmd, stdout=log, stderr=subprocess.STDOUT,
@@ -632,29 +625,9 @@ def _cmd_disasm(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from .robust.guard import MODES
-    from .sim.functional import ENGINES as FUNC_ENGINES
-    from .sim.timing import ENGINES as TIMING_ENGINES
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Tensor Core HGEMM reproduction (IPDPS 2020)")
-    parser.add_argument(
-        "--timing-engine", choices=TIMING_ENGINES, default=None,
-        help="cycle-level simulator engine (default: $REPRO_TIMING_ENGINE "
-             f"or '{TIMING_ENGINES[0]}'; the engines are bit-identical, "
-             "'event' is faster)")
-    parser.add_argument(
-        "--func-engine", choices=FUNC_ENGINES, default=None,
-        help="functional simulator engine (default: $REPRO_FUNC_ENGINE or "
-             f"'{FUNC_ENGINES[0]}'; the engines are bit-identical, "
-             "'reference' is the instruction-at-a-time oracle)")
-    parser.add_argument(
-        "--guard", choices=MODES, default=None,
-        help="divergence watchdog: re-run fast-engine launches on the "
-             "reference engines and degrade on mismatch (default: "
-             f"$REPRO_GUARD or '{MODES[0]}'; 'sample' bounds overhead by "
-             "$REPRO_GUARD_BUDGET)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("tables", help="regenerate Tables I-VII")
@@ -813,12 +786,8 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.timing_engine is not None:
-        # Every simulator construction site (including worker processes,
-        # which inherit the environment) honours this.
-        os.environ["REPRO_TIMING_ENGINE"] = args.timing_engine
-    if args.func_engine is not None:
-        os.environ["REPRO_FUNC_ENGINE"] = args.func_engine
-    if args.guard is not None:
-        os.environ["REPRO_GUARD"] = args.guard
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except knobs.KnobError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1

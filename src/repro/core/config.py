@@ -41,8 +41,6 @@ _FIELD_TYPES = {
               "a real number"),
     "bool": (lambda v: isinstance(v, bool), "a bool"),
     "str": (lambda v: isinstance(v, str), "a str"),
-    "Optional[str]": (lambda v: v is None or isinstance(v, str),
-                      "a str or None"),
     "tuple[int, ...]": (lambda v: isinstance(v, tuple) and all(map(_is_int, v)),
                         "a tuple of ints"),
     "tuple[str, ...]": (lambda v: isinstance(v, tuple)
@@ -55,7 +53,7 @@ def check_field_types(obj, values=None) -> None:
     """Raise :class:`ConfigError` naming the first field of dataclass *obj*
     whose value does not have its annotated type: int fields refuse bool,
     float and str, bool fields take only bools, tuple fields take tuples
-    of the element type, ``Optional[str]`` fields a str or None.
+    of the element type.
 
     With *values*, *obj* may be the class: the field values it is about
     to be built from are checked instead, those it names only, so a
@@ -183,11 +181,6 @@ class KernelConfig:
     @property
     def smem_row_bytes(self) -> int:
         return self.smem_row_halves * self.ab_element_bytes
-
-    @property
-    def smem_tile_bytes(self) -> int:
-        """Bytes of one operand tile in shared memory (A: b_m rows)."""
-        return self.b_m * self.smem_row_bytes
 
     @property
     def smem_bytes(self) -> int:

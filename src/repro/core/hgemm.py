@@ -125,8 +125,7 @@ class HgemmRun:
 
 def hgemm(a, b, kernel="ours", spec: GpuSpec = RTX2070,
           accumulate: str = "f16", alpha: float = 1.0, beta: float = 0.0,
-          c=None, return_run: bool = False, engine: str = None,
-          guard: str = None):
+          c=None, return_run: bool = False):
     """Compute ``C = alpha * A @ B + beta * C`` on the simulated GPU.
 
     Args:
@@ -142,12 +141,6 @@ def hgemm(a, b, kernel="ours", spec: GpuSpec = RTX2070,
            evaluation uses alpha=1, beta=0).  FP16 path only.
         c: (m, n) float16 input, required when ``beta != 0``.
         return_run: also return kernel statistics.
-        engine: functional execution engine ("lockstep" or
-           "reference"); ``None`` defers to ``REPRO_FUNC_ENGINE``.  Both
-           engines are bit-identical.
-        guard: divergence-watchdog mode ("off", "sample", "full");
-           ``None`` defers to ``REPRO_GUARD`` (see
-           :mod:`repro.robust.guard`).
 
     Returns:
         (m, n) float16 (or float32) array, or an :class:`HgemmRun` when
@@ -188,7 +181,7 @@ def hgemm(a, b, kernel="ours", spec: GpuSpec = RTX2070,
     problem = HgemmProblem(m=m, n=n, k=k, a_addr=a_addr, b_addr=b_addr,
                            c_addr=c_addr, alpha=alpha, beta=beta)
     program = build_hgemm(config, problem, spec)
-    stats = FunctionalSimulator(engine=engine, guard=guard).run(
+    stats = FunctionalSimulator().run(
         program, memory, grid_dim=config.grid_dim(m, n))
     out = memory.read_array(c_addr, c_dtype, m * n).reshape(m, n)
     if return_run:

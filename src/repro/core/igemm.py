@@ -53,7 +53,7 @@ class IgemmRun:
 
 
 def igemm(a, b, kernel=None, spec: GpuSpec = RTX2070,
-          return_run: bool = False, engine: str = None):
+          return_run: bool = False):
     """Compute ``C = A @ B`` on int8 operands with s32 accumulation.
 
     Args:
@@ -63,8 +63,6 @@ def igemm(a, b, kernel=None, spec: GpuSpec = RTX2070,
             :func:`ours_int8` preset (shrunk to fit the problem).
         spec: target device.
         return_run: also return kernel statistics.
-        engine: functional execution engine ("lockstep" or
-            "reference"); ``None`` defers to ``REPRO_FUNC_ENGINE``.
 
     Returns:
         (m, n) int32 array, or an :class:`IgemmRun` when *return_run*.
@@ -95,7 +93,7 @@ def igemm(a, b, kernel=None, spec: GpuSpec = RTX2070,
     problem = HgemmProblem(m=m, n=n, k=k, a_addr=a_addr, b_addr=b_addr,
                            c_addr=c_addr)
     program = build_hgemm(config, problem, spec)
-    stats = FunctionalSimulator(engine=engine).run(
+    stats = FunctionalSimulator().run(
         program, memory, grid_dim=config.grid_dim(m, n))
     out = memory.read_array(c_addr, np.int32, m * n).reshape(m, n)
     if return_run:

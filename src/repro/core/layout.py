@@ -78,9 +78,6 @@ class TileLayout:
         """Logical (row, col) -> byte address in shared memory."""
         return self.base_bytes + self.elem_bytes * self.offset_halves(row, col)
 
-    def row_address(self, row: int) -> int:
-        return self.address(row, 0)
-
 
 @dataclass(frozen=True)
 class SmemPlan:

@@ -66,14 +66,12 @@ class VerificationReport:
 
 
 def verify_kernel(config: KernelConfig, shapes=DEFAULT_SHAPES,
-                  seeds=(0, 1), spec: GpuSpec = RTX2070,
-                  engine: str = None) -> VerificationReport:
+                  seeds=(0, 1),
+                  spec: GpuSpec = RTX2070) -> VerificationReport:
     """Run *config* over a shape/seed grid against the oracle.
 
     Shapes that the configuration cannot tile are skipped (they are not
     this kernel's job); everything it accepts must be bit-exact.
-    ``engine`` picks the functional execution engine (``None`` ->
-    ``REPRO_FUNC_ENGINE``).
     """
     report = VerificationReport(kernel_name=config.name or "custom")
     is_int8 = config.ab_dtype == "s8"
@@ -90,12 +88,11 @@ def verify_kernel(config: KernelConfig, shapes=DEFAULT_SHAPES,
                 b = rng.uniform(-2, 2, (k, n)).astype(np.float16)
             try:
                 if is_int8:
-                    got = igemm(a, b, kernel=config, spec=spec, engine=engine)
+                    got = igemm(a, b, kernel=config, spec=spec)
                     want = igemm_reference(a, b)
                 else:
                     got = hgemm(a, b, kernel=config, spec=spec,
-                                accumulate="f32" if config.accum_f32 else "f16",
-                                engine=engine)
+                                accumulate="f32" if config.accum_f32 else "f16")
                     want = hgemm_reference(
                         a, b, w_k=config.w_k,
                         accumulate="f32" if config.accum_f32 else "f16")

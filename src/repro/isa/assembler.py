@@ -180,16 +180,12 @@ def _parse_instruction(body: str, line_no: int, line: str) -> Instruction:
     except AssemblyError as exc:
         raise AssemblyError(str(exc), line_no, line) from None
 
+    expected = OPCODES[opcode].operands
+    if len(operands) != expected:
+        raise AssemblyError(
+            f"{opcode} takes {expected} operands, got {len(operands)}",
+            line_no, line)
     n_dest = _DEST_COUNTS.get(opcode, 1)
-    if len(operands) < n_dest:
-        raise AssemblyError(
-            f"{opcode} needs at least {n_dest} destination operand(s)", line_no, line
-        )
-    if opcode in ("HMMA", "IMMA") and len(operands) != 4:
-        raise AssemblyError(
-            f"{opcode} takes 4 register operands (D, A, B, C), got {len(operands)}",
-            line_no, line,
-        )
     return Instruction(
         opcode=opcode,
         dests=tuple(operands[:n_dest]),

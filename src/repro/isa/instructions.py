@@ -73,31 +73,36 @@ class OpcodeInfo:
     writes_predicate: bool = False
     #: Executes as one warp-wide operation; cannot be lane-predicated.
     warp_wide: bool = False
+    #: Operands in assembly text, destinations first (a branch's label
+    #: is not one).
+    operands: int = 0
 
 
 def _build_registry() -> dict:
     table = [
         OpcodeInfo("NOP", Pipe.ALU, 0x00),
         OpcodeInfo("EXIT", Pipe.ALU, 0x01),
-        OpcodeInfo("MOV", Pipe.ALU, 0x02),
-        OpcodeInfo("MOV32I", Pipe.ALU, 0x03),
-        OpcodeInfo("IADD3", Pipe.ALU, 0x04),
-        OpcodeInfo("IMAD", Pipe.ALU, 0x05),
-        OpcodeInfo("SHF", Pipe.ALU, 0x06),
-        OpcodeInfo("LOP3", Pipe.ALU, 0x07),
-        OpcodeInfo("ISETP", Pipe.ALU, 0x08, writes_predicate=True),
-        OpcodeInfo("SEL", Pipe.ALU, 0x09),
-        OpcodeInfo("S2R", Pipe.ALU, 0x0A),
-        OpcodeInfo("CS2R", Pipe.ALU, 0x0B),
+        OpcodeInfo("MOV", Pipe.ALU, 0x02, operands=2),
+        OpcodeInfo("MOV32I", Pipe.ALU, 0x03, operands=2),
+        OpcodeInfo("IADD3", Pipe.ALU, 0x04, operands=4),
+        OpcodeInfo("IMAD", Pipe.ALU, 0x05, operands=4),
+        OpcodeInfo("SHF", Pipe.ALU, 0x06, operands=3),
+        OpcodeInfo("LOP3", Pipe.ALU, 0x07, operands=3),
+        OpcodeInfo("ISETP", Pipe.ALU, 0x08, writes_predicate=True, operands=5),
+        OpcodeInfo("SEL", Pipe.ALU, 0x09, operands=4),
+        OpcodeInfo("S2R", Pipe.ALU, 0x0A, operands=2),
+        OpcodeInfo("CS2R", Pipe.ALU, 0x0B, operands=2),
         OpcodeInfo("BAR", Pipe.BARRIER, 0x0C),
         OpcodeInfo("BRA", Pipe.BRANCH, 0x0D, is_branch=True),
-        OpcodeInfo("HMMA", Pipe.TENSOR, 0x10, warp_wide=True),
-        OpcodeInfo("HFMA2", Pipe.FMA, 0x11),
-        OpcodeInfo("IMMA", Pipe.TENSOR, 0x12, warp_wide=True),
-        OpcodeInfo("LDG", Pipe.LSU, 0x20, is_memory=True),
-        OpcodeInfo("STG", Pipe.LSU, 0x21, is_memory=True, is_store=True),
-        OpcodeInfo("LDS", Pipe.LSU, 0x22, is_memory=True),
-        OpcodeInfo("STS", Pipe.LSU, 0x23, is_memory=True, is_store=True),
+        OpcodeInfo("HMMA", Pipe.TENSOR, 0x10, warp_wide=True, operands=4),
+        OpcodeInfo("HFMA2", Pipe.FMA, 0x11, operands=4),
+        OpcodeInfo("IMMA", Pipe.TENSOR, 0x12, warp_wide=True, operands=4),
+        OpcodeInfo("LDG", Pipe.LSU, 0x20, is_memory=True, operands=2),
+        OpcodeInfo("STG", Pipe.LSU, 0x21, is_memory=True, is_store=True,
+                   operands=2),
+        OpcodeInfo("LDS", Pipe.LSU, 0x22, is_memory=True, operands=2),
+        OpcodeInfo("STS", Pipe.LSU, 0x23, is_memory=True, is_store=True,
+                   operands=2),
     ]
     return {info.name: info for info in table}
 

@@ -119,7 +119,7 @@ class ErrorCurve:
 def measure_point(spec: GpuSpec = RTX2070, m: int = 64, n: int = 64,
                   k: int = 64, accumulate: str = "f16",
                   distribution: str = "uniform", seed: int = 0,
-                  kernel="ours", engine: str = None) -> ErrorSample:
+                  kernel="ours") -> ErrorSample:
     """Run one GEMM through the functional simulator and measure error.
 
     The float64 product of the (already FP16-rounded) operands is the
@@ -136,7 +136,7 @@ def measure_point(spec: GpuSpec = RTX2070, m: int = 64, n: int = 64,
     b = draw(rng, (k, n)).astype(np.float16)
 
     run = hgemm(a, b, kernel=kernel, spec=spec, accumulate=accumulate,
-                return_run=True, engine=engine)
+                return_run=True)
     oracle = hgemm_reference(a, b, w_k=run.config.w_k, accumulate=accumulate)
     model_exact = bool(np.array_equal(run.c, oracle))
 
@@ -157,15 +157,14 @@ def measure_point(spec: GpuSpec = RTX2070, m: int = 64, n: int = 64,
 def error_curve(spec: GpuSpec = RTX2070, ks=DEFAULT_KS, m: int = 64,
                 n: int = 64, accumulate: str = "f16",
                 distribution: str = "uniform", seed: int = 0,
-                kernel="ours", engine: str = None) -> ErrorCurve:
+                kernel="ours") -> ErrorCurve:
     """Error versus the contracted dimension K, everything else fixed."""
     curve = ErrorCurve(device=spec.name, accumulate=accumulate,
                        distribution=distribution)
     for k in ks:
         curve.samples.append(measure_point(
             spec, m=m, n=n, k=k, accumulate=accumulate,
-            distribution=distribution, seed=seed, kernel=kernel,
-            engine=engine))
+            distribution=distribution, seed=seed, kernel=kernel))
     return curve
 
 

@@ -20,8 +20,6 @@ from .cache import (
     PROFILE_CACHE,
     ResultCache,
     SIM_VERSION,
-    cache_dir,
-    cache_enabled,
     content_key,
 )
 from .parallel import default_workers, parallel_map
@@ -31,8 +29,6 @@ __all__ = [
     "PROFILE_CACHE",
     "ResultCache",
     "SIM_VERSION",
-    "cache_dir",
-    "cache_enabled",
     "content_key",
     "default_workers",
     "parallel_map",

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import tempfile
 import time
@@ -56,18 +55,14 @@ from collections import OrderedDict
 from dataclasses import asdict, is_dataclass
 from pathlib import Path
 
+from .. import knobs
 from ..robust import chaos
 from .stats import STATS
 
 __all__ = [
     "SIM_VERSION",
     "SCHEMA_VERSION",
-    "cache_enabled",
-    "cache_dir",
-    "cache_max_bytes",
-    "cache_mem_entries",
     "content_key",
-    "env_number",
     "ResultCache",
     "PROFILE_CACHE",
 ]
@@ -84,69 +79,6 @@ SCHEMA_VERSION = 1
 #: ``*.tmp`` spill older than this is swept by the eviction pass (a live
 #: ``put`` holds its tmp file for milliseconds; an hour is safely stale).
 _TMP_MAX_AGE_S = 3600.0
-
-_ENV_DIR = "REPRO_CACHE_DIR"
-_ENV_OFF = "REPRO_NO_CACHE"
-_ENV_MAX_MB = "REPRO_CACHE_MAX_MB"
-_ENV_MEM_MAX = "REPRO_CACHE_MEM_ENTRIES"
-
-#: Default bound on the in-process layer (entries, not bytes: profile
-#: payloads are small dicts, so 4096 entries is a few MB at most).
-_MEM_MAX_DEFAULT = 4096
-
-
-def cache_enabled() -> bool:
-    """False when ``REPRO_NO_CACHE`` is set to a truthy value."""
-    return os.environ.get(_ENV_OFF, "") in ("", "0")
-
-
-def cache_dir() -> Path:
-    """Directory of the on-disk layer (may not exist yet)."""
-    override = os.environ.get(_ENV_DIR, "")
-    if override:
-        return Path(override)
-    return Path.home() / ".cache" / "repro-sim"
-
-
-def env_number(name: str, whole: bool = False, minimum: int = 0):
-    """The number >= *minimum* in the variable *name*, or None when it is
-    unset.
-
-    Any other value -- not a number, NaN, infinite, below *minimum*, or
-    with a fraction when *whole* -- raises a ``ValueError`` naming the
-    variable.  The cache bounds, the supervisor knobs
-    (:func:`repro.perf.parallel.supervisor_settings`) and the daemon's
-    worker and queue bounds read through it.
-    """
-    raw = os.environ.get(name, "")
-    if not raw:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value >= minimum
-            and (value.is_integer() or not whole)):
-        kind = "a whole number" if whole else "a finite number"
-        raise ValueError(f"{name} must be {kind} >= {minimum} (unset for "
-                         f"the default), got {raw!r}")
-    return value
-
-
-def cache_max_bytes():
-    """Disk-layer size bound from ``REPRO_CACHE_MAX_MB``, or None."""
-    megabytes = env_number(_ENV_MAX_MB)
-    return None if megabytes is None else int(megabytes * 1024 * 1024)
-
-
-def cache_mem_entries() -> int:
-    """In-process layer entry bound (``REPRO_CACHE_MEM_ENTRIES``).
-
-    0 means unbounded -- the pre-daemon behaviour, useful for short-lived
-    batch runs that want every entry resident.
-    """
-    entries = env_number(_ENV_MEM_MAX, whole=True)
-    return _MEM_MAX_DEFAULT if entries is None else int(entries)
 
 
 def _canonical(part) -> bytes:
@@ -187,7 +119,7 @@ class ResultCache:
         """Insert into the in-process LRU layer, evicting past the bound."""
         self._memory[key] = value
         self._memory.move_to_end(key)
-        limit = cache_mem_entries()
+        limit = knobs.read("REPRO_CACHE_MEM_ENTRIES")
         if limit <= 0:
             return
         evicted = 0
@@ -200,7 +132,7 @@ class ResultCache:
     # -------------------------------------------------------------- layout
 
     def _root(self) -> Path:
-        return cache_dir() / self.subdir
+        return knobs.read("REPRO_CACHE_DIR") / self.subdir
 
     def _path(self, key: str) -> Path:
         return self._root() / f"{key}.json"
@@ -266,7 +198,7 @@ class ResultCache:
 
     def get(self, key: str):
         """The cached dict for *key*, or None on a miss."""
-        if not cache_enabled():
+        if knobs.read("REPRO_NO_CACHE"):
             STATS.count("cache.misses")
             return None
         hit = self._memory.get(key)
@@ -304,7 +236,7 @@ class ResultCache:
 
     def put(self, key: str, value: dict) -> None:
         """Store *value* in both layers (atomic, checksummed on disk)."""
-        if not cache_enabled():
+        if knobs.read("REPRO_NO_CACHE"):
             return
         self._remember(key, value)
         envelope = {
@@ -329,9 +261,8 @@ class ResultCache:
             STATS.count("cache.store_errors")
             return
         STATS.count("cache.stores")
-        if chaos.active():
-            chaos.maybe_corrupt_entry(path)
-        if cache_max_bytes() is not None:
+        chaos.maybe_corrupt_entry(path)
+        if knobs.read("REPRO_CACHE_MAX_MB") is not None:
             self.evict()
 
     # ------------------------------------------------------------- hygiene
@@ -354,9 +285,11 @@ class ResultCache:
                     tmp.unlink()
             except OSError:
                 pass
-        limit = cache_max_bytes() if max_bytes is None else max_bytes
-        if limit is None:
-            return 0
+        if max_bytes is None:
+            megabytes = knobs.read("REPRO_CACHE_MAX_MB")
+            if megabytes is None:
+                return 0
+            max_bytes = int(megabytes * 1024 * 1024)
         entries = []
         for entry in root.glob("*.json"):
             try:
@@ -367,7 +300,7 @@ class ResultCache:
         total = sum(size for _, size, _ in entries)
         evicted = 0
         for _, size, entry in sorted(entries):
-            if total <= limit:
+            if total <= max_bytes:
                 break
             try:
                 entry.unlink()

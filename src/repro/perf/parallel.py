@@ -48,19 +48,11 @@ import queue as queue_mod
 import time
 from collections import deque
 
+from .. import knobs
 from ..robust import chaos
-from .cache import env_number
 from .stats import STATS
 
-__all__ = ["default_workers", "parallel_map", "supervisor_settings",
-           "WorkerTaskError"]
-
-#: Supervisor knobs: setting -> (environment variable, default).
-_KNOBS = {
-    "timeout": ("REPRO_TASK_TIMEOUT", 600.0),
-    "retries": ("REPRO_TASK_RETRIES", 2),
-    "backoff": ("REPRO_RETRY_BACKOFF", 0.25),
-}
+__all__ = ["default_workers", "parallel_map", "WorkerTaskError"]
 
 #: Supervisor poll granularity (seconds): the latency of noticing a death
 #: or deadline, traded against idle wakeups.
@@ -70,17 +62,6 @@ _TICK_S = 0.05
 def default_workers() -> int:
     """Worker count for ``max_workers=0`` ("auto"): the CPU count."""
     return max(1, os.cpu_count() or 1)
-
-
-def supervisor_settings() -> dict:
-    """``timeout``, ``retries`` and ``backoff`` from their ``REPRO_*``
-    variables (the defaults when unset).  A value that is not a finite
-    number >= 0 raises a ``ValueError`` naming the variable."""
-    settings = {}
-    for key, (name, default) in _KNOBS.items():
-        value = env_number(name)
-        settings[key] = type(default)(default if value is None else value)
-    return settings
 
 
 class WorkerTaskError(RuntimeError):
@@ -337,9 +318,8 @@ def parallel_map(fn, items, max_workers=None, timeout=None, retries=None,
 
     ``timeout`` (seconds per task, 0 disables), ``retries`` (extra
     attempts after a crash or timeout) and ``backoff`` (base retry delay in
-    seconds, doubled per retry) tune the supervisor; each defaults to
-    :func:`supervisor_settings`.  See the module docstring for the
-    recovery ladder.
+    seconds, doubled per retry) tune the supervisor; each defaults to its
+    ``REPRO_*`` knob.  See the module docstring for the recovery ladder.
 
     Order of results always matches the order of *items*.  Exceptions
     raised by *fn* propagate to the caller, as they would serially;
@@ -351,10 +331,9 @@ def parallel_map(fn, items, max_workers=None, timeout=None, retries=None,
         max_workers = default_workers()
     if max_workers is None or max_workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    settings = supervisor_settings()
-    timeout = settings["timeout"] if timeout is None else timeout
-    retries = settings["retries"] if retries is None else retries
-    backoff = settings["backoff"] if backoff is None else backoff
+    timeout = knobs.read("REPRO_TASK_TIMEOUT") if timeout is None else timeout
+    retries = knobs.read("REPRO_TASK_RETRIES") if retries is None else retries
+    backoff = knobs.read("REPRO_RETRY_BACKOFF") if backoff is None else backoff
     workers = min(max_workers, len(items))
     supervisor = _Supervisor(fn, workers, max(0.0, timeout), max(0, retries),
                              max(0.0, backoff))

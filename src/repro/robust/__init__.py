@@ -5,7 +5,7 @@ test suite pins them at test time, but a long-running service cannot
 assume every fast path, worker process or disk cache entry stays sound):
 
 * :mod:`repro.robust.guard` -- the divergence watchdog.  Opt-in
-  (``REPRO_GUARD=off|sample|full`` or ``PerfOptions.guard``) re-execution
+  (``REPRO_GUARD=off|sample|full``) re-execution
   of runs on the ``reference`` engines, digest comparison, reproducer
   bundles under ``$REPRO_CACHE_DIR/divergence/`` and graceful degradation
   down the engine ladder instead of crashing.
@@ -13,8 +13,9 @@ assume every fast path, worker process or disk cache entry stays sound):
   (``REPRO_CHAOS``): crash a worker, delay a task, corrupt a cache entry,
   flip an engine output bit.  Drives the robustness test suite and the CI
   chaos leg.
-* :mod:`repro.robust.doctor` -- the ``repro doctor`` subcommand: reports
-  guard / cache / worker health and runs a small self-test of each pillar.
+* :mod:`repro.robust.doctor` -- the ``repro doctor`` subcommand: lists
+  every ``REPRO_*`` knob, reports guard / cache / worker health and runs a
+  small self-test of each pillar.
 
 Submodules are imported on demand (``from repro.robust import guard``)
 rather than here: :mod:`repro.perf` imports the chaos layer, and keeping

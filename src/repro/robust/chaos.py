@@ -7,7 +7,9 @@ to reproduce: every directive is deterministic (no randomness, no wall
 clock), so a chaos run either recovers bit-identically to a fault-free
 run or fails the same way every time.
 
-``REPRO_CHAOS`` is a comma-separated list of ``name:value`` directives:
+``REPRO_CHAOS`` is a comma-separated list of ``name:value`` directives
+(:data:`repro.knobs.CHAOS_DIRECTIVES`; an unknown name or a value that is
+not a number >= 0 raises a ``ValueError`` naming the variable):
 
 ``crash_task:N``
     The supervised worker that picks up task *N* (first attempt only)
@@ -41,9 +43,9 @@ from __future__ import annotations
 import os
 import time
 
+from .. import knobs
+
 __all__ = [
-    "active",
-    "directives",
     "reset",
     "maybe_crash_worker",
     "maybe_delay_task",
@@ -51,32 +53,8 @@ __all__ = [
     "maybe_flip_output",
 ]
 
-_ENV = "REPRO_CHAOS"
-
 #: Per-process fire counts, keyed by directive name.
 _fired: dict = {}
-
-
-def active() -> bool:
-    """True when any chaos directive is set in the environment."""
-    return bool(os.environ.get(_ENV, ""))
-
-
-def directives() -> dict:
-    """Parsed ``REPRO_CHAOS`` spec: ``{name: value-string}``.
-
-    Parsed on every call (it is a handful of string splits) so tests can
-    flip the environment without touching module state.
-    """
-    raw = os.environ.get(_ENV, "")
-    out = {}
-    for part in raw.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        name, _, value = part.partition(":")
-        out[name.strip()] = value.strip()
-    return out
 
 
 def reset() -> None:
@@ -84,21 +62,14 @@ def reset() -> None:
     _fired.clear()
 
 
-def _int(value: str, default: int = -1) -> int:
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        return default
-
-
 # ------------------------------------------------------------ worker faults
 
 def should_crash(task_id: int, attempt: int) -> bool:
     """Decision half of :func:`maybe_crash_worker`, separated for tests."""
-    spec = directives()
-    if _int(spec.get("crash_task_always")) == task_id:
+    spec = knobs.read("REPRO_CHAOS")
+    if spec.get("crash_task_always") == task_id:
         return True
-    return attempt == 0 and _int(spec.get("crash_task")) == task_id
+    return attempt == 0 and spec.get("crash_task") == task_id
 
 
 def maybe_crash_worker(task_id: int, attempt: int) -> None:
@@ -114,13 +85,9 @@ def maybe_crash_worker(task_id: int, attempt: int) -> None:
 
 def maybe_delay_task(task_id: int, attempt: int) -> None:
     """Sleep past the per-task timeout if a delay directive targets us."""
-    spec = directives()
-    if attempt == 0 and _int(spec.get("delay_task")) == task_id:
-        try:
-            seconds = float(spec.get("delay_seconds", 5.0) or 5.0)
-        except ValueError:
-            seconds = 5.0
-        time.sleep(seconds)
+    spec = knobs.read("REPRO_CHAOS")
+    if attempt == 0 and spec.get("delay_task") == task_id:
+        time.sleep(spec.get("delay_seconds", 5.0))
 
 
 # ------------------------------------------------------------- cache faults
@@ -132,8 +99,8 @@ def maybe_corrupt_entry(path) -> bool:
     ``corrupt_entry:K`` the file's leading bytes are overwritten so the
     envelope checksum can no longer verify.  Returns True when it fired.
     """
-    target = _int(directives().get("corrupt_entry"))
-    if target < 0:
+    target = knobs.read("REPRO_CHAOS").get("corrupt_entry")
+    if target is None:
         return False
     index = _fired.get("corrupt_entry", 0)
     _fired["corrupt_entry"] = index + 1
@@ -156,7 +123,7 @@ def maybe_flip_output(words) -> bool:
     a third of the way in, away from both the zero-filled tail and any
     operand region at offset 0.  Fires at most *C* times per process.
     """
-    count = _int(directives().get("flip_output"), 0)
+    count = knobs.read("REPRO_CHAOS").get("flip_output", 0)
     if count <= 0:
         return False
     fired = _fired.get("flip_output", 0)

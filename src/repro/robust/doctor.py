@@ -1,15 +1,15 @@
 """``repro doctor``: health report and self-test of the robustness stack.
 
-The report covers the four robustness surfaces:
+The report covers:
 
-* **guard** -- mode, budget, and the process-wide degradation ladder state
+* **knobs** -- every ``REPRO_*`` knob of :data:`repro.knobs.KNOBS` with
+  the value this process reads (so a forgotten ``REPRO_CHAOS`` cannot
+  masquerade as a real fault).  A malformed knob is reported with its
+  error, the rest of the report is skipped, and the doctor fails;
+* **guard** -- the process-wide degradation ladder state
   (:func:`repro.robust.guard.degradation_report`);
-* **cache** -- location, layer sizes, quarantine count, configured size
-  bound;
-* **workers** -- CPU count and the timeout/retry/backoff the supervisor
-  will use (a bad ``REPRO_TASK_*``/``REPRO_RETRY_BACKOFF`` value raises);
-* **chaos** -- any active ``REPRO_CHAOS`` directives (so a forgotten env
-  var cannot masquerade as a real fault).
+* **cache** -- version, layer sizes and quarantine count;
+* **workers** -- the CPU count.
 
 ``run_doctor(selftest=True)`` additionally exercises each pillar once:
 
@@ -24,9 +24,9 @@ The report covers the four robustness surfaces:
   the precision model (and so every functional golden) assumes;
 * a service round-trip: an in-process daemon on a temporary socket, the
   same tiny GEMM submitted by two concurrent clients, which must run
-  **once** (the twin coalesces or hits the shared cache), return
-  bit-identical matrices that match an in-process run, and shut down
-  cleanly (socket removed).
+  **once** (the twin coalesces, and exactly one job view says so),
+  return bit-identical matrices that match an in-process run, and shut
+  down cleanly (socket removed).
 
 Everything returns data; the CLI does the printing.
 """
@@ -35,10 +35,11 @@ from __future__ import annotations
 
 import os
 
+from .. import knobs
 from ..perf import cache as cache_mod
-from ..perf.parallel import default_workers, parallel_map, supervisor_settings
+from ..perf.parallel import default_workers, parallel_map
 from ..perf.stats import STATS
-from . import chaos, guard
+from . import guard
 
 __all__ = ["run_doctor", "format_report"]
 
@@ -48,45 +49,27 @@ def _doctor_square(x):
     return x * x
 
 
-def _env(name: str, default: str) -> str:
-    return os.environ.get(name, "") or default
-
-
-def _section_guard() -> dict:
-    return {
-        "mode": guard.guard_mode(),
-        "budget": _env("REPRO_GUARD_BUDGET", "0.05 (default)"),
-        **guard.degradation_report(),
-    }
+def _section_knobs():
+    """``(entries, ok)``: each knob's value, or its error when malformed."""
+    entries, ok, given = {}, True, knobs.environment()
+    for name in knobs.KNOBS:
+        try:
+            value = knobs.read(name)
+        except knobs.KnobError as exc:
+            entries[name], ok = f"ERROR: {exc}", False
+            continue
+        entries[name] = str(value) + ("" if name in given else " (default)")
+    return entries, ok
 
 
 def _section_cache() -> dict:
     store = cache_mod.PROFILE_CACHE
-    max_bytes = cache_mod.cache_max_bytes()
     return {
-        "enabled": cache_mod.cache_enabled(),
-        "dir": str(cache_mod.cache_dir()),
         "sim_version": cache_mod.SIM_VERSION,
         "disk_entries": store.disk_entries(),
         "disk_bytes": store.disk_bytes(),
         "quarantined": store.quarantined_entries(),
-        "max_bytes": max_bytes if max_bytes is not None else "unbounded",
     }
-
-
-def _section_workers() -> dict:
-    settings = supervisor_settings()
-    return {
-        "cpus": default_workers(),
-        "task_timeout_s": settings["timeout"],
-        "task_retries": settings["retries"],
-        "retry_backoff_s": settings["backoff"],
-    }
-
-
-def _section_chaos() -> dict:
-    spec = chaos.directives()
-    return {"active": chaos.active(), "directives": spec or "(none)"}
 
 
 # ------------------------------------------------------------------ selftests
@@ -129,13 +112,23 @@ def _selftest_workers() -> str:
 def _selftest_guard() -> str:
     import numpy as np
 
-    from ..core.hgemm import hgemm, hgemm_reference
+    from ..core.builder import HgemmProblem, build_hgemm
+    from ..core.hgemm import hgemm_reference, resolve_config
+    from ..sim.functional import FunctionalSimulator
+    from ..sim.gpu import Device
 
     before = STATS.counters.get("guard.divergences", 0)
     rng = np.random.default_rng(7)
     a = rng.standard_normal((64, 16), dtype=np.float32).astype(np.float16)
     b = rng.standard_normal((16, 64), dtype=np.float32).astype(np.float16)
-    out = hgemm(a, b, guard="full")
+    dev = Device(memory_bytes=1 << 20)
+    problem = HgemmProblem(64, 64, 16, dev.malloc_array(a),
+                           dev.malloc_array(np.ascontiguousarray(b.T)),
+                           dev.malloc(64 * 64 * 2))
+    config = resolve_config("ours", 64, 64, 16)
+    FunctionalSimulator(guard="full").run(
+        build_hgemm(config, problem), dev.memory, config.grid_dim(64, 64))
+    out = dev.memcpy_dtoh(problem.c_addr, np.float16, 64 * 64).reshape(64, 64)
     ref = hgemm_reference(a, b)
     if not np.array_equal(out, ref):
         return "FAIL: guarded hgemm mismatches the NumPy oracle"
@@ -208,6 +201,8 @@ def _selftest_serve() -> str:
             if stats["coalesced"] != 1:
                 return (f"FAIL: twin did not coalesce "
                         f"(coalesced={stats['coalesced']})")
+            if sum(bool(v.get("coalesced")) for v in views) != 1:
+                return "FAIL: the twin's job view does not read coalesced"
             c0, c1 = (decode_payload(v["result"]["c"]) for v in views)
             if not np.array_equal(c0, c1):
                 return "FAIL: coalesced twins returned different matrices"
@@ -225,13 +220,12 @@ def _selftest_serve() -> str:
 
 def run_doctor(selftest: bool = True):
     """Collect the health report; returns ``(report_dict, all_ok)``."""
-    report = {
-        "guard": _section_guard(),
-        "cache": _section_cache(),
-        "workers": _section_workers(),
-        "chaos": _section_chaos(),
-    }
-    ok = True
+    entries, ok = _section_knobs()
+    report = {"knobs": entries}
+    if not ok:
+        return report, False
+    report.update(guard=guard.degradation_report(), cache=_section_cache(),
+                  workers={"cpus": default_workers()})
     if selftest:
         results = {
             "cache_roundtrip": _selftest_cache(),
@@ -250,5 +244,5 @@ def format_report(report: dict) -> str:
     lines = []
     for section, entries in report.items():
         for key, value in entries.items():
-            lines.append(f"{section + '.' + key:<28s} {value}")
+            lines.append(f"{section + '.' + key:<30s} {value}")
     return "\n".join(lines)

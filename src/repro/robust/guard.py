@@ -7,8 +7,8 @@ assume that invariant survives every input forever, and silent numeric
 divergence is the failure mode a tensor core model must fear most.  This
 watchdog defends the invariant at run time:
 
-* **Modes** (``REPRO_GUARD`` or a per-simulator ``guard=`` override /
-  ``PerfOptions.guard``): ``off`` (default, zero overhead), ``sample``
+* **Modes** (``REPRO_GUARD``, or the ``guard=`` argument of a
+  simulator constructor): ``off`` (default, zero overhead), ``sample``
   (overhead-bounded sampling, see below) and ``full`` (every fast run is
   re-executed).
 * **Check**: before a guarded run the memory image is snapshotted; after
@@ -31,8 +31,7 @@ watchdog defends the invariant at run time:
 tracks the accumulated wall of guarded fast runs and of its own reference
 re-runs, and verifies a run only while the re-run budget
 (``REPRO_GUARD_BUDGET``, a fraction in [0, 1], default 0.05 of the
-accumulated fast wall) stays unspent; any other value raises
-``ValueError``.  The reference engines are several times slower than the
+accumulated fast wall) stays unspent.  The reference engines are several times slower than the
 fast paths, so a fixed 1-in-N rate would cost whatever the slowdown
 happens to be; the budget form bounds overhead by construction and adapts
 the check rate to however expensive the checks turn out.  ``full`` mode
@@ -47,12 +46,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 
 import numpy as np
 
-from ..perf.cache import SIM_VERSION, cache_dir
+from .. import knobs
+from ..perf.cache import SIM_VERSION
 from ..perf.stats import STATS
 
 __all__ = [
@@ -65,11 +64,8 @@ __all__ = [
     "GuardContext",
 ]
 
-_ENV_MODE = "REPRO_GUARD"
-_ENV_BUDGET = "REPRO_GUARD_BUDGET"
-
 #: Watchdog modes; the first is the default.
-MODES = ("off", "sample", "full")
+MODES = knobs.KNOBS["REPRO_GUARD"].accepts
 
 #: Process-wide watchdog state.  ``func_ref`` / ``timing_ref`` implement
 #: the monotone degradation ladders; the wall accumulators and the learned
@@ -95,11 +91,11 @@ def guard_mode(override: str = None) -> str:
 
     A guarded mode also validates ``REPRO_GUARD_BUDGET``, so a bad budget
     fails here, before any guarded simulation runs."""
-    mode = override if override is not None else os.environ.get(_ENV_MODE, MODES[0])
+    mode = override if override is not None else knobs.read("REPRO_GUARD")
     if mode not in MODES:
         raise ValueError(f"guard mode must be one of {MODES}, got {mode!r}")
     if mode != "off":
-        _budget()
+        knobs.read("REPRO_GUARD_BUDGET")
     return mode
 
 
@@ -137,21 +133,6 @@ def degradation_report() -> dict:
 
 # ------------------------------------------------------------------ sampling
 
-def _budget() -> float:
-    """``REPRO_GUARD_BUDGET`` as a fraction in [0, 1] (unset: 0.05)."""
-    raw = os.environ.get(_ENV_BUDGET, "")
-    if not raw:
-        return 0.05
-    try:
-        budget = float(raw)
-    except ValueError:
-        budget = None
-    if budget is None or not 0.0 <= budget <= 1.0:
-        raise ValueError(
-            f"{_ENV_BUDGET} must be a number in [0, 1], got {raw!r}")
-    return budget
-
-
 def _decide(mode: str, run_wall: float) -> bool:
     """Should this guarded run be verified right now?
 
@@ -164,7 +145,7 @@ def _decide(mode: str, run_wall: float) -> bool:
         return True
     est = _state["ratio"] * max(run_wall, 1e-9)
     return (_state["guard_wall"] + est
-            <= _budget() * (_state["total_wall"] + est))
+            <= knobs.read("REPRO_GUARD_BUDGET") * (_state["total_wall"] + est))
 
 
 # ------------------------------------------------------------------- bundles
@@ -195,7 +176,7 @@ def _write_bundle(kind: str, engine: str, program, pre_words, fast_words,
     except Exception:
         program_bytes = b""
     name = f"{kind}-{_digest(pre_words)[:12]}-{_state['bundles']:03d}"
-    root = cache_dir() / "divergence" / name
+    root = knobs.read("REPRO_CACHE_DIR") / "divergence" / name
     meta = {
         "kind": kind,
         "engine": engine,
@@ -208,8 +189,7 @@ def _write_bundle(kind: str, engine: str, program, pre_words, fast_words,
         },
         "fast_result": _jsonable(_summarize(fast_result)),
         "reference_result": _jsonable(_summarize(ref_result)),
-        "env": {k: v for k, v in os.environ.items()
-                if k.startswith("REPRO_")},
+        "env": knobs.environment(),
     }
     try:
         root.mkdir(parents=True, exist_ok=True)

@@ -19,7 +19,7 @@ problem cost one fleet, not N.
 
 Modules: :mod:`~repro.serve.protocol` (length-prefixed JSON frames,
 base64/file-spooled NumPy payloads), :mod:`~repro.serve.queue`
-(priorities, bounded depth, coalescing), :mod:`~repro.serve.jobs` (job
+(FIFO, bounded depth, coalescing), :mod:`~repro.serve.jobs` (job
 kinds and the key = cache-key invariant), :mod:`~repro.serve.daemon`
 (the server), :mod:`~repro.serve.client` (the thin client).
 """
@@ -32,7 +32,7 @@ from .client import (
     daemon_available,
     default_tenant,
 )
-from .daemon import PROTOCOL_VERSION, ServeDaemon, default_socket
+from .daemon import PROTOCOL_VERSION, ServeDaemon
 from .jobs import JOB_KINDS, job_key, run_job
 from .queue import Job, JobQueue, QueueFull, UnknownJob
 
@@ -45,7 +45,6 @@ __all__ = [
     "default_tenant",
     "PROTOCOL_VERSION",
     "ServeDaemon",
-    "default_socket",
     "JOB_KINDS",
     "job_key",
     "run_job",

@@ -18,7 +18,7 @@ from __future__ import annotations
 import getpass
 import socket
 
-from .daemon import default_socket
+from .. import knobs
 from .protocol import ProtocolError, recv_frame, send_frame
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "ServeUnavailable",
     "JobFailed",
     "daemon_available",
-    "default_socket",
     "default_tenant",
 ]
 
@@ -73,7 +72,7 @@ class ServeClient:
 
     def __init__(self, socket_path: str = None, tenant: str = None,
                  timeout: float = None):
-        self.socket_path = socket_path or default_socket()
+        self.socket_path = socket_path or str(knobs.read("REPRO_SERVE_SOCKET"))
         self.tenant = tenant or default_tenant()
         self.timeout = timeout
         self._sock = None
@@ -132,20 +131,19 @@ class ServeClient:
     def ping(self) -> dict:
         return self._request("ping")
 
-    def submit(self, kind: str, payload: dict = None, priority: int = 0) -> dict:
+    def submit(self, kind: str, payload: dict = None) -> dict:
         """Admit one job; returns its job view (may already be done)."""
         return self._request("submit", kind=kind, payload=payload or {},
-                             priority=priority, tenant=self.tenant)
+                             tenant=self.tenant)
 
     def batch_submit(self, jobs: list) -> list:
         """Admit several jobs in one round trip.
 
-        *jobs* is a list of ``{"kind", "payload", "priority"?}`` dicts;
+        *jobs* is a list of ``{"kind", "payload"}`` dicts;
         duplicates coalesce against each other (and anything already in
         flight), so a figure-sweep client submits its whole grid here.
         """
         subs = [{"kind": j["kind"], "payload": j.get("payload") or {},
-                 "priority": int(j.get("priority", 0)),
                  "tenant": self.tenant} for j in jobs]
         return self._request("batch", jobs=subs)["jobs"]
 
@@ -164,16 +162,17 @@ class ServeClient:
 
     # --------------------------------------------------------- convenience
 
-    def run(self, kind: str, payload: dict = None, priority: int = 0,
+    def run(self, kind: str, payload: dict = None,
             timeout: float = None) -> dict:
         """Submit + wait; returns the finished job view (see
         :meth:`run_batch`)."""
-        return self.run_batch([{"kind": kind, "payload": payload,
-                                "priority": priority}], timeout=timeout)[0]
+        return self.run_batch([{"kind": kind, "payload": payload}],
+                              timeout=timeout)[0]
 
     def run_batch(self, jobs: list, timeout: float = None) -> list:
         """:meth:`batch_submit` *jobs*, then wait for each in turn; returns
-        the finished job views in order.
+        the finished job views in order, each keeping its submit reply's
+        ``coalesced`` flag (the ``wait`` view has none).
 
         Raises :class:`JobFailed` when the daemon reports a job failed
         (the daemon-side exception text is the message).
@@ -181,7 +180,8 @@ class ServeClient:
         views = []
         for view in self.batch_submit(jobs):
             if view["state"] not in ("done", "failed"):
-                view = self.wait(view["job_id"], timeout=timeout)
+                view = {**self.wait(view["job_id"], timeout=timeout),
+                        "coalesced": view["coalesced"]}
             if view["state"] == "failed":
                 raise JobFailed(view.get("error", "job failed"))
             if view["state"] != "done":

@@ -25,8 +25,8 @@ Request ops (all frames are JSON dicts with an ``"op"`` field):
 
 ========== ===========================================================
 ``ping``     liveness + identity (pid, versions, uptime)
-``submit``   admit one job: ``kind``, ``payload``, ``priority``,
-             ``tenant`` -> job view (may be born ``done`` on cache hit)
+``submit``   admit one job: ``kind``, ``payload``, ``tenant`` -> job
+             view (may be born ``done`` on cache hit)
 ``batch``    list of submissions, admitted atomically under one
              connection turn -> list of job views
 ``poll``     non-blocking job view by ``job_id``
@@ -46,40 +46,17 @@ import socket
 import threading
 import time
 
-from ..perf.cache import ResultCache, SIM_VERSION, cache_dir, env_number
+from .. import knobs
+from ..perf.cache import ResultCache, SIM_VERSION
 from ..perf.stats import STATS
 from .jobs import cacheable, job_key, run_job
 from .protocol import ProtocolError, recv_frame, send_frame
 from .queue import JobQueue, QueueFull, UnknownJob
 
-__all__ = ["ServeDaemon", "PROTOCOL_VERSION", "default_socket"]
+__all__ = ["ServeDaemon", "PROTOCOL_VERSION"]
 
 #: Bump when the frame schema above changes incompatibly.
 PROTOCOL_VERSION = 1
-
-_ENV_SOCKET = "REPRO_SERVE_SOCKET"
-_ENV_WORKERS = "REPRO_SERVE_WORKERS"
-_ENV_QUEUE_MAX = "REPRO_SERVE_QUEUE_MAX"
-
-
-def default_socket() -> str:
-    """``REPRO_SERVE_SOCKET`` or ``<cache dir>/serve.sock``.
-
-    Living under the cache directory ties the daemon instance to the
-    cache it shares: point both at a scratch dir and you have a fully
-    isolated service (exactly what the tests do).
-    """
-    override = os.environ.get(_ENV_SOCKET, "")
-    if override:
-        return override
-    return str(cache_dir() / "serve.sock")
-
-
-def _env_count(name: str, default: int) -> int:
-    """The whole number >= 1 in the variable *name*, or *default* when it
-    is unset; any other value raises a ``ValueError`` naming the variable."""
-    value = env_number(name, whole=True, minimum=1)
-    return default if value is None else int(value)
 
 
 class ServeDaemon:
@@ -87,9 +64,9 @@ class ServeDaemon:
 
     def __init__(self, socket_path: str = None, workers: int = None,
                  queue_max: int = None):
-        self.socket_path = socket_path or default_socket()
-        self.workers = workers or _env_count(_ENV_WORKERS, 2)
-        self.queue = JobQueue(queue_max or _env_count(_ENV_QUEUE_MAX, 256))
+        self.socket_path = socket_path or str(knobs.read("REPRO_SERVE_SOCKET"))
+        self.workers = workers or knobs.read("REPRO_SERVE_WORKERS")
+        self.queue = JobQueue(queue_max or knobs.read("REPRO_SERVE_QUEUE_MAX"))
         self.cache = ResultCache(subdir="serve")
         self.started_at = time.time()
         self._stop = threading.Event()
@@ -277,13 +254,14 @@ class ServeDaemon:
                                                    hit["result"], tenant=tenant)
                     self._account(tenant, "cache_hits", {})
                     return {"ok": True, "coalesced": False, **job.public()}
-            job, outcome = self.queue.submit(
-                kind, key, payload, priority=int(message.get("priority", 0)),
-                tenant=tenant)
+            job, outcome = self.queue.submit(kind, key, payload,
+                                             tenant=tenant)
+            # Under the lock a job cannot complete, so a reply never
+            # reads "done" without the result a waiter needs.
+            view = job.public(with_result=False)
         self._account(tenant, "coalesced" if outcome == "coalesced"
                       else "jobs", {})
-        return {"ok": True, "coalesced": outcome == "coalesced",
-                **job.public(with_result=False)}
+        return {"ok": True, "coalesced": outcome == "coalesced", **view}
 
     def _stats(self) -> dict:
         with self._tenant_lock:
@@ -303,7 +281,7 @@ class ServeDaemon:
             "failed": queue.failed,
             "coalesced": sum(t["coalesced"] for t in tenants.values()),
             "cache_hits": sum(t["cache_hits"] for t in tenants.values()),
-            "cache_dir": str(cache_dir()),
+            "cache_dir": str(knobs.read("REPRO_CACHE_DIR")),
             "cache_disk_entries": self.cache.disk_entries(),
             "tenants": tenants,
         }

@@ -231,8 +231,7 @@ def _run_hgemm(payload: dict) -> dict:
     b = rng.uniform(-1, 1, (k, n)).astype(np.float16)
     accumulate = payload.get("accumulate", "f16")
     run = hgemm(a, b, kernel=payload.get("kernel", "ours"),
-                spec=_spec(payload), accumulate=accumulate, return_run=True,
-                engine=payload.get("engine"))
+                spec=_spec(payload), accumulate=accumulate, return_run=True)
     exact = bool(np.array_equal(
         run.c, hgemm_reference(a, b, w_k=run.config.w_k,
                                accumulate=accumulate)))
@@ -246,8 +245,7 @@ def _run_igemm(payload: dict) -> dict:
     m, n, k = payload["m"], payload["n"], payload["k"]
     a = rng.integers(-128, 128, (m, k), dtype=np.int8)
     b = rng.integers(-128, 128, (k, n), dtype=np.int8)
-    run = igemm(a, b, return_run=True, spec=_spec(payload),
-                engine=payload.get("engine"))
+    run = igemm(a, b, return_run=True, spec=_spec(payload))
     exact = bool(np.array_equal(run.c, igemm_reference(a, b)))
     return _gemm_result(run, exact, "IMMA", payload)
 
@@ -258,8 +256,7 @@ def _run_verify(payload: dict) -> dict:
     config = config_from_dict(payload["config"])
     seeds = payload.get("seeds", 2)
     seeds = tuple(seeds) if isinstance(seeds, list) else tuple(range(seeds))
-    report = verify_kernel(config, seeds=seeds, spec=_spec(payload),
-                           engine=payload.get("engine"))
+    report = verify_kernel(config, seeds=seeds, spec=_spec(payload))
     return {"passed": report.passed, "summary": report.summary(),
             "cases": len(report.cases)}
 
@@ -270,8 +267,7 @@ def _run_workloads(payload: dict) -> dict:
     result = run_suite(payload.get("suite", "smoke"), spec=_spec(payload),
                        scale=payload.get("scale", "sim"),
                        kernel=payload.get("kernel", "ours"),
-                       seed=int(payload.get("seed", 0)),
-                       engine=payload.get("engine"))
+                       seed=int(payload.get("seed", 0)))
     return {
         "suite": result.suite,
         "device": result.device,
@@ -294,8 +290,7 @@ def _run_numerics(payload: dict) -> dict:
                   n=int(payload.get("n", 64)),
                   distribution=payload.get("distribution", "positive"),
                   seed=int(payload.get("seed", 0)),
-                  kernel=payload.get("kernel", "ours"),
-                  engine=payload.get("engine"))
+                  kernel=payload.get("kernel", "ours"))
     f16 = error_curve(spec, accumulate="f16", **common)
     f32 = (error_curve(spec, accumulate="f32", **common)
            if supports(spec, "f32") else None)

@@ -1,4 +1,4 @@
-"""Async job queue with priorities, bounded depth and request coalescing.
+"""Async FIFO job queue with bounded depth and request coalescing.
 
 The queue is the daemon's core perf mechanism.  Every job carries a
 **coalescing key** -- by construction the same content-addressed key the
@@ -16,17 +16,14 @@ result and the per-job stats delta atomically under the queue lock
 before the waiters' event fires, so a coalesced group can never observe
 a partial result.
 
-Beyond coalescing the queue is conventional: a binary heap ordered by
-(-priority, admission sequence) -- higher priority first, FIFO within a
-priority -- with a bounded **queued** depth (running and finished jobs
-do not count against it; the bound is back-pressure on admission, not a
-memory cap).  Finished jobs are retained for polling in a bounded
+Beyond coalescing the queue is conventional: first in, first out, with
+a bounded **queued** depth (running and finished jobs do not count
+against it; the bound is back-pressure on admission, not a memory cap).  Finished jobs are retained for polling in a bounded
 ring; the oldest finished jobs are forgotten first.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import threading
 import time
@@ -57,7 +54,6 @@ class Job:
     kind: str
     key: str
     payload: dict
-    priority: int = 0
     tenant: str = "anon"
     #: queued -> running -> done | failed.  "done" with ``cached=True``
     #: never ran: it was answered from the shared result cache.
@@ -83,7 +79,6 @@ class Job:
             "state": self.state,
             "cached": self.cached,
             "waiters": self.waiters,
-            "priority": self.priority,
         }
         if self.state == "failed":
             out["error"] = self.error
@@ -94,18 +89,16 @@ class Job:
 
 
 class JobQueue:
-    """Thread-safe coalescing priority queue (see module docstring)."""
+    """Thread-safe coalescing FIFO queue (see module docstring)."""
 
     def __init__(self, max_depth: int = 256):
         self.max_depth = max_depth
         self._lock = threading.Lock()
         self._available = threading.Condition(self._lock)
-        self._heap: list = []          # (-priority, seq, job)
-        self._seq = itertools.count()
+        self._fifo: deque = deque()    # queued Jobs, oldest first
         self._inflight: dict = {}      # key -> queued/running Job
         self._jobs: dict = {}          # id -> every Job we still remember
         self._done_ring: deque = deque()
-        self._queued = 0
         self._next_id = itertools.count(1)
         self.executed = 0              # jobs that actually ran
         self.failed = 0
@@ -115,7 +108,7 @@ class JobQueue:
     def _new_id(self) -> str:
         return f"job-{next(self._next_id)}"
 
-    def submit(self, kind: str, key: str, payload: dict, priority: int = 0,
+    def submit(self, kind: str, key: str, payload: dict,
                tenant: str = "anon"):
         """Admit one request; returns ``(job, outcome)``.
 
@@ -130,16 +123,15 @@ class JobQueue:
                 existing.waiters += 1
                 STATS.count("serve.coalesced")
                 return existing, "coalesced"
-            if self._queued >= self.max_depth:
+            if len(self._fifo) >= self.max_depth:
                 raise QueueFull(
-                    f"queue depth {self._queued} at its bound "
+                    f"queue depth {len(self._fifo)} at its bound "
                     f"({self.max_depth}); resubmit later")
             job = Job(id=self._new_id(), kind=kind, key=key,
-                      payload=payload, priority=priority, tenant=tenant)
+                      payload=payload, tenant=tenant)
             self._inflight[key] = job
             self._jobs[job.id] = job
-            heapq.heappush(self._heap, (-priority, next(self._seq), job))
-            self._queued += 1
+            self._fifo.append(job)
             STATS.count("serve.jobs")
             self._available.notify()
             return job, "new"
@@ -149,7 +141,7 @@ class JobQueue:
         """Admit a request already answered by the shared result cache.
 
         The job is born ``done`` (``cached=True``) so polling works the
-        same way; it never touches the heap or the in-flight index.
+        same way; it never touches the FIFO or the in-flight index.
         """
         with self._lock:
             job = Job(id=self._new_id(), kind=kind, key=key,
@@ -172,11 +164,10 @@ class JobQueue:
         it until :meth:`complete`/:meth:`fail`.
         """
         with self._lock:
-            while not self._heap:
+            while not self._fifo:
                 if not self._available.wait(timeout):
                     return None
-            _, _, job = heapq.heappop(self._heap)
-            self._queued -= 1
+            job = self._fifo.popleft()
             job.state = "running"
             return job
 
@@ -224,7 +215,7 @@ class JobQueue:
     def depth(self) -> int:
         """Jobs currently queued (not yet claimed by a worker)."""
         with self._lock:
-            return self._queued
+            return len(self._fifo)
 
     def inflight(self) -> int:
         """Jobs queued or running (the coalescing window)."""

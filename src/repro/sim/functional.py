@@ -35,13 +35,13 @@ cycle-accurate clocks use :class:`repro.sim.timing.TimingSimulator`.
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..arch.registers import PredicateFile, RegisterFile, WARP_LANES
 from ..isa.program import Program
+from .. import knobs
 from ..perf import STATS
 from ..robust import chaos
 from ..robust import guard as _guard
@@ -53,15 +53,7 @@ from .shared import SharedMemory
 __all__ = ["FunctionalSimulator", "FunctionalResult", "SimLimitError"]
 
 #: Selectable engines; the first is the default.
-ENGINES = ("lockstep", "reference")
-
-
-def _default_engine() -> str:
-    engine = os.environ.get("REPRO_FUNC_ENGINE", ENGINES[0])
-    if engine not in ENGINES:
-        raise ValueError(
-            f"REPRO_FUNC_ENGINE must be one of {ENGINES}, got {engine!r}")
-    return engine
+ENGINES = knobs.KNOBS["REPRO_FUNC_ENGINE"].accepts
 
 
 class SimLimitError(RuntimeError):
@@ -158,7 +150,8 @@ class FunctionalSimulator:
     def __init__(self, max_instructions_per_warp: int = 5_000_000,
                  engine: str = None, guard: str = None):
         self.max_instructions_per_warp = max_instructions_per_warp
-        self.engine = engine if engine is not None else _default_engine()
+        self.engine = (engine if engine is not None
+                       else knobs.read("REPRO_FUNC_ENGINE"))
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
         self.guard = guard

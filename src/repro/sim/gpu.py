@@ -86,14 +86,9 @@ class Device:
 
     # ------------------------------------------------------------- launch
 
-    def launch(self, program: Program, grid=(1, 1),
-               engine: str = None) -> FunctionalResult:
-        """Run *program* functionally over the whole grid.
-
-        ``engine`` selects the functional execution engine (``None`` ->
-        ``REPRO_FUNC_ENGINE``); the engines are bit-identical.
-        """
-        return FunctionalSimulator(engine=engine).run(
+    def launch(self, program: Program, grid=(1, 1)) -> FunctionalResult:
+        """Run *program* functionally over the whole grid."""
+        return FunctionalSimulator().run(
             program, self.memory, grid_dim=grid)
 
     def launch_timed(self, program: Program, num_ctas: int = 1,

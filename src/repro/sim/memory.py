@@ -304,10 +304,6 @@ class TrafficCounters:
     dram_bytes: int = 0
     store_bytes: int = 0
 
-    @property
-    def loaded_bytes(self) -> int:
-        return self.l1_hit_bytes + self.l2_hit_bytes + self.dram_bytes
-
 
 class MemorySubsystem:
     """Timing model of the global-memory path seen by one simulated SM.

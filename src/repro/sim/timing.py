@@ -65,7 +65,6 @@ part of the result-cache key and ``SIM_VERSION`` does not change with it.
 from __future__ import annotations
 
 import math
-import os
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -77,6 +76,7 @@ from ..arch.turing import GpuSpec
 from ..isa.control import NO_BARRIER
 from ..isa.instructions import Pipe
 from ..isa.program import Program
+from .. import knobs
 from ..perf.stats import STATS
 from ..robust import chaos
 from ..robust import guard as _guard
@@ -95,20 +95,10 @@ ALU_LATENCY = 5
 DEFAULT_MAX_CYCLES = 30_000_000
 
 #: Recognised timing engines, fastest first; the first is the default.
-ENGINES = ("event", "reference")
+ENGINES = knobs.KNOBS["REPRO_TIMING_ENGINE"].accepts
 
 _INF = float("inf")
 _U32 = np.dtype(np.uint32)
-
-
-def _default_engine() -> str:
-    """Engine named by ``REPRO_TIMING_ENGINE`` (default: ``event``)."""
-    engine = os.environ.get("REPRO_TIMING_ENGINE", ENGINES[0])
-    if engine not in ENGINES:
-        raise ValueError(
-            f"REPRO_TIMING_ENGINE must be one of {ENGINES}, got {engine!r}"
-        )
-    return engine
 
 
 class _MioQueue:
@@ -607,7 +597,8 @@ class TimingSimulator:
         self.spec = spec
         self.bandwidth_share = bandwidth_share
         self.l1_bytes = l1_bytes
-        self.engine = engine if engine is not None else _default_engine()
+        self.engine = (engine if engine is not None
+                       else knobs.read("REPRO_TIMING_ENGINE"))
         if self.engine not in ENGINES:
             raise ValueError(
                 f"engine must be one of {ENGINES}, got {self.engine!r}"

@@ -73,8 +73,7 @@ def _softmax_rows_f16(scores: np.ndarray, scale: float) -> np.ndarray:
     return (e / e.sum(axis=1, keepdims=True)).astype(np.float16)
 
 
-def attention_head(q, k, v, device: GpuSpec = RTX2070, kernel="ours",
-                   engine: str = None):
+def attention_head(q, k, v, device: GpuSpec = RTX2070, kernel="ours"):
     """One attention head on the simulated device.
 
     Args:
@@ -93,10 +92,9 @@ def attention_head(q, k, v, device: GpuSpec = RTX2070, kernel="ours",
         raise ValueError(f"Q/K/V must all be ({seq}, {d_head}); got "
                          f"K{k16.shape}, V{v16.shape}")
     scores = hgemm(q16, np.ascontiguousarray(k16.T), kernel=kernel,
-                   spec=device, return_run=True, engine=engine)
+                   spec=device, return_run=True)
     p = _softmax_rows_f16(scores.c, 1.0 / np.sqrt(d_head))
-    out = hgemm(p, v16, kernel=kernel, spec=device, return_run=True,
-                engine=engine)
+    out = hgemm(p, v16, kernel=kernel, spec=device, return_run=True)
     stats = {
         "instructions": (scores.stats.instructions_retired
                          + out.stats.instructions_retired),

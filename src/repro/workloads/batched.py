@@ -67,8 +67,7 @@ def _aligned(nbytes: int) -> int:
 
 
 def hgemm_strided_batched(a, b, kernel="ours", spec: GpuSpec = RTX2070,
-                          accumulate: str = "f16", engine: str = None,
-                          return_run: bool = False):
+                          accumulate: str = "f16", return_run: bool = False):
     """Compute ``C[i] = A[i] @ B[i]`` for a stack of independent problems.
 
     Args:
@@ -80,8 +79,6 @@ def hgemm_strided_batched(a, b, kernel="ours", spec: GpuSpec = RTX2070,
            once for the common (m, n, k) shape.
         spec: target device.
         accumulate: "f16" or "f32" (see :func:`repro.core.hgemm`).
-        engine: functional engine for every launch (None ->
-           ``REPRO_FUNC_ENGINE``).
         return_run: also return per-batch statistics.
 
     Returns:
@@ -135,7 +132,7 @@ def hgemm_strided_batched(a, b, kernel="ours", spec: GpuSpec = RTX2070,
             c_addr=c_base + i * c_stride,
         )
         program = build_hgemm(config, problem, spec)
-        stats = dev.launch(program, grid=grid, engine=engine)
+        stats = dev.launch(program, grid=grid)
         run.instructions += stats.instructions_retired
         run.ctas += stats.ctas_run
         run.mma += stats.opcode_counts.get("HMMA", 0)

@@ -112,8 +112,7 @@ def weights_matrix(w, spec: ConvSpec) -> np.ndarray:
 
 
 def conv2d(x, w, spec: ConvSpec, device: GpuSpec = RTX2070,
-           kernel="ours", accumulate: str = "f16", engine: str = None,
-           return_run: bool = False):
+           kernel="ours", accumulate: str = "f16", return_run: bool = False):
     """Convolve NHWC *x* with RSCK *w* on the simulated device.
 
     The lowered GEMM runs through :func:`repro.core.hgemm` -- the actual
@@ -126,7 +125,7 @@ def conv2d(x, w, spec: ConvSpec, device: GpuSpec = RTX2070,
     patches = im2col(x, spec)
     filters = weights_matrix(w, spec)
     run = hgemm(patches, filters, kernel=kernel, spec=device,
-                accumulate=accumulate, return_run=True, engine=engine)
+                accumulate=accumulate, return_run=True)
     if return_run:
         return run
     return run.c.reshape(spec.n, spec.out_h, spec.out_w, spec.c_out)

@@ -298,11 +298,10 @@ class SuiteResult:
         return "\n".join(lines)
 
 
-def _run_gemm(shape: GemmShape, spec, kernel, rng, engine):
+def _run_gemm(shape: GemmShape, spec, kernel, rng):
     a = rng.uniform(-1, 1, (shape.m, shape.k)).astype(np.float16)
     b = rng.uniform(-1, 1, (shape.k, shape.n)).astype(np.float16)
-    run = hgemm(a, b, kernel=kernel, spec=spec, return_run=True,
-                engine=engine)
+    run = hgemm(a, b, kernel=kernel, spec=spec, return_run=True)
     oracle = hgemm_reference(a, b, w_k=run.config.w_k)
     stats = {"instructions": run.stats.instructions_retired,
              "mma": run.stats.opcode_counts.get("HMMA", 0),
@@ -310,25 +309,24 @@ def _run_gemm(shape: GemmShape, spec, kernel, rng, engine):
     return bool(np.array_equal(run.c, oracle)), stats
 
 
-def _run_batched(shape: GemmShape, spec, kernel, rng, engine):
+def _run_batched(shape: GemmShape, spec, kernel, rng):
     # Shared input (stride 0), per-entry weights: the LSTM-gate layout.
     a = rng.uniform(-1, 1, (shape.m, shape.k)).astype(np.float16)
     b = rng.uniform(-1, 1, (shape.count, shape.k, shape.n)).astype(np.float16)
     run = hgemm_strided_batched(a, b, kernel=kernel, spec=spec,
-                                return_run=True, engine=engine)
+                                return_run=True)
     oracle = hgemm_strided_batched_reference(a, b, w_k=run.config.w_k)
     stats = {"instructions": run.instructions, "mma": run.mma,
              "ctas": run.ctas, "launches": run.launches}
     return bool(np.array_equal(run.c, oracle)), stats
 
 
-def _run_conv(conv: ConvSpec, spec, kernel, rng, engine):
+def _run_conv(conv: ConvSpec, spec, kernel, rng):
     x = rng.uniform(-1, 1, (conv.n, conv.h, conv.w,
                             conv.c_in)).astype(np.float16)
     w = rng.uniform(-0.5, 0.5, (conv.r, conv.s, conv.c_in,
                                 conv.c_out)).astype(np.float16)
-    run = conv2d(x, w, conv, device=spec, kernel=kernel, return_run=True,
-                 engine=engine)
+    run = conv2d(x, w, conv, device=spec, kernel=kernel, return_run=True)
     oracle = conv2d_reference(x, w, conv, w_k=run.config.w_k)
     out = run.c.reshape(oracle.shape)
     stats = {"instructions": run.stats.instructions_retired,
@@ -337,15 +335,14 @@ def _run_conv(conv: ConvSpec, spec, kernel, rng, engine):
     return bool(np.array_equal(out, oracle)), stats
 
 
-def _run_attention(att: AttentionSpec, spec, kernel, rng, engine):
+def _run_attention(att: AttentionSpec, spec, kernel, rng):
     heads_exact = True
     stats = {"instructions": 0, "mma": 0, "ctas": 0, "launches": 0}
     for _head in range(att.n_heads):
         q = rng.uniform(-1, 1, (att.seq, att.d_head)).astype(np.float16)
         k = rng.uniform(-1, 1, (att.seq, att.d_head)).astype(np.float16)
         v = rng.uniform(-1, 1, (att.seq, att.d_head)).astype(np.float16)
-        out, head_stats = attention_head(q, k, v, device=spec, kernel=kernel,
-                                         engine=engine)
+        out, head_stats = attention_head(q, k, v, device=spec, kernel=kernel)
         oracle = attention_head_reference(q, k, v, device=spec, kernel=kernel)
         heads_exact &= bool(np.array_equal(out, oracle))
         for key in stats:
@@ -358,8 +355,7 @@ _RUNNERS = {"gemm": _run_gemm, "batched": _run_batched,
 
 
 def run_suite(suite, spec: GpuSpec = RTX2070, scale: str = "sim",
-              kernel="ours", seed: int = 0,
-              engine: str = None) -> SuiteResult:
+              kernel="ours", seed: int = 0) -> SuiteResult:
     """Run every workload of *suite* through the functional simulator.
 
     Each member executes the real generated kernel and is checked
@@ -374,8 +370,7 @@ def run_suite(suite, spec: GpuSpec = RTX2070, scale: str = "sim",
         rng = np.random.default_rng(seed * 1000 + i)
         shape = ", ".join(p.describe() for p in workload.problems(scale))
         try:
-            exact, stats = _RUNNERS[workload.kind](
-                problem, spec, kernel, rng, engine)
+            exact, stats = _RUNNERS[workload.kind](problem, spec, kernel, rng)
             out.results.append(WorkloadResult(
                 workload=workload.name, kind=workload.kind, shape=shape,
                 exact=exact, message="" if exact else "result differs "

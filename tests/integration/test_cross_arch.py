@@ -41,12 +41,14 @@ class TestFunctionalEnginesPerGeneration:
     M, N, K = 64, 64, 64
 
     @pytest.mark.parametrize("device", sorted(DEVICES))
-    def test_engines_bit_identical(self, device):
+    def test_engines_bit_identical(self, device, monkeypatch):
         spec = DEVICES[device]
         a, b = rand((self.M, self.K), 0), rand((self.K, self.N), 1)
-        runs = {engine: hgemm(a, b, kernel="ours", spec=spec,
-                              engine=engine, return_run=True)
-                for engine in FUNC_ENGINES}
+        runs = {}
+        for engine in FUNC_ENGINES:
+            monkeypatch.setenv("REPRO_FUNC_ENGINE", engine)
+            runs[engine] = hgemm(a, b, kernel="ours", spec=spec,
+                                 return_run=True)
         first = runs[FUNC_ENGINES[0]]
         want = hgemm_reference(a, b, w_k=first.config.w_k)
         # The warp k-step follows the generation's native HMMA shape.

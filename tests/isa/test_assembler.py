@@ -183,5 +183,62 @@ class TestAssemble:
     ])
     def test_mma_takes_four_register_operands(self, line, got):
         with pytest.raises(AssemblyError,
-                           match=rf"line 2: .*4 register operands .*got {got}"):
+                           match=rf"line 2: .*takes 4 operands, got {got}"):
             assemble(f"NOP\n{line}\nEXIT")
+
+    @pytest.mark.parametrize("line, opcode, expected, got", [
+        ("IADD3 R1, R2", "IADD3", 4, 2),
+        ("IADD3 R1, R2, R3, RZ, RZ", "IADD3", 4, 5),
+        ("MOV R1", "MOV", 2, 1),
+        ("MOV32I R1, 1, 2", "MOV32I", 2, 3),
+        ("IMAD R1, R2, R3", "IMAD", 4, 3),
+        ("SHF.L R1, R2", "SHF", 3, 2),
+        ("LOP3.AND R1, R2, R3, R4", "LOP3", 3, 4),
+        ("ISETP.LT.AND P0, PT, R1, R2", "ISETP", 5, 4),
+        ("SEL R1, R2, R3", "SEL", 4, 3),
+        ("S2R R1", "S2R", 2, 1),
+        ("CS2R R1, SR_CLOCKLO, R2", "CS2R", 2, 3),
+        ("HFMA2 R1, R2, R3", "HFMA2", 4, 3),
+        ("LDS.32 R1", "LDS", 2, 1),
+        ("LDG.E R1, [R2], R3", "LDG", 2, 3),
+        ("STS [R2]", "STS", 2, 1),
+        ("STG.E [R2]", "STG", 2, 1),
+        ("EXIT R1", "EXIT", 0, 1),
+        ("NOP R1", "NOP", 0, 1),
+        ("BAR.SYNC R0", "BAR", 0, 1),
+    ])
+    def test_operand_count_is_checked(self, line, opcode, expected, got):
+        """Every opcode's operand count comes from ``OPCODES``; a line with
+        another count names the opcode, the expected and the given count."""
+        with pytest.raises(AssemblyError,
+                           match=rf"line 2: {opcode} takes {expected} operands,"
+                                 rf" got {got}"):
+            assemble(f"NOP\n{line}\nEXIT")
+
+    def test_builder_kernels_assemble(self):
+        """The counts in ``OPCODES`` are the ones the builders emit: every
+        generated kernel's disassembly assembles back to the same bytes."""
+        from repro.arch import DEVICES
+        from repro.core import ours_int8
+        from repro.core.builder import HgemmProblem, build_hgemm
+        from repro.core.hgemm import resolve_config
+        from repro.core.igemm import _shrink_int8
+        from repro.isa import disassemble, encode_program
+
+        seen = set()
+        for spec in DEVICES.values():
+            configs = [resolve_config(kernel, 256, 256, 64, spec=spec)
+                       for kernel in ("ours", "cublas")]
+            if spec.arch.supports_f32_accum:
+                configs.append(resolve_config("ours", 256, 256, 64, "f32", spec))
+            if spec.arch.supports_imma:
+                configs.append(_shrink_int8(ours_int8(), 256, 256, 64))
+            for config in configs:
+                program = build_hgemm(config, HgemmProblem(
+                    256, 256, 64, 0, 1 << 20, 1 << 21), spec)
+                blob = encode_program(program)
+                again = assemble(disassemble(blob, program.meta))
+                assert encode_program(again) == blob
+                seen.update(inst.opcode for inst in program)
+        assert {"HMMA", "IMMA", "IADD3", "LDS", "STS", "LDG", "STG",
+                "EXIT"} <= seen

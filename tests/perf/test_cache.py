@@ -13,11 +13,11 @@ import time
 
 import pytest
 
+from repro import knobs
 from repro.arch import RTX2070, T4
 from repro.core.config import cublas_like, ours
 from repro.perf.cache import (
-    SCHEMA_VERSION, SIM_VERSION, ResultCache, cache_dir, cache_enabled,
-    cache_max_bytes, cache_mem_entries, content_key,
+    SCHEMA_VERSION, SIM_VERSION, ResultCache, content_key,
 )
 from repro.perf.stats import STATS
 
@@ -226,7 +226,7 @@ class TestHygiene:
 
     def test_put_honours_max_mb_env(self, cache, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_MAX_MB", "0.0005")  # ~524 bytes
-        assert cache_max_bytes() == 524
+        assert knobs.read("REPRO_CACHE_MAX_MB") == 0.0005
         for i in range(5):
             cache.put(content_key(b"auto", i), {"v": i, "pad": "x" * 200})
         assert cache.disk_bytes() <= 524
@@ -250,7 +250,7 @@ class TestHygiene:
 class TestEnvironmentSwitches:
     def test_no_cache_disables_everything(self, cache, monkeypatch):
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        assert not cache_enabled()
+        assert knobs.read("REPRO_NO_CACHE")
         key = content_key(b"k6")
         cache.put(key, {"v": 1})
         assert cache.get(key) is None
@@ -258,7 +258,7 @@ class TestEnvironmentSwitches:
 
     def test_cache_dir_override(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "elsewhere"))
-        assert cache_dir() == tmp_path / "elsewhere"
+        assert knobs.read("REPRO_CACHE_DIR") == tmp_path / "elsewhere"
 
     @pytest.mark.parametrize("name,raw", [
         ("REPRO_CACHE_MAX_MB", "lots"), ("REPRO_CACHE_MAX_MB", "nan"),
@@ -276,11 +276,11 @@ class TestEnvironmentSwitches:
     def test_bounds_parse(self, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_MAX_MB", "1.5")
         monkeypatch.setenv("REPRO_CACHE_MEM_ENTRIES", "0")   # unbounded
-        assert cache_max_bytes() == 3 << 19
-        assert cache_mem_entries() == 0
+        assert knobs.read("REPRO_CACHE_MAX_MB") == 1.5
+        assert knobs.read("REPRO_CACHE_MEM_ENTRIES") == 0
         monkeypatch.setenv("REPRO_CACHE_MEM_ENTRIES", "1e3")
-        assert cache_mem_entries() == 1000
+        assert knobs.read("REPRO_CACHE_MEM_ENTRIES") == 1000
         monkeypatch.delenv("REPRO_CACHE_MAX_MB")
         monkeypatch.delenv("REPRO_CACHE_MEM_ENTRIES")
-        assert cache_max_bytes() is None
-        assert cache_mem_entries() == 4096
+        assert knobs.read("REPRO_CACHE_MAX_MB") is None
+        assert knobs.read("REPRO_CACHE_MEM_ENTRIES") == 4096

@@ -72,13 +72,15 @@ def test_bad_supervisor_knob_raises(monkeypatch, name, raw):
 
 
 def test_supervisor_knobs_resolve(monkeypatch):
-    from repro.perf.parallel import supervisor_settings
+    from repro import knobs
 
     monkeypatch.setenv("REPRO_TASK_TIMEOUT", "30")
     monkeypatch.setenv("REPRO_TASK_RETRIES", "0")
     monkeypatch.delenv("REPRO_RETRY_BACKOFF", raising=False)
-    assert supervisor_settings() == {"timeout": 30.0, "retries": 0,
-                                     "backoff": 0.25}
+    settings = [knobs.read(name) for name in (
+        "REPRO_TASK_TIMEOUT", "REPRO_TASK_RETRIES", "REPRO_RETRY_BACKOFF")]
+    assert settings == [30.0, 0, 0.25]
+    assert [type(value) for value in settings] == [float, int, float]
 
 
 class TestSupervisor:

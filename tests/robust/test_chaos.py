@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import knobs
 from repro.robust import chaos
 
 
@@ -16,25 +17,29 @@ def clean(monkeypatch):
 
 class TestParsing:
     def test_inactive_by_default(self):
-        assert not chaos.active()
-        assert chaos.directives() == {}
+        assert knobs.read("REPRO_CHAOS") == {}
+        assert not chaos.should_crash(0, 0)
 
     def test_parses_directive_list(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHAOS",
                            "crash_task:2, delay_task:1 ,delay_seconds:0.2")
-        assert chaos.active()
-        assert chaos.directives() == {
-            "crash_task": "2", "delay_task": "1", "delay_seconds": "0.2"}
+        assert knobs.read("REPRO_CHAOS") == {
+            "crash_task": 2, "delay_task": 1, "delay_seconds": 0.2}
 
     def test_reparses_env_every_call(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHAOS", "crash_task:1")
-        assert chaos.directives() == {"crash_task": "1"}
+        assert knobs.read("REPRO_CHAOS") == {"crash_task": 1}
         monkeypatch.setenv("REPRO_CHAOS", "flip_output:3")
-        assert chaos.directives() == {"flip_output": "3"}
+        assert knobs.read("REPRO_CHAOS") == {"flip_output": 3}
 
     def test_garbage_values_never_match(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS", "crash_task:banana")
-        assert not chaos.should_crash(0, 0)
+        """A directive that could never fire is refused, naming the
+        variable, instead of being ignored."""
+        for spec in ("crash_task:banana", "crash_tsk:0", "crash_task:1.5",
+                     "flip_output:-1", "crash_task"):
+            monkeypatch.setenv("REPRO_CHAOS", spec)
+            with pytest.raises(ValueError, match="REPRO_CHAOS"):
+                chaos.should_crash(0, 0)
 
 
 class TestCrashPredicate:

@@ -171,9 +171,14 @@ class TestFunctionalWatchdog:
         assert guard.degradation_report()["func_engine_floor"] == "lockstep"
 
     def test_guard_off_param_overrides_env(self, monkeypatch):
+        from repro.sim.functional import FunctionalSimulator
+
         monkeypatch.setenv("REPRO_GUARD", "full")
-        a, b = _operands(2)
-        hgemm(a, b, guard="off")
+        config = ours()
+        problem = HgemmProblem(m=config.b_m, n=config.b_n, k=32,
+                               a_addr=0, b_addr=4 << 20, c_addr=8 << 20)
+        FunctionalSimulator(guard="off").run(
+            build_hgemm(config, problem, RTX2070), GlobalMemory(16 << 20))
         assert "guard.checks" not in STATS.counters
 
     def test_degraded_engine_actually_used(self, monkeypatch):

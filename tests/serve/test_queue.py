@@ -1,4 +1,4 @@
-"""Unit tests for the coalescing priority queue."""
+"""Unit tests for the coalescing FIFO queue."""
 
 import threading
 
@@ -21,14 +21,15 @@ class TestAdmission:
         assert q.depth() == 1
         assert q.inflight() == 1
 
-    def test_priority_order_then_fifo(self):
+    def test_fifo_order(self):
         q = JobQueue()
-        low, _ = _submit(q, "low", priority=0)
-        hi1, _ = _submit(q, "hi1", priority=5)
-        hi2, _ = _submit(q, "hi2", priority=5)
-        assert q.next_job(timeout=0) is hi1
-        assert q.next_job(timeout=0) is hi2
-        assert q.next_job(timeout=0) is low
+        first, _ = _submit(q, "first")
+        second, _ = _submit(q, "second")
+        assert q.next_job(timeout=0) is first
+        third, _ = _submit(q, "third")
+        assert q.next_job(timeout=0) is second
+        assert q.next_job(timeout=0) is third
+        assert q.next_job(timeout=0) is None
 
     def test_bounded_depth_raises_queue_full(self):
         q = JobQueue(max_depth=2)

@@ -100,7 +100,9 @@ def test_repeated_groups_of_a_window_share_one_build(monkeypatch):
     monkeypatch.setitem(decode._GROUP_BUILDERS, "hmma", counted)
     spec = DEVICES["V100"]
     a, b = _rand((M, 64), 3), _rand((64, N), 4)
-    want = hgemm(a, b, kernel="cublas", spec=spec, engine="reference")
+    monkeypatch.setenv("REPRO_FUNC_ENGINE", "reference")
+    want = hgemm(a, b, kernel="cublas", spec=spec)
+    monkeypatch.setenv("REPRO_FUNC_ENGINE", "lockstep")
     np.testing.assert_array_equal(hgemm(a, b, kernel="cublas", spec=spec),
                                   want)
     ids = set(map(id, built))

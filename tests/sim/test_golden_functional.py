@@ -191,13 +191,13 @@ def test_golden_igemm(m, n, k, engine, monkeypatch):
 
 @pytest.mark.parametrize("engine", functional.ENGINES)
 @pytest.mark.parametrize("device,kernel,m,n,k", sorted(GOLDEN_KLOOP))
-def test_golden_kloop(device, kernel, m, n, k, engine):
+def test_golden_kloop(device, kernel, m, n, k, engine, monkeypatch):
     from repro.arch import DEVICES
 
+    monkeypatch.setenv("REPRO_FUNC_ENGINE", engine)
     digest, retired, ctas, opcodes = GOLDEN_KLOOP[(device, kernel, m, n, k)]
     a, b = _inputs(m, n, k)
-    run = hgemm(a, b, kernel=kernel, spec=DEVICES[device], engine=engine,
-                return_run=True)
+    run = hgemm(a, b, kernel=kernel, spec=DEVICES[device], return_run=True)
     assert _digest(run.c) == digest
     assert run.stats.instructions_retired == retired
     assert run.stats.ctas_run == ctas
@@ -265,10 +265,13 @@ def test_removed_engine_env_rejected(monkeypatch):
     assert _names_both_engines(str(err.value))
 
 
-def test_removed_engine_job_rejected():
+def test_removed_engine_job_rejected(monkeypatch):
+    """A job runs on the engine its process's ``REPRO_FUNC_ENGINE`` names
+    (payloads carry no engine), and a removed engine is refused there."""
     from repro.serve.jobs import run_job
 
     removed = "grid" "lock"  # the deleted grid-lockstep engine
-    with pytest.raises(ValueError, match=f"'{removed}'") as err:
-        run_job("hgemm", {"m": 64, "n": 64, "k": 32, "engine": removed})
+    monkeypatch.setenv("REPRO_FUNC_ENGINE", removed)
+    with pytest.raises(ValueError, match=f"REPRO_FUNC_ENGINE .*'{removed}'") as err:
+        run_job("hgemm", {"m": 64, "n": 64, "k": 32})
     assert _names_both_engines(str(err.value))

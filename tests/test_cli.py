@@ -62,6 +62,11 @@ class TestParser:
             build_parser().parse_args(["frobnicate"])
 
     def test_engine_and_guard_choices_are_the_registries(self, monkeypatch):
+        """The engines and guard modes are their knobs' choices, and each
+        knob's default is the first, which the simulators resolve; the CLI
+        has no option of its own for them."""
+        from repro import knobs
+        from repro.arch import RTX2070
         from repro.robust import guard
         from repro.sim import functional, timing
 
@@ -69,16 +74,15 @@ class TestParser:
         monkeypatch.delenv("REPRO_TIMING_ENGINE", raising=False)
         monkeypatch.delenv("REPRO_GUARD", raising=False)
 
-        options = {action.dest: action
-                   for action in build_parser()._actions}
-        for dest, registry in (("func_engine", functional.ENGINES),
-                               ("timing_engine", timing.ENGINES),
-                               ("guard", guard.MODES)):
-            assert tuple(options[dest].choices) == registry
-            assert f"'{registry[0]}'" in options[dest].help
-        # The help text's default is the one the simulators resolve.
-        assert functional._default_engine() == functional.ENGINES[0]
-        assert timing._default_engine() == timing.ENGINES[0]
+        options = {action.dest for action in build_parser()._actions}
+        for name, registry in (("REPRO_FUNC_ENGINE", functional.ENGINES),
+                               ("REPRO_TIMING_ENGINE", timing.ENGINES),
+                               ("REPRO_GUARD", guard.MODES)):
+            assert knobs.KNOBS[name].accepts == registry
+            assert knobs.read(name) == registry[0]
+        assert not options & {"func_engine", "timing_engine", "guard"}
+        assert functional.FunctionalSimulator().engine == functional.ENGINES[0]
+        assert timing.TimingSimulator(RTX2070).engine == timing.ENGINES[0]
         assert guard.guard_mode() == guard.MODES[0]
 
     def test_remote_verbs_are_the_job_verbs(self):
@@ -107,12 +111,17 @@ class TestParser:
         for argv in commands:
             build_parser().parse_args(argv)
 
-    def test_removed_func_engine_refused(self, capsys):
+    def test_removed_func_engine_refused(self, capsys, monkeypatch):
+        """A removed engine in ``REPRO_FUNC_ENGINE`` ends the command with
+        one error line naming the variable, not a traceback."""
         removed = "grid" "lock"  # the deleted grid-lockstep engine
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["--func-engine", removed, "hgemm", "64", "64", "32"])
-        assert f"invalid choice: '{removed}'" in capsys.readouterr().err
+        monkeypatch.setenv("REPRO_FUNC_ENGINE", removed)
+        assert main(["hgemm", "64", "64", "32"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: REPRO_FUNC_ENGINE must be one of "
+                              "('lockstep', 'reference'), got "
+                              f"'{removed}'")
+        assert "Traceback" not in err
 
 
 class TestCommands:
@@ -255,6 +264,66 @@ class TestServeCli:
             assert "served by daemon: cache hit" in out
         finally:
             daemon.stop()
+
+    @staticmethod
+    def _parked_daemon(path):
+        """A 1-worker daemon whose worker sleeps on a noop, so the jobs
+        submitted next stay queued together (as ``repro doctor`` does)."""
+        from repro.serve import ServeClient, ServeDaemon
+
+        daemon = ServeDaemon(str(path), workers=1)
+        daemon.start()
+        with ServeClient(daemon.socket_path, tenant="hold") as holder:
+            holder.submit("noop", {"sleep_s": 0.75})
+        return daemon
+
+    def test_run_batch_twins_report_one_coalesced(self, tmp_path,
+                                                  cache_enabled):
+        import threading
+
+        from repro.serve import ServeClient
+
+        payload = {"m": 64, "n": 64, "k": 32, "kernel": "ours", "seed": 5}
+        daemon = self._parked_daemon(tmp_path / "twins.sock")
+        views = [None, None]
+
+        def run(slot):
+            with ServeClient(daemon.socket_path, tenant=f"t{slot}") as client:
+                views[slot] = client.run_batch(
+                    [{"kind": "hgemm", "payload": payload}])[0]
+
+        try:
+            threads = [threading.Thread(target=run, args=(slot,))
+                       for slot in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            daemon.stop()
+        assert views[0]["job_id"] == views[1]["job_id"]
+        assert sorted(view["coalesced"] for view in views) == [False, True]
+        assert views[0]["result"] == views[1]["result"]
+
+    def test_remote_twin_prints_coalesced(self, tmp_path, cache_enabled,
+                                          capsys):
+        from repro.serve import ServeClient
+
+        argv = ["hgemm", "64", "64", "32", "--seed", "6"]
+        payload = {"m": 64, "n": 64, "k": 32, "kernel": "ours",
+                   "accumulate": "f16", "seed": 6,
+                   "spec": {"device": "RTX2070"}}
+        daemon = self._parked_daemon(tmp_path / "twin.sock")
+        try:
+            with ServeClient(daemon.socket_path, tenant="first") as client:
+                first = client.submit("hgemm", payload)
+                assert not first["coalesced"]
+                rc = main(argv + ["--remote", daemon.socket_path])
+        finally:
+            daemon.stop()
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert f"served by daemon: coalesced (job {first['job_id']}, " in out
 
 
 class TestWorkloadsCommand:
