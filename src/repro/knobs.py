@@ -36,8 +36,8 @@ class Knob:
 
     *kind* names the parser: ``choice`` (one of the *accepts* tuple),
     ``number`` (a finite number in the closed range *accepts*), ``count``
-    (a whole number >= *accepts*), ``flag`` (empty or ``0`` is off,
-    anything else on), ``path``, or ``chaos`` (:data:`CHAOS_DIRECTIVES`).
+    (a whole number >= *accepts*), ``flag`` (``0`` is off, ``1`` on),
+    ``path``, or ``chaos`` (:data:`CHAOS_DIRECTIVES`).
     A callable *default* is evaluated at each read.
     """
 
@@ -122,7 +122,7 @@ def accepted(knob: Knob) -> str:
         return ("comma-separated name:N directives with names in "
                 f"{tuple(knob.accepts)}")
     if knob.kind == "flag":
-        return "any value (empty or 0 is off)"
+        return "0 (off) or 1 (on)"
     return "a path"
 
 
@@ -166,7 +166,7 @@ def _parse(knob: Knob, raw: str):
     if knob.kind == "chaos":
         return _chaos(raw)
     if knob.kind == "flag":
-        return raw != "0"
+        return {"0": False, "1": True}.get(raw)
     return Path(raw)
 
 

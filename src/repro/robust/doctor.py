@@ -23,10 +23,11 @@ The report covers:
   shape, stacked 1 to 4,096 deep, must add the products in k order, as
   the precision model (and so every functional golden) assumes;
 * a service round-trip: an in-process daemon on a temporary socket, the
-  same tiny GEMM submitted by two concurrent clients, which must run
-  **once** (the twin coalesces, and exactly one job view says so),
-  return bit-identical matrices that match an in-process run, and shut
-  down cleanly (socket removed).
+  same ``noop`` submitted by two concurrent clients, which must run
+  **once** (the twin coalesces, and exactly one job view says so), a
+  tiny GEMM whose served ``c_sha256`` must match an in-process run's
+  (whether the daemon ran it or its cache answered), and a clean
+  shutdown (socket removed).
 
 Everything returns data; the CLI does the printing.
 """
@@ -161,18 +162,17 @@ def _selftest_serve() -> str:
 
     from ..core.hgemm import hgemm
     from ..serve import ServeClient, ServeDaemon
-    from ..serve.protocol import decode_payload
 
-    payload = {"m": 64, "n": 64, "k": 16, "kernel": "ours", "seed": 11,
-               "return_c": True}
+    gemm = {"m": 64, "n": 64, "k": 16, "kernel": "ours", "seed": 11}
     with tempfile.TemporaryDirectory(prefix="repro-doctor-serve") as tmp:
         sock = os.path.join(tmp, "doctor.sock")
         daemon = ServeDaemon(sock, workers=1)
         daemon.start()
         try:
-            # Park the single worker on a noop so both GEMM submissions
-            # provably arrive while the key is queued -- the coalescing
-            # check is then deterministic, not a race we usually win.
+            # Park the single worker on a noop so both twins provably
+            # arrive while their key is queued -- the coalescing check is
+            # then deterministic, not a race we usually win.  noop is never
+            # cached, so a rerun against the same cache dir coalesces too.
             with ServeClient(sock, tenant="doctor-hold") as holder:
                 holder.submit("noop", {"sleep_s": 0.75})
             views, errors = [None, None], []
@@ -180,7 +180,7 @@ def _selftest_serve() -> str:
             def submit(slot):
                 try:
                     with ServeClient(sock, tenant=f"doctor-{slot}") as c:
-                        views[slot] = c.run("hgemm", payload)
+                        views[slot] = c.run("noop", {"value": "doctor"})
                 except Exception as exc:  # noqa: BLE001 - report, not raise
                     errors.append(f"{type(exc).__name__}: {exc}")
 
@@ -195,21 +195,21 @@ def _selftest_serve() -> str:
             if any(v is None for v in views):
                 return "FAIL: a client never got its result"
             stats = daemon._stats()
-            if stats["executed"] != 2:  # the noop holder + ONE simulation
-                return (f"FAIL: {stats['executed'] - 1} simulations ran for "
+            if stats["executed"] != 2:  # the noop holder + ONE twin
+                return (f"FAIL: {stats['executed'] - 1} executions ran for "
                         "2 identical submissions")
             if stats["coalesced"] != 1:
                 return (f"FAIL: twin did not coalesce "
                         f"(coalesced={stats['coalesced']})")
             if sum(bool(v.get("coalesced")) for v in views) != 1:
                 return "FAIL: the twin's job view does not read coalesced"
-            c0, c1 = (decode_payload(v["result"]["c"]) for v in views)
-            if not np.array_equal(c0, c1):
-                return "FAIL: coalesced twins returned different matrices"
-            rng = np.random.default_rng(payload["seed"])
+            with ServeClient(sock, tenant="doctor-gemm") as client:
+                served = client.run("hgemm", gemm)["result"]
+            rng = np.random.default_rng(gemm["seed"])
             a = rng.uniform(-1, 1, (64, 16)).astype(np.float16)
             b = rng.uniform(-1, 1, (16, 64)).astype(np.float16)
-            if not np.array_equal(c0, hgemm(a, b, kernel="ours")):
+            local = cache_mod.content_key(hgemm(a, b, kernel="ours").tobytes())
+            if not served["exact"] or served["c_sha256"] != local:
                 return "FAIL: served result differs from an in-process run"
         finally:
             daemon.stop()

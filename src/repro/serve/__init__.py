@@ -17,11 +17,11 @@ counts the attachments), and completed results land in the shared cache
 so later tenants get warm-lookup latency.  N clients autotuning the same
 problem cost one fleet, not N.
 
-Modules: :mod:`~repro.serve.protocol` (length-prefixed JSON frames,
-base64/file-spooled NumPy payloads), :mod:`~repro.serve.queue`
-(FIFO, bounded depth, coalescing), :mod:`~repro.serve.jobs` (job
-kinds and the key = cache-key invariant), :mod:`~repro.serve.daemon`
-(the server), :mod:`~repro.serve.client` (the thin client).
+Modules: :mod:`~repro.serve.protocol` (length-prefixed frames, each
+one JSON object), :mod:`~repro.serve.queue` (FIFO, bounded depth,
+coalescing), :mod:`~repro.serve.jobs` (job kinds and the key =
+cache-key invariant), :mod:`~repro.serve.daemon` (the server),
+:mod:`~repro.serve.client` (the thin client).
 """
 
 from .client import (

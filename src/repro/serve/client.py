@@ -147,11 +147,9 @@ class ServeClient:
                  "tenant": self.tenant} for j in jobs]
         return self._request("batch", jobs=subs)["jobs"]
 
-    def poll(self, job_id: str) -> dict:
-        return self._request("poll", job_id=job_id)
-
     def wait(self, job_id: str, timeout: float = None) -> dict:
-        """Block until the job finishes (or *timeout*); returns its view."""
+        """Block until the job finishes (or *timeout*; ``0`` returns at
+        once); returns its view."""
         return self._request("wait", job_id=job_id, timeout=timeout)
 
     def stats(self) -> dict:

@@ -21,7 +21,7 @@ that job (worker processes ship their deltas home through the
 supervisor), and the daemon aggregates the same deltas per tenant for
 ``serve stats``.
 
-Request ops (all frames are JSON dicts with an ``"op"`` field):
+Request ops (every frame is a JSON object with an ``"op"`` field):
 
 ========== ===========================================================
 ``ping``     liveness + identity (pid, versions, uptime)
@@ -29,14 +29,16 @@ Request ops (all frames are JSON dicts with an ``"op"`` field):
              view (may be born ``done`` on cache hit)
 ``batch``    list of submissions, admitted atomically under one
              connection turn -> list of job views
-``poll``     non-blocking job view by ``job_id``
-``wait``     block (up to ``timeout`` s) for a job to finish
+``wait``     block (up to ``timeout`` s; ``0`` does not block) for a
+             job to finish -> its view
 ``stats``    daemon-wide counters, queue gauges, per-tenant totals
 ``shutdown`` stop accepting, fail queued jobs, finish running ones
 ========== ===========================================================
 
 Error responses are ``{"ok": false, "error": ..., "code": ...}`` with
-``code`` in ``{"queue_full", "unknown_job", "bad_request"}``.
+``code`` in ``{"queue_full", "unknown_job", "bad_request"}``.  A frame
+whose body is not a JSON object gets one ``bad_request`` reply, and the
+connection reads on.
 """
 
 from __future__ import annotations
@@ -49,14 +51,14 @@ import time
 from .. import knobs
 from ..perf.cache import ResultCache, SIM_VERSION
 from ..perf.stats import STATS
-from .jobs import cacheable, job_key, run_job
-from .protocol import ProtocolError, recv_frame, send_frame
+from .jobs import JOB_KINDS, job_key, run_job
+from .protocol import BadFrame, ProtocolError, recv_frame, send_frame
 from .queue import JobQueue, QueueFull, UnknownJob
 
 __all__ = ["ServeDaemon", "PROTOCOL_VERSION"]
 
 #: Bump when the frame schema above changes incompatibly.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 
 class ServeDaemon:
@@ -188,12 +190,12 @@ class ServeDaemon:
         """
         try:
             while not self._stop.is_set():
-                message = recv_frame(conn)
-                if message is None:
-                    return
                 try:
+                    message = recv_frame(conn)
+                    if message is None:
+                        return
                     response, then_stop = self._dispatch(message)
-                except (QueueFull, UnknownJob, ValueError, KeyError,
+                except (BadFrame, QueueFull, UnknownJob, ValueError, KeyError,
                         TypeError) as exc:
                     response, then_stop = _error(exc), False
                 send_frame(conn, response)
@@ -227,13 +229,10 @@ class ServeDaemon:
         if op == "batch":
             jobs = [self._submit_one(sub) for sub in message.get("jobs", [])]
             return {"ok": True, "jobs": jobs}, False
-        if op == "poll":
-            job = self.queue.get(message["job_id"])
-            return {"ok": True, **job.public()}, False
         if op == "wait":
+            timeout = _timeout(message.get("timeout"))
             job = self.queue.get(message["job_id"])
-            timeout = message.get("timeout")
-            job.done.wait(timeout if timeout is None else float(timeout))
+            job.done.wait(timeout)
             return {"ok": True, **job.public()}, False
         if op == "stats":
             return self._stats(), False
@@ -247,7 +246,7 @@ class ServeDaemon:
         tenant = str(message.get("tenant") or "anon")
         key = job_key(kind, payload)
         with self._admit_lock:
-            if cacheable(kind, payload):
+            if JOB_KINDS[kind].cacheable:
                 hit = self.cache.get(key)
                 if hit is not None:
                     job = self.queue.record_cached(kind, key, payload,
@@ -296,8 +295,7 @@ class ServeDaemon:
             self._execute(job)
 
     def _execute(self, job) -> None:
-        # Payloads run as received: no job kind takes an array, and
-        # decoding would open (and unlink) any spool path a client names.
+        # Payloads run as received: nothing in one is opened as a path.
         with STATS.scoped() as scope:
             try:
                 result = run_job(job.kind, job.payload)
@@ -308,7 +306,7 @@ class ServeDaemon:
                 return
         delta = scope.snapshot()
         with self._admit_lock:
-            if cacheable(job.kind, job.payload):
+            if JOB_KINDS[job.kind].cacheable:
                 self.cache.put(job.key, {"result": result})
             self.queue.complete(job, result, delta)
         self._account(job.tenant, None, delta)
@@ -327,6 +325,13 @@ class ServeDaemon:
 
 
 # ----------------------------------------------------------------- helpers
+
+def _timeout(value):
+    """A ``wait`` timeout: ``None`` (no bound) or seconds >= 0."""
+    if value is None or (type(value) in (int, float) and value >= 0):
+        return value if value is None else min(value, threading.TIMEOUT_MAX)
+    raise ValueError(f"timeout must be null or seconds >= 0, got {value!r}")
+
 
 def _error(exc: Exception) -> dict:
     code = "bad_request"

@@ -26,8 +26,8 @@ Kinds
     Full two-stage autotune for one problem shape.
 ``hgemm`` / ``igemm``
     One functional GEMM launch, seed-generated operands, verified
-    against the precision-model oracle daemon-side.  ``return_c`` ships
-    the full result matrix back (base64) for bit-exactness audits.
+    against the precision-model oracle daemon-side.  The result carries
+    the verdict (``exact``) and a SHA-256 of C (``c_sha256``), not C.
 ``verify``
     The shape/seed verification grid of one config.
 ``workloads``
@@ -206,10 +206,8 @@ def _run_autotune(payload: dict) -> dict:
     }
 
 
-def _gemm_result(run, exact: bool, opcode: str, payload: dict) -> dict:
-    from .protocol import encode_payload
-
-    out = {
+def _gemm_result(run, exact: bool, opcode: str) -> dict:
+    return {
         "describe": run.config.describe(),
         "instructions": run.stats.instructions_retired,
         "mma": run.stats.opcode_counts.get(opcode, 0),
@@ -217,9 +215,6 @@ def _gemm_result(run, exact: bool, opcode: str, payload: dict) -> dict:
         "exact": exact,
         "c_sha256": content_key(np.ascontiguousarray(run.c).tobytes()),
     }
-    if payload.get("return_c"):
-        out["c"] = encode_payload(np.ascontiguousarray(run.c))
-    return out
 
 
 def _run_hgemm(payload: dict) -> dict:
@@ -235,7 +230,7 @@ def _run_hgemm(payload: dict) -> dict:
     exact = bool(np.array_equal(
         run.c, hgemm_reference(a, b, w_k=run.config.w_k,
                                accumulate=accumulate)))
-    return _gemm_result(run, exact, "HMMA", payload)
+    return _gemm_result(run, exact, "HMMA")
 
 
 def _run_igemm(payload: dict) -> dict:
@@ -247,7 +242,7 @@ def _run_igemm(payload: dict) -> dict:
     b = rng.integers(-128, 128, (k, n), dtype=np.int8)
     run = igemm(a, b, return_run=True, spec=_spec(payload))
     exact = bool(np.array_equal(run.c, igemm_reference(a, b)))
-    return _gemm_result(run, exact, "IMMA", payload)
+    return _gemm_result(run, exact, "IMMA")
 
 
 def _run_verify(payload: dict) -> dict:
@@ -316,8 +311,7 @@ class JobKind:
     name: str
     run: callable
     #: Completed results land in the shared serve cache (and later
-    #: identical submissions are answered from it).  Off for diagnostics
-    #: and for results carrying bulk arrays.
+    #: identical submissions are answered from it).  Off for diagnostics.
     cacheable: bool = True
 
 
@@ -339,15 +333,6 @@ def kind_of(name: str) -> JobKind:
     except KeyError:
         raise ValueError(f"unknown job kind {name!r} "
                          f"(know: {sorted(JOB_KINDS)})") from None
-
-
-def cacheable(kind: str, payload: dict) -> bool:
-    """Whether this job's result may be served from / stored to cache."""
-    if not kind_of(kind).cacheable:
-        return False
-    # Bulk-array results do not belong in the JSON result cache (and a
-    # spooled file reference would dangle after its one-shot read).
-    return not payload.get("return_c")
 
 
 def job_key(kind: str, payload: dict) -> str:

@@ -18,8 +18,9 @@ a partial result.
 
 Beyond coalescing the queue is conventional: first in, first out, with
 a bounded **queued** depth (running and finished jobs do not count
-against it; the bound is back-pressure on admission, not a memory cap).  Finished jobs are retained for polling in a bounded
-ring; the oldest finished jobs are forgotten first.
+against it; the bound is back-pressure on admission, not a memory cap).
+Finished jobs are retained for late waits in a bounded ring; the oldest
+finished jobs are forgotten first.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from ..perf.stats import STATS
 
 __all__ = ["Job", "JobQueue", "QueueFull", "UnknownJob"]
 
-#: How many finished jobs stay pollable before the oldest is forgotten.
+#: How many finished jobs late waits still find; the oldest go first.
 _DONE_RETENTION = 1024
 
 
@@ -43,7 +44,7 @@ class QueueFull(RuntimeError):
 
 
 class UnknownJob(KeyError):
-    """Polled a job id the daemon no longer (or never) knew."""
+    """Asked for a job id the daemon no longer (or never) knew."""
 
 
 @dataclass
@@ -140,7 +141,7 @@ class JobQueue:
                       result: dict, tenant: str = "anon") -> Job:
         """Admit a request already answered by the shared result cache.
 
-        The job is born ``done`` (``cached=True``) so polling works the
+        The job is born ``done`` (``cached=True``) so waiting works the
         same way; it never touches the FIFO or the in-flight index.
         """
         with self._lock:

@@ -7,6 +7,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.perf.cache import content_key
 from repro.serve import (
     JobFailed,
     ServeClient,
@@ -16,7 +17,7 @@ from repro.serve import (
     daemon_available,
 )
 from repro.serve.jobs import job_key
-from repro.serve.protocol import decode_payload, recv_frame, send_frame
+from repro.serve.protocol import recv_frame, send_frame
 
 
 @pytest.fixture()
@@ -59,7 +60,7 @@ class TestBasics:
         assert daemon_available(daemon.socket_path)
         with ServeClient(daemon.socket_path) as client:
             info = client.ping()
-        assert info["ok"] and info["protocol"] == 1
+        assert info["ok"] and info["protocol"] == 2
 
     def test_unreachable_socket_raises(self, scratch_env):
         with pytest.raises(ServeUnavailable):
@@ -111,15 +112,64 @@ class TestBasics:
     def test_result_matches_inprocess_run(self, daemon):
         from repro.core import hgemm
 
-        payload = _hgemm_payload(return_c=True)
+        payload = _hgemm_payload()
         with ServeClient(daemon.socket_path) as client:
             view = client.run("hgemm", payload)
-        served = decode_payload(view["result"]["c"])
         rng = np.random.default_rng(payload["seed"])
         a = rng.uniform(-1, 1, (64, 16)).astype(np.float16)
         b = rng.uniform(-1, 1, (16, 64)).astype(np.float16)
         assert view["result"]["exact"] is True
-        assert np.array_equal(served, hgemm(a, b, kernel="ours"))
+        assert view["result"]["c_sha256"] == content_key(
+            hgemm(a, b, kernel="ours").tobytes())
+
+    @pytest.mark.parametrize("body,name", [
+        (b"[1, 2]", "array"), (b'"hello"', "string"), (b"5", "number"),
+        (b"null", "null"), (b"{", "unparseable")])
+    def test_non_object_frame_gets_one_bad_request(self, daemon, body, name):
+        """A frame that is not a JSON object is answered, not fatal: one
+        ``bad_request`` reply naming what came, and the connection reads
+        on."""
+        raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        raw.settimeout(10)
+        raw.connect(daemon.socket_path)
+        try:
+            raw.sendall(len(body).to_bytes(4, "big") + body)
+            reply = recv_frame(raw)
+            assert reply["ok"] is False and reply["code"] == "bad_request"
+            assert name in reply["error"]
+            send_frame(raw, {"op": "ping"})
+            assert recv_frame(raw)["ok"] is True
+        finally:
+            raw.close()
+
+    @pytest.mark.parametrize("timeout", ["soon", -1, True, [1], float("nan")])
+    def test_malformed_wait_timeout_is_bad_request(self, daemon, timeout):
+        with ServeClient(daemon.socket_path) as client:
+            job = client.submit("noop", {"value": 1})
+            with pytest.raises(ServeError, match="timeout must be") as err:
+                client.wait(job["job_id"], timeout=timeout)
+            assert err.value.code == "bad_request"
+            assert client.ping()["ok"]
+
+    def test_huge_wait_timeout_waits_for_the_job(self, daemon):
+        with ServeClient(daemon.socket_path) as client:
+            job = client.submit("noop", {"sleep_s": 0.3, "value": 1})
+            view = client.wait(job["job_id"], timeout=1e300)
+        assert view["state"] == "done" and view["result"] == {"value": 1}
+
+    def test_wait_zero_timeout_returns_a_running_view(self, daemon):
+        import time
+
+        with ServeClient(daemon.socket_path) as client:
+            job = client.submit("noop", {"sleep_s": 1.5, "value": 1})
+            deadline = time.monotonic() + 5
+            view = client.wait(job["job_id"], timeout=0)
+            while view["state"] == "queued" and time.monotonic() < deadline:
+                view = client.wait(job["job_id"], timeout=0)
+            started = time.monotonic()
+            view = client.wait(job["job_id"], timeout=0)
+            assert time.monotonic() - started < 0.5
+        assert view["state"] == "running" and "result" not in view
 
 
 class TestKnobs:
@@ -218,11 +268,11 @@ class TestCoalescing:
         assert again["cached"] is True
         assert again["result"] == first["result"]
 
-    def test_return_c_jobs_are_not_cached(self, daemon):
-        payload = _hgemm_payload(return_c=True)
+    def test_uncacheable_kind_reruns_on_resubmit(self, daemon):
+        payload = {"value": 5}
         with ServeClient(daemon.socket_path) as client:
-            first = client.run("hgemm", payload)
-            again = client.run("hgemm", payload)
+            first = client.run("noop", payload)
+            again = client.run("noop", payload)
         assert first["cached"] is False and again["cached"] is False
         assert daemon.queue.executed == 2
 
@@ -324,7 +374,7 @@ class TestRobustness:
 
     def test_payload_file_references_are_not_opened(self, daemon,
                                                     scratch_env):
-        """Payloads run as received: a spool reference a client names is
+        """Payloads run as received: a file reference a client names is
         neither read nor deleted, and the connection survives."""
         victim = scratch_env / "victim.npy"
         np.save(victim, np.arange(4))
@@ -347,8 +397,8 @@ class TestRobustness:
                 # Wait until the worker claims it so it stops counting
                 # against the queued-depth bound.
                 deadline = time.time() + 5
-                while (client.poll(first["job_id"])["state"] != "running"
-                       and time.time() < deadline):
+                while (client.wait(first["job_id"], timeout=0)["state"]
+                       != "running" and time.time() < deadline):
                     time.sleep(0.01)
                 client.submit("noop", {"sleep_s": 1.0, "value": 2})
                 with pytest.raises(ServeError) as err:

@@ -1,16 +1,13 @@
-"""Unit tests for the serve wire protocol (framing + payload codec)."""
+"""Unit tests for the serve wire protocol: length-prefixed JSON objects."""
 
 import socket
 
-import numpy as np
 import pytest
 
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
+    BadFrame,
     ProtocolError,
-    SPOOL_LIMIT_BYTES,
-    decode_payload,
-    encode_payload,
     recv_frame,
     send_frame,
 )
@@ -61,39 +58,28 @@ class TestFraming:
         with pytest.raises(ProtocolError):
             recv_frame(b)
 
+    def test_plain_json_passthrough(self, pair):
+        a, b = pair
+        message = {"a": 1, "b": [1.5, "x", None], "c": {"d": True}}
+        send_frame(a, message)
+        assert recv_frame(b) == message
 
-class TestPayloadCodec:
-    def test_plain_json_passthrough(self):
-        obj = {"a": 1, "b": [1.5, "x", None], "c": {"d": True}}
-        assert decode_payload(encode_payload(obj)) == obj
+    @pytest.mark.parametrize("body,name", [
+        (b"[1, 2]", "array"), (b'"hello"', "string"), (b"5", "number"),
+        (b"true", "boolean"), (b"null", "null")])
+    def test_non_object_body_is_a_bad_frame(self, pair, body, name):
+        """Only a JSON object is a message; ``null`` is not an EOF."""
+        a, b = pair
+        a.sendall(len(body).to_bytes(4, "big") + body)
+        send_frame(a, {"op": "ping"})
+        with pytest.raises(BadFrame, match=f"got a JSON {name}$"):
+            recv_frame(b)
+        # The bad frame was read to its end: the next one is intact.
+        assert recv_frame(b) == {"op": "ping"}
 
-    def test_ndarray_inline_round_trip(self):
-        arr = np.arange(24, dtype=np.float16).reshape(4, 6)
-        out = decode_payload(encode_payload(arr))
-        assert out.dtype == arr.dtype
-        assert np.array_equal(out, arr)
-
-    def test_ndarray_nested_in_dict(self):
-        arr = np.arange(6, dtype=np.int8)
-        out = decode_payload(encode_payload({"deep": {"c": arr}}))
-        assert np.array_equal(out["deep"]["c"], arr)
-
-    def test_bytes_round_trip(self):
-        blob = bytes(range(256))
-        assert decode_payload(encode_payload({"b": blob}))["b"] == blob
-
-    def test_large_array_spools_to_file(self, tmp_path):
-        arr = np.zeros(SPOOL_LIMIT_BYTES // 2 + 16, dtype=np.uint16)
-        arr[-1] = 7
-        enc = encode_payload(arr, spool_dir=str(tmp_path))
-        assert "__ndfile__" in enc
-        spooled = list(tmp_path.iterdir())
-        assert len(spooled) == 1
-        out = decode_payload(enc)
-        assert np.array_equal(out, arr)
-        # One-shot: the spool file is consumed by decoding.
-        assert not list(tmp_path.iterdir())
-
-    def test_scalars_decay_to_python(self):
-        enc = encode_payload({"x": np.int64(3), "y": np.float32(1.5)})
-        assert decode_payload(enc) == {"x": 3, "y": 1.5}
+    def test_too_deep_nesting_is_a_bad_frame(self, pair):
+        a, b = pair
+        body = b"[" * 10_000 + b"]" * 10_000
+        a.sendall(len(body).to_bytes(4, "big") + body)
+        with pytest.raises(BadFrame):
+            recv_frame(b)

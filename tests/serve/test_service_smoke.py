@@ -67,7 +67,7 @@ def test_service_smoke(tmp_path):
         assert finals[0]["result"]["c_sha256"] == local_sha
 
         status = _cli(env, "serve", "status", "--socket", sock)
-        assert status.returncode == 0 and "protocol 1" in status.stdout
+        assert status.returncode == 0 and "protocol 2" in status.stdout
     finally:
         stopped = _cli(env, "serve", "stop", "--socket", sock)
     assert stopped.returncode == 0, stopped.stderr

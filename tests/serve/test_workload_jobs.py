@@ -4,13 +4,12 @@ import json
 
 import pytest
 
-from repro.serve.jobs import JOB_KINDS, cacheable, job_key, run_job
+from repro.serve.jobs import JOB_KINDS, job_key, run_job
 
 
 class TestWorkloadsJob:
     def test_registered_and_cacheable(self):
-        assert "workloads" in JOB_KINDS
-        assert cacheable("workloads", {"suite": "smoke"})
+        assert JOB_KINDS["workloads"].cacheable
 
     def test_runs_smoke_suite(self):
         result = run_job("workloads", {"suite": "smoke",

@@ -12,14 +12,14 @@ from repro import knobs
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-#: A value each knob refuses.  A flag and a path accept any string, so
-#: they have none.
+#: A value each knob refuses.  A path accepts any string, so it has none.
 MALFORMED = {
     "REPRO_FUNC_ENGINE": "gridlock",
     "REPRO_TIMING_ENGINE": "fast",
     "REPRO_GUARD": "sometimes",
     "REPRO_GUARD_BUDGET": "abc",
     "REPRO_CHAOS": "crash_tsk:0",
+    "REPRO_NO_CACHE": "false",
     "REPRO_CACHE_MAX_MB": "-1",
     "REPRO_CACHE_MEM_ENTRIES": "2.5",
     "REPRO_TASK_TIMEOUT": "nan",
@@ -28,7 +28,7 @@ MALFORMED = {
     "REPRO_SERVE_WORKERS": "0",
     "REPRO_SERVE_QUEUE_MAX": "x",
 }
-ANY_VALUE = {"REPRO_CACHE_DIR", "REPRO_NO_CACHE", "REPRO_SERVE_SOCKET"}
+ANY_VALUE = {"REPRO_CACHE_DIR", "REPRO_SERVE_SOCKET"}
 
 
 def _environment_uses(tree):
@@ -87,7 +87,7 @@ def test_unset_and_empty_read_the_default(name, monkeypatch):
     ("REPRO_TASK_RETRIES", "2.0", 2),
     ("REPRO_TASK_TIMEOUT", " 30 ", 30.0),
     ("REPRO_NO_CACHE", "0", False),
-    ("REPRO_NO_CACHE", "false", True),
+    ("REPRO_NO_CACHE", "1", True),
     ("REPRO_SERVE_SOCKET", "rel/d.sock", Path("rel/d.sock")),
     ("REPRO_CHAOS", "crash_task:0,,delay_seconds:0", {"crash_task": 0,
                                                      "delay_seconds": 0.0}),
@@ -111,7 +111,7 @@ def test_readme_table_lists_every_knob():
 
 
 @pytest.mark.parametrize("name", ["REPRO_TASK_RETRIES", "REPRO_GUARD_BUDGET",
-                                  "REPRO_CHAOS"])
+                                  "REPRO_CHAOS", "REPRO_NO_CACHE"])
 def test_doctor_fails_on_a_malformed_knob(name, tmp_path):
     """``repro doctor --no-selftest`` lists every knob; a malformed one
     makes it exit 1 with the variable named and no traceback."""
