@@ -72,13 +72,14 @@ def _run_jobs(args, payloads, show, charged: bool = False) -> int:
     process through :func:`repro.serve.jobs.run_job`.  *show* prints the
     results and returns the exit status; daemon runs add one
     ``served by daemon:`` line (with the functional instructions charged
-    to the request when *charged*).  A job that fails on the daemon is
-    reported on stderr and exits 1.
+    to the request when *charged*).  A job that fails, here or on the
+    daemon, is reported as one ``error: job failed:`` line on stderr
+    (:func:`repro.serve.jobs.job_error`) and exits 1.
     """
     from functools import partial
 
     from .perf.parallel import parallel_map
-    from .serve.jobs import run_job
+    from .serve.jobs import job_error, run_job
 
     kind = args.command
     remote = _resolve_remote(args)
@@ -89,8 +90,15 @@ def _run_jobs(args, payloads, show, charged: bool = False) -> int:
             # inside: pool workers are daemonic and cannot start pools.
             payloads = [{name: value for name, value in p.items()
                          if name != "jobs"} for p in payloads]
-        return show(parallel_map(partial(run_job, kind), payloads,
-                                 max_workers=jobs))
+        try:
+            results = parallel_map(partial(run_job, kind), payloads,
+                                   max_workers=jobs)
+        except knobs.KnobError:
+            raise   # this process's environment: main reports it
+        except Exception as exc:  # noqa: BLE001 - as the daemon reports it
+            print(f"error: job failed: {job_error(exc)}", file=sys.stderr)
+            return 1
+        return show(results)
 
     from .serve import JobFailed, ServeClient
 
@@ -99,7 +107,7 @@ def _run_jobs(args, payloads, show, charged: bool = False) -> int:
             views = client.run_batch([{"kind": kind, "payload": p}
                                       for p in payloads])
     except JobFailed as exc:
-        print(f"error: daemon job failed: {exc}", file=sys.stderr)
+        print(f"error: job failed: {exc}", file=sys.stderr)
         return 1
     status = show([view["result"] for view in views])
     detail = ("job" + "s" * (len(views) > 1) + " "

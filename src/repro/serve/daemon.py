@@ -27,8 +27,8 @@ Request ops (every frame is a JSON object with an ``"op"`` field):
 ``ping``     liveness + identity (pid, versions, uptime)
 ``submit``   admit one job: ``kind``, ``payload``, ``tenant`` -> job
              view (may be born ``done`` on cache hit)
-``batch``    list of submissions, admitted atomically under one
-             connection turn -> list of job views
+``batch``    list of submissions, each checked before any is admitted
+             (one malformed refuses them all) -> list of job views
 ``wait``     block (up to ``timeout`` s; ``0`` does not block) for a
              job to finish -> its view
 ``stats``    daemon-wide counters, queue gauges, per-tenant totals
@@ -51,7 +51,7 @@ import time
 from .. import knobs
 from ..perf.cache import ResultCache, SIM_VERSION
 from ..perf.stats import STATS
-from .jobs import JOB_KINDS, job_key, run_job
+from .jobs import JOB_KINDS, job_error, job_key, run_job
 from .protocol import BadFrame, ProtocolError, recv_frame, send_frame
 from .queue import JobQueue, QueueFull, UnknownJob
 
@@ -227,8 +227,11 @@ class ServeDaemon:
         if op == "submit":
             return self._submit_one(message), False
         if op == "batch":
-            jobs = [self._submit_one(sub) for sub in message.get("jobs", [])]
-            return {"ok": True, "jobs": jobs}, False
+            # Check every submission before admitting any: a malformed one
+            # refuses the whole batch, with no job queued behind the reply.
+            subs = [_submission(sub) for sub in message.get("jobs", [])]
+            return {"ok": True,
+                    "jobs": [self._admit(*sub) for sub in subs]}, False
         if op == "wait":
             timeout = _timeout(message.get("timeout"))
             job = self.queue.get(message["job_id"])
@@ -241,10 +244,10 @@ class ServeDaemon:
         raise ValueError(f"unknown op {op!r}")
 
     def _submit_one(self, message: dict) -> dict:
-        kind = message["kind"]
-        payload = message.get("payload") or {}
-        tenant = str(message.get("tenant") or "anon")
-        key = job_key(kind, payload)
+        return self._admit(*_submission(message))
+
+    def _admit(self, kind: str, payload: dict, tenant: str,
+               key: str) -> dict:
         with self._admit_lock:
             if JOB_KINDS[kind].cacheable:
                 hit = self.cache.get(key)
@@ -301,7 +304,7 @@ class ServeDaemon:
                 result = run_job(job.kind, job.payload)
             except Exception as exc:  # noqa: BLE001 - job faults must not
                 delta = scope.snapshot()  # kill the worker thread
-                self.queue.fail(job, f"{type(exc).__name__}: {exc}", delta)
+                self.queue.fail(job, job_error(exc), delta)
                 self._account(job.tenant, None, delta)
                 return
         delta = scope.snapshot()
@@ -331,6 +334,15 @@ def _timeout(value):
     if value is None or (type(value) in (int, float) and value >= 0):
         return value if value is None else min(value, threading.TIMEOUT_MAX)
     raise ValueError(f"timeout must be null or seconds >= 0, got {value!r}")
+
+
+def _submission(message: dict) -> tuple:
+    """``(kind, payload, tenant, job_key)`` of one submission; raises on a
+    malformed one before anything is admitted."""
+    kind = message["kind"]
+    payload = message.get("payload") or {}
+    tenant = str(message.get("tenant") or "anon")
+    return kind, payload, tenant, job_key(kind, payload)
 
 
 def _error(exc: Exception) -> dict:

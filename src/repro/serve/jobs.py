@@ -52,6 +52,7 @@ from ..perf.cache import SIM_VERSION, content_key
 __all__ = [
     "JobKind",
     "JOB_KINDS",
+    "job_error",
     "job_key",
     "run_job",
     "spec_to_dict",
@@ -180,9 +181,14 @@ def _run_noop(payload: dict) -> dict:
 def _run_sweep(payload: dict) -> dict:
     _, model = _model(payload)
     config = config_from_dict(payload["config"])
+    sizes = payload["sizes"]
+    if (not isinstance(sizes, list) or not sizes
+            or any(type(w) is not int or w <= 0 for w in sizes)):
+        raise ValueError(f"sweep sizes must be a non-empty list of positive "
+                         f"ints, got {sizes!r}")
     estimates = model.sweep(
         config,
-        sizes=list(payload["sizes"]),
+        sizes=sizes,
         shape=tuple(payload.get("shape", (1, 1, 1))),
         baseline_quirks=bool(payload.get("baseline_quirks", False)),
         max_workers=payload.get("jobs"),
@@ -352,3 +358,9 @@ def job_key(kind: str, payload: dict) -> str:
 def run_job(kind: str, payload: dict) -> dict:
     """Execute one job; pure in (kind, payload)."""
     return kind_of(kind).run(payload)
+
+
+def job_error(exc: Exception) -> str:
+    """What a job that raised *exc* reports: the exception's type and
+    message, the same whether it ran in-process or on the daemon."""
+    return f"{type(exc).__name__}: {exc}"

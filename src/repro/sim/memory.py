@@ -32,7 +32,8 @@ import numpy as np
 
 from ..arch.turing import GpuSpec
 
-__all__ = ["WarpMemory", "GlobalMemory", "AccessSummary", "MemorySubsystem"]
+__all__ = ["WarpMemory", "GlobalMemory", "AccessSummary", "MemorySubsystem",
+           "lane_pattern"]
 
 #: Entry bound of each address-pattern memo.  A GEMM k-loop cycles through
 #: a few patterns per slot; the bound only guards against programs whose
@@ -108,6 +109,21 @@ class WarpMemory:
         self._words[self._batch_indices(addresses, width_bytes)] = data
 
     def _batch_indices(self, addresses: np.ndarray, width_bytes: int) -> np.ndarray:
+        """(g, words, lanes) word indices of a fused run's int64 addresses.
+
+        Widths are powers of two, so one mask tests alignment, and the
+        whole batch's extent tests bounds; only a faulty batch pays for
+        the per-row search that names its first fault."""
+        if ((addresses & (width_bytes - 1)).any() or addresses.min() < 0
+                or addresses.max() + width_bytes > self.size):
+            self._batch_fault(addresses, width_bytes)
+        words = width_bytes // 4
+        return ((addresses >> 2)[:, None, :]
+                + np.arange(words, dtype=np.int64)[None, :, None])
+
+    def _batch_fault(self, addresses: np.ndarray, width_bytes: int) -> None:
+        """Raise for a faulty fused run: its first misaligned lane, else
+        the first row that leaves the memory."""
         misaligned = addresses % width_bytes != 0
         if misaligned.any():
             raise ValueError(
@@ -116,31 +132,53 @@ class WarpMemory:
         per_row_max = addresses.max(axis=1)
         per_row_min = addresses.min(axis=1)
         oob = (per_row_min < 0) | (per_row_max + width_bytes > self.size)
-        if oob.any():
-            row = int(np.argmax(oob))
-            first = int(per_row_min[row])
-            self._bounds_check(first, int(per_row_max[row]) + width_bytes - first)
-        words = width_bytes // 4
-        return (addresses[:, None, :] // 4
-                + np.arange(words, dtype=np.int64)[None, :, None])
+        row = int(np.argmax(oob))
+        first = int(per_row_min[row])
+        self._bounds_check(first, int(per_row_max[row]) + width_bytes - first)
 
     def _word_indices(self, addresses: np.ndarray, width_bytes: int,
                       mask: np.ndarray) -> np.ndarray:
         if mask is None and addresses.dtype is _INT64 and addresses.size:
-            base = int(addresses[0])
-            rel = addresses - base
-            key = (width_bytes, rel.tobytes())
-            pattern = self._patterns.get(key)
-            if pattern is None:
-                pattern = _lane_pattern(rel, width_bytes)
-                if len(self._patterns) >= PATTERN_MEMO_BOUND:
-                    self._patterns.clear()
-                self._patterns[key] = pattern
-            aligned, lo, hi, rel_idx = pattern
-            if (aligned and base % width_bytes == 0 and base + lo >= 0
-                    and base + hi <= self.size):
-                return rel_idx + base // 4
+            return self._pattern_indices(addresses, width_bytes,
+                                         lane_pattern(addresses))
         return self._checked_indices(addresses, width_bytes, mask)
+
+    def _pattern_indices(self, addresses: np.ndarray, width_bytes: int,
+                         pattern: tuple) -> np.ndarray:
+        """Word indices of an unmasked int64 access whose
+        :func:`lane_pattern` is *pattern*, from the memo when the access
+        is valid, else from the full check."""
+        base, rel = pattern
+        key = (width_bytes, rel)
+        entry = self._patterns.get(key)
+        if entry is None:
+            entry = _lane_pattern(addresses - base, width_bytes)
+            if len(self._patterns) >= PATTERN_MEMO_BOUND:
+                self._patterns.clear()
+            self._patterns[key] = entry
+        aligned, lo, hi, rel_idx = entry
+        if (aligned and base % width_bytes == 0 and base + lo >= 0
+                and base + hi <= self.size):
+            return rel_idx + base // 4
+        return self._checked_indices(addresses, width_bytes, None)
+
+    def load_pattern(self, addresses: np.ndarray, width_bytes: int):
+        """:meth:`load_warp` of an unmasked int64 access, with its
+        :func:`lane_pattern`: ``(pattern, data)``.  A timed access hands
+        the pattern on to :meth:`MemorySubsystem.access`, so it is
+        computed once."""
+        pattern = lane_pattern(addresses)
+        return pattern, self._words[
+            self._pattern_indices(addresses, width_bytes, pattern)]
+
+    def store_pattern(self, addresses: np.ndarray, data: np.ndarray,
+                      width_bytes: int) -> tuple:
+        """:meth:`store_warp` of an unmasked int64 access; returns its
+        :func:`lane_pattern`, as :meth:`load_pattern` does."""
+        pattern = lane_pattern(addresses)
+        self._words[self._pattern_indices(addresses, width_bytes,
+                                          pattern)] = data
+        return pattern
 
     def _checked_indices(self, addresses: np.ndarray, width_bytes: int,
                          mask: np.ndarray) -> np.ndarray:
@@ -167,6 +205,14 @@ class WarpMemory:
                 f"{self.space} access [{addr:#x}, {addr + size:#x}) outside "
                 f"the {self.size:#x}-byte {self.space} memory"
             )
+
+
+def lane_pattern(addresses: np.ndarray) -> tuple:
+    """``(base, offsets)`` of an unmasked int64 warp access: lane 0's
+    address and the bytes of every lane's address minus it, the key both
+    memos look the access up by."""
+    base = int(addresses[0])
+    return base, (addresses - base).tobytes()
 
 
 def _lane_pattern(rel: np.ndarray, width_bytes: int) -> tuple:
@@ -339,16 +385,18 @@ class MemorySubsystem:
 
     def access(self, cycle: int, addresses: np.ndarray, width_bytes: int,
                mask: np.ndarray, is_store: bool = False,
-               bypass_l1: bool = False) -> AccessSummary:
+               bypass_l1: bool = False, pattern: tuple = None) -> AccessSummary:
         """Account one warp access and return where/when it was served.
 
-        ``mask=None`` means every lane is active.
+        ``mask=None`` means every lane is active.  *pattern* is the
+        access's :func:`lane_pattern` when the caller already has it.
         """
         sector = self.spec.l2_sector_bytes
         ratio = self._sectors_per_line
         if (ratio and (mask is None or mask.all())
                 and addresses.dtype is _INT64):
-            sector_list, line_list = self._full_units(addresses, width_bytes)
+            sector_list, line_list = self._full_units(
+                addresses, width_bytes, pattern or lane_pattern(addresses))
         else:
             active = addresses if mask is None else addresses[mask]
             if active.size == 0:
@@ -398,14 +446,15 @@ class MemorySubsystem:
             level = "dram"
         return AccessSummary(level=level, sectors=len(sector_list), ready_cycle=ready)
 
-    def _full_units(self, addresses: np.ndarray, width_bytes: int):
+    def _full_units(self, addresses: np.ndarray, width_bytes: int,
+                    pattern: tuple):
         """Sorted sectors and L1 lines of an all-lanes access, from a memo of
         their offsets keyed by the lane-relative pattern and the base's
         offset in its L1 line: sectors nest in lines, so the line index
         fixes the sector base."""
-        base = int(addresses[0])
+        base, rel = pattern
         line, offset = divmod(base, self.L1_LINE)
-        key = (width_bytes, offset, (addresses - base).tobytes())
+        key = (width_bytes, offset, rel)
         units = self._patterns.get(key)
         if units is None:
             ratio = self._sectors_per_line

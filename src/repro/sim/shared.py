@@ -16,13 +16,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .memory import WarpMemory
+from .memory import PATTERN_MEMO_BOUND, WarpMemory
 
 __all__ = ["SharedMemory", "bank_conflict_degree", "conflict_multiplier"]
 
 #: Turing shared memory geometry.
 NUM_BANKS = 32
 BANK_BYTES = 4
+#: Bytes after which the banks repeat.
+BANK_SPAN = NUM_BANKS * BANK_BYTES
 
 
 def bank_conflict_degree(addresses: np.ndarray, width_bytes: int,
@@ -83,6 +85,23 @@ class SharedMemory(WarpMemory):
             raise ValueError(f"size must be a non-negative multiple of 4, got {size_bytes}")
         super().__init__(size_bytes,
                          np.zeros(max(1, size_bytes // 4), dtype=np.uint32))
+        self._conflicts = {}
+
+    def pattern_conflicts(self, addresses: np.ndarray, width_bytes: int,
+                          pattern: tuple) -> float:
+        """:func:`conflict_multiplier` of a valid unmasked access whose
+        :func:`~repro.sim.memory.lane_pattern` is *pattern*, memoised by
+        its width, pattern and base modulo :data:`BANK_SPAN`: an aligned
+        access's banks depend on nothing else, so the warps of a CTA
+        share entries."""
+        key = (width_bytes, pattern[0] % BANK_SPAN, pattern[1])
+        mult = self._conflicts.get(key)
+        if mult is None:
+            if len(self._conflicts) >= PATTERN_MEMO_BOUND:
+                self._conflicts.clear()
+            mult = self._conflicts[key] = conflict_multiplier(addresses,
+                                                              width_bytes)
+        return mult
 
     def read_array(self, addr: int, dtype, count: int) -> np.ndarray:
         """Debug view of shared contents (not a hardware operation)."""

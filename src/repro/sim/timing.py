@@ -44,16 +44,21 @@ Two interchangeable engines drive the model (``REPRO_TIMING_ENGINE`` or the
   them; instructions compile once per run through the shared compute
   step into closures over live register rows, and a predicated one issues
   compiled whenever its guard is on in every lane (otherwise, and for
-  predicated MMAs, through the generic adapter); a global or shared
-  access costs one lookup of its lane-relative address pattern (the
-  :class:`~repro.sim.memory.WarpMemory` and
-  :class:`~repro.sim.memory.MemorySubsystem` memos, plus a per-run
-  bank-conflict memo); straight-line runs of independent MMA
-  ops become *issue plans* whose math is one
+  predicated MMAs, through the generic adapter); a shared access costs
+  one lookup in its compiled step's memo, keyed by the raw lanes of its
+  base register, for both its word indices and its bank-conflict
+  multiplier, and a global access computes its lane-relative address
+  pattern once for the :class:`~repro.sim.memory.WarpMemory` and
+  :class:`~repro.sim.memory.MemorySubsystem` memos; straight-line runs of
+  independent MMA ops become *issue plans* whose math is one
   :func:`~repro.sim.decode.mma_group` call, the lockstep engine's fused
-  MMA builder (per-issue latency/CPI bookkeeping unchanged); and the MIO
-  queue retires by advancing a head index over a monotone completion
-  list.
+  MMA builder, and whose head splits every member's D into its two
+  latency halves once, so a member commits both writes without slicing
+  (per-issue latency/CPI bookkeeping unchanged); and the MIO queue
+  retires by advancing a head index over a monotone completion list and
+  keeps one "full until" cycle, which a warp blocked on it compares
+  against instead of calling into the queue.  These memos live and die
+  with one run.
 
 The engines are **bit-identical** on every :class:`TimingResult` field and
 on final memory/register state (pinned by
@@ -82,7 +87,7 @@ from ..robust import chaos
 from ..robust import guard as _guard
 from .decode import compute_step, mma_group
 from .exec_units import ExecError, execute
-from .memory import PATTERN_MEMO_BOUND, GlobalMemory, MemorySubsystem
+from .memory import GlobalMemory, MemorySubsystem
 from .shared import SharedMemory, conflict_multiplier
 from .uop import decode_uop
 
@@ -145,32 +150,24 @@ class _VecMioQueue:
     """Flat-list MIO queue used by the event engine.
 
     Completion times are monotonically non-decreasing (each entry drains
-    after the previous one), so retirement just advances a head index; a
-    cached Python-float head completion keeps the hot ``can_accept`` check
-    free of any indexing.  API- and number-identical to :class:`_MioQueue`:
-    ``push`` computes the same IEEE float sequence.
+    after the previous one), so retirement just advances a head index.
+    For the same reason the queue is full at a cycle ``t`` no earlier than
+    the last push iff ``t < full_until``: a push that fills the queue sets
+    ``full_until`` to the ceiling of its head's completion, when the first
+    slot opens, and only another push can fill it again.  The issue loop
+    compares the cycle against that one int; a push happens only when
+    ``cycle >= full_until``.  ``push`` computes the same IEEE float
+    sequence as :class:`_MioQueue`'s.
     """
 
-    __slots__ = ("depth", "drain_free", "_done", "_head", "_head_done")
+    __slots__ = ("depth", "drain_free", "full_until", "_done", "_head")
 
     def __init__(self, depth: int):
         self.depth = depth
         self.drain_free = 0.0
+        self.full_until = 0
         self._done = []          # drain-completion times, nondecreasing
         self._head = 0
-        self._head_done = _INF   # mirror of _done[_head] (inf when empty)
-
-    def can_accept(self, cycle: int) -> bool:
-        if self._head_done <= cycle:
-            self._retire(cycle)
-        return len(self._done) - self._head < self.depth
-
-    def next_slot_free(self, cycle: int):
-        if self._head_done <= cycle:
-            self._retire(cycle)
-        if len(self._done) - self._head < self.depth:
-            return cycle
-        return self._head_done
 
     def push(self, cycle: int, occupancy: float) -> float:
         start = self.drain_free
@@ -178,23 +175,22 @@ class _VecMioQueue:
             start = float(cycle)
         done = start + occupancy
         self.drain_free = done
-        if self._head == len(self._done):
-            self._head_done = done
-        self._done.append(done)
-        return done
-
-    def _retire(self, cycle: int) -> None:
-        done = self._done
+        queue = self._done
+        queue.append(done)
         head = self._head
-        n = len(done)
-        while head < n and done[head] <= cycle:
+        n = len(queue)
+        while queue[head] <= cycle:   # retire what drained by now
             head += 1
+            if head == n:
+                break
         if head >= 512:
-            del done[:head]
+            del queue[:head]
+            n -= head
             head = 0
-            n = len(done)
         self._head = head
-        self._head_done = done[head] if head < n else _INF
+        if n - head >= self.depth:
+            self.full_until = math.ceil(queue[head])
+        return done
 
 
 class _TimedWarp:
@@ -231,7 +227,7 @@ class _TimedWarp:
         self.wid = 0                     # index into the SM-wide warp list
         self.min_due = _INF              # earliest pending_writes apply cycle
         self.tensor_min_due = _INF       # earliest pending tensor apply cycle
-        self.plan_queue = None           # queued (pc, values) from an MMA plan
+        self.plan_queue = None           # queued (pc, D halves) from an MMA plan
         self.plan_qi = 0
 
     def clock(self) -> int:
@@ -258,27 +254,32 @@ class _TimedWarp:
             )
 
     def _drain_due(self, queue: list, cycle: int):
-        remaining = []
-        nxt = _INF
-        data = self.regs._data
-        write_group = self.regs.write_group
-        for item in queue:
-            due = item[0]
-            if due <= cycle:
-                _, first_reg, values, mask = item
-                if mask is None and values.dtype == _U32:
-                    # Deferred values are pre-shaped (n, lanes) uint32;
-                    # skip the write_group asarray/bounds ceremony.
-                    data[first_reg:first_reg + values.shape[0]] = values
+        """Apply the writes of *queue* due by *cycle*, in issue order;
+        returns the rest and their earliest due cycle.  It runs only when
+        a write is due, so a one-item queue drains whole."""
+        if len(queue) == 1:
+            due_now, remaining, nxt = queue, [], _INF
+        else:
+            due_now, remaining, nxt = [], [], _INF
+            for item in queue:
+                due = item[0]
+                if due <= cycle:
+                    due_now.append(item)
                 else:
-                    write_group(
-                        first_reg, values,
-                        mask=None if mask is None or mask.all() else mask,
-                    )
+                    remaining.append(item)
+                    if due < nxt:
+                        nxt = due
+        data = self.regs._data
+        for _, first_reg, values, mask in due_now:
+            if mask is None and values.dtype == _U32:
+                # Deferred values are pre-shaped (n, lanes) uint32;
+                # skip the write_group asarray/bounds ceremony.
+                data[first_reg:first_reg + values.shape[0]] = values
             else:
-                remaining.append(item)
-                if due < nxt:
-                    nxt = due
+                self.regs.write_group(
+                    first_reg, values,
+                    mask=None if mask is None or mask.all() else mask,
+                )
         return remaining, nxt
 
     def forward_tensor_writes(self) -> None:
@@ -444,7 +445,7 @@ def _compile_slot(dec):
         u = decode_uop(inst)
     except ExecError:
         return _K_GENERIC, None, None
-    fn = compute_step(u, WARP_LANES)
+    fn = compute_step(u, WARP_LANES, timed=True)
     if fn is None:
         return _K_GENERIC, None, None
     if u.kind == "load":
@@ -462,18 +463,6 @@ def _compile_slot(dec):
     return _K_ALU, fn, u.dest[1]
 
 
-def _bank_conflicts(memo, addresses, width):
-    """:func:`~repro.sim.shared.conflict_multiplier` of an unmasked shared
-    access, memoised per address pattern in *memo* (one per run)."""
-    key = (width, addresses.tobytes())
-    mult = memo.get(key)
-    if mult is None:
-        if len(memo) >= PATTERN_MEMO_BOUND:
-            memo.clear()
-        mult = memo[key] = conflict_multiplier(addresses, width, None)
-    return mult
-
-
 #: Issue-plan window limits: max program slots spanned / max batched members.
 _PLAN_SPAN = 96
 _PLAN_MEMBERS = 32
@@ -484,7 +473,8 @@ class _Plan:
     as one :func:`~repro.sim.decode.mma_group` call at the head's issue;
     tail members consume queued D blocks."""
 
-    __slots__ = ("members", "tail", "run", "read_mask", "read_lo", "read_hi")
+    __slots__ = ("members", "tail", "run", "half", "read_mask", "read_lo",
+                 "read_hi")
 
 
 def _build_plans(decoded, kinds):
@@ -533,7 +523,8 @@ def _build_plans(decoded, kinds):
         plan = _Plan()
         plan.members = tuple(members)
         plan.tail = tuple(members[1:])
-        plan.run = mma_group(head.fuse_key, payloads)[1]
+        d_rows, plan.run = mma_group(head.fuse_key, payloads)
+        plan.half = (d_rows.shape[1] + 1) // 2
         plan.read_mask = read_mask
         plan.read_lo = read_regs[0]
         plan.read_hi = read_regs[-1] + 1
@@ -949,19 +940,20 @@ class TimingSimulator:
 
         Each warp carries a cached *block status* with a release-cycle
         expiry: 1=stall-count (expires at ``next_issue``), 2=scoreboard
-        (expires at ``next_wait_release``), 3=MIO-full (expires when the
-        head entry retires), 4=pipe-busy (expires at ``floor(free_time)``),
-        5=at-barrier, 6=exited.  Expiry alone validates a cached status:
-        codes 1/2 only move on the warp's own issue; a full MIO queue is
-        frozen until its head retires (a push would need ``can_accept``);
-        and a busy pipe only gets busier, so re-examination at the cached
-        expiry re-derives the same reason if the window grew.  The scan
-        consumes valid caches without touching warp state, and idle-cycle
-        probes take the minimum over the cached expiries -- on a no-issue
-        cycle every live warp was just (re)examined or provably unchanged,
-        so the status arrays hold exactly the candidate set `_next_event`
-        recomputes from scratch and the two engines visit identical cycles
-        and count identical stall reasons.
+        (expires at ``next_wait_release``), 3=MIO-full (expires at the
+        queue's ``full_until``), 4=pipe-busy (expires at
+        ``floor(free_time)``), 5=at-barrier, 6=exited.  Expiry alone
+        validates a cached status: codes 1/2 only move on the warp's own
+        issue; a full MIO queue stays full until ``full_until`` (a push
+        needs the gate open); and a busy pipe only gets busier, so
+        re-examination at the cached expiry re-derives the same reason if
+        the window grew.  The scan consumes valid caches without touching
+        warp state, and idle-cycle probes take the minimum over the
+        schedulers' fully-blocked summaries -- on a no-issue cycle every
+        scheduler replayed a valid summary or just rebuilt one, so their
+        expiries hold exactly the candidate set `_next_event` recomputes
+        from scratch and the two engines visit identical cycles and count
+        identical stall reasons.
         """
         spec = self.spec
         n_sched = spec.warp_schedulers_per_sm
@@ -984,34 +976,38 @@ class TimingSimulator:
         ]
         kinds, fns, aux, guards, plans = _compile_event(decoded)
         plan_stats = [0, 0]
-        conflicts = {}   # bank-conflict multiplier per shared access pattern
 
         n_warps = len(warps)
         n_slots = len(decoded)
         st_code = [0] * n_warps
         st_expiry = [0] * n_warps
         wids_by_sched = [[w.wid for w in ws] for ws in by_sched]
+        # The schedulers' polling order per cycle % n_sched, and each
+        # scheduler's scan order per round-robin pointer: (index, wid).
+        sched_orders = [[(rot + k) % n_sched for k in range(n_sched)]
+                        for rot in range(n_sched)]
+        scan_orders = [
+            [[((base + k) % len(ws), ws[(base + k) % len(ws)])
+              for k in range(len(ws))] for base in range(len(ws))]
+            for ws in wids_by_sched
+        ]
         # Fully-blocked scheduler summary: (stall, scoreboard, pipe counter
-        # adds, valid-until cycle).  While valid it replays the scheduler's
-        # per-cycle stall counts in O(1) instead of re-examining every warp;
-        # the earliest member expiry or a barrier/exit wake invalidates it.
+        # adds, valid-until cycle, any warp pipe-blocked).  While valid it
+        # replays the scheduler's per-cycle stall counts in O(1) instead of
+        # re-examining every warp; the earliest member expiry or a
+        # barrier/exit wake invalidates it.
         sched_sum = [None] * n_sched
         live = n_warps
         n_stall = n_score = n_pipe = 0
         retired = 0
         floor = math.floor
-        ceil = math.ceil
 
         cycle = 0
         while cycle < max_cycles:
             if live == 0:
                 break
             issued_any = False
-            base_rot = cycle % n_sched
-            for soff in range(n_sched):
-                s = base_rot + soff
-                if s >= n_sched:
-                    s -= n_sched
+            for s in sched_orders[cycle % n_sched]:
                 sched_warps = by_sched[s]
                 n = len(sched_warps)
                 if not n:
@@ -1024,13 +1020,8 @@ class TimingSimulator:
                         n_pipe += summ[2]
                         continue
                     sched_sum[s] = None
-                swids = wids_by_sched[s]
-                base = rr[s]
-                for k in range(n):
-                    idx = base + k
-                    if idx >= n:
-                        idx -= n
-                    wid = swids[idx]
+                counts = n_stall, n_score, n_pipe
+                for idx, wid in scan_orders[s][rr[s]]:
                     code = st_code[wid]
                     if code:
                         if code >= 5:
@@ -1049,8 +1040,8 @@ class TimingSimulator:
                     # its own condition re-tested, not the full chain.
                     warp = sched_warps[idx]
                     if code == 3:
-                        if not mio.can_accept(cycle):
-                            st_expiry[wid] = ceil(mio.next_slot_free(cycle))
+                        if cycle < mio.full_until:
+                            st_expiry[wid] = mio.full_until
                             n_pipe += 1
                             continue
                         pc = warp.pc
@@ -1087,11 +1078,9 @@ class TimingSimulator:
                             n_score += 1
                             continue
                         if dec.is_memory:
-                            if not mio.can_accept(cycle):
+                            if cycle < mio.full_until:
                                 st_code[wid] = 3
-                                st_expiry[wid] = ceil(
-                                    mio.next_slot_free(cycle)
-                                )
+                                st_expiry[wid] = mio.full_until
                                 n_pipe += 1
                                 continue
                             pipe_key = None
@@ -1113,7 +1102,7 @@ class TimingSimulator:
                         self._issue_fast(
                             warp, dec, kindc, fns[pc], aux[pc], cycle,
                             pipes, pipe_key, mio, pipe_busy_total, memsys,
-                            plans, plan_stats, conflicts,
+                            plans, plan_stats,
                         )
                     else:
                         self._issue(warp, dec, cycle, pipes, pipe_key, mio,
@@ -1148,39 +1137,37 @@ class TimingSimulator:
                     break  # this scheduler issued; next scheduler
                 else:
                     # All warps blocked: snapshot this scheduler's per-cycle
-                    # stall counts (just added above) for O(1) replay.
-                    a = b = c = 0
+                    # stall counts (the scan just added one per live warp)
+                    # for O(1) replay.
                     vu = _INF
-                    for wid2 in swids:
+                    pipe4 = False
+                    for wid2 in wids_by_sched[s]:
                         code = st_code[wid2]
                         if code >= 5:
                             continue
                         e = st_expiry[wid2]
                         if e < vu:
                             vu = e
-                        if code == 1:
-                            a += 1
-                        elif code == 2:
-                            b += 1
-                        else:
-                            c += 1
-                    sched_sum[s] = (a, b, c, vu)
+                        if code == 4:
+                            pipe4 = True
+                    sched_sum[s] = (n_stall - counts[0], n_score - counts[1],
+                                    n_pipe - counts[2], vu, pipe4)
             if issued_any:
                 cycle += 1
                 continue
-            # Nothing issued: probe the cached block statuses for the next
-            # event (the same candidate set `_next_event` would compute --
-            # every live warp was just (re)examined, so caches are fresh).
+            # Nothing issued: every scheduler with warps replayed or just
+            # rebuilt its summary, so the summaries' expiries are the
+            # candidate set `_next_event` computes from scratch.  For a
+            # pipe-blocked warp that set holds the earliest busy pipe,
+            # which is never later than the warp's own expiry.
             nxt = _INF
             pipe_blocked = False
-            for wid2 in range(n_warps):
-                c2 = st_code[wid2]
-                if c2 == 4:
-                    pipe_blocked = True
-                elif 0 < c2 <= 3:
-                    e = st_expiry[wid2]
-                    if e < nxt:
-                        nxt = e
+            for summ in sched_sum:
+                if summ is not None:
+                    if summ[3] < nxt:
+                        nxt = summ[3]
+                    if summ[4]:
+                        pipe_blocked = True
             if pipe_blocked:
                 horizon = cycle + 1
                 t = _INF
@@ -1209,8 +1196,8 @@ class TimingSimulator:
                 stall_reasons, plan_stats)
 
     def _issue_fast(self, warp, dec, kindc, fn, aux, cycle, pipes, pipe_key,
-                    mio, pipe_busy_total, memsys, plans, plan_stats,
-                    conflicts) -> None:
+                    mio, pipe_busy_total, memsys, plans,
+                    plan_stats) -> None:
         """Issue one compiled slot: `_issue` minus the generic adapter.
 
         Same state transitions in the same order; the lane math comes from
@@ -1225,43 +1212,56 @@ class TimingSimulator:
         if kindc == _K_MMA:
             if warp.pending_tensor_writes:
                 warp.forward_tensor_writes()
-            out = None
+            first = None
             queue = warp.plan_queue
             if queue is not None:
-                plan_pc, values = queue[warp.plan_qi]
+                plan_pc, first, second = queue[warp.plan_qi]
                 if plan_pc == warp.pc:
-                    out = values
                     warp.plan_qi += 1
                     if warp.plan_qi == len(queue):
                         warp.plan_queue = None
                         warp.plan_qi = 0
                 else:  # branched off the window: abandon queued rows
+                    first = None
                     warp.plan_queue = None
                     warp.plan_qi = 0
-            if out is None:
+            if first is None:
                 plan = plans.get(warp.pc)
                 if plan is not None and _plan_clear(warp, plan):
+                    # Split every member's D into its latency halves once.
                     batch = plan.run(warp.regs._data)
-                    out = batch[0]
-                    warp.plan_queue = list(zip(plan.tail, batch[1:]))
+                    half = plan.half
+                    firsts = batch[:, :half]
+                    seconds = batch[:, half:]
+                    first = firsts[0]
+                    second = seconds[0]
+                    warp.plan_queue = list(zip(plan.tail, firsts[1:],
+                                               seconds[1:]))
                     warp.plan_qi = 0
                     plan_stats[0] += 1
                     plan_stats[1] += len(plan.members)
                 else:
                     out = fn(warp)
+                    if out.ndim != 2:
+                        out = out[None, :]
+                    half = (out.shape[0] + 1) // 2
+                    first = out[:half]
+                    second = out[half:]
             warp.retired += 1
-            if out.ndim != 2:
-                out = out[None, :]
-            half = (out.shape[0] + 1) // 2
+            # Forwarding above emptied the tensor queue: these two writes
+            # are all of it.
             spec = self.spec
-            warp.defer_tensor_write(
-                cycle + spec.hmma_latency_first_half, aux, out[:half], None
-            )
-            if out.shape[0] > half:
-                warp.defer_tensor_write(
-                    cycle + spec.hmma_latency_second_half, aux + half,
-                    out[half:], None,
-                )
+            due = cycle + spec.hmma_latency_first_half
+            if second.shape[0]:
+                due2 = cycle + spec.hmma_latency_second_half
+                warp.pending_tensor_writes = [
+                    (due, aux, first, None),
+                    (due2, aux + first.shape[0], second, None),
+                ]
+                warp.tensor_min_due = due if due < due2 else due2
+            else:
+                warp.pending_tensor_writes = [(due, aux, first, None)]
+                warp.tensor_min_due = due
             occupancy = dec.occupancy
             pipes[pipe_key] = max(pipes[pipe_key], float(cycle)) + occupancy
             pipe_busy_total[pipe_key[0]] += occupancy
@@ -1277,16 +1277,16 @@ class TimingSimulator:
                 pipe_busy_total[pipe_key[0]] += occupancy
         elif kindc == _K_LOAD:
             dest, width, bypass_l1 = aux
-            addrs, data = fn(warp)
+            price, data = fn(warp)
             warp.retired += 1
-            if dec.mem_shared:
-                occupancy = dec.mem_cpi * _bank_conflicts(conflicts, addrs,
-                                                          width)
+            if dec.mem_shared:   # price: the bank-conflict multiplier
+                occupancy = dec.mem_cpi * price
                 done = mio.push(cycle, occupancy)
                 ready = int(done) + self.spec.lds_latency_cycles
-            else:
-                summary = memsys.access(cycle, addrs, width, None,
-                                        is_store=False, bypass_l1=bypass_l1)
+            else:   # price: the addresses and their lane pattern
+                summary = memsys.access(cycle, price[0], width, None,
+                                        is_store=False, bypass_l1=bypass_l1,
+                                        pattern=price[1])
                 occupancy = (dec.mem_cpi if summary.level == "l1"
                              else dec.mem_cpi_l2)
                 done = mio.push(cycle, occupancy)
@@ -1295,17 +1295,16 @@ class TimingSimulator:
             warp.defer_write(ready, dest, data, None)
             release = ready
         elif kindc == _K_STORE:
-            addrs = fn(warp)
+            price = fn(warp)
             warp.retired += 1
             if dec.mem_shared:
-                occupancy = dec.mem_cpi * _bank_conflicts(conflicts, addrs,
-                                                          aux)
+                occupancy = dec.mem_cpi * price
                 done = mio.push(cycle, occupancy)
             else:
                 occupancy = dec.mem_cpi
                 done = mio.push(cycle, occupancy)
-                memsys.access(int(done), addrs, aux, None,
-                              is_store=True, bypass_l1=False)
+                memsys.access(int(done), price[0], aux, None, is_store=True,
+                              bypass_l1=False, pattern=price[1])
             pipe_busy_total["lsu"] += occupancy
             release = int(done) + 1
         else:  # _K_PRED

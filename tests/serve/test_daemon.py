@@ -74,6 +74,19 @@ class TestBasics:
                 client.submit("no-such-kind")
         assert err.value.code == "bad_request"
 
+    def test_malformed_batch_admits_nothing(self, daemon):
+        """One malformed submission refuses its whole batch: the valid one
+        before it is neither queued nor run, and no tenant is charged."""
+        with ServeClient(daemon.socket_path) as client:
+            with pytest.raises(ServeError) as err:
+                client.batch_submit([{"kind": "noop",
+                                      "payload": {"value": 1}},
+                                     {"kind": "nope"}])
+            assert err.value.code == "bad_request"
+            stats = client.stats()
+        assert stats["executed"] == 0 and stats["queue_depth"] == 0
+        assert stats["inflight"] == 0 and stats["tenants"] == {}
+
     def test_job_failure_reported_not_fatal(self, daemon):
         with ServeClient(daemon.socket_path) as client:
             # m not tileable by the kernel -> daemon-side ValueError.

@@ -5,6 +5,8 @@ These pin the paper's Table I behaviours: HMMA CPI ~8, D-half latencies of
 CPIs flowing through to issue timing.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -364,13 +366,16 @@ class TestBarriersAndCompletion:
 class TestTimingPrimitiveProperties:
     """Randomized-sequence properties of the issue-loop primitives.
 
-    The event engine swaps `_MioQueue` for `_VecMioQueue` and replaces
-    live scoreboard scans with cached `next_wait_release` expiries, so
-    these pin exactly the contracts that substitution relies on: the two
-    queues agree on every observable under any interleaving of pushes and
-    queries, occupancy never exceeds the configured depth,
-    `next_slot_free` is monotone as time advances, and `wait_satisfied`
-    is equivalent to comparing the cycle against `next_wait_release`.
+    The event engine swaps `_MioQueue` for `_VecMioQueue`, whose
+    `full_until` gate stands in for `can_accept`/`next_slot_free`, and
+    replaces live scoreboard scans with cached `next_wait_release`
+    expiries, so these pin exactly the contracts that substitution relies
+    on: under any interleaving of pushes and queries the gate reads full
+    exactly when the reference queue refuses, and then names the cycle its
+    first slot opens; both queues push the same completion times;
+    occupancy never exceeds the configured depth; `next_slot_free` is
+    monotone as time advances; and `wait_satisfied` is equivalent to
+    comparing the cycle against `next_wait_release`.
     """
 
     @settings(max_examples=100, deadline=None)
@@ -383,15 +388,17 @@ class TestTimingPrimitiveProperties:
         prev_free = 0.0
         for _ in range(data.draw(st.integers(1, 60))):
             cycle += data.draw(st.integers(0, 6))
-            assert ref.can_accept(cycle) == vec.can_accept(cycle)
+            full = not ref.can_accept(cycle)
+            assert (cycle < vec.full_until) == full
             free = ref.next_slot_free(cycle)
-            assert free == vec.next_slot_free(cycle)
+            if full:
+                assert vec.full_until == math.ceil(free)
             # A slot can never open in the past, and the opening time
             # never moves backwards as the clock advances.
             assert free >= cycle
             assert free >= prev_free
             prev_free = free
-            if data.draw(st.booleans()) and ref.can_accept(cycle):
+            if data.draw(st.booleans()) and not full:
                 occ = data.draw(st.floats(min_value=0.5, max_value=12.0))
                 assert ref.push(cycle, occ) == vec.push(cycle, occ)
             # Push/retire never exceeds the queue depth.

@@ -348,3 +348,142 @@ def test_default_engine_is_event(monkeypatch):
     monkeypatch.setenv("REPRO_TIMING_ENGINE", "bogus")
     with pytest.raises(ValueError, match="REPRO_TIMING_ENGINE"):
         TimingSimulator(RTX2070)
+
+
+# -------------------------------------------------- per-warp issue cycles
+
+def _issue_sequences(monkeypatch, run, engine):
+    """Every warp's ``(cycle, pc)`` issue sequence while *run(engine)*
+    runs, keyed by ``(CTA slot, warp)``, and whether an issue left the MIO
+    queue full (read from the event engine's gate), recorded by wrapping
+    the engines' issue entry points.  Issues of other simulators -- a
+    watchdog's reference rerun under ``REPRO_GUARD`` -- are left out."""
+    sequences, full = {}, []
+    issue, issue_fast = TimingSimulator._issue, TimingSimulator._issue_fast
+
+    def record(sim, warp, cycle):
+        if sim.engine == engine:
+            sequences.setdefault((warp.cta_slot, warp.warp_id), []).append(
+                (cycle, warp.pc))
+
+    def recorded(self, warp, dec, cycle, pipes, pipe_key, mio, *rest):
+        record(self, warp, cycle)
+        issue(self, warp, dec, cycle, pipes, pipe_key, mio, *rest)
+        full.append(cycle < getattr(mio, "full_until", 0))
+
+    def recorded_fast(self, warp, dec, kindc, fn, aux, cycle, pipes,
+                      pipe_key, mio, *rest):
+        record(self, warp, cycle)
+        issue_fast(self, warp, dec, kindc, fn, aux, cycle, pipes, pipe_key,
+                   mio, *rest)
+        full.append(cycle < mio.full_until)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(TimingSimulator, "_issue", recorded)
+        patch.setattr(TimingSimulator, "_issue_fast", recorded_fast)
+        run(engine)
+    return sequences, any(full)
+
+
+def _fuzz_case(spec, seed):
+    program, num_ctas = _random_program(seed)
+    return lambda engine: _run(spec, program, num_ctas, engine)
+
+
+def _loop_case(program):
+    return lambda engine: _run(RTX2070, program, 1, engine)
+
+
+def _table2_stream_case(engine):
+    """Table II's DRAM stream, two loops instead of 24: eight warps of
+    back-to-back LDG.128s keep the MIO queue full."""
+    from repro.bench.memband import _stream_program
+
+    TimingSimulator(RTX2070, bandwidth_share=1.0 / RTX2070.num_sms,
+                    engine=engine).run(_stream_program(32, 2, advance=True),
+                                       GlobalMemory(1 << 20))
+
+
+def _cublas_leg_case(engine):
+    """A two-iteration SM-profile leg of the cuBLAS-like kernel, two CTAs
+    resident, as the performance model runs it."""
+    from repro.core import cublas_like
+    from repro.core.builder import HgemmProblem, build_hgemm
+    from repro.core.config import adapt_for_arch
+
+    config = adapt_for_arch(cublas_like(), RTX2070.arch)
+    problem = HgemmProblem(m=config.b_m, n=config.b_n, k=2 * config.b_k,
+                           a_addr=0, b_addr=4 << 20, c_addr=8 << 20)
+    TimingSimulator(RTX2070, engine=engine).run(
+        build_hgemm(config, problem, RTX2070),
+        GlobalMemory(16 << 20, mapped=True), num_ctas=2)
+
+
+ISSUE_CASES = {
+    **{f"fuzz{seed}-{spec.name.lower()}": _fuzz_case(spec, seed)
+       for spec in (RTX2070, T4) for seed in range(6)},
+    **{f"steady{seed}": _loop_case(_steady_loop_program(seed))
+       for seed in range(4)},
+    "aperiodic": _loop_case(_aperiodic_loop_program()),
+    "table2-stream": _table2_stream_case,
+    "cublas-leg": _cublas_leg_case,
+}
+
+
+@pytest.mark.parametrize("case", sorted(ISSUE_CASES))
+def test_per_warp_issue_cycles_match(case, monkeypatch):
+    """Each warp issues the same instructions at the same cycles on both
+    engines.  Run totals could hide one warp released from a block a
+    cycle early and another a cycle late; the sequences cannot."""
+    run = ISSUE_CASES[case]
+    ref, _ = _issue_sequences(monkeypatch, run, "reference")
+    evt, mio_filled = _issue_sequences(monkeypatch, run, "event")
+    assert evt == ref
+    if case == "table2-stream":
+        assert mio_filled
+
+
+# ----------------------------------------------------------- faulting access
+
+#: A faulting access in a timing run -- opcode, width in bits, the base
+#: added to ``tid * 16`` and the immediate offset -- and the exception both
+#: engines raise: the memory's own check, never a memo's.
+FAULTS = {
+    "lds-misaligned": ("lds", 128, 4, 0, ValueError,
+                       "misaligned 16-byte shared access at 0x4"),
+    "lds-past-end": ("lds", 128, 0x20000, 0, IndexError,
+                     "shared access [0x20000, 0x20200) outside the "
+                     "0x1000-byte shared memory"),
+    "sts-misaligned": ("sts", 64, 4, 0, ValueError,
+                       "misaligned 8-byte shared access at 0x4"),
+    "sts-negative": ("sts", 64, 0, -16, IndexError,
+                     "shared access [-0x10, 0x1e8) outside the 0x1000-byte "
+                     "shared memory"),
+    "ldg-misaligned": ("ldg", 128, 4, 0, ValueError,
+                       "misaligned 16-byte global access at 0x4"),
+    "ldg-negative": ("ldg", 128, 0, -16, IndexError,
+                     "global access [-0x10, 0x1f0) outside the 0x10000-byte "
+                     "global memory"),
+    "stg-past-end": ("stg", 32, 0x20000, 0, IndexError,
+                     "global access [0x20000, 0x201f4) outside the "
+                     "0x10000-byte global memory"),
+}
+
+
+@pytest.mark.parametrize("engine", ["reference", "event"])
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_faulting_access_raises_alike(fault, engine):
+    op, width, base, offset, error, text = FAULTS[fault]
+    b = ProgramBuilder(name=fault, num_regs=40, smem_bytes=4096,
+                       block_dim=64)
+    b.s2r(2, "SR_TID.X", stall=6)
+    b.imad(3, Reg(2), 16, base, stall=6)
+    if op in ("lds", "ldg"):
+        getattr(b, op)(8, 3, offset=offset, width=width, stall=2)
+    else:
+        getattr(b, op)(3, 8, offset=offset, width=width, stall=2)
+    b.exit()
+    with pytest.raises(error) as raised:
+        TimingSimulator(RTX2070, engine=engine).run(
+            b.build(), GlobalMemory(1 << 16), num_ctas=2)
+    assert str(raised.value) == text

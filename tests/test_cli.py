@@ -21,6 +21,21 @@ JOB_ARGV = {
 }
 
 
+#: Per job verb, arguments its job refuses: each exits 1 and prints the
+#: same lines in-process and on a daemon, with no traceback -- one
+#: ``error: job failed:`` line, or the verb's own failure report.
+MALFORMED_ARGV = {
+    "hgemm": ["hgemm", "7", "64", "32"],
+    "igemm": ["igemm", "64", "64", "32", "--device", "V100"],
+    "sweep": ["sweep", "--start", "8192", "--stop", "4096"],
+    "autotune": ["autotune", "7", "64", "32"],
+    "verify": ["verify", "--device", "V100", "--kernel", "int8",
+               "--seeds", "1"],
+    "workloads": ["workloads", "run", "--suite", "nope"],
+    "numerics": ["numerics", "--m", "7"],
+}
+
+
 def _without_served_line(out: str) -> str:
     return "".join(line for line in out.splitlines(keepends=True)
                    if not line.startswith("served by daemon:"))
@@ -199,6 +214,34 @@ class TestJobVerbs:
         assert local_rc == remote_rc == 0
         assert remote.count("served by daemon: ") == 1
         assert _without_served_line(remote) == local
+
+    @pytest.mark.parametrize("verb", sorted(MALFORMED_ARGV))
+    def test_refused_job_fails_alike_in_process_and_remote(
+            self, verb, cache_enabled, capsys):
+        from repro.serve import ServeDaemon
+
+        argv = MALFORMED_ARGV[verb]
+        local_rc = main(argv)
+        local = capsys.readouterr()
+        daemon = ServeDaemon(str(cache_enabled / "refuse.sock"), workers=1)
+        daemon.start()
+        try:
+            remote_rc = main(argv + ["--remote", daemon.socket_path])
+        finally:
+            daemon.stop()
+        remote = capsys.readouterr()
+        assert local_rc == remote_rc == 1
+        assert "Traceback" not in local.err + remote.err
+        assert remote.err == local.err
+        assert _without_served_line(remote.out) == local.out
+        errors = [line for line in local.err.splitlines()
+                  if line.startswith("error:")]
+        if verb == "verify":   # a failed grid is a report, not an error
+            assert not errors and local.out.startswith("FAIL: ")
+        else:
+            assert len(errors) == 1
+            assert errors[0].startswith("error: job failed: ")
+            assert local.out == ""
 
     def test_sweep_jobs_print_what_serial_prints(self, capsys):
         argv = JOB_ARGV["sweep"]
