@@ -29,32 +29,16 @@ Quick start::
     C = hgemm(A, B)
 """
 
-from .arch import DEVICES, GpuSpec, RTX2070, T4, get_device
-from .core import (
-    KernelConfig,
-    build_hgemm,
-    cublas_like,
-    hgemm,
-    hgemm_reference,
-    ours,
-)
-from .analysis import PerformanceModel, Roofline
+from . import _lazy
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "DEVICES",
-    "GpuSpec",
-    "RTX2070",
-    "T4",
-    "get_device",
-    "KernelConfig",
-    "build_hgemm",
-    "cublas_like",
-    "hgemm",
-    "hgemm_reference",
-    "ours",
-    "PerformanceModel",
-    "Roofline",
-    "__version__",
-]
+# Resolved on first use: importing this package loads neither NumPy nor
+# a simulator (see repro._lazy).
+__all__, __getattr__, __dir__ = _lazy.exports(__name__, {
+    ".arch": ("DEVICES", "GpuSpec", "RTX2070", "T4", "get_device"),
+    ".core": ("KernelConfig", "build_hgemm", "cublas_like", "hgemm",
+              "hgemm_reference", "ours"),
+    ".analysis": ("PerformanceModel", "Roofline"),
+})
+__all__ += ["__version__"]

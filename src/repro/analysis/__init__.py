@@ -1,35 +1,15 @@
 """Analytical models: roofline, occupancy, and the device-level wave model."""
 
-from .autotune import Candidate, TuneResult, autotune, candidate_space
-from .bounds import BoundBreakdown, explain, sweep_transitions
-from .occupancy import OccupancyReport, occupancy, table7
-from .perf_model import (
-    LaunchEstimate,
-    PerfOptions,
-    PerformanceModel,
-    SmProfile,
-)
-from .roofline import Roofline, RooflinePoint
-from .suite import autotune_suite, format_suite_tuning, sweep_suite
+from .. import _lazy
 
-__all__ = [
-    "Candidate",
-    "TuneResult",
-    "autotune",
-    "candidate_space",
-    "BoundBreakdown",
-    "explain",
-    "sweep_transitions",
-    "OccupancyReport",
-    "occupancy",
-    "table7",
-    "LaunchEstimate",
-    "PerfOptions",
-    "PerformanceModel",
-    "SmProfile",
-    "Roofline",
-    "RooflinePoint",
-    "autotune_suite",
-    "format_suite_tuning",
-    "sweep_suite",
-]
+# Resolved on first use: the models load the builder and the timing
+# simulator.
+__all__, __getattr__, __dir__ = _lazy.exports(__name__, {
+    ".autotune": ("Candidate", "TuneResult", "autotune", "candidate_space"),
+    ".bounds": ("BoundBreakdown", "explain", "sweep_transitions"),
+    ".occupancy": ("OccupancyReport", "occupancy", "table7"),
+    ".perf_model": ("LaunchEstimate", "PerfOptions", "PerformanceModel",
+                    "SmProfile"),
+    ".roofline": ("Roofline", "RooflinePoint"),
+    ".suite": ("autotune_suite", "format_suite_tuning", "sweep_suite"),
+})

@@ -31,8 +31,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import knobs
 
 
@@ -44,6 +42,23 @@ from . import knobs
 #: ``--remote``.
 JOB_VERBS = ("hgemm", "igemm", "sweep", "autotune", "verify", "workloads",
              "numerics")
+
+
+class ArgumentError(ValueError):
+    """An argument the parser took but the command cannot use: ``main``
+    prints it as one ``error:`` line and exits 1, before any job runs."""
+
+
+def _device(name: str):
+    """The registered device ``--device`` names."""
+    from .arch import DEVICES, get_device
+
+    try:
+        return get_device(name)
+    except KeyError:
+        raise ArgumentError(
+            f"--device {name!r} is not a registered device; registered "
+            f"devices: {', '.join(sorted(DEVICES))}") from None
 
 
 def _resolve_remote(args):
@@ -205,12 +220,11 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_roofline(args) -> int:
-    from .arch import get_device
     from .analysis import Roofline
     from .core import cublas_like, ours
     from .report import format_table
 
-    spec = get_device(args.device)
+    spec = _device(args.device)
     roof = Roofline(spec)
     rows = []
     for cfg in (cublas_like(), ours()):
@@ -227,12 +241,14 @@ def _cmd_roofline(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from .arch import get_device
     from .core import cublas_like, ours
     from .report import ascii_chart, format_series
     from .serve.jobs import config_to_dict, spec_to_dict
 
-    spec = get_device(args.device)
+    spec = _device(args.device)
+    if args.step < 1:
+        raise ArgumentError(f"--step must be a positive integer, got "
+                            f"{args.step}")
     sizes = list(range(args.start, args.stop + 1, args.step))
     payloads = [{"spec": spec_to_dict(spec), "config": config_to_dict(config),
                  "sizes": sizes, "baseline_quirks": quirks}
@@ -240,9 +256,13 @@ def _cmd_sweep(args) -> int:
     if args.jobs is not None:
         for payload in payloads:
             payload["jobs"] = args.jobs
+    if args.remote is None:
+        # In-process, the two jobs run here or in workers forked from
+        # here: load the model once, before any fork, not in each worker.
+        from .analysis import perf_model  # noqa: F401
 
     def show(results) -> int:
-        o, c = ([e["tflops"] for e in r["estimates"]] for r in results)
+        o, c =([e["tflops"] for e in r["estimates"]] for r in results)
         print(format_series(sizes, {"ours": [round(v, 1) for v in o],
                                     "cuBLAS": [round(v, 1) for v in c]}))
         print(ascii_chart(sizes, {"ours": o, "cuBLAS": c}))
@@ -256,10 +276,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_hgemm(args) -> int:
-    from .arch import get_device
     from .serve.jobs import spec_to_dict
 
-    spec = get_device(args.device)
+    spec = _device(args.device)
     payload = {"m": args.m, "n": args.n, "k": args.k, "kernel": args.kernel,
                "accumulate": args.accumulate, "seed": args.seed,
                "spec": spec_to_dict(spec)}
@@ -275,21 +294,19 @@ def _cmd_hgemm(args) -> int:
 def _cmd_igemm(args) -> int:
     from functools import partial
 
-    from .arch import get_device
     from .serve.jobs import spec_to_dict
 
     payload = {"m": args.m, "n": args.n, "k": args.k, "seed": args.seed,
-               "spec": spec_to_dict(get_device(args.device))}
+               "spec": spec_to_dict(_device(args.device))}
     return _run_jobs(args, [payload],
                      partial(_show_gemm, opcode="IMMA", oracle="int8 oracle"),
                      charged=True)
 
 
 def _cmd_autotune(args) -> int:
-    from .arch import get_device
     from .serve.jobs import spec_to_dict
 
-    payload = {"spec": spec_to_dict(get_device(args.device)), "m": args.m,
+    payload = {"spec": spec_to_dict(_device(args.device)), "m": args.m,
                "n": args.n, "k": args.k,
                "accum_f32": args.accumulate == "f32"}
     if args.jobs is not None:
@@ -298,12 +315,13 @@ def _cmd_autotune(args) -> int:
 
 
 def _cmd_perfstats(args) -> int:
+    import numpy as np
+
     from .analysis import PerformanceModel
-    from .arch import get_device
     from .core import cublas_like, hgemm, ours
     from .perf import PROFILE_CACHE, STATS
 
-    spec = get_device(args.device)
+    spec = _device(args.device)
     kernels = {"ours": [ours()], "cublas": [cublas_like()],
                "both": [ours(), cublas_like()]}
     STATS.reset()
@@ -333,11 +351,10 @@ def _cmd_perfstats(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    from .arch import get_device
     from .analysis import PerformanceModel, explain, sweep_transitions
     from .core import cublas_like, ours
 
-    spec = get_device(args.device)
+    spec = _device(args.device)
     pm = PerformanceModel(spec)
     kernels = {"ours": ours(), "cublas": cublas_like()}
     config = kernels[args.kernel]
@@ -362,12 +379,11 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .arch import get_device
     from .core import cublas_like, ours, ours_f32, ours_int8
     from .core.config import adapt_for_arch
     from .serve.jobs import config_to_dict, spec_to_dict
 
-    spec = get_device(args.device)
+    spec = _device(args.device)
     presets = {"ours": ours, "cublas": cublas_like, "f32": ours_f32,
                "int8": ours_int8}
     config = presets[args.kernel]()
@@ -388,8 +404,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_workloads(args) -> int:
-    from .arch import get_device
-
     if args.action == "list":
         from .workloads import SUITES
 
@@ -401,7 +415,7 @@ def _cmd_workloads(args) -> int:
                 print(f"  {w.name} ({w.kind}): sim {shapes}")
         return 0
 
-    spec = get_device(args.device)
+    spec = _device(args.device)
     # Functional runs default to the small simulator-friendly shapes;
     # model-side actions default to the production shapes.
     scale = args.scale or ("sim" if args.action == "run" else "full")
@@ -432,14 +446,17 @@ def _cmd_workloads(args) -> int:
 
 
 def _cmd_numerics(args) -> int:
-    from .arch import get_device
     from .serve.jobs import spec_to_dict
 
-    payload = {"spec": spec_to_dict(get_device(args.device)),
+    payload = {"spec": spec_to_dict(_device(args.device)),
                "distribution": args.distribution, "m": args.m, "n": args.n,
                "seed": args.seed}
     if args.ks:
-        payload["ks"] = [int(k) for k in args.ks.split(",")]
+        try:
+            payload["ks"] = [int(k) for k in args.ks.split(",")]
+        except ValueError:
+            raise ArgumentError(f"--ks must be comma-separated integers, "
+                                f"got {args.ks!r}") from None
     return _run_jobs(args, [payload], _show_numerics)
 
 
@@ -796,6 +813,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except knobs.KnobError as exc:
+    except (knobs.KnobError, ArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -22,12 +22,10 @@ stays flat (only the input rounding to FP16 contributes).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..arch.turing import GpuSpec, RTX2070
-from ..core.hgemm import hgemm, hgemm_reference
 from ..perf.cache import content_key
 
 __all__ = [
@@ -126,6 +124,10 @@ def measure_point(spec: GpuSpec = RTX2070, m: int = 64, n: int = 64,
     exact reference, so the reported error is purely the accumulation
     scheme's -- input quantisation is common to both sides.
     """
+    import numpy as np
+
+    from ..core.hgemm import hgemm, hgemm_reference
+
     if not supports(spec, accumulate):
         raise ValueError(
             f"{spec.name} ({spec.arch.name}, SM{spec.arch.sm_version}) "
@@ -189,7 +191,7 @@ class MarkidisVerdict:
             f"FP16-accumulate error grows {self.f16_growth:.1f}x across "
             f"the K sweep ({'as Markidis et al. measure' if self.f16_grows else 'EXPECTED GROWTH MISSING'})",
         ]
-        if np.isnan(self.f32_worst):
+        if math.isnan(self.f32_worst):
             parts.append("FP32 accumulation unsupported on this "
                          "generation (Volta HMMA.884)")
         else:

@@ -24,32 +24,14 @@ cache-key invariant), :mod:`~repro.serve.daemon` (the server),
 :mod:`~repro.serve.client` (the thin client).
 """
 
-from .client import (
-    JobFailed,
-    ServeClient,
-    ServeError,
-    ServeUnavailable,
-    daemon_available,
-    default_tenant,
-)
-from .daemon import PROTOCOL_VERSION, ServeDaemon
-from .jobs import JOB_KINDS, job_key, run_job
-from .queue import Job, JobQueue, QueueFull, UnknownJob
+from .. import _lazy
 
-__all__ = [
-    "JobFailed",
-    "ServeClient",
-    "ServeError",
-    "ServeUnavailable",
-    "daemon_available",
-    "default_tenant",
-    "PROTOCOL_VERSION",
-    "ServeDaemon",
-    "JOB_KINDS",
-    "job_key",
-    "run_job",
-    "Job",
-    "JobQueue",
-    "QueueFull",
-    "UnknownJob",
-]
+# Resolved on first use: a client loads neither the daemon nor the job
+# runners, and the runners load NumPy and the simulators.
+__all__, __getattr__, __dir__ = _lazy.exports(__name__, {
+    ".client": ("JobFailed", "ServeClient", "ServeError", "ServeUnavailable",
+                "daemon_available", "default_tenant"),
+    ".daemon": ("PROTOCOL_VERSION", "ServeDaemon"),
+    ".jobs": ("JOB_KINDS", "job_key", "run_job"),
+    ".queue": ("Job", "JobQueue", "QueueFull", "UnknownJob"),
+})

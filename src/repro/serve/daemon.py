@@ -28,7 +28,8 @@ Request ops (every frame is a JSON object with an ``"op"`` field):
 ``submit``   admit one job: ``kind``, ``payload``, ``tenant`` -> job
              view (may be born ``done`` on cache hit)
 ``batch``    list of submissions, each checked before any is admitted
-             (one malformed refuses them all) -> list of job views
+             (one malformed refuses them all, and so do more new jobs
+             than the queue has room for) -> list of job views
 ``wait``     block (up to ``timeout`` s; ``0`` does not block) for a
              job to finish -> its view
 ``stats``    daemon-wide counters, queue gauges, per-tenant totals
@@ -230,8 +231,7 @@ class ServeDaemon:
             # Check every submission before admitting any: a malformed one
             # refuses the whole batch, with no job queued behind the reply.
             subs = [_submission(sub) for sub in message.get("jobs", [])]
-            return {"ok": True,
-                    "jobs": [self._admit(*sub) for sub in subs]}, False
+            return {"ok": True, "jobs": self._admit(subs)}, False
         if op == "wait":
             timeout = _timeout(message.get("timeout"))
             job = self.queue.get(message["job_id"])
@@ -244,26 +244,41 @@ class ServeDaemon:
         raise ValueError(f"unknown op {op!r}")
 
     def _submit_one(self, message: dict) -> dict:
-        return self._admit(*_submission(message))
+        return self._admit([_submission(message)])[0]
 
-    def _admit(self, kind: str, payload: dict, tenant: str,
-               key: str) -> dict:
+    def _admit(self, subs: list) -> list:
+        """Admit ``(kind, payload, tenant, key)`` submissions, all or none;
+        returns their job views in order.
+
+        Cache hits and twins take no queue slot; when the rest do not fit
+        the queue, :class:`QueueFull` refuses them all.
+        """
         with self._admit_lock:
-            if JOB_KINDS[kind].cacheable:
-                hit = self.cache.get(key)
+            hits = [self.cache.get(key) if JOB_KINDS[kind].cacheable else None
+                    for kind, _, _, key in subs]
+            queued = iter(self.queue.submit_all(
+                [(kind, key, payload, tenant)
+                 for (kind, payload, tenant, key), hit in zip(subs, hits)
+                 if hit is None]))
+            views, events = [], []
+            for (kind, payload, tenant, key), hit in zip(subs, hits):
                 if hit is not None:
                     job = self.queue.record_cached(kind, key, payload,
                                                    hit["result"], tenant=tenant)
-                    self._account(tenant, "cache_hits", {})
-                    return {"ok": True, "coalesced": False, **job.public()}
-            job, outcome = self.queue.submit(kind, key, payload,
-                                             tenant=tenant)
-            # Under the lock a job cannot complete, so a reply never
-            # reads "done" without the result a waiter needs.
-            view = job.public(with_result=False)
-        self._account(tenant, "coalesced" if outcome == "coalesced"
-                      else "jobs", {})
-        return {"ok": True, "coalesced": outcome == "coalesced", **view}
+                    views.append({"ok": True, "coalesced": False,
+                                  **job.public()})
+                    events.append((tenant, "cache_hits"))
+                    continue
+                job, outcome = next(queued)
+                # Under the lock a job cannot complete, so a reply never
+                # reads "done" without the result a waiter needs.
+                views.append({"ok": True, "coalesced": outcome == "coalesced",
+                              **job.public(with_result=False)})
+                events.append((tenant, "coalesced" if outcome == "coalesced"
+                               else "jobs"))
+        for tenant, event in events:
+            self._account(tenant, event, {})
+        return views
 
     def _stats(self) -> dict:
         with self._tenant_lock:

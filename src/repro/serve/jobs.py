@@ -43,8 +43,6 @@ from __future__ import annotations
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from typing import get_type_hints
 
-import numpy as np
-
 from ..arch.turing import DEVICES, RTX2070, GpuSpec, get_device
 from ..core.config import ConfigError, KernelConfig, check_field_types
 from ..perf.cache import SIM_VERSION, content_key
@@ -213,6 +211,8 @@ def _run_autotune(payload: dict) -> dict:
 
 
 def _gemm_result(run, exact: bool, opcode: str) -> dict:
+    import numpy as np
+
     return {
         "describe": run.config.describe(),
         "instructions": run.stats.instructions_retired,
@@ -224,6 +224,8 @@ def _gemm_result(run, exact: bool, opcode: str) -> dict:
 
 
 def _run_hgemm(payload: dict) -> dict:
+    import numpy as np
+
     from ..core import hgemm, hgemm_reference
 
     rng = np.random.default_rng(int(payload.get("seed", 0)))
@@ -240,6 +242,8 @@ def _run_hgemm(payload: dict) -> dict:
 
 
 def _run_igemm(payload: dict) -> dict:
+    import numpy as np
+
     from ..core import igemm, igemm_reference
 
     rng = np.random.default_rng(int(payload.get("seed", 0)))
@@ -255,8 +259,11 @@ def _run_verify(payload: dict) -> dict:
     from ..core import verify_kernel
 
     config = config_from_dict(payload["config"])
-    seeds = payload.get("seeds", 2)
-    seeds = tuple(seeds) if isinstance(seeds, list) else tuple(range(seeds))
+    given = payload.get("seeds", 2)
+    seeds = tuple(given) if isinstance(given, list) else tuple(range(given))
+    if not seeds:
+        raise ValueError(f"verify seeds must be a count of at least 1 or a "
+                         f"non-empty list of seeds, got {given!r}")
     report = verify_kernel(config, seeds=seeds, spec=_spec(payload))
     return {"passed": report.passed, "summary": report.summary(),
             "cases": len(report.cases)}

@@ -118,24 +118,40 @@ class JobQueue:
         future).  Raises :class:`QueueFull` when the queued depth is at
         its bound.
         """
+        return self.submit_all([(kind, key, payload, tenant)])[0]
+
+    def submit_all(self, requests: list) -> list:
+        """Admit ``(kind, key, payload, tenant)`` requests, all or none.
+
+        Returns one :meth:`submit` ``(job, outcome)`` per request, in
+        order; a request twins an in-flight job or an earlier request of
+        the list.  Raises :class:`QueueFull`, admitting none, when the
+        new jobs would take the queued depth past its bound.
+        """
         with self._lock:
-            existing = self._inflight.get(key)
-            if existing is not None:
-                existing.waiters += 1
-                STATS.count("serve.coalesced")
-                return existing, "coalesced"
-            if len(self._fifo) >= self.max_depth:
+            new = {key for _, key, _, _ in requests
+                   if key not in self._inflight}
+            if len(self._fifo) + len(new) > self.max_depth:
                 raise QueueFull(
-                    f"queue depth {len(self._fifo)} at its bound "
-                    f"({self.max_depth}); resubmit later")
-            job = Job(id=self._new_id(), kind=kind, key=key,
-                      payload=payload, tenant=tenant)
-            self._inflight[key] = job
-            self._jobs[job.id] = job
-            self._fifo.append(job)
-            STATS.count("serve.jobs")
-            self._available.notify()
-            return job, "new"
+                    f"queue depth {len(self._fifo)} + {len(new)} new "
+                    f"job(s) exceeds its bound ({self.max_depth}); "
+                    "resubmit later")
+            return [self._admit(*request) for request in requests]
+
+    def _admit(self, kind: str, key: str, payload: dict, tenant: str):
+        existing = self._inflight.get(key)
+        if existing is not None:
+            existing.waiters += 1
+            STATS.count("serve.coalesced")
+            return existing, "coalesced"
+        job = Job(id=self._new_id(), kind=kind, key=key,
+                  payload=payload, tenant=tenant)
+        self._inflight[key] = job
+        self._jobs[job.id] = job
+        self._fifo.append(job)
+        STATS.count("serve.jobs")
+        self._available.notify()
+        return job, "new"
 
     def record_cached(self, kind: str, key: str, payload: dict,
                       result: dict, tenant: str = "anon") -> Job:

@@ -55,6 +55,17 @@ def _sweep_payload():
             "sizes": _SWEEP_SIZES, "jobs": 2}
 
 
+def _running(client, view, timeout=5.0):
+    """Wait until a worker claims the job of *view*, so it stops counting
+    against the queued-depth bound."""
+    import time
+
+    deadline = time.time() + timeout
+    while (client.wait(view["job_id"], timeout=0)["state"] != "running"
+           and time.time() < deadline):
+        time.sleep(0.01)
+
+
 class TestBasics:
     def test_ping_and_availability(self, daemon):
         assert daemon_available(daemon.socket_path)
@@ -399,24 +410,45 @@ class TestRobustness:
         assert victim.is_file()
 
     def test_queue_full_is_reported(self, scratch_env):
-        import time
-
         d = ServeDaemon(str(scratch_env / "tiny.sock"), workers=1,
                         queue_max=1)
         d.start()
         try:
             with ServeClient(d.socket_path) as client:
-                first = client.submit("noop", {"sleep_s": 1.0, "value": 1})
-                # Wait until the worker claims it so it stops counting
-                # against the queued-depth bound.
-                deadline = time.time() + 5
-                while (client.wait(first["job_id"], timeout=0)["state"]
-                       != "running" and time.time() < deadline):
-                    time.sleep(0.01)
+                _running(client, client.submit(
+                    "noop", {"sleep_s": 1.0, "value": 1}))
                 client.submit("noop", {"sleep_s": 1.0, "value": 2})
                 with pytest.raises(ServeError) as err:
                     client.submit("noop", {"sleep_s": 1.0, "value": 3})
             assert err.value.code == "queue_full"
+        finally:
+            d.stop()
+
+    def test_batch_that_does_not_fit_admits_nothing(self, scratch_env):
+        d = ServeDaemon(str(scratch_env / "fit.sock"), workers=1,
+                        queue_max=2)
+        d.start()
+        try:
+            with ServeClient(d.socket_path) as client:
+                _running(client, client.submit(
+                    "noop", {"sleep_s": 1.0, "value": 0}))
+                before = client.stats()
+                with pytest.raises(ServeError) as err:
+                    client.batch_submit([{"kind": "noop",
+                                          "payload": {"value": v}}
+                                         for v in (1, 2, 3)])
+                after = client.stats()
+                # Twins share one queue slot: two new jobs fit.
+                views = client.batch_submit([{"kind": "noop",
+                                              "payload": {"value": v}}
+                                             for v in (1, 1, 2)])
+                depth = client.stats()["queue_depth"]
+            assert err.value.code == "queue_full"
+            assert after["queue_depth"] == before["queue_depth"] == 0
+            assert (after["tenants"][client.tenant]["jobs"]
+                    == before["tenants"][client.tenant]["jobs"] == 1)
+            assert [v["coalesced"] for v in views] == [False, True, False]
+            assert depth == 2
         finally:
             d.stop()
 

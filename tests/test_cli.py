@@ -21,9 +21,10 @@ JOB_ARGV = {
 }
 
 
-#: Per job verb, arguments its job refuses: each exits 1 and prints the
-#: same lines in-process and on a daemon, with no traceback -- one
-#: ``error: job failed:`` line, or the verb's own failure report.
+#: Arguments a job verb refuses: each exits 1 and prints the same lines
+#: in-process and on a daemon, with no traceback -- one ``error: job
+#: failed:`` line, the verb's own failure report, or, for an argument
+#: refused before any job is built, the error line in ARGUMENT_ERRORS.
 MALFORMED_ARGV = {
     "hgemm": ["hgemm", "7", "64", "32"],
     "igemm": ["igemm", "64", "64", "32", "--device", "V100"],
@@ -33,6 +34,19 @@ MALFORMED_ARGV = {
                "--seeds", "1"],
     "workloads": ["workloads", "run", "--suite", "nope"],
     "numerics": ["numerics", "--m", "7"],
+    "verify-no-seeds": ["verify", "--seeds", "0"],
+    "hgemm-device": ["hgemm", "64", "64", "32", "--device", "NOPE"],
+    "sweep-step": ["sweep", "--step", "0"],
+    "numerics-ks": ["numerics", "--ks", "abc"],
+}
+
+#: The one error line of each argument refused before its job is built.
+ARGUMENT_ERRORS = {
+    "hgemm-device": "error: --device 'NOPE' is not a registered device; "
+                    "registered devices: A100, RTX2070, T4, V100",
+    "sweep-step": "error: --step must be a positive integer, got 0",
+    "numerics-ks": "error: --ks must be comma-separated integers, "
+                   "got 'abc'",
 }
 
 
@@ -238,6 +252,9 @@ class TestJobVerbs:
                   if line.startswith("error:")]
         if verb == "verify":   # a failed grid is a report, not an error
             assert not errors and local.out.startswith("FAIL: ")
+        elif verb in ARGUMENT_ERRORS:
+            assert local.err.splitlines() == [ARGUMENT_ERRORS[verb]]
+            assert local.out == ""
         else:
             assert len(errors) == 1
             assert errors[0].startswith("error: job failed: ")
