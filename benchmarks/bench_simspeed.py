@@ -10,12 +10,6 @@ Two families of legs, written to ``BENCH_simspeed.json`` in the repo root:
 across engines (the event engine's core invariant) and the event engine
 must finish the sweep at least 3x faster end-to-end.
 
-**Guard-sample leg**: the engine sweep re-run on the event engine with the
-divergence watchdog in ``sample`` mode.  The watchdog's wall-clock budget
-(``REPRO_GUARD_BUDGET``, default 5%) must keep the sweep's end-to-end
-overhead within ``GUARD_OVERHEAD_MAX`` (10%), every guarded result must
-equal its unguarded twin, and no divergence may fire.
-
 **Cache ladder**: profiling both kernels three ways --
 
 * **cold** -- empty cache: every profile leg runs the timing simulator;
@@ -33,7 +27,6 @@ Usage::
 
 from __future__ import annotations
 
-import gc
 import json
 import os
 import shutil
@@ -48,10 +41,6 @@ SWEEP_KS = (64, 128, 256, 512)
 
 #: Required end-to-end event-over-reference speedup on the sweep leg.
 EVENT_SPEEDUP_TARGET = 3.0
-
-#: Maximum tolerated end-to-end overhead of the sample-mode watchdog on
-#: the event sweep (the budget sampler targets 5%; 10% leaves noise room).
-GUARD_OVERHEAD_MAX = 0.10
 
 
 def _build_legs(spec):
@@ -95,62 +84,6 @@ def _engine_sweep(spec, legs):
     return times, identical, [label for label, _, _ in legs]
 
 
-def _guard_leg(spec, legs):
-    """Re-time the event sweep with the sample-mode watchdog engaged.
-
-    The budget sampler only spends reference re-runs it can afford, so the
-    guarded sweep must land within ``GUARD_OVERHEAD_MAX`` of the unguarded
-    one while producing equal results and zero divergences.
-
-    Both legs take the best of three runs, and the unguarded/guarded
-    pairs are interleaved: single-shot wall times on a shared CI box are
-    noisy enough that the guarded leg used to beat the unguarded one
-    outright and report a (meaningless) negative overhead, and a slow
-    monotonic drift (another tenant ramping up) used to land entirely on
-    whichever leg ran second.  The overhead is clamped at zero -- the
-    watchdog cannot make the simulator faster, and a negative readout
-    only advertises jitter.
-    """
-    from repro.perf import STATS
-    from repro.robust import guard
-    from repro.sim.memory import GlobalMemory
-    from repro.sim.timing import TimingSimulator
-
-    def sweep(guard_mode):
-        guard.reset()
-        out = []
-        gc.collect()
-        start = time.perf_counter()
-        for _label, ctas, program in legs:
-            sim = TimingSimulator(spec, engine="event", guard=guard_mode)
-            out.append(sim.run(program, GlobalMemory(16 << 20), num_ctas=ctas))
-        return time.perf_counter() - start, out
-
-    checks0 = STATS.counters.get("guard.checks", 0)
-    div0 = STATS.counters.get("guard.divergences", 0)
-    base_runs, guard_runs = [], []
-    for _ in range(3):
-        base_runs.append(sweep("off"))
-        guard_runs.append(sweep("sample"))
-    base_s, base = min(s for s, _ in base_runs), base_runs[-1][1]
-    guard_s, guarded = min(s for s, _ in guard_runs), guard_runs[-1][1]
-    # Counter deltas span all three guarded runs; normalise to one sweep.
-    checks = (STATS.counters.get("guard.checks", 0) - checks0) // 3
-    divergences = STATS.counters.get("guard.divergences", 0) - div0
-    guard.reset()
-
-    overhead = max(0.0, guard_s / base_s - 1.0) if base_s else 0.0
-    return {
-        "guard_baseline_seconds": round(base_s, 4),
-        "guard_sample_seconds": round(guard_s, 4),
-        "guard_overhead": round(overhead, 4),
-        "guard_checks": checks,
-        "guard_divergences": divergences,
-        "guard_results_identical": all(
-            a == b for a, b in zip(base, guarded)),
-    }
-
-
 def _profile_all(spec, configs):
     from repro.analysis import PerformanceModel
 
@@ -174,7 +107,6 @@ def main() -> int:
         legs = _build_legs(RTX2070)
         engine_times, engines_identical, sweep_legs = _engine_sweep(
             RTX2070, legs)
-        guard_payload = _guard_leg(RTX2070, legs)
 
         STATS.reset()
         cold_s, cold = _profile_all(RTX2070, configs)
@@ -194,14 +126,6 @@ def main() -> int:
     if not (cold == warm_disk == warm_mem):
         print("FAIL: cached profiles differ from simulated ones", file=sys.stderr)
         return 1
-    if not guard_payload["guard_results_identical"]:
-        print("FAIL: guarded sweep results differ from unguarded ones",
-              file=sys.stderr)
-        return 1
-    if guard_payload["guard_divergences"]:
-        print("FAIL: watchdog reported divergences on a clean sweep",
-              file=sys.stderr)
-        return 1
 
     ref_s, evt_s = engine_times["reference"], engine_times["event"]
     event_speedup = ref_s / evt_s if evt_s else None
@@ -215,7 +139,6 @@ def main() -> int:
         "event_engine_seconds": round(evt_s, 4),
         "event_engine_speedup": round(event_speedup, 2) if event_speedup else None,
         "engines_bit_identical": engines_identical,
-        **guard_payload,
         "cold_seconds": round(cold_s, 4),
         "warm_disk_seconds": round(disk_s, 4),
         "warm_memory_seconds": round(mem_s, 4),
@@ -236,11 +159,6 @@ def main() -> int:
     if (event_speedup or 0.0) < EVENT_SPEEDUP_TARGET:
         print(f"FAIL: event engine only {event_speedup:.2f}x over reference "
               f"(< {EVENT_SPEEDUP_TARGET}x target)", file=sys.stderr)
-        return 1
-    if guard_payload["guard_overhead"] > GUARD_OVERHEAD_MAX:
-        print(f"FAIL: sample-mode watchdog overhead "
-              f"{guard_payload['guard_overhead']:.1%} exceeds "
-              f"{GUARD_OVERHEAD_MAX:.0%} budget", file=sys.stderr)
         return 1
     return 0
 

@@ -37,7 +37,8 @@ from dataclasses import asdict, dataclass
 
 from ..arch.turing import GpuSpec
 from ..core.builder import HgemmProblem, build_hgemm
-from ..core.config import KernelConfig, adapt_for_arch, check_field_types
+from ..core.config import (ConfigError, KernelConfig, adapt_for_arch,
+                           check_field_types)
 from ..isa.encoding import encode_program
 from ..perf.cache import PROFILE_CACHE, SIM_VERSION, content_key
 from ..perf.parallel import parallel_map
@@ -69,6 +70,18 @@ class PerfOptions:
 
     def __post_init__(self) -> None:
         check_field_types(self)
+        for name in ("l2_reuse_eta", "drift_max"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"PerfOptions.{name} must be in [0, 1], "
+                                  f"got {getattr(self, name)!r}")
+        for name in ("drift_span", "cliff_l2_fraction"):
+            if not getattr(self, name) > 0.0:
+                raise ConfigError(f"PerfOptions.{name} must be > 0, "
+                                  f"got {getattr(self, name)!r}")
+        iters = self.profile_iters
+        if len(iters) != 2 or not 1 <= iters[0] < iters[1]:
+            raise ConfigError(f"PerfOptions.profile_iters must be two ints "
+                              f"(lo, hi) with 1 <= lo < hi, got {iters!r}")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ Commands
 ``devices``     list registered devices and their Tensor Core generations
 ``disasm``      generate an HGEMM kernel and print its SASS listing
 ``perfstats``   profile kernels and report simulator/cache statistics
-``doctor``      report robustness health (guard/cache/workers) + self-test
+``doctor``      report knobs, cache and workers + self-tests
 ``serve``       run/manage the simulation-service daemon
 ``workloads``   deep-learning workload suites: run / estimate / autotune
 ``numerics``    mixed-precision error curves (FP16 vs FP32 accumulate)
@@ -102,7 +102,7 @@ def _run_jobs(args, payloads, show, charged: bool = False) -> int:
         jobs = getattr(args, "jobs", None)
         if len(payloads) > 1:
             # Several jobs spread over worker processes, each serial
-            # inside: pool workers are daemonic and cannot start pools.
+            # inside, so --jobs bounds the processes started in all.
             payloads = [{name: value for name, value in p.items()
                          if name != "jobs"} for p in payloads]
         try:
@@ -757,7 +757,7 @@ def build_parser() -> argparse.ArgumentParser:
         "doctor", help="robustness health report and pillar self-tests")
     p.add_argument("--no-selftest", action="store_true",
                    help="report configuration/state only; skip the cache, "
-                        "worker and guard self-tests")
+                        "worker, engine, BLAS and serve self-tests")
 
     p = sub.add_parser("serve", help="simulation-service daemon")
     p.add_argument("action", choices=["start", "stop", "status", "stats"])

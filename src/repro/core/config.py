@@ -73,6 +73,12 @@ def check_field_types(obj, values=None) -> None:
                               f"{expected}, got {value!r}")
 
 
+#: Least value of each :class:`KernelConfig` int field that has one,
+#: checked before any field divides another.
+_FIELD_MINIMUMS = {"b_m": 1, "b_n": 1, "b_k": 1, "w_m": 1, "w_n": 1,
+                   "w_k": 1, "supertile_width": 1, "smem_pad_halves": 0}
+
+
 @dataclass(frozen=True)
 class KernelConfig:
     """Full parameterisation of one blocked Tensor Core HGEMM kernel."""
@@ -95,6 +101,10 @@ class KernelConfig:
 
     def __post_init__(self) -> None:
         check_field_types(self)
+        for name, low in _FIELD_MINIMUMS.items():
+            if getattr(self, name) < low:
+                raise ConfigError(f"KernelConfig.{name} must be >= {low}, "
+                                  f"got {getattr(self, name)}")
         if self.b_m % self.w_m or self.b_n % self.w_n or self.b_k % self.w_k:
             raise ConfigError(
                 f"warp tile {self.warp_tile} must divide CTA tile {self.cta_tile}"

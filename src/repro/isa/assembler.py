@@ -142,12 +142,12 @@ def _strip_comment(line: str) -> str:
     return line.strip()
 
 
-def _parse_instruction(body: str, line_no: int, line: str) -> Instruction:
+def _parse_instruction(body: str) -> Instruction:
     ctrl = ControlInfo()
     brace = body.find("{")
     if brace >= 0:
         if not body.rstrip().endswith("}"):
-            raise AssemblyError("unterminated control braces", line_no, line)
+            raise AssemblyError("unterminated control braces")
         ctrl = parse_control(body[brace + 1 : body.rfind("}")])
         body = body[:brace].strip()
 
@@ -156,7 +156,7 @@ def _parse_instruction(body: str, line_no: int, line: str) -> Instruction:
         guard, _, body = body.partition(" ")
         parsed = parse_operand(guard[1:])
         if not isinstance(parsed, Pred):
-            raise AssemblyError(f"guard must be a predicate: {guard!r}", line_no, line)
+            raise AssemblyError(f"guard must be a predicate: {guard!r}")
         pred = parsed
         body = body.strip()
 
@@ -164,27 +164,22 @@ def _parse_instruction(body: str, line_no: int, line: str) -> Instruction:
     parts = mnemonic.split(".")
     opcode, mods = parts[0], tuple(parts[1:])
     if opcode not in OPCODES:
-        raise AssemblyError(f"unknown opcode {opcode!r}", line_no, line)
+        raise AssemblyError(f"unknown opcode {opcode!r}")
 
     tokens = [t.strip() for t in rest.split(",")] if rest.strip() else []
 
     target = None
     if OPCODES[opcode].is_branch:
         if len(tokens) != 1 or not tokens[0]:
-            raise AssemblyError("BRA takes exactly one label", line_no, line)
+            raise AssemblyError("BRA takes exactly one label")
         target = tokens[0]
         tokens = []
 
-    try:
-        operands = [parse_operand(t) for t in tokens]
-    except AssemblyError as exc:
-        raise AssemblyError(str(exc), line_no, line) from None
-
+    operands = [parse_operand(t) for t in tokens]
     expected = OPCODES[opcode].operands
     if len(operands) != expected:
         raise AssemblyError(
-            f"{opcode} takes {expected} operands, got {len(operands)}",
-            line_no, line)
+            f"{opcode} takes {expected} operands, got {len(operands)}")
     n_dest = _DEST_COUNTS.get(opcode, 1)
     return Instruction(
         opcode=opcode,
@@ -197,42 +192,59 @@ def _parse_instruction(body: str, line_no: int, line: str) -> Instruction:
     )
 
 
+#: Kernel-metadata directives and the :class:`KernelMeta` field each sets.
+_DIRECTIVES = {".kernel": "name", ".regs": "num_regs", ".smem": "smem_bytes",
+               ".block": "block_dim"}
+
+
 def assemble(source: str) -> Program:
-    """Assemble *source* text into a :class:`Program`."""
+    """Assemble *source* text into a :class:`Program`.
+
+    Every malformed line -- an out-of-range operand, control field or
+    directive value, or a branch to a label the program never defines --
+    raises an :class:`AssemblyError` carrying that line's number.
+    """
     meta_kwargs: dict = {}
     labels: dict = {}
     instructions: list = []
+    branches: list = []   # (target, line_no, raw) of each branch
 
     for line_no, raw in enumerate(source.splitlines(), start=1):
         line = _strip_comment(raw)
         if not line:
             continue
+        try:
+            if line.startswith("."):
+                key, _, value = line.partition(" ")
+                if key not in _DIRECTIVES:
+                    raise AssemblyError(f"unknown directive {key!r}")
+                value = value.strip()
+                if key != ".kernel" and not _INT_RE.match(value):
+                    raise AssemblyError(f"{key} takes an integer, got {value!r}")
+                meta_kwargs[_DIRECTIVES[key]] = (
+                    value if key == ".kernel" else _parse_int(value))
+                KernelMeta(**meta_kwargs)  # refuse a bad value on its line
+                continue
 
-        if line.startswith("."):
-            key, _, value = line.partition(" ")
-            value = value.strip()
-            if key == ".kernel":
-                meta_kwargs["name"] = value
-            elif key == ".regs":
-                meta_kwargs["num_regs"] = _parse_int(value)
-            elif key == ".smem":
-                meta_kwargs["smem_bytes"] = _parse_int(value)
-            elif key == ".block":
-                meta_kwargs["block_dim"] = _parse_int(value)
-            else:
-                raise AssemblyError(f"unknown directive {key!r}", line_no, raw)
-            continue
+            m = _LABEL_RE.match(line)
+            if m:
+                label = m.group(1)
+                if label in labels:
+                    raise AssemblyError(f"duplicate label {label!r}")
+                labels[label] = len(instructions)
+                continue
 
-        m = _LABEL_RE.match(line)
-        if m:
-            label = m.group(1)
-            if label in labels:
-                raise AssemblyError(f"duplicate label {label!r}", line_no, raw)
-            labels[label] = len(instructions)
-            continue
+            inst = _parse_instruction(line)
+            instructions.append(inst)
+            if inst.target is not None:
+                branches.append((inst.target, line_no, raw))
+        except ValueError as exc:
+            raise AssemblyError(str(exc), line_no, raw) from None
 
-        instructions.append(_parse_instruction(line, line_no, raw))
-
+    for target, line_no, raw in branches:
+        if target not in labels:
+            raise AssemblyError(f"undefined branch target {target!r}",
+                                line_no, raw)
     return Program(
         instructions=instructions,
         meta=KernelMeta(**meta_kwargs),

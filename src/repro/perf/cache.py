@@ -56,7 +56,6 @@ from dataclasses import asdict, is_dataclass
 from pathlib import Path
 
 from .. import knobs
-from ..robust import chaos
 from .stats import STATS
 
 __all__ = [
@@ -261,7 +260,6 @@ class ResultCache:
             STATS.count("cache.store_errors")
             return
         STATS.count("cache.stores")
-        chaos.maybe_corrupt_entry(path)
         if knobs.read("REPRO_CACHE_MAX_MB") is not None:
             self.evict()
 

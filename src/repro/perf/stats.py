@@ -45,16 +45,10 @@ Counter names use dotted namespaces by convention:
   ``REPRO_CACHE_MAX_MB`` LRU sweep, and in-process entries dropped by
   the ``REPRO_CACHE_MEM_ENTRIES`` bound (a long-running daemon must not
   grow its memory layer without limit).
-* ``guard.checks`` / ``guard.divergences`` / ``guard.degraded`` --
-  maintained by :mod:`repro.robust.guard`: reference re-executions
-  performed, mismatches caught, and engine-ladder degradation steps
-  taken.
-* ``par.tasks`` / ``par.retries`` / ``par.timeouts`` / ``par.crashes`` /
-  ``par.pool_rebuilds`` / ``par.serial_fallbacks`` -- maintained by the
-  supervised :func:`~repro.perf.parallel.parallel_map`: tasks submitted,
-  retry attempts scheduled, per-task deadline kills, abnormal worker
-  deaths, replacement workers spawned, and tasks that exhausted their
-  retries and ran on the in-process serial last rung.
+* ``par.tasks`` / ``par.serial_fallbacks`` -- maintained by
+  :func:`~repro.perf.parallel.parallel_map`: tasks sent to a worker
+  pool, and tasks a pool broken by a dead worker left to run serially
+  in the calling process.
 * ``serve.jobs`` / ``serve.coalesced`` / ``serve.cache_hits`` /
   ``serve.errors`` -- maintained by :mod:`repro.serve`: jobs admitted to
   the daemon's queue, concurrent submissions that attached to an already
@@ -71,8 +65,8 @@ object, so a server can attribute ``func.*``/``sim.*``/``cache.*``
 deltas to the one request it is serving even while other threads serve
 other requests.  Scopes nest, and worker-process deltas folded in with
 :meth:`PerfStats.merge` land in the merging thread's active scopes too
-(the supervised ``parallel_map`` runs its merge loop on the calling
-thread, so a scoped sweep sees its workers' counters).
+(``parallel_map`` merges its workers' deltas on the calling thread, so
+a scoped sweep sees its workers' counters).
 """
 
 from __future__ import annotations
@@ -169,9 +163,8 @@ class PerfStats:
     def merge(self, delta: dict) -> None:
         """Fold a ``{"counters", "timers"}`` delta into the totals.
 
-        Used to repatriate counters measured in a worker process (the
-        supervised ``parallel_map`` ships each task's delta back with its
-        result).  Goes through :meth:`count`/:meth:`add_time`, so the
+        Used to repatriate counters measured in a worker process
+        (``parallel_map`` ships each task's delta back with its result).  Goes through :meth:`count`/:meth:`add_time`, so the
         merging thread's active scopes see the delta as well.
         """
         for name, amount in (delta.get("counters") or {}).items():

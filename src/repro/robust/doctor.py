@@ -1,24 +1,23 @@
-"""``repro doctor``: health report and self-test of the robustness stack.
+"""``repro doctor``: health report and self-test of the simulation stack.
 
 The report covers:
 
 * **knobs** -- every ``REPRO_*`` knob of :data:`repro.knobs.KNOBS` with
-  the value this process reads (so a forgotten ``REPRO_CHAOS`` cannot
-  masquerade as a real fault).  A malformed knob is reported with its
-  error, the rest of the report is skipped, and the doctor fails;
-* **guard** -- the process-wide degradation ladder state
-  (:func:`repro.robust.guard.degradation_report`);
+  the value this process reads (so a forgotten engine or cache setting
+  cannot masquerade as a real fault).  A malformed knob is reported with
+  its error, the rest of the report is skipped, and the doctor fails;
 * **cache** -- version, layer sizes and quarantine count;
 * **workers** -- the CPU count.
 
-``run_doctor(selftest=True)`` additionally exercises each pillar once:
+``run_doctor(selftest=True)`` additionally exercises each piece once:
 
 * a cache round-trip (put/get under a private ``doctor`` subdir) plus a
   deliberate corruption that must read back as a quarantined miss;
-* a supervised :func:`~repro.perf.parallel.parallel_map` across two
-  workers;
-* a tiny guarded functional launch in ``full`` mode, which must pass its
-  reference check with no divergence;
+* a :func:`~repro.perf.parallel.parallel_map` across two workers (at most
+  one per CPU);
+* one small GEMM launch on both functional engines and one on both
+  timing engines: each pair must leave equal memory images and equal
+  results, and the functional launch must match the NumPy oracle;
 * the host's BLAS summation order: ``np.matmul`` of every registry HMMA
   shape, stacked 1 to 4,096 deep, must add the products in k order, as
   the precision model (and so every functional golden) assumes;
@@ -39,14 +38,12 @@ import os
 from .. import knobs
 from ..perf import cache as cache_mod
 from ..perf.parallel import default_workers, parallel_map
-from ..perf.stats import STATS
-from . import guard
 
 __all__ = ["run_doctor", "format_report"]
 
 
 def _doctor_square(x):
-    """Module-level so the supervised worker self-test can pickle it."""
+    """Module-level so the worker self-test can pickle it."""
     return x * x
 
 
@@ -104,21 +101,22 @@ def _selftest_cache() -> str:
 
 
 def _selftest_workers() -> str:
-    out = parallel_map(_doctor_square, [2, 3], max_workers=2, timeout=60)
+    out = parallel_map(_doctor_square, [2, 3], max_workers=2)
     if out != [4, 9]:
-        return f"FAIL: supervised map returned {out!r}"
+        return f"FAIL: parallel map returned {out!r}"
     return "ok"
 
 
-def _selftest_guard() -> str:
+def _selftest_engines() -> str:
     import numpy as np
 
+    from ..arch.turing import RTX2070
     from ..core.builder import HgemmProblem, build_hgemm
     from ..core.hgemm import hgemm_reference, resolve_config
-    from ..sim.functional import FunctionalSimulator
+    from ..sim import functional, timing
     from ..sim.gpu import Device
+    from ..sim.memory import GlobalMemory
 
-    before = STATS.counters.get("guard.divergences", 0)
     rng = np.random.default_rng(7)
     a = rng.standard_normal((64, 16), dtype=np.float32).astype(np.float16)
     b = rng.standard_normal((16, 64), dtype=np.float32).astype(np.float16)
@@ -127,15 +125,35 @@ def _selftest_guard() -> str:
                            dev.malloc_array(np.ascontiguousarray(b.T)),
                            dev.malloc(64 * 64 * 2))
     config = resolve_config("ours", 64, 64, 16)
-    FunctionalSimulator(guard="full").run(
-        build_hgemm(config, problem), dev.memory, config.grid_dim(64, 64))
-    out = dev.memcpy_dtoh(problem.c_addr, np.float16, 64 * 64).reshape(64, 64)
-    ref = hgemm_reference(a, b)
-    if not np.array_equal(out, ref):
-        return "FAIL: guarded hgemm mismatches the NumPy oracle"
-    diverged = STATS.counters.get("guard.divergences", 0) - before
-    if diverged:
-        return f"FAIL: guarded run diverged from the reference engine ({diverged})"
+    program = build_hgemm(config, problem)
+
+    def launches(simulator, engines, **launch):
+        """``(result, memory)`` of the launch on each engine, each from a
+        copy of the device's memory."""
+        out = []
+        for engine in engines:
+            memory = GlobalMemory(dev.memory.size)
+            np.copyto(memory._words, dev.memory._words)
+            out.append((simulator(engine).run(program, memory, **launch),
+                        memory))
+        return out
+
+    runs = {
+        "functional": launches(
+            lambda engine: functional.FunctionalSimulator(engine=engine),
+            functional.ENGINES, grid_dim=config.grid_dim(64, 64)),
+        "timing": launches(
+            lambda engine: timing.TimingSimulator(RTX2070, engine=engine),
+            timing.ENGINES, num_ctas=1),
+    }
+    for name, ((fast, fast_mem), (ref, ref_mem)) in runs.items():
+        if fast != ref or not np.array_equal(fast_mem._words, ref_mem._words):
+            return (f"FAIL: the fast and reference {name} engines disagree "
+                    "on a small hgemm launch")
+    out = runs["functional"][0][1].read_array(problem.c_addr, np.float16,
+                                             64 * 64)
+    if not np.array_equal(out.reshape(64, 64), hgemm_reference(a, b)):
+        return "FAIL: the functional hgemm launch mismatches the NumPy oracle"
     return "ok"
 
 
@@ -224,13 +242,12 @@ def run_doctor(selftest: bool = True):
     report = {"knobs": entries}
     if not ok:
         return report, False
-    report.update(guard=guard.degradation_report(), cache=_section_cache(),
-                  workers={"cpus": default_workers()})
+    report.update(cache=_section_cache(), workers={"cpus": default_workers()})
     if selftest:
         results = {
             "cache_roundtrip": _selftest_cache(),
-            "supervised_map": _selftest_workers(),
-            "guarded_run": _selftest_guard(),
+            "parallel_map": _selftest_workers(),
+            "engines_agree": _selftest_engines(),
             "blas_k_order": _selftest_blas_order(),
             "serve_coalesce": _selftest_serve(),
         }

@@ -1,7 +1,7 @@
 """Simulation as a service: daemon, coalescing queue, thin clients.
 
 The simulator became a pure cached function (content-addressed results,
-supervised workers, guard rails); this package turns it into a shared
+process-parallel sweeps); this package turns it into a shared
 **service**.  One long-running daemon (``repro serve start``) owns one
 worker pool and one hot cache, and any number of clients -- CLI
 invocations with ``--remote``, Python callers of

@@ -8,18 +8,17 @@ One long-running process owns:
   coalescing;
 * one **worker pool** -- executor threads that claim jobs and run them
   through :func:`repro.serve.jobs.run_job`.  Sweep and autotune jobs
-  that ask for process parallelism (``"jobs": N`` in their payload) fan
-  out through the supervised :func:`repro.perf.parallel.parallel_map`
-  exactly as an in-process run would, inheriting its
-  timeout/retry/serial-fallback ladder;
+  that ask for process parallelism (``"jobs": N`` in their payload, at
+  most one worker per CPU) fan out through
+  :func:`repro.perf.parallel.parallel_map` exactly as an in-process run
+  would, including its serial fallback when a worker dies;
 * the **shared hot cache**: the process-wide ``repro.perf`` caches plus
   a ``serve/`` result store, so every completed job warms later tenants.
 
 Every job executes under ``STATS.scoped()``: the response carries the
-``func.*``/``sim.*``/``cache.*``/``guard.*``/``par.*`` deltas of exactly
-that job (worker processes ship their deltas home through the
-supervisor), and the daemon aggregates the same deltas per tenant for
-``serve stats``.
+``func.*``/``sim.*``/``cache.*``/``par.*`` deltas of exactly that job
+(worker processes ship their deltas home with their results), and the
+daemon aggregates the same deltas per tenant for ``serve stats``.
 
 Request ops (every frame is a JSON object with an ``"op"`` field):
 

@@ -41,7 +41,7 @@ Kinds
 from __future__ import annotations
 
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
-from typing import get_type_hints
+from typing import get_origin, get_type_hints
 
 from ..arch.turing import DEVICES, RTX2070, GpuSpec, get_device
 from ..core.config import ConfigError, KernelConfig, check_field_types
@@ -66,7 +66,9 @@ __all__ = [
 #
 # GpuSpec / KernelConfig / PerfOptions must cross the JSON protocol and
 # come back equal (their dicts feed content_key, so a lossy round-trip
-# would split cache keys between client and daemon).
+# would split cache keys between client and daemon).  Each decoder
+# refuses a dict it cannot decode with a ConfigError that names the
+# field, never with another exception type.
 
 def spec_to_dict(spec: GpuSpec) -> dict:
     """Registry devices travel by name; custom specs as full dicts.
@@ -83,13 +85,13 @@ def spec_to_dict(spec: GpuSpec) -> dict:
 def spec_from_dict(data: dict) -> GpuSpec:
     """The :class:`GpuSpec` a :func:`spec_to_dict` dict names.
 
-    A missing, unknown or mistyped field raises a
+    A missing, unknown, mistyped or out-of-range field raises a
     :class:`~repro.core.config.ConfigError` naming it.
     """
     if isinstance(data, dict) and "device" in data:
-        extra = sorted(set(data) - {"device"})
+        extra = sorted(set(data) - {"device"}, key=repr)
         if extra:
-            raise ValueError(
+            raise ConfigError(
                 f"spec dict names a device and also sets {extra}; send a "
                 "registry name alone ({'device': name}) or a full spec dict")
         name = data["device"]
@@ -99,18 +101,23 @@ def spec_from_dict(data: dict) -> GpuSpec:
         try:
             return get_device(name)
         except KeyError:
-            raise ValueError(
+            raise ConfigError(
                 f"unknown device {name!r}; known devices: {sorted(DEVICES)}"
             ) from None
     return _from_fields(GpuSpec, data, "spec")
 
 
 def _from_fields(cls, data, where: str):
-    """Dataclass *cls* from a dict of its fields, nested dataclasses too."""
+    """Dataclass *cls* from a dict of its fields, nested dataclasses too.
+
+    A JSON list becomes a tuple for a tuple field.  A value its class
+    refuses (a ``ValueError`` from construction) is re-raised as a
+    :class:`ConfigError`.
+    """
     if not isinstance(data, dict):
         raise ConfigError(f"{where} must be a dict of {cls.__name__} fields, "
                           f"got {data!r}")
-    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    unknown = sorted(set(data) - {f.name for f in fields(cls)}, key=repr)
     if unknown:
         raise ConfigError(f"{cls.__name__} has no field {unknown[0]!r}")
     types = get_type_hints(cls)
@@ -123,9 +130,17 @@ def _from_fields(cls, data, where: str):
             values[f.name] = _from_fields(types[f.name], data[f.name],
                                           f"{cls.__name__}.{f.name}")
         else:
-            values[f.name] = scalars[f.name] = data[f.name]
+            value = data[f.name]
+            if isinstance(value, list) and get_origin(types[f.name]) is tuple:
+                value = tuple(value)
+            values[f.name] = scalars[f.name] = value
     check_field_types(cls, scalars)
-    return cls(**values)
+    try:
+        return cls(**values)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{cls.__name__}: {exc}") from None
 
 
 def config_to_dict(config: KernelConfig) -> dict:
@@ -133,7 +148,9 @@ def config_to_dict(config: KernelConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> KernelConfig:
-    return KernelConfig(**data)
+    """The :class:`KernelConfig` of a :func:`config_to_dict` dict; a field
+    left out takes its default."""
+    return _from_fields(KernelConfig, data, "config")
 
 
 def options_to_dict(options) -> dict:
@@ -141,13 +158,11 @@ def options_to_dict(options) -> dict:
 
 
 def options_from_dict(data):
+    """The ``PerfOptions`` of an :func:`options_to_dict` dict; a field
+    left out takes its default."""
     from ..analysis.perf_model import PerfOptions
 
-    values = dict(data)
-    for name in ("cliff_devices", "profile_iters"):
-        if name in values and isinstance(values[name], list):
-            values[name] = tuple(values[name])
-    return PerfOptions(**values)
+    return _from_fields(PerfOptions, data, "options")
 
 
 def _spec(payload):
@@ -163,6 +178,16 @@ def _model(payload):
     options = (options_from_dict(payload["options"])
                if payload.get("options") else PerfOptions())
     return spec, PerformanceModel(spec, options)
+
+
+def _jobs(payload):
+    """The payload's worker count for :func:`~repro.perf.parallel.parallel_map`:
+    None (serial) or a whole number >= 0."""
+    jobs = payload.get("jobs")
+    if jobs is not None and (type(jobs) is not int or jobs < 0):
+        raise ValueError(f"jobs must be a whole number >= 0 (0: one worker "
+                         f"per CPU), got {jobs!r}")
+    return jobs
 
 
 # ------------------------------------------------------------ executors
@@ -189,7 +214,7 @@ def _run_sweep(payload: dict) -> dict:
         sizes=sizes,
         shape=tuple(payload.get("shape", (1, 1, 1))),
         baseline_quirks=bool(payload.get("baseline_quirks", False)),
-        max_workers=payload.get("jobs"),
+        max_workers=_jobs(payload),
     )
     return {"estimates": [asdict(e) for e in estimates]}
 
@@ -200,7 +225,7 @@ def _run_autotune(payload: dict) -> dict:
     spec, model = _model(payload)
     result = autotune(spec, payload["m"], payload["n"], payload["k"],
                       accum_f32=bool(payload.get("accum_f32", False)),
-                      model=model, max_workers=payload.get("jobs"))
+                      model=model, max_workers=_jobs(payload))
     return {
         "best": config_to_dict(result.best),
         "best_name": result.best.name,

@@ -64,7 +64,7 @@ class Job:
     waiters: int = 1
     result: dict = None
     error: str = ""
-    #: Scoped ``func.*``/``sim.*``/``cache.*``/``guard.*`` deltas of the
+    #: Scoped ``func.*``/``sim.*``/``cache.*``/``par.*`` deltas of the
     #: one execution, shared by every waiter.
     stats: dict = field(default_factory=dict)
     submitted_at: float = field(default_factory=time.time)

@@ -23,8 +23,8 @@ table in :mod:`repro.sim.uop`, so they cannot drift apart):
   de-stack.
 * ``"reference"`` -- the instruction-at-a-time interpreter through
   :func:`repro.sim.exec_units.execute`, kept as the semantic ground
-  truth for differential tests, the divergence watchdog and benchmark
-  baselines (``REPRO_FUNC_ENGINE=reference``).
+  truth for differential tests and benchmark baselines
+  (``REPRO_FUNC_ENGINE=reference``).
 
 A grid's CTAs run in order, one after another, in this process.
 
@@ -43,8 +43,6 @@ from ..arch.registers import PredicateFile, RegisterFile, WARP_LANES
 from ..isa.program import Program
 from .. import knobs
 from ..perf import STATS
-from ..robust import chaos
-from ..robust import guard as _guard
 from .decode import DIVERGED, EXITED, predecode
 from .exec_units import ExecError, execute
 from .memory import GlobalMemory
@@ -142,45 +140,25 @@ class FunctionalSimulator:
     """Executes programs functionally over an (x, y) grid of CTAs.
 
     ``engine`` selects the execution engine (``None`` -> ``REPRO_FUNC_ENGINE``
-    or lockstep); ``guard`` the divergence-watchdog mode (``None`` ->
-    ``REPRO_GUARD``, see :mod:`repro.robust.guard`).  After a watchdog
-    degradation a lockstep request runs on the reference engine.
+    or lockstep).
     """
 
     def __init__(self, max_instructions_per_warp: int = 5_000_000,
-                 engine: str = None, guard: str = None):
+                 engine: str = None):
         self.max_instructions_per_warp = max_instructions_per_warp
         self.engine = (engine if engine is not None
                        else knobs.read("REPRO_FUNC_ENGINE"))
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
-        self.guard = guard
 
     def run(self, program: Program, global_mem: GlobalMemory,
             grid_dim=(1, 1)) -> FunctionalResult:
         """Launch *program* over ``grid_dim`` CTAs against *global_mem*."""
         gx, gy = (grid_dim if len(grid_dim) == 2 else (*grid_dim, 1)[:2])
         ctaids = [(bx, by, 0) for by in range(gy) for bx in range(gx)]
-        mode = _guard.guard_mode(self.guard)
-        engine = _guard.effective_func_engine(self.engine)
-        ctx = None
-        if mode != "off" and engine != "reference":
-            ctx = _guard.GuardContext("functional", engine, mode,
-                                      global_mem._words)
         STATS.count("func.runs")
         with STATS.timer("func.wall"):
-            result = self._run_ctas(program, global_mem, ctaids, engine)
-        if ctx is not None:
-            # Chaos flip fires only on guarded runs: a synthetic fast-engine
-            # bug for the watchdog to catch, never silent corruption.
-            chaos.maybe_flip_output(global_mem._words)
-            result = ctx.conclude(
-                global_mem._words, result,
-                lambda: _reference_rerun(program, ctx.pre, grid_dim,
-                                         self.max_instructions_per_warp),
-                program=program,
-                context={"grid_dim": [gx, gy], "engine": engine},
-            )
+            result = self._run_ctas(program, global_mem, ctaids, self.engine)
         STATS.count("func.ctas", result.ctas_run)
         STATS.count("func.instructions", result.instructions_retired)
         return result
@@ -385,16 +363,4 @@ class FunctionalSimulator:
 def _opt_mask(mask: np.ndarray):
     """Treat an all-active mask as no mask (fast path + full overwrite)."""
     return None if mask.all() else mask
-
-
-def _reference_rerun(program: Program, pre_words: np.ndarray, grid_dim,
-                     fuel: int):
-    """Watchdog rerun: the same launch on the reference engine, from the
-    guarded run's memory snapshot.  Returns ``(result, memory_words)``."""
-    mem = GlobalMemory(pre_words.nbytes)
-    np.copyto(mem._words, pre_words)
-    sim = FunctionalSimulator(max_instructions_per_warp=fuel,
-                              engine="reference", guard="off")
-    result = sim.run(program, mem, grid_dim=grid_dim)
-    return result, mem._words
 

@@ -83,8 +83,6 @@ from ..isa.instructions import Pipe
 from ..isa.program import Program
 from .. import knobs
 from ..perf.stats import STATS
-from ..robust import chaos
-from ..robust import guard as _guard
 from .decode import compute_step, mma_group
 from .exec_units import ExecError, execute
 from .memory import GlobalMemory, MemorySubsystem
@@ -583,8 +581,7 @@ class TimingSimulator:
     """Simulates *num_ctas* CTAs of one program resident on one SM."""
 
     def __init__(self, spec: GpuSpec, bandwidth_share: float = 1.0,
-                 l1_bytes: int = 32 * 1024, engine: str = None,
-                 guard: str = None):
+                 l1_bytes: int = 32 * 1024, engine: str = None):
         self.spec = spec
         self.bandwidth_share = bandwidth_share
         self.l1_bytes = l1_bytes
@@ -594,22 +591,12 @@ class TimingSimulator:
             raise ValueError(
                 f"engine must be one of {ENGINES}, got {self.engine!r}"
             )
-        # Divergence-watchdog mode (None -> REPRO_GUARD); a degraded
-        # watchdog may run this simulator on the reference engine regardless
-        # of what was requested.
-        self.guard = guard
 
     def run(self, program: Program, global_mem: GlobalMemory = None,
             num_ctas: int = 1, first_ctaid=(0, 0, 0),
             max_cycles: int = DEFAULT_MAX_CYCLES) -> TimingResult:
         if global_mem is None:
             global_mem = GlobalMemory(4 * 1024 * 1024)
-        mode = _guard.guard_mode(self.guard)
-        engine = _guard.effective_timing_engine(self.engine)
-        ctx = None
-        if mode != "off" and engine != "reference":
-            ctx = _guard.GuardContext("timing", engine, mode,
-                                      global_mem._words)
         memsys = MemorySubsystem(self.spec, self.bandwidth_share, self.l1_bytes)
 
         warps = []
@@ -628,7 +615,7 @@ class TimingSimulator:
         decoded = [_DecodedInst(inst, self.spec) for inst in program]
 
         start_wall = time.perf_counter()
-        if engine == "reference":
+        if self.engine == "reference":
             outcome = self._run_reference(
                 warps, cta_warps, decoded, memsys, max_cycles)
         else:
@@ -648,7 +635,7 @@ class TimingSimulator:
             STATS.count("sim.plan_insts", plan_stats[1])
         STATS.add_time("sim.wall", time.perf_counter() - start_wall)
 
-        result = TimingResult(
+        return TimingResult(
             cycles=cycle,
             instructions=retired,
             opcode_counts=opcode_counts,
@@ -657,23 +644,6 @@ class TimingSimulator:
             traffic=memsys.counters,
             num_schedulers=self.spec.warp_schedulers_per_sm,
         )
-        if ctx is not None:
-            # Chaos flip fires only on guarded runs: a synthetic fast-engine
-            # bug for the watchdog to catch, never silent corruption.
-            chaos.maybe_flip_output(global_mem._words)
-            result = ctx.conclude(
-                global_mem._words, result,
-                lambda: _guard_rerun(self.spec, self.bandwidth_share,
-                                     self.l1_bytes, program, ctx.pre,
-                                     num_ctas, first_ctaid, max_cycles),
-                program=program,
-                context={"num_ctas": num_ctas,
-                         "first_ctaid": list(first_ctaid),
-                         "engine": engine,
-                         "bandwidth_share": self.bandwidth_share,
-                         "l1_bytes": self.l1_bytes},
-            )
-        return result
 
     # ------------------------------------------------------ reference engine
 
@@ -1331,16 +1301,3 @@ class TimingSimulator:
                 scoreboards[dec.read_bar] = cycle + 2
         warp.pc += 1
         warp.next_issue = cycle + dec.issue_stall
-
-
-def _guard_rerun(spec, bandwidth_share, l1_bytes, program, pre_words,
-                 num_ctas, first_ctaid, max_cycles):
-    """Watchdog rerun: the same launch on the reference timing engine,
-    from the guarded run's memory snapshot.  Returns ``(result, words)``."""
-    mem = GlobalMemory(pre_words.nbytes)
-    np.copyto(mem._words, pre_words)
-    sim = TimingSimulator(spec, bandwidth_share, l1_bytes,
-                          engine="reference", guard="off")
-    result = sim.run(program, mem, num_ctas=num_ctas,
-                     first_ctaid=first_ctaid, max_cycles=max_cycles)
-    return result, mem._words

@@ -1,1 +1,1 @@
-"""Tests for the repro.robust guard-rail stack."""
+"""Tests for the repro.robust health checks."""

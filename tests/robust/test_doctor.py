@@ -19,6 +19,24 @@ def test_doctor_passes_twice_against_one_cache_dir(tmp_path):
                               env=env, capture_output=True, text=True,
                               timeout=300)
         assert done.returncode == 0, (run, done.stdout + done.stderr)
-        assert ["selftest.serve_coalesce", "ok"] in [
-            line.split() for line in done.stdout.splitlines()]
+        lines = [line.split() for line in done.stdout.splitlines()]
+        assert ["selftest.serve_coalesce", "ok"] in lines
+        assert ["selftest.engines_agree", "ok"] in lines
         assert list((tmp_path / "serve").glob("*.json")), run
+
+
+def test_engine_selftest_fails_when_engines_disagree(monkeypatch):
+    """A reference timing engine one cycle off fails the engine check."""
+    from repro.robust import doctor
+    from repro.sim.timing import TimingSimulator
+
+    assert doctor._selftest_engines() == "ok"
+    run_reference = TimingSimulator._run_reference
+
+    def one_cycle_late(self, *args):
+        cycle, *rest = run_reference(self, *args)
+        return (cycle + 1, *rest)
+
+    monkeypatch.setattr(TimingSimulator, "_run_reference", one_cycle_late)
+    assert doctor._selftest_engines().startswith(
+        "FAIL: the fast and reference timing engines disagree")

@@ -1,5 +1,5 @@
 """End-to-end tests of the in-process daemon: correctness, coalescing,
-per-request stats, cache hits, disconnect survival, fault injection."""
+per-request stats, cache hits, disconnect survival, worker crashes."""
 
 import socket
 import threading
@@ -7,6 +7,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.analysis import perf_model
 from repro.perf.cache import content_key
 from repro.serve import (
     JobFailed,
@@ -19,12 +20,15 @@ from repro.serve import (
 from repro.serve.jobs import job_key
 from repro.serve.protocol import recv_frame, send_frame
 
+from ..faults import crash_once
+
+_estimate_worker = perf_model._estimate_worker
+
 
 @pytest.fixture()
 def scratch_env(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-    monkeypatch.delenv("REPRO_CHAOS", raising=False)
     return tmp_path
 
 
@@ -42,7 +46,7 @@ def _hgemm_payload(**over):
     return payload
 
 
-#: A two-size sweep whose estimates fan out over two supervised workers.
+#: A two-size sweep whose estimates fan out over two worker processes.
 _SWEEP_SIZES = [1024, 2048]
 
 
@@ -53,6 +57,11 @@ def _sweep_payload():
 
     return {"spec": spec_to_dict(RTX2070), "config": config_to_dict(ours()),
             "sizes": _SWEEP_SIZES, "jobs": 2}
+
+
+def _estimate_crash_once(payload):
+    crash_once()
+    return _estimate_worker(payload)
 
 
 def _running(client, view, timeout=5.0):
@@ -121,6 +130,19 @@ class TestBasics:
             done = [client.wait(view["job_id"]) for view in views]
         assert [view["result"] for view in done] == [{"value": 1},
                                                        {"value": 2}]
+
+    @pytest.mark.parametrize("jobs", [-1, 2.5, True, "2"])
+    def test_malformed_jobs_fails_the_job_not_the_worker(self, daemon, jobs):
+        """A worker count that is not a whole number >= 0 is refused by
+        name before any process starts."""
+        payload = {**_sweep_payload(), "jobs": jobs}
+        with ServeClient(daemon.socket_path) as client:
+            with pytest.raises(JobFailed,
+                               match=rf"ValueError: jobs must be a whole "
+                                     rf"number >= 0 .*got {jobs!r}"):
+                client.run("sweep", payload)
+            assert all(thread.is_alive() for thread in daemon._threads)
+            assert client.ping()["ok"]
 
     def test_malformed_spec_fails_the_job_not_the_daemon(self, daemon):
         payload = _hgemm_payload(spec={"device": 7})
@@ -362,39 +384,26 @@ class TestRobustness:
             again = client.submit("hgemm", payload)
         assert again["cached"] is True
 
-    def test_worker_crash_chaos_is_salvaged(self, daemon, monkeypatch):
-        """A supervised worker crash inside a job retries transparently:
-        the job still completes, identically, with the crash on its own
-        stats record."""
+    def test_worker_crash_chaos_is_salvaged(self, daemon, monkeypatch,
+                                            worker_faults):
+        """A worker that dies inside a job's sweep is covered by the serial
+        fallback: the job still completes, identically, with the fallback
+        on its own stats record."""
         from dataclasses import asdict
 
         from repro.analysis import PerformanceModel
         from repro.arch import RTX2070
         from repro.core import ours
 
-        monkeypatch.setenv("REPRO_CHAOS", "crash_task:0")
+        monkeypatch.setattr(perf_model, "_estimate_worker",
+                            _estimate_crash_once)
         with ServeClient(daemon.socket_path) as client:
             view = client.run("sweep", _sweep_payload(), timeout=300)
         assert view["state"] == "done"
-        counters = view["stats"]["counters"]
-        assert counters.get("par.crashes", 0) >= 1
-        assert counters.get("par.retries", 0) >= 1
-        monkeypatch.delenv("REPRO_CHAOS")
+        assert worker_faults.exists()
+        assert view["stats"]["counters"].get("par.serial_fallbacks", 0) >= 1
         want = PerformanceModel(RTX2070).sweep(ours(), _SWEEP_SIZES)
         assert view["result"]["estimates"] == [asdict(e) for e in want]
-
-    def test_delay_chaos_does_not_change_results(self, daemon, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS", "delay_task:0,delay_seconds:0.3")
-        payload = _sweep_payload()
-        with ServeClient(daemon.socket_path) as client:
-            slow = client.run("sweep", payload, timeout=300)
-        monkeypatch.delenv("REPRO_CHAOS")
-        with ServeClient(daemon.socket_path) as client:
-            # Same key: must be answered from cache, proving the delayed
-            # run produced the canonical result.
-            again = client.submit("sweep", payload)
-        assert again["cached"] is True
-        assert again["result"] == slow["result"]
 
     def test_payload_file_references_are_not_opened(self, daemon,
                                                     scratch_env):

@@ -356,8 +356,8 @@ def _issue_sequences(monkeypatch, run, engine):
     """Every warp's ``(cycle, pc)`` issue sequence while *run(engine)*
     runs, keyed by ``(CTA slot, warp)``, and whether an issue left the MIO
     queue full (read from the event engine's gate), recorded by wrapping
-    the engines' issue entry points.  Issues of other simulators -- a
-    watchdog's reference rerun under ``REPRO_GUARD`` -- are left out."""
+    the engines' issue entry points.  Issues of simulators on the other
+    engine are left out."""
     sequences, full = {}, []
     issue, issue_fast = TimingSimulator._issue, TimingSimulator._issue_fast
 

@@ -90,29 +90,25 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
-    def test_engine_and_guard_choices_are_the_registries(self, monkeypatch):
-        """The engines and guard modes are their knobs' choices, and each
-        knob's default is the first, which the simulators resolve; the CLI
-        has no option of its own for them."""
+    def test_engine_choices_are_the_registries(self, monkeypatch):
+        """The engines are their knobs' choices, and each knob's default
+        is the first, which the simulators resolve; the CLI has no option
+        of its own for them."""
         from repro import knobs
         from repro.arch import RTX2070
-        from repro.robust import guard
         from repro.sim import functional, timing
 
         monkeypatch.delenv("REPRO_FUNC_ENGINE", raising=False)
         monkeypatch.delenv("REPRO_TIMING_ENGINE", raising=False)
-        monkeypatch.delenv("REPRO_GUARD", raising=False)
 
         options = {action.dest for action in build_parser()._actions}
         for name, registry in (("REPRO_FUNC_ENGINE", functional.ENGINES),
-                               ("REPRO_TIMING_ENGINE", timing.ENGINES),
-                               ("REPRO_GUARD", guard.MODES)):
+                               ("REPRO_TIMING_ENGINE", timing.ENGINES)):
             assert knobs.KNOBS[name].accepts == registry
             assert knobs.read(name) == registry[0]
         assert not options & {"func_engine", "timing_engine", "guard"}
         assert functional.FunctionalSimulator().engine == functional.ENGINES[0]
         assert timing.TimingSimulator(RTX2070).engine == timing.ENGINES[0]
-        assert guard.guard_mode() == guard.MODES[0]
 
     def test_remote_verbs_are_the_job_verbs(self):
         from repro.serve.jobs import JOB_KINDS

@@ -76,7 +76,7 @@ HELP_SHA256 = {
         "161d792fb3ce091cba8d9502f10c4f48aa4b6e4265fa13b9807f26ca290ac491",
     "devices":
         "facbe00d45133fa9f282bd55ba234f5cfe9917a56307dadedd851bfa299c12d3",
-    "doctor": "14df12e093ab244e35bcbcb2d105a1c090260431964a2d3c97b6a96bff606987",
+    "doctor": "5158d8adba47b5b5a00b2d533303965a9245a0b32d39de797b352ca37070005c",
     "serve": "9c64e1a4f449d05d6d9b798def9bf43c527a8eab4d2771f6c132d82eb04f8e42",
     "disasm": "858d85233e5cc54e38277ef8c8c5df3761a5f2b40bf2b04b87f01f246e0e1e44",
 }

@@ -16,15 +16,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 MALFORMED = {
     "REPRO_FUNC_ENGINE": "gridlock",
     "REPRO_TIMING_ENGINE": "fast",
-    "REPRO_GUARD": "sometimes",
-    "REPRO_GUARD_BUDGET": "abc",
-    "REPRO_CHAOS": "crash_tsk:0",
     "REPRO_NO_CACHE": "false",
     "REPRO_CACHE_MAX_MB": "-1",
     "REPRO_CACHE_MEM_ENTRIES": "2.5",
-    "REPRO_TASK_TIMEOUT": "nan",
-    "REPRO_TASK_RETRIES": "2.7",
-    "REPRO_RETRY_BACKOFF": "soon",
     "REPRO_SERVE_WORKERS": "0",
     "REPRO_SERVE_QUEUE_MAX": "x",
 }
@@ -58,9 +52,9 @@ def test_only_knobs_reads_the_environment():
                              "read it with knobs.read: " + ", ".join(offenders))
 
 
-def test_the_table_is_the_fifteen_knobs():
+def test_the_table_is_the_nine_knobs():
     assert set(knobs.KNOBS) == set(MALFORMED) | ANY_VALUE
-    assert len(knobs.KNOBS) == 15
+    assert len(knobs.KNOBS) == 9
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
@@ -82,15 +76,13 @@ def test_unset_and_empty_read_the_default(name, monkeypatch):
 
 @pytest.mark.parametrize("name,raw,value", [
     ("REPRO_FUNC_ENGINE", "reference", "reference"),
-    ("REPRO_GUARD_BUDGET", "1", 1.0),
+    ("REPRO_SERVE_QUEUE_MAX", "1", 1),
     ("REPRO_CACHE_MEM_ENTRIES", "1e3", 1000),
-    ("REPRO_TASK_RETRIES", "2.0", 2),
-    ("REPRO_TASK_TIMEOUT", " 30 ", 30.0),
+    ("REPRO_SERVE_WORKERS", "2.0", 2),
+    ("REPRO_CACHE_MAX_MB", " 30 ", 30.0),
     ("REPRO_NO_CACHE", "0", False),
     ("REPRO_NO_CACHE", "1", True),
     ("REPRO_SERVE_SOCKET", "rel/d.sock", Path("rel/d.sock")),
-    ("REPRO_CHAOS", "crash_task:0,,delay_seconds:0", {"crash_task": 0,
-                                                     "delay_seconds": 0.0}),
 ])
 def test_accepted_values_keep_their_meaning(name, raw, value, monkeypatch):
     monkeypatch.setenv(name, raw)
@@ -110,8 +102,8 @@ def test_readme_table_lists_every_knob():
     assert rows == set(knobs.KNOBS)
 
 
-@pytest.mark.parametrize("name", ["REPRO_TASK_RETRIES", "REPRO_GUARD_BUDGET",
-                                  "REPRO_CHAOS", "REPRO_NO_CACHE"])
+@pytest.mark.parametrize("name", ["REPRO_SERVE_WORKERS", "REPRO_CACHE_MAX_MB",
+                                  "REPRO_TIMING_ENGINE", "REPRO_NO_CACHE"])
 def test_doctor_fails_on_a_malformed_knob(name, tmp_path):
     """``repro doctor --no-selftest`` lists every knob; a malformed one
     makes it exit 1 with the variable named and no traceback."""
