@@ -11,9 +11,9 @@ Two measured legs, written to ``BENCH_servespeed.json`` in the repo root:
 caching disabled (``REPRO_NO_CACHE=1``) and a fresh model per run: what
 ``CLIENTS`` independent cold processes would cost in total.
 
-**Serve leg** -- one in-process :class:`repro.serve.ServeDaemon` (2
-workers) on a scratch socket, ``CLIENTS`` concurrent client threads each
-submitting the identical sweep job and waiting.  Gates:
+**Serve leg** -- one in-process :class:`repro.serve.ServeDaemon` on a
+scratch socket, ``CLIENTS`` concurrent client threads each submitting
+the identical sweep job and waiting.  Gates:
 
 * ``serve.coalesced`` >= ``CLIENTS - 1`` (every twin attached to the one
   in-flight execution -- none re-simulated, none raced past it);
@@ -90,7 +90,7 @@ def _serve_leg(spec, socket_path):
     from repro.serve import ServeClient, ServeDaemon
 
     payload = _sweep_payload(spec)
-    daemon = ServeDaemon(socket_path, workers=2)
+    daemon = ServeDaemon(socket_path)
     daemon.start()
     try:
         views = [None] * CLIENTS

@@ -26,14 +26,30 @@ throughput of that instruction class:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
+from ..core.config import ConfigError
 from .family import SM70, SM75, SM80, ArchSpec
 
 __all__ = [
     "MemoryCpiTable", "GpuSpec", "RTX2070", "T4", "V100", "A100",
     "DEVICES", "get_device",
 ]
+
+
+def _check_ranges(spec) -> None:
+    """Refuse, by name, a number field of *spec* no device can have: each
+    is finite and > 0, or >= 0 where its default is 0 (left unmeasured)."""
+    for f in fields(spec):
+        if f.type not in ("int", "float"):
+            continue
+        value, zero_ok = getattr(spec, f.name), f.default == 0
+        finite = not isinstance(value, float) or math.isfinite(value)
+        if not (finite and (value >= 0 if zero_ok else value > 0)):
+            raise ConfigError(f"{type(spec).__name__}.{f.name} must be a "
+                              f"finite number {'>=' if zero_ok else '>'} 0, "
+                              f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -43,6 +59,9 @@ class MemoryCpiTable:
     cpi32: float
     cpi64: float
     cpi128: float
+
+    def __post_init__(self) -> None:
+        _check_ranges(self)
 
     def cpi(self, width: int) -> float:
         table = {32: self.cpi32, 64: self.cpi64, 128: self.cpi128}
@@ -112,10 +131,7 @@ class GpuSpec:
     kernel_launch_overhead_us: float = 4.0
 
     def __post_init__(self) -> None:
-        if self.num_sms <= 0:
-            raise ValueError(f"num_sms must be positive, got {self.num_sms}")
-        if self.clock_ghz <= 0:
-            raise ValueError(f"clock_ghz must be positive, got {self.clock_ghz}")
+        _check_ranges(self)
 
     # ------------------------------------------------------------- derived
 

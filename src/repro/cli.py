@@ -533,14 +533,12 @@ def _serve_start(args, sock: str) -> int:
         print(f"error: a daemon is already serving {sock}", file=sys.stderr)
         return 1
     if args.foreground:
-        daemon = ServeDaemon(sock, workers=args.workers,
-                             queue_max=args.queue_max)
+        daemon = ServeDaemon(sock, queue_max=args.queue_max)
         try:
             signal.signal(signal.SIGTERM, lambda *_: daemon.stop())
         except ValueError:
             pass  # not the main thread (embedded use)
-        print(f"serving on {sock} ({daemon.workers} workers)",
-              file=sys.stderr)
+        print(f"serving on {sock}", file=sys.stderr)
         try:
             daemon.serve_forever()
         except KeyboardInterrupt:
@@ -558,8 +556,6 @@ def _serve_spawn(args, sock: str) -> int:
 
     cmd = [sys.executable, "-m", "repro", "serve", "start", "--foreground",
            "--socket", sock]
-    if args.workers is not None:
-        cmd += ["--workers", str(args.workers)]
     if args.queue_max is not None:
         cmd += ["--queue-max", str(args.queue_max)]
     log_path = knobs.read("REPRO_CACHE_DIR") / "serve.log"
@@ -584,8 +580,7 @@ def _serve_spawn(args, sock: str) -> int:
 
 def _format_serve_stats(stats: dict) -> str:
     lines = [
-        f"daemon pid {stats['pid']}, up {stats['uptime_s']:.0f}s, "
-        f"{stats['workers']} workers",
+        f"daemon pid {stats['pid']}, up {stats['uptime_s']:.0f}s",
         f"queue: depth {stats['queue_depth']}, "
         f"inflight {stats['inflight']}",
         f"jobs: executed {stats['executed']}, failed {stats['failed']}, "
@@ -764,9 +759,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--socket", default=None,
                    help="unix socket path (default: $REPRO_SERVE_SOCKET "
                         "or <cache dir>/serve.sock)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="executor threads (default: $REPRO_SERVE_WORKERS "
-                        "or 2)")
     p.add_argument("--queue-max", type=int, default=None,
                    help="queued-job bound (default: $REPRO_SERVE_QUEUE_MAX "
                         "or 256)")

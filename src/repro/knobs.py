@@ -1,7 +1,7 @@
 """Every ``REPRO_*`` environment knob, declared once.
 
 A knob is a process-wide setting: worker processes and a daemon's job
-threads inherit the environment, so one variable reaches every simulator
+executor inherit the environment, so one variable reaches every simulator
 a command builds.  None of them changes a reported number -- the fast
 engines are pinned bit-identical to their reference twins, and the
 cache and daemon knobs change how work is done, not what it answers --
@@ -71,8 +71,6 @@ KNOBS = {knob.name: knob for knob in (
          "entry bound of the in-process result cache"),
     Knob("REPRO_SERVE_SOCKET", "path", _default_socket, None,
          "unix socket of the serve daemon"),
-    Knob("REPRO_SERVE_WORKERS", "count", 2, 1,
-         "executor threads of the serve daemon"),
     Knob("REPRO_SERVE_QUEUE_MAX", "count", 256, 1,
          "queued-job bound of the serve daemon"),
 )}
@@ -131,7 +129,8 @@ def read(name: str):
 
 
 def environment() -> dict:
-    """The knobs set (non-empty) in this process's environment, as their
-    raw strings."""
-    return {name: os.environ[name] for name in KNOBS
-            if os.environ.get(name)}
+    """The ``REPRO_*`` variables set (non-empty) in this process's
+    environment, as their raw strings.  A name not in :data:`KNOBS` (a
+    removed or misspelt knob) is read by nothing."""
+    return {name: raw for name, raw in os.environ.items()
+            if name.startswith("REPRO_") and raw}

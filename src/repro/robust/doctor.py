@@ -5,7 +5,9 @@ The report covers:
 * **knobs** -- every ``REPRO_*`` knob of :data:`repro.knobs.KNOBS` with
   the value this process reads (so a forgotten engine or cache setting
   cannot masquerade as a real fault).  A malformed knob is reported with
-  its error, the rest of the report is skipped, and the doctor fails;
+  its error, the rest of the report is skipped, and the doctor fails.
+  A set ``REPRO_*`` variable that names no knob (a removed or misspelt
+  one) is reported as ignored, without failing the doctor;
 * **cache** -- version, layer sizes and quarantine count;
 * **workers** -- the CPU count.
 
@@ -48,7 +50,8 @@ def _doctor_square(x):
 
 
 def _section_knobs():
-    """``(entries, ok)``: each knob's value, or its error when malformed."""
+    """``(entries, ok)``: each knob's value, or its error when malformed,
+    then each set variable that names no knob."""
     entries, ok, given = {}, True, knobs.environment()
     for name in knobs.KNOBS:
         try:
@@ -57,6 +60,8 @@ def _section_knobs():
             entries[name], ok = f"ERROR: {exc}", False
             continue
         entries[name] = str(value) + ("" if name in given else " (default)")
+    for name in sorted(set(given) - set(knobs.KNOBS)):
+        entries[name] = "ignored: not a knob; unset it"
     return entries, ok
 
 
@@ -184,10 +189,10 @@ def _selftest_serve() -> str:
     gemm = {"m": 64, "n": 64, "k": 16, "kernel": "ours", "seed": 11}
     with tempfile.TemporaryDirectory(prefix="repro-doctor-serve") as tmp:
         sock = os.path.join(tmp, "doctor.sock")
-        daemon = ServeDaemon(sock, workers=1)
+        daemon = ServeDaemon(sock)
         daemon.start()
         try:
-            # Park the single worker on a noop so both twins provably
+            # Park the executor on a noop so both twins provably
             # arrive while their key is queued -- the coalescing check is
             # then deterministic, not a race we usually win.  noop is never
             # cached, so a rerun against the same cache dir coalesces too.

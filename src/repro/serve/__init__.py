@@ -3,7 +3,7 @@
 The simulator became a pure cached function (content-addressed results,
 process-parallel sweeps); this package turns it into a shared
 **service**.  One long-running daemon (``repro serve start``) owns one
-worker pool and one hot cache, and any number of clients -- CLI
+job executor and one hot cache, and any number of clients -- CLI
 invocations with ``--remote``, Python callers of
 ``ServeClient(sock).run(kind, payload)`` -- submit jobs over a unix
 domain socket.  The job runners (:func:`~repro.serve.jobs.run_job`) are

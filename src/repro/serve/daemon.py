@@ -1,4 +1,4 @@
-"""The simulation-service daemon: socket front-end + worker pool.
+"""The simulation-service daemon: socket front-end + one job executor.
 
 One long-running process owns:
 
@@ -6,12 +6,13 @@ One long-running process owns:
   connection, speaking :mod:`repro.serve.protocol` frames);
 * the **job queue** (:class:`repro.serve.queue.JobQueue`) with in-flight
   coalescing;
-* one **worker pool** -- executor threads that claim jobs and run them
-  through :func:`repro.serve.jobs.run_job`.  Sweep and autotune jobs
-  that ask for process parallelism (``"jobs": N`` in their payload, at
-  most one worker per CPU) fan out through
-  :func:`repro.perf.parallel.parallel_map` exactly as an in-process run
-  would, including its serial fallback when a worker dies;
+* one **executor** thread that claims jobs in submission order and runs
+  each through :func:`repro.serve.jobs.run_job`, one at a time (two job
+  threads would trade the interpreter lock on every NumPy call, DESIGN.md
+  §7).  Sweep and autotune jobs that ask for process parallelism
+  (``"jobs": N`` in their payload, at most one worker per CPU) fan out
+  through :func:`repro.perf.parallel.parallel_map` exactly as an
+  in-process run would, including its serial fallback when a worker dies;
 * the **shared hot cache**: the process-wide ``repro.perf`` caches plus
   a ``serve/`` result store, so every completed job warms later tenants.
 
@@ -64,10 +65,8 @@ PROTOCOL_VERSION = 2
 class ServeDaemon:
     """One service instance (embeddable: tests run it in-process)."""
 
-    def __init__(self, socket_path: str = None, workers: int = None,
-                 queue_max: int = None):
+    def __init__(self, socket_path: str = None, queue_max: int = None):
         self.socket_path = socket_path or str(knobs.read("REPRO_SERVE_SOCKET"))
-        self.workers = workers or knobs.read("REPRO_SERVE_WORKERS")
         self.queue = JobQueue(queue_max or knobs.read("REPRO_SERVE_QUEUE_MAX"))
         self.cache = ResultCache(subdir="serve")
         self.started_at = time.time()
@@ -88,7 +87,7 @@ class ServeDaemon:
     # ------------------------------------------------------------ lifecycle
 
     def start(self) -> None:
-        """Bind the socket and spin up acceptor + worker threads."""
+        """Bind the socket and spin up the acceptor and executor threads."""
         path = self.socket_path
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         if os.path.exists(path):
@@ -103,12 +102,11 @@ class ServeDaemon:
         # close() alone does not wake a thread already blocked in accept();
         # a short timeout bounds how long the acceptor can ignore _stop.
         self._listener.settimeout(0.2)
-        self._threads = [threading.Thread(target=self._accept_loop,
-                                          name="serve-accept", daemon=True)]
-        for i in range(self.workers):
-            self._threads.append(threading.Thread(
-                target=self._worker_loop, name=f"serve-worker-{i}",
-                daemon=True))
+        self._threads = [
+            threading.Thread(target=self._accept_loop, name="serve-accept",
+                             daemon=True),
+            threading.Thread(target=self._executor_loop,
+                             name="serve-executor", daemon=True)]
         for thread in self._threads:
             thread.start()
 
@@ -290,7 +288,6 @@ class ServeDaemon:
             "ok": True,
             "pid": os.getpid(),
             "uptime_s": round(time.time() - self.started_at, 3),
-            "workers": self.workers,
             "queue_depth": queue.depth(),
             "inflight": queue.inflight(),
             "executed": queue.executed,
@@ -304,7 +301,7 @@ class ServeDaemon:
 
     # ------------------------------------------------------------ execution
 
-    def _worker_loop(self) -> None:
+    def _executor_loop(self) -> None:
         while not self._stop.is_set():
             job = self.queue.next_job(timeout=0.2)
             if job is None:
@@ -317,7 +314,7 @@ class ServeDaemon:
             try:
                 result = run_job(job.kind, job.payload)
             except Exception as exc:  # noqa: BLE001 - job faults must not
-                delta = scope.snapshot()  # kill the worker thread
+                delta = scope.snapshot()  # kill the executor thread
                 self.queue.fail(job, job_error(exc), delta)
                 self._account(job.tenant, None, delta)
                 return

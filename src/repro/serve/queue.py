@@ -230,7 +230,7 @@ class JobQueue:
                 raise UnknownJob(job_id) from None
 
     def depth(self) -> int:
-        """Jobs currently queued (not yet claimed by a worker)."""
+        """Jobs currently queued (not yet claimed by the executor)."""
         with self._lock:
             return len(self._fifo)
 

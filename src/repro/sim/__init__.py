@@ -1,29 +1,18 @@
 """Turing-class GPU simulator: functional + cycle-level timing substrate."""
 
-from .exec_units import Effects, ExecError, MemTransaction, execute
-from .functional import FunctionalResult, FunctionalSimulator, SimLimitError
-from .gpu import Device, LaunchTiming
-from .memory import AccessSummary, GlobalMemory, MemorySubsystem
-from .shared import SharedMemory, bank_conflict_degree, conflict_multiplier
-from .timing import ALU_LATENCY, TimingResult, TimingSimulator
+from .. import _lazy
 
-__all__ = [
-    "Effects",
-    "ExecError",
-    "MemTransaction",
-    "execute",
-    "FunctionalResult",
-    "FunctionalSimulator",
-    "SimLimitError",
-    "Device",
-    "LaunchTiming",
-    "AccessSummary",
-    "GlobalMemory",
-    "MemorySubsystem",
-    "SharedMemory",
-    "bank_conflict_degree",
-    "conflict_multiplier",
-    "ALU_LATENCY",
-    "TimingResult",
-    "TimingSimulator",
-]
+# Resolved on first use, like the other packages' re-exports.  An eager
+# import here would also race: a thread importing ``repro.sim.functional``
+# while another runs this ``__init__`` could read a partly initialised
+# submodule.
+__all__, __getattr__, __dir__ = _lazy.exports(__name__, {
+    ".exec_units": ("Effects", "ExecError", "MemTransaction", "execute"),
+    ".functional": ("FunctionalResult", "FunctionalSimulator",
+                    "SimLimitError"),
+    ".gpu": ("Device", "LaunchTiming"),
+    ".memory": ("AccessSummary", "GlobalMemory", "MemorySubsystem"),
+    ".shared": ("SharedMemory", "bank_conflict_degree",
+                "conflict_multiplier"),
+    ".timing": ("ALU_LATENCY", "TimingResult", "TimingSimulator"),
+})

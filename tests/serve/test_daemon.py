@@ -1,5 +1,6 @@
 """End-to-end tests of the in-process daemon: correctness, coalescing,
-per-request stats, cache hits, disconnect survival, worker crashes."""
+per-request stats, cache hits, one job at a time, disconnect survival,
+worker crashes."""
 
 import socket
 import threading
@@ -34,7 +35,7 @@ def scratch_env(tmp_path, monkeypatch):
 
 @pytest.fixture()
 def daemon(scratch_env):
-    d = ServeDaemon(str(scratch_env / "test.sock"), workers=2)
+    d = ServeDaemon(str(scratch_env / "test.sock"))
     d.start()
     yield d
     d.stop()
@@ -65,8 +66,8 @@ def _estimate_crash_once(payload):
 
 
 def _running(client, view, timeout=5.0):
-    """Wait until a worker claims the job of *view*, so it stops counting
-    against the queued-depth bound."""
+    """Wait until the executor claims the job of *view*, so it stops
+    counting against the queued-depth bound."""
     import time
 
     deadline = time.time() + timeout
@@ -123,7 +124,7 @@ class TestBasics:
                                      r"tuple of ints, got 'ab'"):
                 client.run("sweep", payload)
             assert all(thread.is_alive() for thread in daemon._threads)
-            # Both workers still claim and run jobs.
+            # The executor still claims and runs jobs.
             views = client.batch_submit(
                 [{"kind": "noop", "payload": {"value": v, "sleep_s": 0.2}}
                  for v in (1, 2)])
@@ -219,11 +220,10 @@ class TestBasics:
 
 
 class TestKnobs:
-    """``REPRO_SERVE_WORKERS`` and ``REPRO_SERVE_QUEUE_MAX`` are read by the
-    constructor; nothing here starts the daemon."""
+    """``REPRO_SERVE_QUEUE_MAX`` is read by the constructor; nothing here
+    starts the daemon."""
 
-    @pytest.mark.parametrize("name", ["REPRO_SERVE_WORKERS",
-                                      "REPRO_SERVE_QUEUE_MAX"])
+    @pytest.mark.parametrize("name", ["REPRO_SERVE_QUEUE_MAX"])
     @pytest.mark.parametrize("raw", ["0", "-3", "-1", "abc", "2.5"])
     def test_bad_value_raises_naming_the_variable(self, scratch_env,
                                                   monkeypatch, name, raw):
@@ -233,10 +233,42 @@ class TestKnobs:
             ServeDaemon(str(scratch_env / "test.sock"))
 
     def test_good_values_are_used(self, scratch_env, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_WORKERS", "3")
         monkeypatch.setenv("REPRO_SERVE_QUEUE_MAX", "7")
         d = ServeDaemon(str(scratch_env / "test.sock"))
-        assert (d.workers, d.queue.max_depth) == (3, 7)
+        assert d.queue.max_depth == 7
+
+
+class TestOneExecutor:
+    def test_jobs_run_one_at_a_time_in_submission_order(self, daemon,
+                                                        monkeypatch):
+        """While one tenant's job runs, another tenant's jobs stay queued;
+        they start in the order they were submitted, never two at once."""
+        import repro.serve.daemon as daemon_mod
+
+        run_job, started, running = daemon_mod.run_job, [], []
+
+        def recording(kind, payload):
+            running.append(payload["value"])
+            started.append(list(running))
+            try:
+                return run_job(kind, payload)
+            finally:
+                running.remove(payload["value"])
+
+        monkeypatch.setattr(daemon_mod, "run_job", recording)
+        with ServeClient(daemon.socket_path, tenant="first") as first, \
+                ServeClient(daemon.socket_path, tenant="second") as second:
+            held = first.submit("noop", {"sleep_s": 1.0, "value": 0})
+            _running(first, held)
+            views = [second.submit("noop", {"value": v}) for v in (1, 2, 3)]
+            states = [second.wait(view["job_id"], timeout=0)["state"]
+                      for view in views]
+            done = [second.wait(view["job_id"], timeout=60)
+                    for view in [held] + views]
+        assert states == ["queued"] * 3
+        assert [view["result"] for view in done] == [
+            {"value": v} for v in range(4)]
+        assert started == [[0], [1], [2], [3]]
 
 
 class TestCoalescing:
@@ -272,7 +304,7 @@ class TestCoalescing:
         import repro.serve.daemon as daemon_mod
 
         monkeypatch.setattr(daemon_mod, "run_job", lambda kind, p: {"v": 1})
-        d = ServeDaemon(str(scratch_env / "race.sock"), workers=1)
+        d = ServeDaemon(str(scratch_env / "race.sock"))
         message = {"kind": "hgemm", "payload": _hgemm_payload()}
         first = d._submit_one(dict(message))
         lookup, workers = d.cache.get, []
@@ -333,7 +365,7 @@ class TestStatsAttribution:
         assert view["result"]["instructions"] <= counters["func.instructions"]
 
     def test_concurrent_jobs_attribute_separately(self, daemon):
-        """Two different jobs running at once must not bleed counters."""
+        """Two different jobs submitted at once must not bleed counters."""
         payloads = [_hgemm_payload(seed=1), _hgemm_payload(seed=2, k=32)]
         views = [None, None]
 
@@ -419,8 +451,7 @@ class TestRobustness:
         assert victim.is_file()
 
     def test_queue_full_is_reported(self, scratch_env):
-        d = ServeDaemon(str(scratch_env / "tiny.sock"), workers=1,
-                        queue_max=1)
+        d = ServeDaemon(str(scratch_env / "tiny.sock"), queue_max=1)
         d.start()
         try:
             with ServeClient(d.socket_path) as client:
@@ -434,8 +465,7 @@ class TestRobustness:
             d.stop()
 
     def test_batch_that_does_not_fit_admits_nothing(self, scratch_env):
-        d = ServeDaemon(str(scratch_env / "fit.sock"), workers=1,
-                        queue_max=2)
+        d = ServeDaemon(str(scratch_env / "fit.sock"), queue_max=2)
         d.start()
         try:
             with ServeClient(d.socket_path) as client:
@@ -464,7 +494,7 @@ class TestRobustness:
     def test_stop_fails_queued_jobs_and_removes_socket(self, scratch_env):
         import os
 
-        d = ServeDaemon(str(scratch_env / "stop.sock"), workers=1)
+        d = ServeDaemon(str(scratch_env / "stop.sock"))
         d.start()
         with ServeClient(d.socket_path) as client:
             client.submit("noop", {"sleep_s": 0.5, "value": 0})  # running

@@ -12,6 +12,7 @@ decodes to an object whose ``*_to_dict`` gives every given field back
 import dataclasses
 import json
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import PerfOptions
@@ -107,6 +108,39 @@ _SPEC_FIELDS = sorted(_SPECS[0]) + ["device"]
 ))
 def test_spec_decodes_or_refuses(data):
     _check(spec_from_dict, spec_to_dict, data)
+
+
+#: Values no device can have, each set on every custom spec dict.
+_IMPOSSIBLE = [
+    ("clock_ghz", float("nan")), ("clock_ghz", float("inf")),
+    ("dram_measured_gbps", -5), ("hmma_cpi", 0), ("l2_bytes", -1),
+    ("mio_queue_depth", 0), ("smem_banks", 0), ("ldg_latency_cycles", -3),
+    ("kernel_launch_overhead_us", float("-inf")),
+]
+
+
+@pytest.mark.parametrize("name,value", _IMPOSSIBLE)
+def test_impossible_spec_values_are_refused_by_name(name, value):
+    for data in _SPECS:
+        with pytest.raises(ConfigError, match=rf"^GpuSpec\.{name} must be a "
+                                              r"finite number >=? 0, got "):
+            spec_from_dict({**data, name: value})
+
+
+@pytest.mark.parametrize("cpi", [0.0, -1.0, float("nan")])
+def test_impossible_memory_cpi_is_refused_by_name(cpi):
+    data = {**_SPECS[0], "lds_cpi": {**_SPECS[0]["lds_cpi"], "cpi64": cpi}}
+    with pytest.raises(ConfigError, match=r"^MemoryCpiTable\.cpi64 must be a "
+                                          r"finite number > 0, got "):
+        spec_from_dict(data)
+
+
+@pytest.mark.parametrize("name", ["dram_peak_gbps", "dram_measured_gbps",
+                                  "l2_measured_gbps", "tensor_tflops",
+                                  "fp16_tflops"])
+def test_zero_stays_allowed_where_it_is_the_default(name):
+    """A figure whose default is 0 (left unmeasured) may be 0."""
+    assert getattr(spec_from_dict({**_SPECS[0], name: 0}), name) == 0
 
 
 @given(st.one_of(_SCALARS, st.lists(_VALUES, max_size=2)))

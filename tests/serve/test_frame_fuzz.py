@@ -119,7 +119,7 @@ def fuzz_daemon(tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("REPRO_CACHE_DIR", str(root))
         mp.delenv("REPRO_CHAOS", raising=False)
-        daemon = ServeDaemon(str(root / "fuzz.sock"), workers=2)
+        daemon = ServeDaemon(str(root / "fuzz.sock"))
         daemon.start()
         yield daemon
         daemon.stop()

@@ -35,7 +35,7 @@ def test_service_smoke(tmp_path):
     env = _cli_env(tmp_path)
     sock = str(tmp_path / "smoke.sock")
 
-    started = _cli(env, "serve", "start", "--socket", sock, "--workers", "2")
+    started = _cli(env, "serve", "start", "--socket", sock)
     assert started.returncode == 0, started.stderr
     assert daemon_available(sock)
     try:

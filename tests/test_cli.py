@@ -214,7 +214,7 @@ class TestJobVerbs:
         argv = JOB_ARGV[verb]
         local_rc = main(argv)
         local = capsys.readouterr().out
-        daemon = ServeDaemon(str(cache_enabled / "parity.sock"), workers=1)
+        daemon = ServeDaemon(str(cache_enabled / "parity.sock"))
         daemon.start()
         try:
             remote_rc = main(argv + ["--remote", daemon.socket_path])
@@ -233,7 +233,7 @@ class TestJobVerbs:
         argv = MALFORMED_ARGV[verb]
         local_rc = main(argv)
         local = capsys.readouterr()
-        daemon = ServeDaemon(str(cache_enabled / "refuse.sock"), workers=1)
+        daemon = ServeDaemon(str(cache_enabled / "refuse.sock"))
         daemon.start()
         try:
             remote_rc = main(argv + ["--remote", daemon.socket_path])
@@ -267,11 +267,11 @@ class TestJobVerbs:
 class TestServeCli:
     def test_serve_parser(self):
         args = build_parser().parse_args(
-            ["serve", "start", "--socket", "/tmp/x.sock", "--workers", "3",
+            ["serve", "start", "--socket", "/tmp/x.sock",
              "--queue-max", "16", "--foreground"])
         assert args.command == "serve" and args.action == "start"
         assert args.socket == "/tmp/x.sock"
-        assert args.workers == 3 and args.queue_max == 16
+        assert args.queue_max == 16
         assert args.foreground
 
     def test_remote_flag_optional_socket(self):
@@ -303,7 +303,7 @@ class TestServeCli:
         """Full thin-client path against an embedded daemon."""
         from repro.serve import ServeDaemon
 
-        daemon = ServeDaemon(str(tmp_path / "cli.sock"), workers=1)
+        daemon = ServeDaemon(str(tmp_path / "cli.sock"))
         daemon.start()
         try:
             rc = main(["hgemm", "64", "64", "32",
@@ -327,7 +327,7 @@ class TestServeCli:
         submitted next stay queued together (as ``repro doctor`` does)."""
         from repro.serve import ServeClient, ServeDaemon
 
-        daemon = ServeDaemon(str(path), workers=1)
+        daemon = ServeDaemon(str(path))
         daemon.start()
         with ServeClient(daemon.socket_path, tenant="hold") as holder:
             holder.submit("noop", {"sleep_s": 0.75})
@@ -407,7 +407,7 @@ class TestWorkloadsCommand:
     def test_remote_run_against_daemon(self, tmp_path, cache_enabled, capsys):
         from repro.serve import ServeDaemon
 
-        daemon = ServeDaemon(str(tmp_path / "wl.sock"), workers=1)
+        daemon = ServeDaemon(str(tmp_path / "wl.sock"))
         daemon.start()
         try:
             rc = main(["workloads", "run", "--suite", "smoke",
@@ -443,7 +443,7 @@ class TestNumericsCommand:
         from repro.serve import ServeDaemon
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        daemon = ServeDaemon(str(tmp_path / "num.sock"), workers=1)
+        daemon = ServeDaemon(str(tmp_path / "num.sock"))
         daemon.start()
         try:
             rc = main(["numerics", "--ks", "32,64,128,256",

@@ -1,10 +1,12 @@
 """The import footprint and the public surface of the package.
 
-``repro``, ``repro.arch``, ``repro.core``, ``repro.analysis`` and
-``repro.serve`` resolve their re-exports on first use, so a process that
-imports the package, asks for ``--help`` or talks to a daemon loads
-neither NumPy nor a simulator.  These tests run fresh interpreters for
-the footprint, and pin what the packages and the parser show a user.
+``repro``, ``repro.arch``, ``repro.core``, ``repro.analysis``,
+``repro.serve`` and ``repro.sim`` resolve their re-exports on first use,
+so a process that imports the package, asks for ``--help`` or talks to
+a daemon loads neither NumPy nor a simulator.  These tests run fresh
+interpreters for the footprint and for threads that import the
+simulators together, and pin what the packages and the parser show a
+user.
 """
 
 import argparse
@@ -24,7 +26,7 @@ from repro.cli import build_parser, main
 SRC = Path(repro.__file__).resolve().parent.parent
 
 PACKAGES = ("repro", "repro.arch", "repro.core", "repro.analysis",
-            "repro.serve")
+            "repro.serve", "repro.sim")
 
 #: SHA-256 of each package's sorted ``__all__``, one name a line.
 ALL_SHA256 = {
@@ -37,6 +39,8 @@ ALL_SHA256 = {
         "72d844402ac261328860a258aac8088224f25e6d300a792d3f1e53bcd3baeb7a",
     "repro.serve":
         "199b2caf9f1a39b3d6f41cf93b33298bf295fb2fca57023f10b4799e11e055a8",
+    "repro.sim":
+        "23e11e4075051e3be874a415b9e4e5dbab739f862fd109eef485f7c291f89f9f",
 }
 
 #: The module defining each exported value that has no ``__module__``.
@@ -47,7 +51,7 @@ CONSTANTS = {
     "SM70": "repro.arch.family", "SM75": "repro.arch.family",
     "SM80": "repro.arch.family", "WARP_LANES": "repro.arch.registers",
     "JOB_KINDS": "repro.serve.jobs", "PROTOCOL_VERSION": "repro.serve.daemon",
-    "__version__": "repro",
+    "ALU_LATENCY": "repro.sim.timing", "__version__": "repro",
 }
 
 #: Exports that share their submodule's name.
@@ -77,7 +81,7 @@ HELP_SHA256 = {
     "devices":
         "facbe00d45133fa9f282bd55ba234f5cfe9917a56307dadedd851bfa299c12d3",
     "doctor": "5158d8adba47b5b5a00b2d533303965a9245a0b32d39de797b352ca37070005c",
-    "serve": "9c64e1a4f449d05d6d9b798def9bf43c527a8eab4d2771f6c132d82eb04f8e42",
+    "serve": "47d90b0d280affce2751c8d25d6e6217ee8d2f19f6394f26470de82edeba7e88",
     "disasm": "858d85233e5cc54e38277ef8c8c5df3761a5f2b40bf2b04b87f01f246e0e1e44",
 }
 
@@ -132,7 +136,7 @@ class TestFootprint:
         from repro.serve import ServeDaemon
 
         tmp_path = cache_enabled
-        daemon = ServeDaemon(str(tmp_path / "footprint.sock"), workers=1)
+        daemon = ServeDaemon(str(tmp_path / "footprint.sock"))
         daemon.start()
         try:
             loaded = _loaded(tmp_path, _cli(*argv, "--remote",
@@ -155,6 +159,53 @@ class TestFootprint:
             + [f"assert inspect.isfunction({package}.{name})"
                for package, name in SHARED])
         assert "repro.core.hgemm" in _loaded(tmp_path, probe)
+
+
+#: Starts one thread per job kind that loads the simulators, releases
+#: them together, and prints each failed job's error.
+_KINDS_AT_ONCE = """
+import threading
+from repro.core.config import ours
+from repro.serve.jobs import config_to_dict, run_job
+
+config = config_to_dict(ours())
+payloads = {
+    "sweep": {"spec": {"device": "RTX2070"}, "config": config,
+              "sizes": [1024]},
+    "hgemm": {"m": 64, "n": 64, "k": 16},
+    "igemm": {"m": 64, "n": 64, "k": 32},
+    "verify": {"config": config, "seeds": 1},
+    "workloads": {"suite": "smoke"},
+    "numerics": {"ks": [32, 256]},
+}
+barrier = threading.Barrier(len(payloads))
+
+def run(kind):
+    barrier.wait(timeout=60)
+    try:
+        run_job(kind, payloads[kind])
+    except Exception as exc:
+        print(f"{kind}: {type(exc).__name__}: {exc}")
+
+threads = [threading.Thread(target=run, args=(kind,)) for kind in payloads]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(timeout=300)
+    assert not thread.is_alive()
+"""
+
+
+class TestFirstImportRace:
+    def test_job_kinds_started_together_all_succeed(self, tmp_path):
+        """Jobs of every simulating kind, started at once in a fresh
+        interpreter, race their first imports of ``repro.sim``: none may
+        read a partly initialised module."""
+        done = subprocess.run([sys.executable, "-c", _KINDS_AT_ONCE],
+                              env=_env(tmp_path), capture_output=True,
+                              text=True, timeout=600)
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert done.stdout == "", done.stdout
 
 
 class TestSurface:

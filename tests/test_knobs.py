@@ -19,7 +19,6 @@ MALFORMED = {
     "REPRO_NO_CACHE": "false",
     "REPRO_CACHE_MAX_MB": "-1",
     "REPRO_CACHE_MEM_ENTRIES": "2.5",
-    "REPRO_SERVE_WORKERS": "0",
     "REPRO_SERVE_QUEUE_MAX": "x",
 }
 ANY_VALUE = {"REPRO_CACHE_DIR", "REPRO_SERVE_SOCKET"}
@@ -52,9 +51,9 @@ def test_only_knobs_reads_the_environment():
                              "read it with knobs.read: " + ", ".join(offenders))
 
 
-def test_the_table_is_the_nine_knobs():
+def test_the_table_is_the_eight_knobs():
     assert set(knobs.KNOBS) == set(MALFORMED) | ANY_VALUE
-    assert len(knobs.KNOBS) == 9
+    assert len(knobs.KNOBS) == 8
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
@@ -78,7 +77,7 @@ def test_unset_and_empty_read_the_default(name, monkeypatch):
     ("REPRO_FUNC_ENGINE", "reference", "reference"),
     ("REPRO_SERVE_QUEUE_MAX", "1", 1),
     ("REPRO_CACHE_MEM_ENTRIES", "1e3", 1000),
-    ("REPRO_SERVE_WORKERS", "2.0", 2),
+    ("REPRO_TIMING_ENGINE", "reference", "reference"),
     ("REPRO_CACHE_MAX_MB", " 30 ", 30.0),
     ("REPRO_NO_CACHE", "0", False),
     ("REPRO_NO_CACHE", "1", True),
@@ -102,20 +101,39 @@ def test_readme_table_lists_every_knob():
     assert rows == set(knobs.KNOBS)
 
 
-@pytest.mark.parametrize("name", ["REPRO_SERVE_WORKERS", "REPRO_CACHE_MAX_MB",
+def _doctor(tmp_path, **variables):
+    """``repro doctor --no-selftest`` with only *variables* of ``REPRO_*``
+    set (and a private cache dir)."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env.update(PYTHONPATH=str(SRC), REPRO_CACHE_DIR=str(tmp_path),
+               **variables)
+    return subprocess.run(
+        [sys.executable, "-m", "repro", "doctor", "--no-selftest"],
+        env=env, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("name", ["REPRO_CACHE_MAX_MB",
                                   "REPRO_TIMING_ENGINE", "REPRO_NO_CACHE"])
 def test_doctor_fails_on_a_malformed_knob(name, tmp_path):
     """``repro doctor --no-selftest`` lists every knob; a malformed one
     makes it exit 1 with the variable named and no traceback."""
-    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
-    env.update(PYTHONPATH=str(SRC), REPRO_CACHE_DIR=str(tmp_path),
-               **{name: MALFORMED[name]})
-    done = subprocess.run(
-        [sys.executable, "-m", "repro", "doctor", "--no-selftest"],
-        env=env, capture_output=True, text=True, timeout=120)
+    done = _doctor(tmp_path, **{name: MALFORMED[name]})
     assert done.returncode == 1, done.stdout + done.stderr
     assert "Traceback" not in done.stdout + done.stderr
     assert f"knobs.{name}" in done.stdout
     assert f"ERROR: {name} must be " in done.stdout
     for other in knobs.KNOBS:
         assert f"knobs.{other} " in done.stdout
+
+
+def test_doctor_names_variables_that_are_no_knob(tmp_path):
+    """A set ``REPRO_*`` variable that is not in the table (a removed knob
+    here) is read by nothing: the doctor names each one as ignored, and
+    still exits 0."""
+    done = _doctor(tmp_path, REPRO_SERVE_WORKERS="4", REPRO_GUARD="sample")
+    assert done.returncode == 0, done.stdout + done.stderr
+    ignored = [line.split() for line in done.stdout.splitlines()
+               if "ignored" in line]
+    assert ignored == [
+        [f"knobs.{name}", "ignored:", "not", "a", "knob;", "unset", "it"]
+        for name in ("REPRO_GUARD", "REPRO_SERVE_WORKERS")]
