@@ -8,8 +8,7 @@ __all__, __getattr__, __dir__ = _lazy.exports(__name__, {
     ".autotune": ("Candidate", "TuneResult", "autotune", "candidate_space"),
     ".bounds": ("BoundBreakdown", "explain", "sweep_transitions"),
     ".occupancy": ("OccupancyReport", "occupancy", "table7"),
-    ".perf_model": ("LaunchEstimate", "PerfOptions", "PerformanceModel",
-                    "SmProfile"),
+    ".perf_model": ("LaunchEstimate", "PerformanceModel", "SmProfile"),
     ".roofline": ("Roofline", "RooflinePoint"),
     ".suite": ("autotune_suite", "format_suite_tuning", "sweep_suite"),
 })

@@ -37,51 +37,35 @@ from dataclasses import asdict, dataclass
 
 from ..arch.turing import GpuSpec
 from ..core.builder import HgemmProblem, build_hgemm
-from ..core.config import (ConfigError, KernelConfig, adapt_for_arch,
-                           check_field_types)
+from ..core.config import KernelConfig, adapt_for_arch
 from ..isa.encoding import encode_program
 from ..perf.cache import PROFILE_CACHE, SIM_VERSION, content_key
 from ..perf.parallel import parallel_map
 from ..sim.memory import GlobalMemory
 from ..sim.timing import TimingSimulator
 
-__all__ = ["PerfOptions", "SmProfile", "LaunchEstimate", "PerformanceModel"]
+__all__ = ["SmProfile", "LaunchEstimate", "PerformanceModel"]
 
 #: Global-memory footprint used for profile runs (fresh, zero-filled).
 _PROFILE_MEM_BYTES = 16 << 20
 
+# The wave/L2 model's calibration (DESIGN.md §5).  No microbenchmark
+# measures these; each is one value every figure is drawn with.
 
-@dataclass(frozen=True)
-class PerfOptions:
-    """Tunables of the wave/L2 model (defaults documented in DESIGN.md)."""
-
-    #: Fraction of *potential* inter-CTA tile sharing served by L2 when
-    #: CTAs are roughly in lockstep.
-    l2_reuse_eta: float = 0.8
-    #: Lockstep erosion: reuse efficiency loses up to `drift_max` as the
-    #: iteration count approaches `drift_span` (long-k runs drift apart).
-    drift_span: float = 4096.0
-    drift_max: float = 0.3
-    #: cuBLAS-10.1 quirk: reuse collapses when n*b_m*2 > fraction * L2.
-    cliff_l2_fraction: float = 0.72
-    cliff_devices: tuple[str, ...] = ("RTX2070",)
-    #: Effective measurement k-depths for the SM profile.
-    profile_iters: tuple[int, ...] = (2, 6)
-
-    def __post_init__(self) -> None:
-        check_field_types(self)
-        for name in ("l2_reuse_eta", "drift_max"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ConfigError(f"PerfOptions.{name} must be in [0, 1], "
-                                  f"got {getattr(self, name)!r}")
-        for name in ("drift_span", "cliff_l2_fraction"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigError(f"PerfOptions.{name} must be > 0, "
-                                  f"got {getattr(self, name)!r}")
-        iters = self.profile_iters
-        if len(iters) != 2 or not 1 <= iters[0] < iters[1]:
-            raise ConfigError(f"PerfOptions.profile_iters must be two ints "
-                              f"(lo, hi) with 1 <= lo < hi, got {iters!r}")
+#: Fraction of *potential* inter-CTA tile sharing served by L2 when CTAs
+#: are roughly in lockstep.
+L2_REUSE_ETA = 0.8
+#: Lockstep erosion: reuse efficiency loses up to ``DRIFT_MAX`` as the
+#: iteration count approaches ``DRIFT_SPAN`` (long-k runs drift apart).
+DRIFT_SPAN = 4096.0
+DRIFT_MAX = 0.3
+#: cuBLAS-10.1 quirk: reuse collapses when n*b_m*2 > fraction * L2, on
+#: the devices named (the paper's T4 data, Fig. 7, shows no cliff).
+CLIFF_L2_FRACTION = 0.72
+CLIFF_DEVICES = ("RTX2070",)
+#: The two k-depths (lo, hi) the SM profile is measured at; every
+#: SM-profile cache key hashes them.
+PROFILE_ITERS = (2, 6)
 
 
 @dataclass(frozen=True)
@@ -118,9 +102,8 @@ class LaunchEstimate:
 class PerformanceModel:
     """Estimates whole-device HGEMM performance for one GPU."""
 
-    def __init__(self, spec: GpuSpec, options: PerfOptions = None):
+    def __init__(self, spec: GpuSpec):
         self.spec = spec
-        self.options = options or PerfOptions()
         self._profiles: dict = {}
 
     # --------------------------------------------------------- SM profiling
@@ -145,7 +128,7 @@ class PerformanceModel:
         if key in self._profiles:
             return self._profiles[key]
         ctas_per_sm = self.ctas_per_sm(config)
-        lo, hi = self.options.profile_iters
+        lo, hi = PROFILE_ITERS
         profile_key = content_key(b"sm-profile", SIM_VERSION, self.spec,
                                   config, (lo, hi), ctas_per_sm)
         cached = PROFILE_CACHE.get(profile_key)
@@ -203,7 +186,7 @@ class PerformanceModel:
         if len(todo) > 1 and max_workers is not None and max_workers != 1:
             profiles = parallel_map(
                 _profile_worker,
-                [(self.spec, self.options, c) for c in todo],
+                [(self.spec, c) for c in todo],
                 max_workers=max_workers,
             )
             for config, profile in zip(todo, profiles):
@@ -246,19 +229,19 @@ class PerformanceModel:
             rows = min(grid_y, math.ceil(concurrent / grid_x))
         return rows, cols
 
-    def _reuse_efficiency(self, iters: int) -> float:
-        drift = min(self.options.drift_max,
-                    self.options.drift_max * iters / self.options.drift_span)
-        return self.options.l2_reuse_eta * (1.0 - drift)
+    @staticmethod
+    def _reuse_efficiency(iters: int) -> float:
+        drift = min(DRIFT_MAX, DRIFT_MAX * iters / DRIFT_SPAN)
+        return L2_REUSE_ETA * (1.0 - drift)
 
     def _cliff_active(self, config: KernelConfig, n: int,
                       baseline_quirks: bool) -> bool:
         if not baseline_quirks:
             return False
-        if self.spec.name not in self.options.cliff_devices:
+        if self.spec.name not in CLIFF_DEVICES:
             return False
         c_row_bytes = n * config.b_m * 2
-        return c_row_bytes > self.options.cliff_l2_fraction * self.spec.l2_bytes
+        return c_row_bytes > CLIFF_L2_FRACTION * self.spec.l2_bytes
 
     # ----------------------------------------------------------- estimates
 
@@ -269,7 +252,7 @@ class PerformanceModel:
         ``baseline_quirks`` enables the cuBLAS-10.1 behavioural quirks
         (the RTX 2070 L2-blocking cliff); use it only for the baseline.
         """
-        spec, opt = self.spec, self.options
+        spec = self.spec
         config = adapt_for_arch(config, spec.arch)
         profile = self.sm_profile(config)
         grid_x, grid_y = config.grid_dim(m, n)
@@ -339,26 +322,14 @@ class PerformanceModel:
         )
 
     def sweep(self, config: KernelConfig, sizes, shape=(1, 1, 1),
-              baseline_quirks: bool = False, max_workers=None) -> list:
+              baseline_quirks: bool = False) -> list:
         """Estimate a size sweep; ``shape`` scales (m, n, k) from W (the
         paper's [aW x bW x cW] rectangular series).
 
-        With ``max_workers`` (see :func:`repro.perf.parallel.parallel_map`)
-        the sizes are estimated across worker processes.  The SM profile is
-        measured once here first and shipped to the workers, so the
-        expensive simulation never runs more than once per config.
+        The sizes share one SM profile, measured by the first estimate;
+        the rest is arithmetic, which costs less than starting a worker.
         """
         config = adapt_for_arch(config, self.spec.arch)
-        sizes = list(sizes)
-        if len(sizes) > 1 and max_workers is not None and max_workers != 1:
-            profile = asdict(self.sm_profile(config))
-            payloads = [
-                (self.spec, self.options, config, profile,
-                 shape[0] * w, shape[1] * w, shape[2] * w, baseline_quirks)
-                for w in sizes
-            ]
-            return parallel_map(_estimate_worker, payloads,
-                                max_workers=max_workers)
         out = []
         for w in sizes:
             m, n, k = (s * w for s in shape)
@@ -367,17 +338,9 @@ class PerformanceModel:
         return out
 
 
-# Module-level worker functions: ``ProcessPoolExecutor`` requires picklable
-# callables, and every payload element (GpuSpec, PerfOptions, KernelConfig,
-# plain dicts/ints) pickles cleanly.
+# A module-level worker function: ``ProcessPoolExecutor`` requires a
+# picklable callable, and the payload (GpuSpec, KernelConfig) pickles.
 
 def _profile_worker(payload) -> dict:
-    spec, options, config = payload
-    return asdict(PerformanceModel(spec, options).sm_profile(config))
-
-
-def _estimate_worker(payload) -> LaunchEstimate:
-    spec, options, config, profile, m, n, k, baseline_quirks = payload
-    model = PerformanceModel(spec, options)
-    model._profiles[config] = SmProfile(**profile)
-    return model.estimate(config, m, n, k, baseline_quirks=baseline_quirks)
+    spec, config = payload
+    return asdict(PerformanceModel(spec).sm_profile(config))

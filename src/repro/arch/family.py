@@ -36,9 +36,26 @@ Calibration sources (PAPERS.md):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
+
+from ..core.config import ConfigError
 
 __all__ = ["ArchSpec", "SM70", "SM75", "SM80", "GENERATIONS", "get_generation"]
+
+
+def check_ranges(spec, zero_ok=()) -> None:
+    """Refuse, by name, a number field of *spec* no device can have: each
+    is finite and > 0, or >= 0 if *zero_ok* names it."""
+    for f in fields(spec):
+        if f.type not in ("int", "float"):
+            continue
+        value, zero = getattr(spec, f.name), f.name in zero_ok
+        finite = not isinstance(value, float) or math.isfinite(value)
+        if not (finite and (value >= 0 if zero else value > 0)):
+            raise ConfigError(f"{type(spec).__name__}.{f.name} must be a "
+                              f"finite number {'>=' if zero else '>'} 0, "
+                              f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -71,6 +88,8 @@ class ArchSpec:
     measured_hmma_cpi: float
 
     def __post_init__(self) -> None:
+        # c_regs_f32 may be 0 only where there is no F32-accumulate form.
+        check_ranges(self, () if self.supports_f32_accum else ("c_regs_f32",))
         # A warp's fragment registers must exactly cover the matrix tiles.
         if self.a_regs * 64 != self.hmma_m * self.hmma_k:
             raise ValueError(f"{self.name}: A fragment does not tile")

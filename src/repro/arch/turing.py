@@ -26,11 +26,9 @@ throughput of that instruction class:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
-from ..core.config import ConfigError
-from .family import SM70, SM75, SM80, ArchSpec
+from .family import SM70, SM75, SM80, ArchSpec, check_ranges
 
 __all__ = [
     "MemoryCpiTable", "GpuSpec", "RTX2070", "T4", "V100", "A100",
@@ -39,17 +37,9 @@ __all__ = [
 
 
 def _check_ranges(spec) -> None:
-    """Refuse, by name, a number field of *spec* no device can have: each
-    is finite and > 0, or >= 0 where its default is 0 (left unmeasured)."""
-    for f in fields(spec):
-        if f.type not in ("int", "float"):
-            continue
-        value, zero_ok = getattr(spec, f.name), f.default == 0
-        finite = not isinstance(value, float) or math.isfinite(value)
-        if not (finite and (value >= 0 if zero_ok else value > 0)):
-            raise ConfigError(f"{type(spec).__name__}.{f.name} must be a "
-                              f"finite number {'>=' if zero_ok else '>'} 0, "
-                              f"got {value!r}")
+    """:func:`~repro.arch.family.check_ranges`, letting a field whose
+    default is 0 (a figure left unmeasured) be 0."""
+    check_ranges(spec, [f.name for f in fields(spec) if f.default == 0])
 
 
 @dataclass(frozen=True)

@@ -99,15 +99,12 @@ def _run_jobs(args, payloads, show, charged: bool = False) -> int:
     kind = args.command
     remote = _resolve_remote(args)
     if remote is None:
-        jobs = getattr(args, "jobs", None)
-        if len(payloads) > 1:
-            # Several jobs spread over worker processes, each serial
-            # inside, so --jobs bounds the processes started in all.
-            payloads = [{name: value for name, value in p.items()
-                         if name != "jobs"} for p in payloads]
+        # A verb's several jobs (a sweep's two) spread over --jobs worker
+        # processes; such payloads carry no worker count, so --jobs bounds
+        # the processes started in all.
         try:
             results = parallel_map(partial(run_job, kind), payloads,
-                                   max_workers=jobs)
+                                   max_workers=getattr(args, "jobs", None))
         except knobs.KnobError:
             raise   # this process's environment: main reports it
         except Exception as exc:  # noqa: BLE001 - as the daemon reports it
@@ -253,9 +250,6 @@ def _cmd_sweep(args) -> int:
     payloads = [{"spec": spec_to_dict(spec), "config": config_to_dict(config),
                  "sizes": sizes, "baseline_quirks": quirks}
                 for config, quirks in ((ours(), False), (cublas_like(), True))]
-    if args.jobs is not None:
-        for payload in payloads:
-            payload["jobs"] = args.jobs
     if args.remote is None:
         # In-process, the two jobs run here or in workers forked from
         # here: load the model once, before any fork, not in each worker.
@@ -395,7 +389,7 @@ def _cmd_verify(args) -> int:
         b_m=64, b_n=64, b_k=32 if config.ab_dtype == "s8" else f16_bk,
         w_m=min(config.w_m, 32), w_n=min(config.w_n, 32),
         smem_swizzle=False,
-        smem_pad_halves=8 if not config.smem_swizzle else 8,
+        smem_pad_halves=8,
     )
     config = adapt_for_arch(config, spec.arch)
     payload = {"config": config_to_dict(config), "seeds": args.seeds,
@@ -533,7 +527,7 @@ def _serve_start(args, sock: str) -> int:
         print(f"error: a daemon is already serving {sock}", file=sys.stderr)
         return 1
     if args.foreground:
-        daemon = ServeDaemon(sock, queue_max=args.queue_max)
+        daemon = ServeDaemon(sock)
         try:
             signal.signal(signal.SIGTERM, lambda *_: daemon.stop())
         except ValueError:
@@ -556,8 +550,6 @@ def _serve_spawn(args, sock: str) -> int:
 
     cmd = [sys.executable, "-m", "repro", "serve", "start", "--foreground",
            "--socket", sock]
-    if args.queue_max is not None:
-        cmd += ["--queue-max", str(args.queue_max)]
     log_path = knobs.read("REPRO_CACHE_DIR") / "serve.log"
     log_path.parent.mkdir(parents=True, exist_ok=True)
     with open(log_path, "ab") as log:
@@ -759,9 +751,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--socket", default=None,
                    help="unix socket path (default: $REPRO_SERVE_SOCKET "
                         "or <cache dir>/serve.sock)")
-    p.add_argument("--queue-max", type=int, default=None,
-                   help="queued-job bound (default: $REPRO_SERVE_QUEUE_MAX "
-                        "or 256)")
     p.add_argument("--foreground", action="store_true",
                    help="with 'start': serve in this process instead of "
                         "forking a background daemon")

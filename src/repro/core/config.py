@@ -41,19 +41,13 @@ _FIELD_TYPES = {
               "a real number"),
     "bool": (lambda v: isinstance(v, bool), "a bool"),
     "str": (lambda v: isinstance(v, str), "a str"),
-    "tuple[int, ...]": (lambda v: isinstance(v, tuple) and all(map(_is_int, v)),
-                        "a tuple of ints"),
-    "tuple[str, ...]": (lambda v: isinstance(v, tuple)
-                        and all(isinstance(item, str) for item in v),
-                        "a tuple of strs"),
 }
 
 
 def check_field_types(obj, values=None) -> None:
     """Raise :class:`ConfigError` naming the first field of dataclass *obj*
     whose value does not have its annotated type: int fields refuse bool,
-    float and str, bool fields take only bools, tuple fields take tuples
-    of the element type.
+    float and str, and bool fields take only bools.
 
     With *values*, *obj* may be the class: the field values it is about
     to be built from are checked instead, those it names only, so a

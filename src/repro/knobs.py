@@ -17,7 +17,6 @@ only the standard library, so any module may read a knob.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,9 +33,8 @@ class Knob:
     """One environment knob.
 
     *kind* names the parser: ``choice`` (one of the *accepts* tuple),
-    ``number`` (a finite number >= *accepts*), ``count`` (a whole number
-    >= *accepts*), ``flag`` (``0`` is off, ``1`` on) or ``path``.
-    A callable *default* is evaluated at each read.
+    ``flag`` (``0`` is off, ``1`` on) or ``path``.  A callable *default*
+    is evaluated at each read.
     """
 
     name: str
@@ -63,16 +61,8 @@ KNOBS = {knob.name: knob for knob in (
          "directory of the on-disk result cache"),
     Knob("REPRO_NO_CACHE", "flag", False, None,
          "switch that turns both result-cache layers off"),
-    Knob("REPRO_CACHE_MAX_MB", "number", None, 0,
-         "size bound of the on-disk result cache, in MiB"),
-    # Entries, not bytes: profile payloads are small dicts, so 4096
-    # entries are a few MB at most.
-    Knob("REPRO_CACHE_MEM_ENTRIES", "count", 4096, 0,
-         "entry bound of the in-process result cache"),
     Knob("REPRO_SERVE_SOCKET", "path", _default_socket, None,
          "unix socket of the serve daemon"),
-    Knob("REPRO_SERVE_QUEUE_MAX", "count", 256, 1,
-         "queued-job bound of the serve daemon"),
 )}
 
 
@@ -80,34 +70,15 @@ def accepted(knob: Knob) -> str:
     """What *knob* accepts, in the words its error message uses."""
     if knob.kind == "choice":
         return f"one of {knob.accepts}"
-    if knob.kind == "number":
-        return f"a finite number >= {knob.accepts}"
-    if knob.kind == "count":
-        return f"a whole number >= {knob.accepts}"
     if knob.kind == "flag":
         return "0 (off) or 1 (on)"
     return "a path"
-
-
-def _number(raw: str, low: float, whole: bool):
-    """*raw* as a finite number >= *low* (an int when *whole*), or None
-    when it is not one."""
-    try:
-        value = float(raw)
-    except ValueError:
-        return None
-    if not (math.isfinite(value) and value >= low
-            and (value.is_integer() or not whole)):
-        return None
-    return int(value) if whole else value
 
 
 def _parse(knob: Knob, raw: str):
     """*raw* as *knob*'s value, or None when *knob* does not accept it."""
     if knob.kind == "choice":
         return raw if raw in knob.accepts else None
-    if knob.kind in ("number", "count"):
-        return _number(raw, knob.accepts, whole=knob.kind == "count")
     if knob.kind == "flag":
         return {"0": False, "1": True}.get(raw)
     return Path(raw)

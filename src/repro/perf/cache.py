@@ -33,15 +33,13 @@ quarantined into ``<subdir>/quarantine/`` for post-mortem, and
 ``cache.integrity_fails`` counts it.  A corrupt disk can therefore cost
 re-simulation but can never surface a wrong number.
 
-**Hygiene.**  With ``REPRO_CACHE_MAX_MB`` set, every disk store runs a
-size-bounded LRU sweep: reads touch entry mtimes, eviction unlinks oldest
-mtime first (``cache.evictions``), and stale ``*.tmp`` spill from
-interrupted writes is removed along the way (and unconditionally by
-``clear(disk=True)``).  The in-process layer is LRU-bounded too
-(``REPRO_CACHE_MEM_ENTRIES`` entries, default 4096;
-``cache.mem_evictions``): a long-running process -- the ``repro serve``
-daemon in particular -- keeps its hot set resident and re-reads colder
-entries from disk instead of growing without limit.
+**Hygiene.**  The in-process layer is LRU-bounded (:data:`MEM_ENTRIES`
+entries; ``cache.mem_evictions``): a long-running process -- the
+``repro serve`` daemon in particular -- keeps its hot set resident and
+re-reads colder entries from disk instead of growing without limit.
+The disk layer is not bounded; ``clear(disk=True)`` removes its
+entries, any ``*.tmp`` spill from interrupted writes and the
+quarantine.
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ import hashlib
 import json
 import os
 import tempfile
-import time
 from collections import OrderedDict
 from dataclasses import asdict, is_dataclass
 from pathlib import Path
@@ -75,9 +72,9 @@ SIM_VERSION = "timing-v2"  # v2: arch-family specs enter every key
 #: pre-envelope (or foreign) files then read as integrity misses.
 SCHEMA_VERSION = 1
 
-#: ``*.tmp`` spill older than this is swept by the eviction pass (a live
-#: ``put`` holds its tmp file for milliseconds; an hour is safely stale).
-_TMP_MAX_AGE_S = 3600.0
+#: Entry bound of each cache's in-process layer.  Entries, not bytes:
+#: profile payloads are small dicts, so 4096 entries are a few MB at most.
+MEM_ENTRIES = 4096
 
 
 def _canonical(part) -> bytes:
@@ -118,15 +115,9 @@ class ResultCache:
         """Insert into the in-process LRU layer, evicting past the bound."""
         self._memory[key] = value
         self._memory.move_to_end(key)
-        limit = knobs.read("REPRO_CACHE_MEM_ENTRIES")
-        if limit <= 0:
-            return
-        evicted = 0
-        while len(self._memory) > limit:
+        if len(self._memory) > MEM_ENTRIES:
             self._memory.popitem(last=False)
-            evicted += 1
-        if evicted:
-            STATS.count("cache.mem_evictions", evicted)
+            STATS.count("cache.mem_evictions")
 
     # -------------------------------------------------------------- layout
 
@@ -225,10 +216,6 @@ class ResultCache:
             self._quarantine(path)
             STATS.count("cache.misses")
             return None
-        try:
-            os.utime(path)  # LRU touch: disk hits refresh eviction order
-        except OSError:
-            pass
         self._remember(key, value)
         STATS.count("cache.disk_hits")
         return value
@@ -260,55 +247,8 @@ class ResultCache:
             STATS.count("cache.store_errors")
             return
         STATS.count("cache.stores")
-        if knobs.read("REPRO_CACHE_MAX_MB") is not None:
-            self.evict()
 
     # ------------------------------------------------------------- hygiene
-
-    def evict(self, max_bytes: int = None,
-              tmp_max_age: float = _TMP_MAX_AGE_S) -> int:
-        """Size-bounded LRU sweep of the disk layer; returns evictions.
-
-        Entries are unlinked oldest-mtime-first until the layer fits in
-        *max_bytes* (default ``REPRO_CACHE_MAX_MB``); stale ``*.tmp``
-        spill older than *tmp_max_age* seconds is removed first.
-        """
-        root = self._root()
-        if not root.is_dir():
-            return 0
-        now = time.time()
-        for tmp in root.glob("*.tmp"):
-            try:
-                if now - tmp.stat().st_mtime >= tmp_max_age:
-                    tmp.unlink()
-            except OSError:
-                pass
-        if max_bytes is None:
-            megabytes = knobs.read("REPRO_CACHE_MAX_MB")
-            if megabytes is None:
-                return 0
-            max_bytes = int(megabytes * 1024 * 1024)
-        entries = []
-        for entry in root.glob("*.json"):
-            try:
-                stat = entry.stat()
-            except OSError:
-                continue
-            entries.append((stat.st_mtime, stat.st_size, entry))
-        total = sum(size for _, size, _ in entries)
-        evicted = 0
-        for _, size, entry in sorted(entries):
-            if total <= max_bytes:
-                break
-            try:
-                entry.unlink()
-            except OSError:
-                continue
-            total -= size
-            evicted += 1
-        if evicted:
-            STATS.count("cache.evictions", evicted)
-        return evicted
 
     def clear(self, disk: bool = False) -> None:
         """Drop the in-process layer; optionally the disk layer too.

@@ -20,8 +20,8 @@ completed are kept, and the tasks that lack one run serially in this
 process -- simulation tasks are pure, so re-running one is always sound.
 
 Callables passed to :func:`parallel_map` must be module-level (picklable),
-and their payloads must pickle too -- ``GpuSpec``, ``KernelConfig`` and
-:class:`~repro.analysis.perf_model.PerfOptions` all do.
+and their payloads must pickle too -- ``GpuSpec`` and ``KernelConfig``
+do.
 
 STATS counters: ``par.tasks`` (tasks sent to a pool) and
 ``par.serial_fallbacks`` (tasks a broken pool left to this process).

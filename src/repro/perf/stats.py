@@ -38,13 +38,12 @@ Counter names use dotted namespaces by convention:
 * ``cache.mem_hits`` / ``cache.disk_hits`` / ``cache.misses`` /
   ``cache.stores`` -- maintained by :mod:`repro.perf.cache`.
 * ``cache.integrity_fails`` / ``cache.store_errors`` /
-  ``cache.evictions`` / ``cache.mem_evictions`` -- the cache's
-  robustness and hygiene edge: disk entries that failed envelope
-  verification (quarantined, read as a miss), disk writes that failed
-  (entry kept in memory only), entries unlinked by the
-  ``REPRO_CACHE_MAX_MB`` LRU sweep, and in-process entries dropped by
-  the ``REPRO_CACHE_MEM_ENTRIES`` bound (a long-running daemon must not
-  grow its memory layer without limit).
+  ``cache.mem_evictions`` -- the cache's robustness and hygiene edge:
+  disk entries that failed envelope verification (quarantined, read as
+  a miss), disk writes that failed (entry kept in memory only), and
+  in-process entries dropped by the
+  :data:`~repro.perf.cache.MEM_ENTRIES` bound (a long-running daemon
+  must not grow its memory layer without limit).
 * ``par.tasks`` / ``par.serial_fallbacks`` -- maintained by
   :func:`~repro.perf.parallel.parallel_map`: tasks sent to a worker
   pool, and tasks a pool broken by a dead worker left to run serially

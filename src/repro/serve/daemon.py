@@ -9,10 +9,10 @@ One long-running process owns:
 * one **executor** thread that claims jobs in submission order and runs
   each through :func:`repro.serve.jobs.run_job`, one at a time (two job
   threads would trade the interpreter lock on every NumPy call, DESIGN.md
-  §7).  Sweep and autotune jobs that ask for process parallelism
-  (``"jobs": N`` in their payload, at most one worker per CPU) fan out
-  through :func:`repro.perf.parallel.parallel_map` exactly as an
-  in-process run would, including its serial fallback when a worker dies;
+  §7).  Autotune jobs that ask for process parallelism (``"jobs": N``
+  in their payload, at most one worker per CPU) fan out through
+  :func:`repro.perf.parallel.parallel_map` exactly as an in-process run
+  would, including its serial fallback when a worker dies;
 * the **shared hot cache**: the process-wide ``repro.perf`` caches plus
   a ``serve/`` result store, so every completed job warms later tenants.
 
@@ -67,7 +67,9 @@ class ServeDaemon:
 
     def __init__(self, socket_path: str = None, queue_max: int = None):
         self.socket_path = socket_path or str(knobs.read("REPRO_SERVE_SOCKET"))
-        self.queue = JobQueue(queue_max or knobs.read("REPRO_SERVE_QUEUE_MAX"))
+        # queue_max lets tests fill a small queue; served daemons keep
+        # JobQueue's bound.
+        self.queue = JobQueue() if queue_max is None else JobQueue(queue_max)
         self.cache = ResultCache(subdir="serve")
         self.started_at = time.time()
         self._stop = threading.Event()

@@ -41,7 +41,7 @@ Kinds
 from __future__ import annotations
 
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
-from typing import get_origin, get_type_hints
+from typing import get_type_hints
 
 from ..arch.turing import DEVICES, RTX2070, GpuSpec, get_device
 from ..core.config import ConfigError, KernelConfig, check_field_types
@@ -57,14 +57,12 @@ __all__ = [
     "spec_from_dict",
     "config_to_dict",
     "config_from_dict",
-    "options_to_dict",
-    "options_from_dict",
 ]
 
 
 # ------------------------------------------------- dataclass round-trips
 #
-# GpuSpec / KernelConfig / PerfOptions must cross the JSON protocol and
+# GpuSpec / KernelConfig must cross the JSON protocol and
 # come back equal (their dicts feed content_key, so a lossy round-trip
 # would split cache keys between client and daemon).  Each decoder
 # refuses a dict it cannot decode with a ConfigError that names the
@@ -110,9 +108,8 @@ def spec_from_dict(data: dict) -> GpuSpec:
 def _from_fields(cls, data, where: str):
     """Dataclass *cls* from a dict of its fields, nested dataclasses too.
 
-    A JSON list becomes a tuple for a tuple field.  A value its class
-    refuses (a ``ValueError`` from construction) is re-raised as a
-    :class:`ConfigError`.
+    A value its class refuses (a ``ValueError`` from construction) is
+    re-raised as a :class:`ConfigError`.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"{where} must be a dict of {cls.__name__} fields, "
@@ -130,10 +127,7 @@ def _from_fields(cls, data, where: str):
             values[f.name] = _from_fields(types[f.name], data[f.name],
                                           f"{cls.__name__}.{f.name}")
         else:
-            value = data[f.name]
-            if isinstance(value, list) and get_origin(types[f.name]) is tuple:
-                value = tuple(value)
-            values[f.name] = scalars[f.name] = value
+            values[f.name] = scalars[f.name] = data[f.name]
     check_field_types(cls, scalars)
     try:
         return cls(**values)
@@ -153,18 +147,6 @@ def config_from_dict(data: dict) -> KernelConfig:
     return _from_fields(KernelConfig, data, "config")
 
 
-def options_to_dict(options) -> dict:
-    return asdict(options)
-
-
-def options_from_dict(data):
-    """The ``PerfOptions`` of an :func:`options_to_dict` dict; a field
-    left out takes its default."""
-    from ..analysis.perf_model import PerfOptions
-
-    return _from_fields(PerfOptions, data, "options")
-
-
 def _spec(payload):
     """The payload's spec; RTX 2070 when it names none."""
     return spec_from_dict(payload["spec"]) if payload.get("spec") else RTX2070
@@ -172,17 +154,22 @@ def _spec(payload):
 
 def _model(payload):
     """(spec, PerformanceModel) from a job payload."""
-    from ..analysis.perf_model import PerformanceModel, PerfOptions
+    from ..analysis.perf_model import PerformanceModel
 
+    if "options" in payload:
+        # Answering with the one calibration there is would answer for a
+        # different model than the client asked about.
+        raise ConfigError("the payload field 'options' is not accepted: "
+                          "the wave model's settings are constants of "
+                          "repro.analysis.perf_model; drop the field")
     spec = spec_from_dict(payload["spec"])
-    options = (options_from_dict(payload["options"])
-               if payload.get("options") else PerfOptions())
-    return spec, PerformanceModel(spec, options)
+    return spec, PerformanceModel(spec)
 
 
 def _jobs(payload):
-    """The payload's worker count for :func:`~repro.perf.parallel.parallel_map`:
-    None (serial) or a whole number >= 0."""
+    """An autotune payload's worker count for
+    :func:`~repro.perf.parallel.parallel_map`: None (serial) or a whole
+    number >= 0."""
     jobs = payload.get("jobs")
     if jobs is not None and (type(jobs) is not int or jobs < 0):
         raise ValueError(f"jobs must be a whole number >= 0 (0: one worker "
@@ -214,7 +201,6 @@ def _run_sweep(payload: dict) -> dict:
         sizes=sizes,
         shape=tuple(payload.get("shape", (1, 1, 1))),
         baseline_quirks=bool(payload.get("baseline_quirks", False)),
-        max_workers=_jobs(payload),
     )
     return {"estimates": [asdict(e) for e in estimates]}
 
@@ -377,8 +363,8 @@ def job_key(kind: str, payload: dict) -> str:
     """The job's coalescing key == its ``repro.perf`` cache key.
 
     It hashes (kind, canonical payload) under the ``SIM_VERSION``-salted
-    scheme, leaving out ``jobs``: a worker fan-out never changes the
-    result.
+    scheme, leaving out ``jobs``: an autotune's worker fan-out never
+    changes its result.
     """
     kind_of(kind)  # validate early: a bad kind must fail at submit time
     if isinstance(payload, dict) and "jobs" in payload:

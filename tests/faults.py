@@ -3,8 +3,7 @@
 Nothing in ``src/`` injects faults.  A test that needs a worker process
 to die passes a task function that calls one of these to
 ``parallel_map``, or puts such a function over a module-level worker
-function (``perf_model._profile_worker``, ``_estimate_worker``) before
-the pool starts.  They kill pool workers only, never the process that
+function (``perf_model._profile_worker``) before the pool starts.  They kill pool workers only, never the process that
 runs the test, where ``parallel_map`` runs its serial fallback.
 """
 

@@ -1,8 +1,8 @@
 """Integration: the analysis stack recovers end-to-end from injected faults.
 
 Each scenario injects a fault into a real analysis workload -- a worker
-that dies during a parallel SM-profile run or size sweep, a corrupted
-disk cache entry -- and asserts the recovered results are
+that dies during a parallel SM-profile run, a corrupted disk cache
+entry -- and asserts the recovered results are
 **bit-identical** to a fault-free serial run.  Recovery that changes
 numbers is not recovery.  The tests inject the faults themselves
 (:mod:`tests.faults`, or garbage written over a cache file); nothing in
@@ -20,17 +20,11 @@ from repro.perf.stats import STATS
 from ..faults import crash_once
 
 _profile_worker = perf_model._profile_worker
-_estimate_worker = perf_model._estimate_worker
 
 
 def _profile_crash_once(payload):
     crash_once()
     return _profile_worker(payload)
-
-
-def _estimate_crash_once(payload):
-    crash_once()
-    return _estimate_worker(payload)
 
 
 def _corrupt(store: ResultCache, key: str) -> None:
@@ -51,17 +45,14 @@ def clean(monkeypatch, tmp_path):
 
 @pytest.fixture
 def fault_free(monkeypatch, tmp_path):
-    """Serial, fault-free baseline numbers for one profile + sweep."""
-    pm = PerformanceModel(RTX2070)
-    profile = pm.profile_many([cublas_like()])[0]
-    sweep = [e.tflops for e in pm.sweep(cublas_like(), [2048, 4096])]
-    return profile, sweep
+    """A serial, fault-free baseline SM profile."""
+    return PerformanceModel(RTX2070).profile_many([cublas_like()])[0]
 
 
 class TestWorkerCrashRecovery:
     def test_profile_many_recovers_bit_identical(self, monkeypatch,
                                                  worker_faults, fault_free):
-        want_profile, _ = fault_free
+        want_profile = fault_free
         monkeypatch.setattr(perf_model, "_profile_worker", _profile_crash_once)
         monkeypatch.setenv("REPRO_NO_CACHE", "1")  # force real re-simulation
         STATS.reset()
@@ -75,26 +66,12 @@ class TestWorkerCrashRecovery:
         assert got == want
         assert got[1] == want_profile
 
-    def test_sweep_recovers_bit_identical(self, monkeypatch, worker_faults,
-                                          fault_free):
-        _, want_sweep = fault_free
-        monkeypatch.setattr(perf_model, "_estimate_worker",
-                            _estimate_crash_once)
-        STATS.reset()
-        pm = PerformanceModel(RTX2070)
-        pm.profile_many([cublas_like()])
-        got = [e.tflops for e in pm.sweep(cublas_like(), [2048, 4096],
-                                          max_workers=2)]
-        assert worker_faults.exists()
-        assert STATS.counters.get("par.serial_fallbacks", 0) >= 1
-        assert got == want_sweep
-
 
 class TestCacheCorruptionRecovery:
     def test_corrupted_store_is_resimulated_not_served(self, monkeypatch,
                                                        tmp_path, cache_enabled,
                                                        fault_free):
-        want_profile, _ = fault_free
+        want_profile = fault_free
         # A private disk dir: fault_free's entries (memory and disk) must
         # not satisfy the lookups this scenario wants to hit cold.
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "corrupt"))

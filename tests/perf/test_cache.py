@@ -4,18 +4,17 @@ Covers the integrity layer exhaustively: every corruption class
 (truncated JSON, valid-JSON-wrong-schema, checksum mismatch, stale
 ``SIM_VERSION``) must read as a miss, quarantine the file, and never
 surface a stale value; plus the hygiene pieces (store-error accounting,
-``*.tmp`` sweeping, size-bounded LRU eviction).
+``clear(disk=True)``, the in-process layer's LRU bound).
 """
 
 import json
-import os
-import time
 
 import pytest
 
 from repro import knobs
 from repro.arch import RTX2070, T4
 from repro.core.config import cublas_like, ours
+from repro.perf import cache as cache_module
 from repro.perf.cache import (
     SCHEMA_VERSION, SIM_VERSION, ResultCache, content_key,
 )
@@ -26,7 +25,6 @@ from repro.perf.stats import STATS
 def cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-    monkeypatch.delenv("REPRO_CACHE_MAX_MB", raising=False)
     return ResultCache(subdir="test")
 
 
@@ -193,58 +191,21 @@ class TestHygiene:
         assert list(root.glob("*.json")) == []
         assert list((root / "quarantine").glob("*.json")) == []
 
-    def test_evict_sweeps_stale_tmp(self, cache, tmp_path):
-        cache.put(content_key(b"k8"), {"v": 1})
-        root = tmp_path / "test"
-        stale = root / "stale.tmp"
-        stale.write_text("old interrupted write")
-        old = time.time() - 7200
-        os.utime(stale, (old, old))
-        fresh_tmp = root / "fresh.tmp"
-        fresh_tmp.write_text("live write in flight")
-        cache.evict(max_bytes=None)
-        assert not stale.exists()
-        assert fresh_tmp.exists()  # a live put's tmp file is left alone
-
-    def test_lru_eviction_drops_oldest_first(self, cache, tmp_path,
-                                             monkeypatch):
+    def test_lru_eviction_drops_oldest_first(self, cache, monkeypatch):
+        """The in-process layer holds ``MEM_ENTRIES`` entries: a put past
+        the bound drops the least recently used one, a hit makes its entry
+        young again, and the disk layer keeps everything."""
+        monkeypatch.setattr(cache_module, "MEM_ENTRIES", 3)
         STATS.reset()
         keys = [content_key(b"evict", i) for i in range(4)]
-        for i, key in enumerate(keys):
-            cache.put(key, {"v": i, "pad": "x" * 200})
-        # Back-date entries 0 and 1; touch 2 and 3 as most recent.
-        now = time.time()
-        for age, key in zip((4000, 3000, 20, 10), keys):
-            path = _entry_path(tmp_path, key)
-            os.utime(path, (now - age, now - age))
-        entry_size = _entry_path(tmp_path, keys[0]).stat().st_size
-        evicted = cache.evict(max_bytes=entry_size * 2)
-        assert evicted == 2
-        assert STATS.counters.get("cache.evictions") == 2
-        survivors = {p.name for p in (tmp_path / "test").glob("*.json")}
-        assert survivors == {f"{keys[2]}.json", f"{keys[3]}.json"}
-
-    def test_put_honours_max_mb_env(self, cache, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_MAX_MB", "0.0005")  # ~524 bytes
-        assert knobs.read("REPRO_CACHE_MAX_MB") == 0.0005
-        for i in range(5):
-            cache.put(content_key(b"auto", i), {"v": i, "pad": "x" * 200})
-        assert cache.disk_bytes() <= 524
-
-    def test_disk_hit_refreshes_lru_position(self, cache, tmp_path):
-        key_old = content_key(b"old")
-        key_hot = content_key(b"hot")
-        cache.put(key_hot, {"v": 1, "pad": "x" * 200})
-        cache.put(key_old, {"v": 2, "pad": "x" * 200})
-        now = time.time()
-        os.utime(_entry_path(tmp_path, key_hot), (now - 5000, now - 5000))
-        os.utime(_entry_path(tmp_path, key_old), (now - 1000, now - 1000))
-        fresh = ResultCache(subdir="test")
-        assert fresh.get(key_hot) is not None  # touches mtime
-        entry_size = _entry_path(tmp_path, key_hot).stat().st_size
-        cache.evict(max_bytes=entry_size)
-        survivors = {p.name for p in (tmp_path / "test").glob("*.json")}
-        assert survivors == {f"{key_hot}.json"}
+        for i, key in enumerate(keys[:3]):
+            cache.put(key, {"v": i})
+        assert cache.get(keys[0]) == {"v": 0}   # keys[1] is now the oldest
+        assert "cache.mem_evictions" not in STATS.counters
+        cache.put(keys[3], {"v": 3})
+        assert list(cache._memory) == [keys[2], keys[0], keys[3]]
+        assert STATS.counters.get("cache.mem_evictions") == 1
+        assert cache.disk_entries() == 4
 
 
 class TestEnvironmentSwitches:
@@ -259,28 +220,3 @@ class TestEnvironmentSwitches:
     def test_cache_dir_override(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "elsewhere"))
         assert knobs.read("REPRO_CACHE_DIR") == tmp_path / "elsewhere"
-
-    @pytest.mark.parametrize("name,raw", [
-        ("REPRO_CACHE_MAX_MB", "lots"), ("REPRO_CACHE_MAX_MB", "nan"),
-        ("REPRO_CACHE_MAX_MB", "-5"), ("REPRO_CACHE_MAX_MB", "inf"),
-        ("REPRO_CACHE_MEM_ENTRIES", "abc"), ("REPRO_CACHE_MEM_ENTRIES", "nan"),
-        ("REPRO_CACHE_MEM_ENTRIES", "inf"), ("REPRO_CACHE_MEM_ENTRIES", "-1"),
-        ("REPRO_CACHE_MEM_ENTRIES", "2.5"),
-    ])
-    def test_bad_bound_raises_naming_the_variable(self, cache, monkeypatch,
-                                                  name, raw):
-        monkeypatch.setenv(name, raw)
-        with pytest.raises(ValueError, match=f"{name} must be .*{raw!r}"):
-            cache.put(content_key(b"k7"), {"v": 1})
-
-    def test_bounds_parse(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_MAX_MB", "1.5")
-        monkeypatch.setenv("REPRO_CACHE_MEM_ENTRIES", "0")   # unbounded
-        assert knobs.read("REPRO_CACHE_MAX_MB") == 1.5
-        assert knobs.read("REPRO_CACHE_MEM_ENTRIES") == 0
-        monkeypatch.setenv("REPRO_CACHE_MEM_ENTRIES", "1e3")
-        assert knobs.read("REPRO_CACHE_MEM_ENTRIES") == 1000
-        monkeypatch.delenv("REPRO_CACHE_MAX_MB")
-        monkeypatch.delenv("REPRO_CACHE_MEM_ENTRIES")
-        assert knobs.read("REPRO_CACHE_MAX_MB") is None
-        assert knobs.read("REPRO_CACHE_MEM_ENTRIES") == 4096

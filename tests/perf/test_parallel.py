@@ -144,7 +144,7 @@ class TestSupervisor:
 
 
 class TestModelParallelism:
-    """profile_many / sweep across processes match the serial results."""
+    """profile_many across processes matches the serial results."""
 
     @pytest.fixture(scope="class")
     def pm(self, tmp_path_factory):
@@ -164,15 +164,6 @@ class TestModelParallelism:
         assert got == want
         # Identity caching inside the instance still holds.
         assert parallel_pm.sm_profile(configs[0]) is got[0]
-
-    def test_sweep_parallel_matches_serial(self, pm):
-        from repro.core.config import cublas_like
-
-        sizes = [2048, 4096, 8192]
-        serial = pm.sweep(cublas_like(), sizes)
-        par = pm.sweep(cublas_like(), sizes, max_workers=2)
-        assert [e.tflops for e in serial] == [e.tflops for e in par]
-        assert [e.bound for e in serial] == [e.bound for e in par]
 
 
 def _square_counting(x):

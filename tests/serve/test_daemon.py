@@ -18,12 +18,12 @@ from repro.serve import (
     ServeUnavailable,
     daemon_available,
 )
-from repro.serve.jobs import job_key
+from repro.serve.jobs import job_key, run_job
 from repro.serve.protocol import recv_frame, send_frame
 
 from ..faults import crash_once
 
-_estimate_worker = perf_model._estimate_worker
+_profile_worker = perf_model._profile_worker
 
 
 @pytest.fixture()
@@ -47,22 +47,25 @@ def _hgemm_payload(**over):
     return payload
 
 
-#: A two-size sweep whose estimates fan out over two worker processes.
-_SWEEP_SIZES = [1024, 2048]
-
-
 def _sweep_payload():
     from repro.arch import RTX2070
     from repro.core import ours
     from repro.serve.jobs import config_to_dict, spec_to_dict
 
     return {"spec": spec_to_dict(RTX2070), "config": config_to_dict(ours()),
-            "sizes": _SWEEP_SIZES, "jobs": 2}
+            "sizes": [1024, 2048]}
 
 
-def _estimate_crash_once(payload):
+def _autotune_payload():
+    """An autotune whose finalists' SM profiles fan out over two worker
+    processes."""
+    return {"spec": {"device": "RTX2070"}, "m": 256, "n": 256, "k": 64,
+            "jobs": 2}
+
+
+def _profile_crash_once(payload):
     crash_once()
-    return _estimate_worker(payload)
+    return _profile_worker(payload)
 
 
 def _running(client, view, timeout=5.0):
@@ -117,12 +120,16 @@ class TestBasics:
             assert client.ping()["ok"]
 
     def test_mistyped_options_fail_the_job_not_the_worker(self, daemon):
-        payload = {**_sweep_payload(), "options": {"profile_iters": "ab"}}
+        """The wave model has no options: a sweep or autotune payload that
+        names ``options``, even empty ones, fails as one job error naming
+        the field instead of answering for another model."""
         with ServeClient(daemon.socket_path) as client:
-            with pytest.raises(JobFailed,
-                               match=r"PerfOptions\.profile_iters must be a "
-                                     r"tuple of ints, got 'ab'"):
-                client.run("sweep", payload)
+            for kind, payload in (("sweep", _sweep_payload()),
+                                  ("autotune", _autotune_payload())):
+                with pytest.raises(JobFailed,
+                                   match=r"ConfigError: the payload field "
+                                         r"'options' is not accepted"):
+                    client.run(kind, {**payload, "options": {}})
             assert all(thread.is_alive() for thread in daemon._threads)
             # The executor still claims and runs jobs.
             views = client.batch_submit(
@@ -136,14 +143,25 @@ class TestBasics:
     def test_malformed_jobs_fails_the_job_not_the_worker(self, daemon, jobs):
         """A worker count that is not a whole number >= 0 is refused by
         name before any process starts."""
-        payload = {**_sweep_payload(), "jobs": jobs}
+        payload = {**_autotune_payload(), "jobs": jobs}
         with ServeClient(daemon.socket_path) as client:
             with pytest.raises(JobFailed,
                                match=rf"ValueError: jobs must be a whole "
                                      rf"number >= 0 .*got {jobs!r}"):
-                client.run("sweep", payload)
+                client.run("autotune", payload)
             assert all(thread.is_alive() for thread in daemon._threads)
             assert client.ping()["ok"]
+
+    @pytest.mark.parametrize("jobs", [2, -1, "2"])
+    def test_a_sweep_ignores_a_worker_count(self, scratch_env, jobs):
+        """A sweep estimates its sizes serially and reads no ``jobs``: a
+        payload that still names one, well-formed or not, keys and runs
+        as the payload without it, since a worker count never changes a
+        result."""
+        payload = _sweep_payload()
+        asked = {**payload, "jobs": jobs}
+        assert job_key("sweep", asked) == job_key("sweep", payload)
+        assert run_job("sweep", asked) == run_job("sweep", payload)
 
     def test_malformed_spec_fails_the_job_not_the_daemon(self, daemon):
         payload = _hgemm_payload(spec={"device": 7})
@@ -220,22 +238,17 @@ class TestBasics:
 
 
 class TestKnobs:
-    """``REPRO_SERVE_QUEUE_MAX`` is read by the constructor; nothing here
-    starts the daemon."""
-
-    @pytest.mark.parametrize("name", ["REPRO_SERVE_QUEUE_MAX"])
-    @pytest.mark.parametrize("raw", ["0", "-3", "-1", "abc", "2.5"])
-    def test_bad_value_raises_naming_the_variable(self, scratch_env,
-                                                  monkeypatch, name, raw):
-        monkeypatch.setenv(name, raw)
-        with pytest.raises(ValueError, match=f"{name} must be a whole "
-                                             "number >= 1"):
-            ServeDaemon(str(scratch_env / "test.sock"))
+    """The constructor reads ``REPRO_SERVE_SOCKET`` and no other knob;
+    nothing here starts the daemon."""
 
     def test_good_values_are_used(self, scratch_env, monkeypatch):
+        """The queue bound is a constant: the removed
+        ``REPRO_SERVE_QUEUE_MAX`` is read by nothing."""
         monkeypatch.setenv("REPRO_SERVE_QUEUE_MAX", "7")
-        d = ServeDaemon(str(scratch_env / "test.sock"))
-        assert d.queue.max_depth == 7
+        monkeypatch.setenv("REPRO_SERVE_SOCKET", str(scratch_env / "k.sock"))
+        d = ServeDaemon()
+        assert d.queue.max_depth == 256
+        assert d.socket_path == str(scratch_env / "k.sock")
 
 
 class TestOneExecutor:
@@ -335,14 +348,14 @@ class TestCoalescing:
         assert daemon.queue.executed == 1  # the resubmit never ran
 
     def test_worker_fan_out_shares_the_key(self, daemon):
-        """``jobs`` sets a sweep's fan-out, never its result: it stays out
-        of the coalescing and cache key."""
-        fanned = _sweep_payload()
+        """``jobs`` sets an autotune's fan-out, never its result: it stays
+        out of the coalescing and cache key."""
+        fanned = _autotune_payload()
         plain = {name: v for name, v in fanned.items() if name != "jobs"}
-        assert job_key("sweep", fanned) == job_key("sweep", plain)
+        assert job_key("autotune", fanned) == job_key("autotune", plain)
         with ServeClient(daemon.socket_path) as client:
-            first = client.run("sweep", plain, timeout=300)
-            again = client.submit("sweep", fanned)
+            first = client.run("autotune", plain, timeout=300)
+            again = client.submit("autotune", fanned)
         assert again["cached"] is True
         assert again["result"] == first["result"]
 
@@ -418,24 +431,18 @@ class TestRobustness:
 
     def test_worker_crash_chaos_is_salvaged(self, daemon, monkeypatch,
                                             worker_faults):
-        """A worker that dies inside a job's sweep is covered by the serial
-        fallback: the job still completes, identically, with the fallback
-        on its own stats record."""
-        from dataclasses import asdict
-
-        from repro.analysis import PerformanceModel
-        from repro.arch import RTX2070
-        from repro.core import ours
-
-        monkeypatch.setattr(perf_model, "_estimate_worker",
-                            _estimate_crash_once)
+        """A worker that dies while an autotune job profiles its finalists
+        is covered by the serial fallback: the job still completes,
+        identically, with the fallback on its own stats record."""
+        monkeypatch.setattr(perf_model, "_profile_worker",
+                            _profile_crash_once)
         with ServeClient(daemon.socket_path) as client:
-            view = client.run("sweep", _sweep_payload(), timeout=300)
+            view = client.run("autotune", _autotune_payload(), timeout=300)
         assert view["state"] == "done"
         assert worker_faults.exists()
         assert view["stats"]["counters"].get("par.serial_fallbacks", 0) >= 1
-        want = PerformanceModel(RTX2070).sweep(ours(), _SWEEP_SIZES)
-        assert view["result"]["estimates"] == [asdict(e) for e in want]
+        plain = {k: v for k, v in _autotune_payload().items() if k != "jobs"}
+        assert view["result"] == run_job("autotune", plain)
 
     def test_payload_file_references_are_not_opened(self, daemon,
                                                     scratch_env):

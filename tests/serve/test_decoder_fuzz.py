@@ -1,9 +1,9 @@
 """Property test: the job-payload decoders refuse only with ``ConfigError``.
 
-``spec_from_dict``, ``config_from_dict`` and ``options_from_dict`` read
-dicts a client sent.  Starting from valid dicts (registry devices, every
-feasible autotune candidate, the default options), fields are set to
-arbitrary JSON-like values, deleted or added.  Each result either
+``spec_from_dict`` and ``config_from_dict`` read dicts a client sent.
+Starting from valid dicts (registry devices, every feasible autotune
+candidate), fields are set to arbitrary JSON-like values, deleted or
+added.  Each result either
 decodes to an object whose ``*_to_dict`` gives every given field back
 (and decodes again to the same object), or raises
 :class:`~repro.core.config.ConfigError` -- never another exception type.
@@ -15,15 +15,12 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import PerfOptions
 from repro.analysis.autotune import candidate_space
 from repro.arch.turing import DEVICES
 from repro.core.config import ConfigError
 from repro.serve.jobs import (
     config_from_dict,
     config_to_dict,
-    options_from_dict,
-    options_to_dict,
     spec_from_dict,
     spec_to_dict,
 )
@@ -86,15 +83,6 @@ def test_config_decodes_or_refuses(data):
     _check(config_from_dict, config_to_dict, data)
 
 
-_OPTIONS_FIELDS = sorted(options_to_dict(PerfOptions()))
-
-
-@settings(max_examples=300, deadline=None)
-@given(_mutated([options_to_dict(PerfOptions())], _OPTIONS_FIELDS))
-def test_options_decode_or_refuse(data):
-    _check(options_from_dict, options_to_dict, data)
-
-
 _SPECS = [spec_to_dict(dataclasses.replace(spec, name="custom"))
           for spec in DEVICES.values()]
 _SPEC_FIELDS = sorted(_SPECS[0]) + ["device"]
@@ -127,6 +115,27 @@ def test_impossible_spec_values_are_refused_by_name(name, value):
             spec_from_dict({**data, name: value})
 
 
+#: (device, arch fields) no Tensor Core generation can have, each set on
+#: that device's custom spec dict, and the field the refusal names.
+_IMPOSSIBLE_ARCH = [
+    ("V100", {"fma_per_tc_cycle": -64}, "fma_per_tc_cycle"),
+    ("V100", {"measured_hmma_cpi": float("nan")}, "measured_hmma_cpi"),
+    ("V100", {"sm_version": -1}, "sm_version"),
+    ("V100", {"hmma_m": 0, "hmma_n": 0, "hmma_k": 0, "a_regs": 0,
+              "b_regs": 0, "c_regs_f16": 0}, "hmma_m"),
+    # 0 only where there is no F32-accumulate form (Volta's registry value).
+    ("RTX2070", {"c_regs_f32": 0}, "c_regs_f32"),
+]
+
+
+@pytest.mark.parametrize("device,arch,name", _IMPOSSIBLE_ARCH)
+def test_impossible_arch_values_are_refused_by_name(device, arch, name):
+    data = spec_to_dict(dataclasses.replace(DEVICES[device], name="custom"))
+    with pytest.raises(ConfigError, match=rf"^ArchSpec\.{name} must be a "
+                                          r"finite number > 0, got "):
+        spec_from_dict({**data, "arch": {**data["arch"], **arch}})
+
+
 @pytest.mark.parametrize("cpi", [0.0, -1.0, float("nan")])
 def test_impossible_memory_cpi_is_refused_by_name(cpi):
     data = {**_SPECS[0], "lds_cpi": {**_SPECS[0]["lds_cpi"], "cpi64": cpi}}
@@ -145,7 +154,7 @@ def test_zero_stays_allowed_where_it_is_the_default(name):
 
 @given(st.one_of(_SCALARS, st.lists(_VALUES, max_size=2)))
 def test_non_dicts_are_refused(data):
-    for decode in (spec_from_dict, config_from_dict, options_from_dict):
+    for decode in (spec_from_dict, config_from_dict):
         try:
             decode(data)
         except ConfigError:

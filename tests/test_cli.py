@@ -263,15 +263,42 @@ class TestJobVerbs:
         assert main(argv + ["--jobs", "2"]) == 0
         assert capsys.readouterr().out == serial
 
+    def test_remote_sweep_sends_no_worker_count(self, cache_enabled, capsys,
+                                                monkeypatch):
+        """``--jobs`` spreads an in-process sweep's two jobs over worker
+        processes; a ``--remote`` sweep's payloads carry no worker count,
+        and it prints what the serial sweep prints."""
+        from repro.serve import ServeClient, ServeDaemon
+
+        sent, run_batch = [], ServeClient.run_batch
+
+        def recording(client, jobs, timeout=None):
+            sent.extend(jobs)
+            return run_batch(client, jobs, timeout)
+
+        monkeypatch.setattr(ServeClient, "run_batch", recording)
+        argv = JOB_ARGV["sweep"]
+        assert main(argv) == 0
+        serial = capsys.readouterr().out
+        daemon = ServeDaemon(str(cache_enabled / "jobs.sock"))
+        daemon.start()
+        try:
+            rc = main(argv + ["--jobs", "2", "--remote", daemon.socket_path])
+        finally:
+            daemon.stop()
+        assert rc == 0
+        assert _without_served_line(capsys.readouterr().out) == serial
+        assert [job["kind"] for job in sent] == ["sweep", "sweep"]
+        assert [sorted(job["payload"]) for job in sent] == [
+            ["baseline_quirks", "config", "sizes", "spec"]] * 2
+
 
 class TestServeCli:
     def test_serve_parser(self):
         args = build_parser().parse_args(
-            ["serve", "start", "--socket", "/tmp/x.sock",
-             "--queue-max", "16", "--foreground"])
+            ["serve", "start", "--socket", "/tmp/x.sock", "--foreground"])
         assert args.command == "serve" and args.action == "start"
         assert args.socket == "/tmp/x.sock"
-        assert args.queue_max == 16
         assert args.foreground
 
     def test_remote_flag_optional_socket(self):

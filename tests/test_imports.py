@@ -36,7 +36,7 @@ ALL_SHA256 = {
     "repro.core":
         "fdf3cd8015fba5ebd8dc32d1784eb56a66dfb9d915b3aabd2bb0dca01b8e3ee2",
     "repro.analysis":
-        "72d844402ac261328860a258aac8088224f25e6d300a792d3f1e53bcd3baeb7a",
+        "7f64903a75d59ce4e8a3b4bbe43b4b0fdcb6a740e352c87317cfd3f83426770c",
     "repro.serve":
         "199b2caf9f1a39b3d6f41cf93b33298bf295fb2fca57023f10b4799e11e055a8",
     "repro.sim":
@@ -81,7 +81,7 @@ HELP_SHA256 = {
     "devices":
         "facbe00d45133fa9f282bd55ba234f5cfe9917a56307dadedd851bfa299c12d3",
     "doctor": "5158d8adba47b5b5a00b2d533303965a9245a0b32d39de797b352ca37070005c",
-    "serve": "47d90b0d280affce2751c8d25d6e6217ee8d2f19f6394f26470de82edeba7e88",
+    "serve": "09dd3c8f12564905c03600779baad6866857af7275ec13185d209cf1241da4f6",
     "disasm": "858d85233e5cc54e38277ef8c8c5df3761a5f2b40bf2b04b87f01f246e0e1e44",
 }
 

@@ -17,9 +17,6 @@ MALFORMED = {
     "REPRO_FUNC_ENGINE": "gridlock",
     "REPRO_TIMING_ENGINE": "fast",
     "REPRO_NO_CACHE": "false",
-    "REPRO_CACHE_MAX_MB": "-1",
-    "REPRO_CACHE_MEM_ENTRIES": "2.5",
-    "REPRO_SERVE_QUEUE_MAX": "x",
 }
 ANY_VALUE = {"REPRO_CACHE_DIR", "REPRO_SERVE_SOCKET"}
 
@@ -51,9 +48,11 @@ def test_only_knobs_reads_the_environment():
                              "read it with knobs.read: " + ", ".join(offenders))
 
 
-def test_the_table_is_the_eight_knobs():
+def test_the_table_is_the_five_knobs():
     assert set(knobs.KNOBS) == set(MALFORMED) | ANY_VALUE
-    assert len(knobs.KNOBS) == 8
+    assert len(knobs.KNOBS) == 5
+    assert {knob.kind for knob in knobs.KNOBS.values()} == {"choice", "flag",
+                                                           "path"}
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
@@ -75,12 +74,12 @@ def test_unset_and_empty_read_the_default(name, monkeypatch):
 
 @pytest.mark.parametrize("name,raw,value", [
     ("REPRO_FUNC_ENGINE", "reference", "reference"),
-    ("REPRO_SERVE_QUEUE_MAX", "1", 1),
-    ("REPRO_CACHE_MEM_ENTRIES", "1e3", 1000),
     ("REPRO_TIMING_ENGINE", "reference", "reference"),
-    ("REPRO_CACHE_MAX_MB", " 30 ", 30.0),
     ("REPRO_NO_CACHE", "0", False),
     ("REPRO_NO_CACHE", "1", True),
+    ("REPRO_FUNC_ENGINE", "lockstep", "lockstep"),
+    ("REPRO_TIMING_ENGINE", "event", "event"),
+    ("REPRO_CACHE_DIR", "rel/cache", Path("rel/cache")),
     ("REPRO_SERVE_SOCKET", "rel/d.sock", Path("rel/d.sock")),
 ])
 def test_accepted_values_keep_their_meaning(name, raw, value, monkeypatch):
@@ -112,8 +111,7 @@ def _doctor(tmp_path, **variables):
         env=env, capture_output=True, text=True, timeout=120)
 
 
-@pytest.mark.parametrize("name", ["REPRO_CACHE_MAX_MB",
-                                  "REPRO_TIMING_ENGINE", "REPRO_NO_CACHE"])
+@pytest.mark.parametrize("name", ["REPRO_TIMING_ENGINE", "REPRO_NO_CACHE"])
 def test_doctor_fails_on_a_malformed_knob(name, tmp_path):
     """``repro doctor --no-selftest`` lists every knob; a malformed one
     makes it exit 1 with the variable named and no traceback."""
@@ -128,12 +126,19 @@ def test_doctor_fails_on_a_malformed_knob(name, tmp_path):
 
 def test_doctor_names_variables_that_are_no_knob(tmp_path):
     """A set ``REPRO_*`` variable that is not in the table (a removed knob
-    here) is read by nothing: the doctor names each one as ignored, and
-    still exits 0."""
-    done = _doctor(tmp_path, REPRO_SERVE_WORKERS="4", REPRO_GUARD="sample")
+    here) is read by nothing: the doctor names each one as ignored, lists
+    the five knobs, and still exits 0."""
+    removed = ("REPRO_CACHE_MAX_MB", "REPRO_CACHE_MEM_ENTRIES", "REPRO_GUARD",
+               "REPRO_SERVE_QUEUE_MAX", "REPRO_SERVE_WORKERS")
+    done = _doctor(tmp_path, REPRO_SERVE_WORKERS="4", REPRO_GUARD="sample",
+                   REPRO_CACHE_MAX_MB="0.5", REPRO_CACHE_MEM_ENTRIES="2.5",
+                   REPRO_SERVE_QUEUE_MAX="x")
     assert done.returncode == 0, done.stdout + done.stderr
     ignored = [line.split() for line in done.stdout.splitlines()
                if "ignored" in line]
     assert ignored == [
         [f"knobs.{name}", "ignored:", "not", "a", "knob;", "unset", "it"]
-        for name in ("REPRO_GUARD", "REPRO_SERVE_WORKERS")]
+        for name in removed]
+    listed = [line.split()[0] for line in done.stdout.splitlines()
+              if line.startswith("knobs.") and "ignored" not in line]
+    assert listed == [f"knobs.{name}" for name in knobs.KNOBS]
